@@ -24,8 +24,6 @@ from .costs import (
     cost_ratio,
     cost_ratio_bound,
     solve_cost_from_drift,
-    solve_transaction_cost,
-    turnover,
 )
 from .crossrate import (
     FLAT,
@@ -42,7 +40,7 @@ from .crossrate import (
     order_of,
     predict_return,
     prediction_hits,
-    success_rate,
+    reference_day,
     transition_probabilities,
     transpose,
 )
@@ -69,14 +67,11 @@ from .market import (
     ReturnMatrix,
     compute_return_matrix,
     exchange_options,
-    reciprocal_rate,
     trading_matrix,
-    validate_rate_matrix,
 )
 from .portfolio import (
     PortfolioMatrix,
     gross_return,
-    hadamard,
     l1_distance,
     realized_portfolio,
     relative_entropy,

@@ -28,10 +28,10 @@ from .crossrate import (
     adjusted_cross_rate,
     cross_rate,
     mpcr_predict,
-    nearest_nonzero_day,
     order_of,
     predict_return,
     prediction_hits,
+    reference_day,
 )
 from .errors import (
     CostRatioAtLeastOne,
@@ -48,7 +48,7 @@ from .errors import (
     ZeroDiamond,
 )
 from .market import DailyQuotes, ReturnMatrix, compute_return_matrix
-from .portfolio import PortfolioMatrix, gross_return, realized_portfolio, uniform_portfolio
+from .portfolio import gross_return, realized_portfolio, uniform_portfolio
 from .updates import eiitc_update, iitc_update
 
 
@@ -242,11 +242,11 @@ def run_backtest(
         diamond = gross_return(psi, r_k)
         if diamond > 0.0:
             f_k = fp * diamond
-            drift = PortfolioMatrix(day=k, weights=realized_portfolio(psi, r_k).weights)
+            drift = realized_portfolio(psi, r_k)
             growth = diamond
         else:
             f_k = fp
-            drift = PortfolioMatrix(day=k, weights=psi.weights)
+            drift = psi
             growth = 1.0
             parked_col[k - 1] = True
 
@@ -284,9 +284,8 @@ def run_backtest(
             w_pred = mpcr_predict(cfg.mpcr, w_hist, cfg.segment)
             try:
                 pred_next = predict_return(cfg.mpo, cfg.adjusted, w_pred, rets[:k], orders)
-                refs = _reference_days(cfg, w_pred, orders, k)
-                seg_start_next = (k // seg_len) * seg_len + 1
-                crossed_next = any(ref < seg_start_next for ref in refs)
+                ref, _ = reference_day(cfg.mpo, cfg.adjusted, w_pred, orders)
+                crossed_next = ref <= (k // seg_len) * seg_len
             except InsufficientHistory:
                 pred_next = None
 
@@ -300,9 +299,9 @@ def run_backtest(
                 except ZeroDiamond:
                     # Zero predicted growth puts predicted return 0 on every
                     # held position, so the tilt's limit is the drift itself.
-                    psi = PortfolioMatrix(day=k + 1, weights=drift.weights)
+                    psi = drift
         else:
-            psi = PortfolioMatrix(day=k + 1, weights=drift.weights)
+            psi = drift
 
         t_charge = solve_cost_from_drift(f_k, drift.weights, psi, costs)
         f_prev = f_k
@@ -336,18 +335,6 @@ def run_backtest(
         predicted=pred_list,
         next_portfolio=psi.weights,
     )
-
-
-def _reference_days(cfg: PredictorConfig, w_pred: float, orders: list[int], k: int) -> list[int]:
-    flip = w_pred >= 0.5
-    if not cfg.adjusted:
-        if cfg.mpo == 2 and flip:
-            return [k - 1]
-        return [k]
-    ref = nearest_nonzero_day(orders, k + 1)
-    if cfg.mpo == 2 and flip:
-        return [nearest_nonzero_day(orders, ref)]
-    return [ref]
 
 
 def _predictor_config(predictor) -> dict:

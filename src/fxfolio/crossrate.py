@@ -178,14 +178,14 @@ def mpcr_predict(method: int, history: Sequence[float], cfg: SegmentConfig) -> f
     return cfg.c_a if last >= 0.5 else cfg.c_b
 
 
-def mpo_predict(method: int, adjusted: bool, w_pred: float, orders: Sequence[int]) -> int:
-    """Next-day order implied by a cross-rate guess.
+def reference_day(method: int, adjusted: bool, w_pred: float, orders: Sequence[int]) -> tuple[int, bool]:
+    """The 1-based observed day a next-day prediction copies, and whether its side is swapped.
 
     When the guess is in [1/2, 1] a flip is the likely move: method 1
-    answers the reverse of the reference day's order, method 2 reaches
-    one decisive day further back.  Otherwise both persist the reference
-    order.  Plain mode references the latest days verbatim; adjusted
-    mode references the latest decisive days.
+    swaps the reference day's side, method 2 copies the day one step
+    further back as it is.  Otherwise both copy the reference day.
+    Plain mode steps back over days as they come; adjusted mode steps
+    back over decisive days only.
     """
     if method not in (1, 2):
         raise InvalidParams(f"mpo method must be 1 or 2, got {method!r}")
@@ -193,27 +193,26 @@ def mpo_predict(method: int, adjusted: bool, w_pred: float, orders: Sequence[int
     if k == 0:
         raise InsufficientHistory("no observed orders to predict from")
     flip = w_pred >= 0.5
+    reach_back = method == 2 and flip
     if not adjusted:
-        if method == 1:
-            return _SWAP[orders[-1]] if flip else orders[-1]
-        if flip:
-            if k < 2:
-                raise InsufficientHistory("two observed days needed to reach one day back")
-            return orders[-2]
-        return orders[-1]
-    try:
-        ref = nearest_nonzero_day(orders, k + 1)
-    except NoPredecessor as e:
-        raise InsufficientHistory(f"no decisive order in {k} observed days") from e
-    if method == 1:
-        return _SWAP[orders[ref - 1]] if flip else orders[ref - 1]
-    if flip:
+        if reach_back and k < 2:
+            raise InsufficientHistory("two observed days needed to reach one day back")
+        ref = k - 1 if reach_back else k
+    else:
         try:
-            ref2 = nearest_nonzero_day(orders, ref)
+            ref = nearest_nonzero_day(orders, k + 1)
+            if reach_back:
+                ref = nearest_nonzero_day(orders, ref)
         except NoPredecessor as e:
-            raise InsufficientHistory(f"only one decisive order in {k} observed days") from e
-        return orders[ref2 - 1]
-    return orders[ref - 1]
+            need = "two decisive orders" if reach_back else "a decisive order"
+            raise InsufficientHistory(f"{need} needed, fewer in {k} observed days") from e
+    return ref, method == 1 and flip
+
+
+def mpo_predict(method: int, adjusted: bool, w_pred: float, orders: Sequence[int]) -> int:
+    """Next-day order implied by a cross-rate guess: the reference day's order, swapped on a flip."""
+    ref, swap = reference_day(method, adjusted, w_pred, orders)
+    return _SWAP[orders[ref - 1]] if swap else orders[ref - 1]
 
 
 def predict_return(
@@ -225,50 +224,14 @@ def predict_return(
 ) -> ReturnMatrix:
     """Next-day return matrix implied by a cross-rate guess.
 
-    Mirrors mpo_predict branch for branch, so the order of the returned
-    matrix equals the predicted order: a flip under method 1 transposes
-    the reference matrix, under method 2 it reaches one decisive day
-    further back and returns that day verbatim.
+    The reference day's matrix, transposed when its side is swapped, so
+    its order equals mpo_predict's.  `orders` are the orders of
+    `returns` when the caller already has them.
     """
-    if method not in (1, 2):
-        raise InvalidParams(f"mpo method must be 1 or 2, got {method!r}")
-    k = len(returns)
-    if k == 0:
-        raise InsufficientHistory("no observed returns to predict from")
-    flip = w_pred >= 0.5
-    if not adjusted:
-        if method == 1:
-            return transpose(returns[-1]) if flip else returns[-1]
-        if flip:
-            if k < 2:
-                raise InsufficientHistory("two observed days needed to reach one day back")
-            return returns[-2]
-        return returns[-1]
     if orders is None:
         orders = [order_of(r) for r in returns]
-    try:
-        ref = nearest_nonzero_day(orders, k + 1)
-    except NoPredecessor as e:
-        raise InsufficientHistory(f"no decisive order in {k} observed days") from e
-    if method == 1:
-        return transpose(returns[ref - 1]) if flip else returns[ref - 1]
-    if flip:
-        try:
-            ref2 = nearest_nonzero_day(orders, ref)
-        except NoPredecessor as e:
-            raise InsufficientHistory(f"only one decisive order in {k} observed days") from e
-        return returns[ref2 - 1]
-    return returns[ref - 1]
-
-
-def success_rate(predicted: Sequence[int], actual: Sequence[int]) -> float:
-    """Fraction of positions where the prediction equals the outcome."""
-    if len(predicted) != len(actual):
-        raise LengthMismatch(f"got {len(predicted)} predictions for {len(actual)} outcomes")
-    if len(predicted) == 0:
-        raise EmptySequence("success rate of an empty window is undefined")
-    hits = sum(1 for p, a in zip(predicted, actual) if p == a)
-    return hits / len(predicted)
+    ref, swap = reference_day(method, adjusted, w_pred, orders)
+    return transpose(returns[ref - 1]) if swap else returns[ref - 1]
 
 
 def prediction_hits(predicted: Sequence[int], actual: Sequence[int]) -> int:

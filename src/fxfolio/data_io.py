@@ -69,6 +69,16 @@ def _json_value(obj) -> str:
     raise IoError(f"cannot serialize {type(obj).__name__}")
 
 
+def _field_error(path, ln: int, header: list[str], row: list[str], exc: ValueError) -> ParseError:
+    """Name the first field of a csv data row that does not parse: day, i, j are ints, the rest floats."""
+    for col, (name, text) in enumerate(zip(header, row)):
+        try:
+            (int if col < 3 else float)(text)
+        except ValueError as bad:
+            return ParseError(f"{path}: line {ln}: column {col + 1} ({name}): {bad}")
+    return ParseError(f"{path}: line {ln}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # rate files
 
@@ -106,16 +116,10 @@ def load_rates(path) -> list[DailyQuotes]:
         if len(row) != 5:
             raise ParseError(f"{path}: line {ln}: expected 5 fields, got {len(row)}")
         try:
-            day = int(row[0])
-            i = int(row[1])
-            j = int(row[2])
+            day, i, j = int(row[0]), int(row[1]), int(row[2])
+            open_rate, close_rate = float(row[3]), float(row[4])
         except ValueError as exc:
-            raise ParseError(f"{path}: line {ln}: column {1 + ('day,i,j'.split(',').index('day'))}: {exc}") from exc
-        try:
-            open_rate = float(row[3])
-            close_rate = float(row[4])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {ln}: column 4: bad float: {exc}") from exc
+            raise _field_error(path, ln, rows[0], row, exc) from exc
         if i < 1 or j < 1:
             raise ParseError(f"{path}: line {ln}: indices are 1-based, got i={i}, j={j}")
         if i == j:
@@ -147,7 +151,7 @@ def load_rates(path) -> list[DailyQuotes]:
         try:
             quotes.append(DailyQuotes.from_grids(day, open_grid, close_grid))
         except FxfolioError as exc:
-            raise InvariantError(f"{path}: day {day}: {exc}") from exc
+            raise InvariantError(f"{path}: {exc}") from exc
     return quotes
 
 
@@ -186,7 +190,7 @@ def read_returns(path) -> list[ReturnMatrix]:
         try:
             day, i, j, value = int(row[0]), int(row[1]), int(row[2]), float(row[3])
         except ValueError as exc:
-            raise ParseError(f"{path}: line {ln}: {exc}") from exc
+            raise _field_error(path, ln, rows[0], row, exc) from exc
         if i < 1 or j < 1 or i == j:
             raise ParseError(f"{path}: line {ln}: bad pair ({i}, {j})")
         if day not in by_day:
@@ -211,7 +215,7 @@ def read_returns(path) -> list[ReturnMatrix]:
         try:
             out.append(ReturnMatrix(day=day, entries=grid))
         except FxfolioError as exc:
-            raise InvariantError(f"{path}: day {day}: {exc}") from exc
+            raise InvariantError(f"{path}: {exc}") from exc
     return out
 
 
@@ -474,44 +478,59 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
 
 
 def read_ledger(path) -> BacktestLedger:
+    records = []
     try:
         with open(path) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
+            for ln, line in enumerate(fh, start=1):
+                if line.strip():
+                    records.append((ln, json.loads(line)))
     except OSError as exc:
         raise IoError(f"cannot read ledger {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: bad JSON: {exc}") from exc
-    if not lines or lines[0].get("kind") != "fxfolio-ledger":
+        raise ParseError(f"{path}: line {ln}: bad JSON: {exc}") from exc
+    if not records or not isinstance(records[0][1], dict) or records[0][1].get("kind") != "fxfolio-ledger":
         raise ParseError(f"{path}: missing fxfolio-ledger meta line")
-    meta, days = lines[0], lines[1:]
+    (meta_ln, meta), days = records[0], records[1:]
     if not days:
         raise ParseError(f"{path}: ledger has no day records")
-    m = int(meta["m"])
+
+    def field(ln, record, key, convert):
+        try:
+            return convert(record[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = "missing" if isinstance(exc, KeyError) else f"bad value: {exc}"
+            raise ParseError(f"{path}: line {ln}: key {key!r}: {problem}") from exc
+
+    m = field(meta_ln, meta, "m", int)
 
     def grid(flat):
         return np.array(flat, dtype=float).reshape(m, m)
 
-    growth = np.array([d["diamond"] if d["diamond"] > 0.0 else 1.0 for d in days])
-    parked = np.array([d["diamond"] == 0.0 for d in days])
+    def column(key, convert):
+        return [field(ln, d, key, convert) for ln, d in days]
+
+    day = column("day", int)
+    diamond = np.array(column("diamond", float))
+    predicted = column("R_pred", lambda v: None if v is None else grid(v))
     return BacktestLedger(
         m=m,
-        f0=float(meta["f0"]),
-        config=meta["config"],
-        day=np.array([int(d["day"]) for d in days]),
-        capital=np.array([float(d["F"]) for d in days]),
-        capital_net=np.array([float(d["Fp"]) for d in days]),
-        cost=np.array([float(d["T"]) for d in days]),
-        ratio=np.array([float(d["c"]) for d in days]),
-        growth=growth,
-        parked=parked,
-        order_actual=np.array([int(d["order_actual"]) for d in days], dtype=np.int64),
-        order_pred=np.array([-1 if d["order_pred"] is None else int(d["order_pred"]) for d in days], dtype=np.int64),
-        pred_crossed_segment=np.array([bool(d["crossed"]) for d in days]),
-        portfolios=[grid(d["psi"]) for d in days],
-        realized=[grid(d["psi_prime"]) for d in days],
-        returns=[ReturnMatrix.blend(day=int(d["day"]), entries=grid(d["R"])) for d in days],
-        predicted=[None if d["R_pred"] is None else ReturnMatrix.blend(day=int(d["day"]), entries=grid(d["R_pred"])) for d in days],
-        next_portfolio=grid(meta["next_psi"]),
+        f0=field(meta_ln, meta, "f0", float),
+        config=field(meta_ln, meta, "config", dict),
+        day=np.array(day),
+        capital=np.array(column("F", float)),
+        capital_net=np.array(column("Fp", float)),
+        cost=np.array(column("T", float)),
+        ratio=np.array(column("c", float)),
+        growth=np.where(diamond > 0.0, diamond, 1.0),
+        parked=diamond == 0.0,
+        order_actual=np.array(column("order_actual", int), dtype=np.int64),
+        order_pred=np.array(column("order_pred", lambda v: -1 if v is None else int(v)), dtype=np.int64),
+        pred_crossed_segment=np.array(column("crossed", bool)),
+        portfolios=column("psi", grid),
+        realized=column("psi_prime", grid),
+        returns=[ReturnMatrix.blend(day=k, entries=r) for k, r in zip(day, column("R", grid))],
+        predicted=[None if r is None else ReturnMatrix.blend(day=k, entries=r) for k, r in zip(day, predicted)],
+        next_portfolio=field(meta_ln, meta, "next_psi", grid),
     )
 
 
@@ -539,4 +558,10 @@ def read_summary(path) -> dict:
         raise IoError(f"cannot read summary {path}: {exc}") from exc
     if len(rows) != 2 or tuple(rows[0]) != _SUMMARY_FIELDS:
         raise ParseError(f"{path}: expected header {','.join(_SUMMARY_FIELDS)} and one data row")
-    return {k: float(v) for k, v in zip(rows[0], rows[1])}
+    out = {}
+    for k, v in zip(rows[0], rows[1]):
+        try:
+            out[k] = float(v)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line 2: field {k}: {exc}") from exc
+    return out

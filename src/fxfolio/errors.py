@@ -34,10 +34,6 @@ class ComplementarityViolation(FxfolioError):
     """Both mirrored return conditions fired for the same currency pair."""
 
 
-class NonPositiveRate(FxfolioError):
-    pass
-
-
 # Portfolio algebra.
 class DimensionMismatch(FxfolioError):
     pass
@@ -61,10 +57,6 @@ class NonPositiveCapital(FxfolioError):
 
 
 class NoConvergence(FxfolioError):
-    pass
-
-
-class PreconditionViolation(FxfolioError):
     pass
 
 

@@ -18,7 +18,6 @@ from .errors import (
     DayMismatch,
     MissingNextDay,
     NonPositiveEntry,
-    NonPositiveRate,
     NonUnitDiagonal,
 )
 from .errors import SpreadViolation
@@ -44,19 +43,19 @@ class RateMatrix:
         if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
             bad = np.argwhere(~(np.isfinite(grid) & (grid > 0.0)))[0]
             raise NonPositiveEntry(
-                f"day {self.day}: rate at ({bad[0]}, {bad[1]}) is {grid[bad[0], bad[1]]!r}, must be finite and > 0"
+                f"day {self.day}: rate at ({bad[0]}, {bad[1]}) is {float(grid[bad[0], bad[1]])!r}, must be finite and > 0"
             )
         diag = np.diag(grid)
         if np.any(diag != 1.0):
             i = int(np.argmax(diag != 1.0))
-            raise NonUnitDiagonal(f"day {self.day}: diagonal entry ({i}, {i}) is {diag[i]!r}, must be 1")
+            raise NonUnitDiagonal(f"day {self.day}: diagonal entry ({i}, {i}) is {float(diag[i])!r}, must be 1")
         iu, ju = np.triu_indices(m, k=1)
         if np.any(grid[iu, ju] <= grid[ju, iu]):
             k = int(np.argmax(grid[iu, ju] <= grid[ju, iu]))
             i, j = int(iu[k]), int(ju[k])
             raise SpreadViolation(
-                f"day {self.day}: sell quote at ({i}, {j}) = {grid[i, j]!r} does not exceed "
-                f"buy quote at ({j}, {i}) = {grid[j, i]!r}"
+                f"day {self.day}: sell quote at ({i}, {j}) = {float(grid[i, j])!r} does not exceed "
+                f"buy quote at ({j}, {i}) = {float(grid[j, i])!r}"
             )
         grid.flags.writeable = False
         object.__setattr__(self, "entries", grid)
@@ -64,11 +63,6 @@ class RateMatrix:
     @property
     def m(self) -> int:
         return self.entries.shape[0]
-
-
-def validate_rate_matrix(grid, day: int) -> RateMatrix:
-    """Validate a raw grid and wrap it as a RateMatrix for the given day."""
-    return RateMatrix(day=day, entries=grid)
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class ReturnMatrix:
         if not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
             bad = np.argwhere(~(np.isfinite(grid) & (grid >= 0.0)))[0]
             raise NonPositiveEntry(
-                f"day {self.day}: return at ({bad[0]}, {bad[1]}) is {grid[bad[0], bad[1]]!r}, must be finite and >= 0"
+                f"day {self.day}: return at ({bad[0]}, {bad[1]}) is {float(grid[bad[0], bad[1]])!r}, must be finite and >= 0"
             )
         if np.any(np.diag(grid) != 0.0):
             i = int(np.argmax(np.diag(grid) != 0.0))
@@ -251,16 +245,9 @@ def compute_return_matrix(
         i, j = int(iu[k]), int(ju[k])
         raise ComplementarityViolation(
             f"day {day}: pair ({i}, {j}) fires in both directions "
-            f"(open sell {open_sell[i, j]!r} > close buy {close_buy[i, j]!r} and "
-            f"open buy {open_buy[i, j]!r} > close sell {close_sell[i, j]!r})"
+            f"(open sell {float(open_sell[i, j])!r} > close buy {float(close_buy[i, j])!r} and "
+            f"open buy {float(open_buy[i, j])!r} > close sell {float(close_sell[i, j])!r})"
         )
     grid[iu[up_fires], ju[up_fires]] = (open_sell[iu, ju][up_fires] / close_buy[iu, ju][up_fires])
     grid[ju[down_fires], iu[down_fires]] = (open_buy[iu, ju][down_fires] / close_sell[iu, ju][down_fires])
     return ReturnMatrix(day=day, entries=grid)
-
-
-def reciprocal_rate(rate: float) -> float:
-    """Quote of the opposite leg of a pair: the multiplicative inverse."""
-    if not np.isfinite(rate) or rate <= 0.0:
-        raise NonPositiveRate(f"rate must be finite and > 0, got {rate!r}")
-    return 1.0 / rate

@@ -51,15 +51,6 @@ def uniform_portfolio(m: int, day: int = 1) -> PortfolioMatrix:
     return PortfolioMatrix(day=day, weights=w)
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two equally shaped grids."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} do not match")
-    return a * b
-
-
 def gross_return(psi: PortfolioMatrix, returns: ReturnMatrix) -> float:
     """The day's growth factor: sum of weights times price relatives."""
     if psi.m != returns.m:

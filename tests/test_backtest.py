@@ -249,6 +249,62 @@ class TestRunBacktest:
         assert ledger.config["predictor"] == {"kind": "linear", "weights": [1.0]}
 
 
+    def test_large_capital_settles_the_cost(self):
+        # Capital compounds past 1e13 on this normalized market, where
+        # adjacent floats near the daily cost lie further apart than 1e-10.
+        quotes = generate_market(SyntheticMarketSpec(m=3, n_days=300, seed=2, normalize=True))
+        ledger = run_backtest(quotes, predictor=LinearPredictor((0.6, 0.4)), costs=CostParams(c=0.005))
+        assert ledger.n_days == 300
+        assert ledger.capital[-1] > 1e90
+
+
+def order_market(orders):
+    """2-currency days of the given orders: 1 fires (0, 1), 2 fires (1, 0), 0 fires nothing."""
+    out = []
+    for day, o in enumerate(orders, start=1):
+        grid = np.zeros((2, 2))
+        if o == 1:
+            grid[0, 1] = 1.2
+        elif o == 2:
+            grid[1, 0] = 1.2
+        out.append(ReturnMatrix(day=day, entries=grid))
+    return out
+
+
+class TestCrossedSegment:
+    # L = 3 and mpcr 1.  Every completed segment of FLIP has plain and
+    # adjusted cross rate >= 1/2, every one of PERSIST < 1/2, so each
+    # sequence keeps one branch of the flip test on all prediction days.
+    # A day is crossed when its reference day lies before its segment:
+    # ref <= 3 for days 4-6, ref <= 6 for days 7-9.
+    FLIP = [1, 2, 1, 0, 2, 0, 1, 2, 0]
+    PERSIST = [1, 1, 1, 1, 1, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "orders, mpo, adjusted, crossed",
+        [
+            # ref = k, the latest day.
+            (FLIP, 1, False, [0, 0, 0, 1, 0, 0, 1, 0, 0]),
+            # ref = k - 1.
+            (FLIP, 2, False, [0, 0, 0, 1, 1, 0, 1, 1, 0]),
+            # ref = latest decisive day: 3, 3, 5, 5, 7, 8.
+            (FLIP, 1, True, [0, 0, 0, 1, 1, 0, 1, 0, 0]),
+            # ref = the decisive day before it: 2, 2, 3, 3, 5, 7.
+            (FLIP, 2, True, [0, 0, 0, 1, 1, 1, 1, 1, 0]),
+            (PERSIST, 1, False, [0, 0, 0, 1, 0, 0, 1, 0, 0]),
+            (PERSIST, 2, False, [0, 0, 0, 1, 0, 0, 1, 0, 0]),
+            # ref = latest decisive day: 3, 4, 5, 5, 5, 8.
+            (PERSIST, 1, True, [0, 0, 0, 1, 0, 0, 1, 1, 0]),
+            (PERSIST, 2, True, [0, 0, 0, 1, 0, 0, 1, 1, 0]),
+        ],
+    )
+    def test_pinned_per_branch(self, orders, mpo, adjusted, crossed):
+        cfg = PredictorConfig(mpcr=1, mpo=mpo, adjusted=adjusted, segment=SegmentConfig(L=3))
+        ledger = run_backtest(order_market(orders), predictor=cfg)
+        assert ledger.order_actual.tolist() == orders
+        assert ledger.pred_crossed_segment.tolist() == [bool(c) for c in crossed]
+
+
 class TestGrowthMetrics:
     def test_final_return_product(self):
         assert cumulative_return(stub_ledger([1.1, 0.9], [0.0, 0.0])) == pytest.approx(0.99, rel=1e-12)

@@ -13,17 +13,13 @@ from fxfolio.costs import (
     cost_ratio,
     cost_ratio_bound,
     solve_cost_from_drift,
-    solve_transaction_cost,
-    turnover,
 )
 from fxfolio.errors import (
     CostExceedsCapital,
     InvalidC,
     InvalidParams,
     NonPositiveCapital,
-    PreconditionViolation,
 )
-from fxfolio.market import ReturnMatrix
 from fxfolio.portfolio import PortfolioMatrix, l1_distance
 
 from oracles import random_portfolio_weights, scan_cost_root
@@ -78,6 +74,17 @@ class TestSolveCost:
         with pytest.raises(NonPositiveCapital):
             solve_cost_from_drift(0.0, two_pair(0.5, 0.5).weights, two_pair(0.5, 0.5), CostParams(c=0.01))
 
+    def test_large_capital_settles(self):
+        # A day from a normalized backtest at capital 1.7e13: adjacent floats
+        # near T are 3.8e-6 apart, so an absolute 1e-10 step never comes.
+        drift = np.zeros((3, 3))
+        drift[0, 1], drift[0, 2], drift[1, 2] = 0.03028007873318651, 0.07229830153064871, 0.8974216197361647
+        nxt = np.zeros((3, 3))
+        nxt[0, 1], nxt[0, 2], nxt[1, 2] = 0.029410472035986422, 0.06589749191679756, 0.904692036047216
+        f_k = 16765245354929.578
+        t = solve_cost_from_drift(f_k, drift, PortfolioMatrix(day=1, weights=nxt), CostParams(c=0.005))
+        assert t == pytest.approx(scan_cost_root(f_k, drift, nxt, 0.005), rel=1e-9)
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)
     def test_matches_independent_root_and_sandwich(self, seed):
@@ -96,33 +103,6 @@ class TestSolveCost:
 
 def naive_delta(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).sum())
-
-
-class TestSolveTransactionCost:
-    def test_capital_identity_enforced(self):
-        psi = two_pair(0.5, 0.5)
-        r = ReturnMatrix(day=1, entries=np.array([[0.0, 1.2], [0.0, 0.0]]))
-        with pytest.raises(PreconditionViolation):
-            solve_transaction_cost(100.0, 100.0, psi, psi, r, CostParams(c=0.01))
-
-    def test_agrees_with_drift_form(self):
-        psi = two_pair(0.5, 0.5)
-        nxt = two_pair(0.25, 0.75)
-        r = ReturnMatrix(day=1, entries=np.array([[0.0, 1.2], [0.0, 0.0]]))
-        f_prime, growth = 100.0, 0.6
-        t_full = solve_transaction_cost(f_prime * growth, f_prime, psi, nxt, r, CostParams(c=0.01, fp_tol=1e-13))
-        drift = psi.weights * r.entries / growth
-        t_drift = solve_cost_from_drift(f_prime * growth, drift, nxt, CostParams(c=0.01, fp_tol=1e-13))
-        assert t_full == pytest.approx(t_drift, abs=1e-12)
-
-
-class TestTurnover:
-    def test_scales_distance_by_capital(self):
-        assert turnover(two_pair(0.4, 0.6), two_pair(0.6, 0.4), 100.0) == pytest.approx(40.0, abs=1e-9)
-
-    def test_rejects_nonpositive_capital(self):
-        with pytest.raises(NonPositiveCapital):
-            turnover(two_pair(0.5, 0.5), two_pair(0.5, 0.5), -1.0)
 
 
 class TestCostBounds:

@@ -1,5 +1,7 @@
 """File formats, seeded generators, and ledger round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,9 +45,40 @@ GOOD_RATES = """day,i,j,open_rate,close_rate
 """
 
 
+GOOD_RETURNS = """day,i,j,value
+1,1,2,1.2
+1,2,1,0
+"""
+
+
 def write_text(path, text):
     path.write_text(text)
     return path
+
+
+@pytest.mark.parametrize("token", ["x", "nan"])
+@pytest.mark.parametrize(
+    "reader, text, col",
+    [(load_rates, GOOD_RATES, col) for col in range(5)] + [(read_returns, GOOD_RETURNS, col) for col in range(4)],
+)
+def test_corrupted_column_is_named(tmp_path, reader, text, col, token):
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    fields = lines[2].split(",")
+    fields[col] = token
+    lines[2] = ",".join(fields)
+    with pytest.raises((ParseError, InvariantError)) as info:
+        reader(write_text(tmp_path / "in.csv", "\n".join(lines) + "\n"))
+    message = str(info.value)
+    if col < 3 or token == "x":
+        assert info.type is ParseError
+        assert f"line 3: column {col + 1} ({header[col]}): " in message
+    else:
+        # A nan quote parses, then fails its day's matrix check.
+        assert info.type is InvariantError
+        assert message.count("day 1:") == 1
+        assert " is nan, " in message
+    assert "np." not in message
 
 
 class TestRatesFiles:
@@ -276,6 +309,28 @@ class TestLedgerFiles:
         with pytest.raises(ParseError):
             read_ledger(path)
 
+    @staticmethod
+    def edit_last_day(tmp_path, edit):
+        path = tmp_path / "run.jsonl"
+        write_ledger(small_ledger(), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        edit(record)
+        lines[-1] = json.dumps(record)
+        return write_text(path, "\n".join(lines) + "\n"), len(lines)
+
+    @pytest.mark.parametrize("key", ["day", "F", "diamond", "order_pred", "crossed", "psi", "R_pred"])
+    def test_missing_key_names_line_and_key(self, tmp_path, key):
+        path, ln = self.edit_last_day(tmp_path, lambda record: record.pop(key))
+        with pytest.raises(ParseError, match=rf"line {ln}: key '{key}': missing"):
+            read_ledger(path)
+
+    @pytest.mark.parametrize("key", ["psi", "psi_prime", "R", "R_pred"])
+    def test_wrong_matrix_size_names_line_and_key(self, tmp_path, key):
+        path, ln = self.edit_last_day(tmp_path, lambda record: record[key].pop())
+        with pytest.raises(ParseError, match=rf"line {ln}: key '{key}': bad value"):
+            read_ledger(path)
+
 
 class TestSummaryFiles:
     METRICS = {"I_N": 1.23456789012345678, "LI_N": 0.01, "F_N": 1.2, "R_N": 0.009, "eta": 0.75}
@@ -298,6 +353,17 @@ class TestSummaryFiles:
     def test_malformed_read(self, tmp_path):
         with pytest.raises(ParseError):
             read_summary(write_text(tmp_path / "s.csv", "a,b\n1,2\n"))
+
+    @pytest.mark.parametrize("field", ["I_N", "LI_N", "F_N", "R_N", "eta"])
+    def test_non_float_names_the_field(self, tmp_path, field):
+        path = tmp_path / "summary.csv"
+        write_summary(self.METRICS, path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[header.split(",").index(field)] = "zero"
+        write_text(path, f"{header}\n{','.join(cells)}\n")
+        with pytest.raises(ParseError, match=f"line 2: field {field}: "):
+            read_summary(path)
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoError):

@@ -10,7 +10,6 @@ from fxfolio.errors import (
     DayMismatch,
     MissingNextDay,
     NonPositiveEntry,
-    NonPositiveRate,
     NonUnitDiagonal,
     SpreadViolation,
 )
@@ -20,9 +19,7 @@ from fxfolio.market import (
     ReturnMatrix,
     compute_return_matrix,
     exchange_options,
-    reciprocal_rate,
     trading_matrix,
-    validate_rate_matrix,
 )
 
 from oracles import random_return_entries
@@ -52,17 +49,17 @@ def random_quotes(rng, m, day=1):
 class TestRateMatrix:
     def test_two_currency_quote(self):
         # 0.7 one way, 1.429 the other; valid spread layout.
-        rm = validate_rate_matrix(np.array([[1.0, 1.429], [0.7, 1.0]]), day=1)
+        rm = rates(1, [[1.0, 1.429], [0.7, 1.0]])
         assert rm.m == 2
         assert rm.entries[0, 1] == 1.429
 
     def test_equal_quotes_break_spread(self):
         with pytest.raises(SpreadViolation, match=r"\(1, 2\)|\(0, 1\)"):
-            validate_rate_matrix(np.array([[1.0, 0.7], [0.7, 1.0]]), day=1)
+            rates(1, [[1.0, 0.7], [0.7, 1.0]])
 
     def test_negative_entry(self):
         with pytest.raises(NonPositiveEntry):
-            validate_rate_matrix(np.array([[1.0, 1.4], [-0.1, 1.0]]), day=1)
+            rates(1, [[1.0, 1.4], [-0.1, 1.0]])
 
     def test_non_unit_diagonal(self):
         with pytest.raises(NonUnitDiagonal):
@@ -183,20 +180,3 @@ class TestReturnMatrixType:
         for _ in range(50):
             m = int(rng.integers(2, 6))
             ReturnMatrix(day=1, entries=random_return_entries(rng, m))
-
-
-class TestReciprocalRate:
-    def test_known_value(self):
-        assert reciprocal_rate(0.7) == pytest.approx(1.4286, abs=5e-5)
-
-    def test_identity(self):
-        assert reciprocal_rate(1.0) == 1.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveRate):
-            reciprocal_rate(0.0)
-
-    @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
-    @settings(max_examples=200)
-    def test_involution(self, rate):
-        assert reciprocal_rate(reciprocal_rate(rate)) == pytest.approx(rate, rel=1e-12)

@@ -12,7 +12,6 @@ from fxfolio.market import ReturnMatrix
 from fxfolio.portfolio import (
     PortfolioMatrix,
     gross_return,
-    hadamard,
     l1_distance,
     realized_portfolio,
     relative_entropy,
@@ -64,24 +63,6 @@ class TestPortfolioMatrix:
             psi.weights[0, 1] = 0.9
 
 
-class TestHadamard:
-    def test_pinned_product(self):
-        out = hadamard([[0.0, 2.0], [3.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]])
-        np.testing.assert_array_equal(out, [[0.0, 1.0], [1.5, 0.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hadamard(np.zeros((2, 2)), np.zeros((3, 3)))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_commutes(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.random((3, 3))
-        b = rng.random((3, 3))
-        np.testing.assert_array_equal(hadamard(a, b), hadamard(b, a))
-
-
 class TestGrossReturn:
     def test_pinned_value(self):
         psi = two_pair(0.5, 0.5)
@@ -93,7 +74,7 @@ class TestGrossReturn:
             m = int(rng.integers(2, 6))
             psi = PortfolioMatrix(day=1, weights=random_portfolio_weights(rng, m))
             r = ReturnMatrix(day=1, entries=random_return_entries(rng, m))
-            assert gross_return(psi, r) == pytest.approx(float(hadamard(psi.weights, r.entries).sum()), rel=1e-12)
+            assert gross_return(psi, r) == pytest.approx(float((psi.weights * r.entries).sum()), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
