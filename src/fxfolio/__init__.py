@@ -21,7 +21,6 @@ from .backtest import (
 from .costs import (
     CostParams,
     cost_bounds,
-    cost_ratio,
     cost_ratio_bound,
     solve_cost_from_drift,
 )

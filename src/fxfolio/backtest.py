@@ -22,14 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import CostParams, cost_ratio, solve_cost_from_drift
+from .costs import CostParams, solve_cost_from_drift
 from .crossrate import (
+    SWAP,
     PredictorConfig,
     adjusted_cross_rate,
     cross_rate,
+    grid_order,
     mpcr_predict,
-    order_of,
-    predict_return,
     prediction_hits,
     reference_day,
 )
@@ -45,11 +45,10 @@ from .errors import (
     NonPositivePairReturn,
     NormalizationViolated,
     TooFewDays,
-    ZeroDiamond,
 )
 from .market import DailyQuotes, ReturnMatrix, compute_return_matrix
-from .portfolio import gross_return, realized_portfolio, uniform_portfolio
-from .updates import eiitc_update, iitc_update
+from .portfolio import uniform_portfolio
+from .updates import tilt
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,16 @@ class LinearPredictor:
             raise InvalidParams(f"lag weights must be nonnegative and sum to 1, got {self.weights!r}")
         object.__setattr__(self, "weights", w)
 
-    def predict(self, history: Sequence[ReturnMatrix], day: int) -> ReturnMatrix:
+    def predict(self, history: Sequence[np.ndarray]) -> np.ndarray:
+        """Blend of the latest return grids, newest first.
+
+        Days whose maxima sit on opposite triangles blend into a grid with
+        mass at both mirrored positions, which no ReturnMatrix may hold.
+        """
         depth = min(len(self.weights), len(history))
         w = np.array(self.weights[:depth])
         w = w / w.sum()
-        entries = sum(w[l] * history[-1 - l].entries for l in range(depth))
-        return ReturnMatrix.blend(day=day, entries=entries)
+        return sum(w[l] * history[-1 - l] for l in range(depth))
 
 
 def block_partition(n_days: int, unit: int) -> list[range]:
@@ -156,7 +159,7 @@ class BacktestLedger:
     portfolios: list[np.ndarray]
     realized: list[np.ndarray]
     returns: list[ReturnMatrix]
-    predicted: list[ReturnMatrix | None]
+    predicted: list[np.ndarray | None]
     next_portfolio: np.ndarray = field(default=None)
 
     @property
@@ -224,25 +227,29 @@ def run_backtest(
     crossed_col = np.zeros(n, dtype=bool)
     psi_list: list[np.ndarray] = []
     drift_list: list[np.ndarray] = []
-    pred_list: list[ReturnMatrix | None] = [None] * n
+    pred_list: list[np.ndarray | None] = [None] * n
 
-    psi = uniform_portfolio(m, day=1)
+    # Validated once above; from here on the loop runs on bare grids.
+    grids = np.stack([r.entries for r in rets])
+    grids.flags.writeable = False
+    psi = uniform_portfolio(m, day=1).weights
     f_prev = f0
     t_charge = 0.0
     orders: list[int] = []
     w_hist: list[float] = []
-    pred_next: ReturnMatrix | None = None
+    pred_next: np.ndarray | None = None
+    order_next = -1
     crossed_next = False
 
     for k in range(1, n + 1):
-        r_k = rets[k - 1]
+        r_k = grids[k - 1]
         fp = f_prev - t_charge
         if fp <= 0.0:
             raise NonPositiveCapital(f"day {k}: costs of {t_charge!r} exhaust capital {f_prev!r}")
-        diamond = gross_return(psi, r_k)
+        diamond = float(np.sum(psi * r_k))
         if diamond > 0.0:
             f_k = fp * diamond
-            drift = realized_portfolio(psi, r_k)
+            drift = psi * r_k / diamond
             growth = diamond
         else:
             f_k = fp
@@ -250,20 +257,20 @@ def run_backtest(
             growth = 1.0
             parked_col[k - 1] = True
 
-        o_k = order_of(r_k)
+        o_k = grid_order(r_k)
         orders.append(o_k)
 
-        psi_list.append(psi.weights)
-        drift_list.append(drift.weights)
+        psi_list.append(psi)
+        drift_list.append(drift)
         pred_list[k - 1] = pred_next
         day_idx = k - 1
         f_col[day_idx] = f_k
         fp_col[day_idx] = fp
         t_col[day_idx] = t_charge
-        c_col[day_idx] = 0.0 if k == 1 else cost_ratio(t_charge, f_prev)
+        c_col[day_idx] = 0.0 if k == 1 else t_charge / f_prev
         g_col[day_idx] = growth
         oa_col[day_idx] = o_k
-        op_col[day_idx] = order_of(pred_next) if pred_next is not None else -1
+        op_col[day_idx] = order_next
         crossed_col[day_idx] = crossed_next
 
         # Segment bookkeeping, then the prediction for day k+1.
@@ -277,33 +284,29 @@ def run_backtest(
                 w_hist.append(cross_rate(seg_orders, prev))
 
         pred_next = None
+        order_next = -1
         crossed_next = False
         if lin is not None:
-            pred_next = lin.predict(rets[:k], day=k + 1)
+            pred_next = lin.predict(grids[:k])
+            order_next = grid_order(pred_next)
         elif cfg is not None and w_hist:
             w_pred = mpcr_predict(cfg.mpcr, w_hist, cfg.segment)
             try:
-                pred_next = predict_return(cfg.mpo, cfg.adjusted, w_pred, rets[:k], orders)
-                ref, _ = reference_day(cfg.mpo, cfg.adjusted, w_pred, orders)
-                crossed_next = ref <= (k // seg_len) * seg_len
+                ref, swap = reference_day(cfg.mpo, cfg.adjusted, w_pred, orders)
             except InsufficientHistory:
-                pred_next = None
+                pass
+            else:
+                pred_next = grids[ref - 1].T.copy() if swap else grids[ref - 1]
+                order_next = SWAP[orders[ref - 1]] if swap else orders[ref - 1]
+                crossed_next = ref <= (k // seg_len) * seg_len
 
         gamma_next = gammas[min(k + 1, n + 1)]
         if pred_next is not None and gamma_next > 0.0:
-            if update.rule == "iitc":
-                psi = iitc_update(drift, pred_next, gamma_next, update.support_floor)
-            else:
-                try:
-                    psi = eiitc_update(drift, pred_next, gamma_next, update.support_floor)
-                except ZeroDiamond:
-                    # Zero predicted growth puts predicted return 0 on every
-                    # held position, so the tilt's limit is the drift itself.
-                    psi = drift
+            psi = tilt(update.rule, drift, pred_next, gamma_next, update.support_floor)
         else:
             psi = drift
 
-        t_charge = solve_cost_from_drift(f_k, drift.weights, psi, costs)
+        t_charge = solve_cost_from_drift(f_k, drift, psi, costs)
         f_prev = f_k
 
     config = {
@@ -333,7 +336,7 @@ def run_backtest(
         realized=drift_list,
         returns=rets,
         predicted=pred_list,
-        next_portfolio=psi.weights,
+        next_portfolio=psi,
     )
 
 
@@ -369,7 +372,7 @@ def growth_rate(ledger: BacktestLedger) -> float:
     _require_days(ledger)
     if np.any(ledger.growth <= 0.0):
         k = int(np.argmax(ledger.growth <= 0.0))
-        raise NonPositiveDiamond(f"day {k + 1}: growth factor {ledger.growth[k]!r} has no log")
+        raise NonPositiveDiamond(f"day {k + 1}: growth factor {float(ledger.growth[k])!r} has no log")
     return float(np.mean(np.log(ledger.growth)))
 
 
@@ -378,7 +381,7 @@ def cumulative_return_net(ledger: BacktestLedger) -> float:
     _require_days(ledger)
     if np.any(ledger.ratio >= 1.0):
         k = int(np.argmax(ledger.ratio >= 1.0))
-        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {ledger.ratio[k]!r} >= 1")
+        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {float(ledger.ratio[k])!r} >= 1")
     return float(np.prod(ledger.growth * (1.0 - ledger.ratio)))
 
 
@@ -386,7 +389,7 @@ def growth_rate_net(ledger: BacktestLedger) -> float:
     """Average log growth per day net of costs."""
     if np.any(ledger.ratio >= 1.0):
         k = int(np.argmax(ledger.ratio >= 1.0))
-        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {ledger.ratio[k]!r} >= 1")
+        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {float(ledger.ratio[k])!r} >= 1")
     return growth_rate(ledger) + float(np.mean(np.log1p(-ledger.ratio)))
 
 
@@ -397,7 +400,7 @@ def single_pair_growth_rate(returns: Sequence[ReturnMatrix], i: int, j: int) -> 
     vals = np.array([r.entries[i, j] for r in returns])
     if np.any(vals <= 0.0):
         k = int(np.argmax(vals <= 0.0))
-        raise NonPositivePairReturn(f"day {k + 1}: pair ({i}, {j}) returned {vals[k]!r}, benchmark undefined")
+        raise NonPositivePairReturn(f"day {k + 1}: pair ({i}, {j}) returned {float(vals[k])!r}, benchmark undefined")
     return float(np.mean(np.log(vals)))
 
 
@@ -450,19 +453,21 @@ def universality_gap(
             raise NormalizationViolated("guarantee needs support_floor 0 (pass force to override)")
         if cfg["schedule"]["mode"] != "constant":
             raise NormalizationViolated("guarantee needs a constant learning rate (pass force to override)")
-        for r in ledger.returns:
-            sums = r.entries + r.entries.T
-            iu, ju = np.triu_indices(r.m, k=1)
-            pair_sums = sums[iu, ju]
-            if pair_sums.max() > 1.0 + 1e-9 or abs(pair_sums.max() - 1.0) > 1e-9 or pair_sums.min() < r_floor - 1e-9:
-                raise NormalizationViolated(
-                    f"day {r.day}: pair return sums in [{pair_sums.min()!r}, {pair_sums.max()!r}] "
-                    f"violate the [{r_floor}, 1] normalization (pass force to override)"
-                )
+        grids = np.stack([r.entries for r in ledger.returns])
+        iu, ju = np.triu_indices(ledger.m, k=1)
+        pair_sums = grids[:, iu, ju] + grids[:, ju, iu]
+        lo, hi = pair_sums.min(axis=1), pair_sums.max(axis=1)
+        bad = (np.abs(hi - 1.0) > 1e-9) | (lo < r_floor - 1e-9)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise NormalizationViolated(
+                f"day {ledger.returns[k].day}: pair return sums in [{float(lo[k])!r}, {float(hi[k])!r}] "
+                f"violate the [{r_floor}, 1] normalization (pass force to override)"
+            )
     i, j = pair
     benchmark = single_pair_growth_rate(ledger.returns, i, j)
-    psi_first = ledger.portfolios[0][i, j]
-    psi_after = ledger.next_portfolio[i, j]
+    psi_first = float(ledger.portfolios[0][i, j])
+    psi_after = float(ledger.next_portfolio[i, j])
     if psi_first <= 0.0 or psi_after <= 0.0:
         raise NonPositivePairReturn(
             f"pair ({i}, {j}) has weight {psi_first!r} on day 1 and {psi_after!r} after the run; "

@@ -30,9 +30,9 @@ from .crossrate import PredictorConfig, SegmentConfig, effectiveness_ratio
 from .data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
-    _json_value,
     generate_market,
     generate_order_process,
+    json_value,
     load_rates,
     read_returns,
     symmetric_masses,
@@ -41,28 +41,13 @@ from .data_io import (
     write_returns,
     write_summary,
 )
-from .errors import (
-    FxfolioError,
-    InfeasibleTargets,
-    InvalidBlockUnit,
-    InvalidC,
-    InvalidM,
-    InvalidParams,
-    InvalidSpec,
-    InvariantError,
-    IoError,
-    NonMonotoneDays,
-    ParseError,
-)
+from .errors import ConfigError, InputError, InvalidParams, InvalidSpec, RunError
 from .verify import cost_bounds_suite, profitability_suite, universality_suite
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
-
-_IO_ERRORS = (IoError, ParseError, InvariantError, NonMonotoneDays, FileNotFoundError)
-_CONFIG_ERRORS = (InvalidSpec, InvalidParams, InvalidC, InvalidM, InvalidBlockUnit, InfeasibleTargets)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_config(command: str, items: dict) -> None:
-    print(f"config {_json_value({'command': command, **items})}")
+    print(f"config {json_value({'command': command, **items})}")
 
 
 def _parse_masses(text: str) -> tuple[float, float, float, float]:
@@ -234,7 +219,7 @@ def _cmd_backtest(ns) -> int:
         write_summary(metrics, ns.summary)
     print(
         "summary "
-        + " ".join(f"{k}={_json_value(float(metrics[k]))}" for k in ("I_N", "LI_N", "F_N", "R_N", "eta"))
+        + " ".join(f"{k}={json_value(float(metrics[k]))}" for k in ("I_N", "LI_N", "F_N", "R_N", "eta"))
     )
     return EXIT_OK
 
@@ -287,7 +272,7 @@ def _cmd_verify(ns) -> int:
         print(f"violation {line}")
     if len(result.violations) > ns.max_violations:
         print(f"... {len(result.violations) - ns.max_violations} more violations suppressed")
-    print(f"stats {_json_value(result.stats)}")
+    print(f"stats {json_value(result.stats)}")
     print(f"[{'PASS' if result.passed else 'FAIL'}] {result.suite}: {result.checked} checks, {len(result.violations)} violations")
     return EXIT_OK if result.passed else EXIT_VERIFY
 
@@ -304,13 +289,13 @@ def main(argv=None) -> int:
         if ns.command == "backtest":
             return _cmd_backtest(ns)
         return _cmd_verify(ns)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _IO_ERRORS as exc:
+    except InputError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except FxfolioError as exc:
+    except RunError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

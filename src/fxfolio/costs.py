@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CostExceedsCapital,
-    InvalidC,
-    InvalidParams,
-    NoConvergence,
-    NonPositiveCapital,
-)
-from .portfolio import PortfolioMatrix
+from .errors import InvalidC, InvalidParams, NoConvergence, NonPositiveCapital
 
 
 @dataclass(frozen=True)
@@ -43,15 +36,16 @@ class CostParams:
 def solve_cost_from_drift(
     f_k: float,
     realized_weights: np.ndarray,
-    psi_next: PortfolioMatrix,
+    next_weights: np.ndarray,
     params: CostParams,
 ) -> float:
-    """Fixed point of T = c * sum_ij |f_k psi_next_ij - f_k realized_ij - T psi_next_ij|.
+    """Fixed point of T = c * sum_ij |f_k next_ij - f_k realized_ij - T next_ij|.
 
     realized_weights are the post-return position weights (they may be a
-    carried portfolio on a day with no return).  Starts at T = 0 and
-    iterates; the map is a contraction with constant <= c, so the fixed
-    point is unique and the iteration converges geometrically.  It stops
+    carried portfolio on a day with no return), next_weights the target
+    portfolio's.  Starts at T = 0 and iterates; the map is a contraction
+    with constant <= c, so the fixed point is unique and the iteration
+    converges geometrically.  It stops
     at a step of at most fp_tol, taken relative to T once T exceeds 1:
     above about 1e6 adjacent floats lie further apart than 1e-10.
     """
@@ -59,8 +53,8 @@ def solve_cost_from_drift(
         raise NonPositiveCapital(f"capital must be finite and > 0, got {f_k!r}")
     if params.c == 0.0:
         return 0.0
-    w_next = psi_next.weights / psi_next.weights.sum()
-    held = f_k * np.asarray(realized_weights, dtype=np.float64)
+    w_next = next_weights / next_weights.sum()
+    held = f_k * realized_weights
     target = f_k * w_next
     t = 0.0
     for _ in range(params.fp_max_iter):
@@ -81,17 +75,6 @@ def cost_bounds(delta: float, c: float) -> tuple[float, float]:
     if delta < 0.0:
         raise InvalidParams(f"turnover must be >= 0, got {delta!r}")
     return (c / (1.0 + c)) * delta, (c / (1.0 - c)) * delta
-
-
-def cost_ratio(t: float, f_prev: float) -> float:
-    """Cost as a fraction of the previous day's capital."""
-    if f_prev <= 0.0 or not math.isfinite(f_prev):
-        raise NonPositiveCapital(f"previous capital must be finite and > 0, got {f_prev!r}")
-    if t < 0.0:
-        raise InvalidParams(f"cost must be >= 0, got {t!r}")
-    if t >= f_prev:
-        raise CostExceedsCapital(f"cost {t!r} consumes all of capital {f_prev!r}")
-    return t / f_prev
 
 
 def cost_ratio_bound(rule: str, gamma: float, r_floor: float, c: float) -> float:

@@ -32,7 +32,8 @@ FLAT = 0
 UPPER = 1
 LOWER = 2
 
-_SWAP = {FLAT: FLAT, UPPER: LOWER, LOWER: UPPER}
+# The order a day takes once its grid is transposed.
+SWAP = {FLAT: FLAT, UPPER: LOWER, LOWER: UPPER}
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,11 @@ class PredictorConfig:
 
 def order_of(returns: ReturnMatrix) -> int:
     """1 if the unique maximum return sits strictly above the diagonal, 2 if below, else 0."""
-    grid = returns.entries
+    return grid_order(returns.entries)
+
+
+def grid_order(grid: np.ndarray) -> int:
+    """order_of for a bare grid, such as a blended prediction."""
     top = float(grid.max())
     if top == 0.0:
         return FLAT
@@ -212,7 +217,7 @@ def reference_day(method: int, adjusted: bool, w_pred: float, orders: Sequence[i
 def mpo_predict(method: int, adjusted: bool, w_pred: float, orders: Sequence[int]) -> int:
     """Next-day order implied by a cross-rate guess: the reference day's order, swapped on a flip."""
     ref, swap = reference_day(method, adjusted, w_pred, orders)
-    return _SWAP[orders[ref - 1]] if swap else orders[ref - 1]
+    return SWAP[orders[ref - 1]] if swap else orders[ref - 1]
 
 
 def predict_return(

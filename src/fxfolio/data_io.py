@@ -48,7 +48,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_value(obj) -> str:
+def json_value(obj) -> str:
     """JSON with .17g floats so serialized numbers are reproducible bytes."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -61,11 +61,11 @@ def _json_value(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(v)}" for k, v in obj.items()) + "}"
+        return "{" + ",".join(f"{json.dumps(str(k))}:{json_value(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in obj) + "]"
+        return "[" + ",".join(json_value(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        return _json_value(obj.ravel().tolist())
+        return json_value(obj.ravel().tolist())
     raise IoError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -370,7 +370,7 @@ def symmetric_masses(same_class_mass: float) -> tuple[float, float, float, float
     return (same, flip, flip, same)
 
 
-def _order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> list[int]:
+def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> list[int]:
     """Daily order labels realizing the per-segment class process."""
     paa, pab, pba, pbb = spec.masses
     if abs(pab - pba) > 1e-9:
@@ -430,7 +430,7 @@ def _matrix_for_label(day: int, label: int, value: float) -> ReturnMatrix:
 def generate_order_process(spec: SyntheticOrderSpec) -> tuple[list[ReturnMatrix], list[int]]:
     """Seeded daily return matrices plus the order labels they realize."""
     rng = np.random.default_rng(spec.seed)
-    labels = _order_labels(spec, rng)
+    labels = order_labels(spec, rng)
     values = rng.uniform(_ORDER_VALUE_LOW, _ORDER_VALUE_HIGH, len(labels))
     matrices = [_matrix_for_label(day, lab, val) for day, (lab, val) in enumerate(zip(labels, values), start=1)]
     return matrices, labels
@@ -453,10 +453,9 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
                 "config": ledger.config,
                 "next_psi": ledger.next_portfolio,
             }
-            fh.write(_json_value(meta) + "\n")
+            fh.write(json_value(meta) + "\n")
             for k in range(ledger.n_days):
                 diamond = 0.0 if ledger.parked[k] else float(ledger.growth[k])
-                pred = ledger.predicted[k]
                 record = {
                     "day": int(ledger.day[k]),
                     "F": float(ledger.capital[k]),
@@ -470,9 +469,9 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
                     "psi": ledger.portfolios[k],
                     "psi_prime": ledger.realized[k],
                     "R": ledger.returns[k].entries,
-                    "R_pred": None if pred is None else pred.entries,
+                    "R_pred": ledger.predicted[k],
                 }
-                fh.write(_json_value(record) + "\n")
+                fh.write(json_value(record) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write ledger {path}: {exc}") from exc
 
@@ -509,9 +508,14 @@ def read_ledger(path) -> BacktestLedger:
     def column(key, convert):
         return [field(ln, d, key, convert) for ln, d in days]
 
+    def returns_at(ln, k, entries):
+        try:
+            return ReturnMatrix(day=k, entries=entries)
+        except FxfolioError as exc:
+            raise ParseError(f"{path}: line {ln}: key 'R': {exc}") from exc
+
     day = column("day", int)
     diamond = np.array(column("diamond", float))
-    predicted = column("R_pred", lambda v: None if v is None else grid(v))
     return BacktestLedger(
         m=m,
         f0=field(meta_ln, meta, "f0", float),
@@ -528,8 +532,8 @@ def read_ledger(path) -> BacktestLedger:
         pred_crossed_segment=np.array(column("crossed", bool)),
         portfolios=column("psi", grid),
         realized=column("psi_prime", grid),
-        returns=[ReturnMatrix.blend(day=k, entries=r) for k, r in zip(day, column("R", grid))],
-        predicted=[None if r is None else ReturnMatrix.blend(day=k, entries=r) for k, r in zip(day, predicted)],
+        returns=[returns_at(ln, k, r) for (ln, _), k, r in zip(days, day, column("R", grid))],
+        predicted=column("R_pred", lambda v: None if v is None else grid(v)),
         next_portfolio=field(meta_ln, meta, "next_psi", grid),
     )
 

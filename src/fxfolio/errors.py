@@ -2,6 +2,8 @@
 
 Every error carries a human-readable message naming the offending value
 (day, position, flag) so callers can report without re-deriving context.
+Each one derives from exactly one of three bases, and the base decides
+the CLI's exit code: InputError 1, ConfigError 2, RunError 3.
 """
 
 
@@ -9,152 +11,160 @@ class FxfolioError(Exception):
     """Base class for all fxfolio domain errors."""
 
 
+class InputError(FxfolioError):
+    """An input file cannot be read, parsed, or breaks an invariant."""
+
+
+class ConfigError(FxfolioError):
+    """A parameter or spec is out of range."""
+
+
+class RunError(FxfolioError):
+    """A computation or verification fails on valid inputs."""
+
+
 # Rate and return matrices.
-class NonUnitDiagonal(FxfolioError):
+class NonUnitDiagonal(RunError):
     pass
 
 
-class NonPositiveEntry(FxfolioError):
+class NonPositiveEntry(RunError):
     pass
 
 
-class SpreadViolation(FxfolioError):
+class SpreadViolation(RunError):
     """Sell quote at (i, j) does not strictly exceed the mirrored buy quote."""
 
 
-class DayMismatch(FxfolioError):
+class DayMismatch(RunError):
     pass
 
 
-class MissingNextDay(FxfolioError):
+class MissingNextDay(RunError):
     pass
 
 
-class ComplementarityViolation(FxfolioError):
+class ComplementarityViolation(RunError):
     """Both mirrored return conditions fired for the same currency pair."""
 
 
 # Portfolio algebra.
-class DimensionMismatch(FxfolioError):
+class DimensionMismatch(RunError):
     pass
 
 
-class ZeroReturn(FxfolioError):
+class ZeroReturn(RunError):
     """Portfolio return is zero, so the realized portfolio is undefined."""
 
 
-class SupportViolation(FxfolioError):
+class SupportViolation(RunError):
     """Mass placed where the base distribution has none."""
 
 
-class InvalidM(FxfolioError):
+class InvalidM(ConfigError):
     pass
 
 
 # Transaction costs.
-class NonPositiveCapital(FxfolioError):
+class NonPositiveCapital(RunError):
     pass
 
 
-class NoConvergence(FxfolioError):
+class NoConvergence(RunError):
     pass
 
 
-class InvalidC(FxfolioError):
+class InvalidC(ConfigError):
     pass
 
 
-class CostExceedsCapital(FxfolioError):
-    pass
-
-
-class InvalidParams(FxfolioError):
+class InvalidParams(ConfigError):
     pass
 
 
 # Update rules.
-class ZeroDiamond(FxfolioError):
+class ZeroDiamond(RunError):
     """A required weighted-return sum is zero."""
 
 
 # Cross-rate prediction.
-class EmptyRange(FxfolioError):
+class EmptyRange(RunError):
     pass
 
 
-class NoPredecessor(FxfolioError):
+class NoPredecessor(RunError):
     pass
 
 
-class TooShort(FxfolioError):
+class TooShort(RunError):
     pass
 
 
-class EmptyHistory(FxfolioError):
+class EmptyHistory(RunError):
     pass
 
 
-class InsufficientHistory(FxfolioError):
+class InsufficientHistory(RunError):
     pass
 
 
-class LengthMismatch(FxfolioError):
+class LengthMismatch(RunError):
     pass
 
 
-class EmptySequence(FxfolioError):
+class EmptySequence(RunError):
     pass
 
 
 # Backtest engine.
-class TooFewDays(FxfolioError):
+class TooFewDays(RunError):
     pass
 
 
-class EmptyLedger(FxfolioError):
+class EmptyLedger(RunError):
     pass
 
 
-class NonPositiveDiamond(FxfolioError):
+class NonPositiveDiamond(RunError):
     pass
 
 
-class CostRatioAtLeastOne(FxfolioError):
+class CostRatioAtLeastOne(RunError):
     pass
 
 
-class NonPositivePairReturn(FxfolioError):
+class NonPositivePairReturn(RunError):
     pass
 
 
-class NormalizationViolated(FxfolioError):
+class NormalizationViolated(RunError):
     """Run inputs fall outside the guarantee's hypotheses."""
 
 
-class InvalidBlockUnit(FxfolioError):
+class InvalidBlockUnit(ConfigError):
     pass
 
 
 # Data I/O.
-class ParseError(FxfolioError):
+class ParseError(InputError):
     pass
 
 
-class InvariantError(FxfolioError):
+class InvariantError(InputError):
     pass
 
 
-class NonMonotoneDays(FxfolioError):
+class NonMonotoneDays(InputError):
     pass
 
 
-class InvalidSpec(FxfolioError):
+class InvalidSpec(ConfigError):
     pass
 
 
-class InfeasibleTargets(FxfolioError):
+class InfeasibleTargets(ConfigError):
     pass
 
 
-class IoError(FxfolioError):
+class IoError(InputError):
     pass

@@ -131,22 +131,6 @@ class ReturnMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def blend(cls, day: int, entries: np.ndarray) -> "ReturnMatrix":
-        """Wrap a convex blend of return matrices without the mirrored-pair check.
-
-        Blends of days whose maxima sit on opposite triangles legitimately carry
-        mass at both mirrored positions; everything else is still enforced.
-        """
-        obj = object.__new__(cls)
-        grid = _as_square(entries).copy()
-        if np.any(grid < 0.0) or np.any(np.diag(grid) != 0.0):
-            raise NonPositiveEntry(f"day {day}: blended returns must be >= 0 with a zero diagonal")
-        grid.flags.writeable = False
-        object.__setattr__(obj, "day", day)
-        object.__setattr__(obj, "entries", grid)
-        return obj
-
 
 def trading_matrix(s_k: RateMatrix, s_k1: RateMatrix, anchor_upper_on: int) -> np.ndarray:
     """Splice two consecutive days into a single trading grid.

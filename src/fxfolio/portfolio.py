@@ -26,7 +26,7 @@ class PortfolioMatrix:
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             bad = np.argwhere(~(np.isfinite(w) & (w >= 0.0)))[0]
             raise DimensionMismatch(
-                f"day {self.day}: weight at ({bad[0]}, {bad[1]}) is {w[bad[0], bad[1]]!r}, must be finite and >= 0"
+                f"day {self.day}: weight at ({bad[0]}, {bad[1]}) is {float(w[bad[0], bad[1]])!r}, must be finite and >= 0"
             )
         if np.any(np.diag(w) != 0.0):
             i = int(np.argmax(np.diag(w) != 0.0))
@@ -46,9 +46,14 @@ def uniform_portfolio(m: int, day: int = 1) -> PortfolioMatrix:
     """Equal weight 1/(m(m-1)) on every ordered off-diagonal pair."""
     if m < 2:
         raise InvalidM(f"need at least two currencies, got m={m}")
+    return PortfolioMatrix(day=day, weights=uniform_weights(m))
+
+
+def uniform_weights(m: int) -> np.ndarray:
+    """The weight grid of uniform_portfolio, unchecked."""
     w = np.full((m, m), 1.0 / (m * (m - 1)))
     np.fill_diagonal(w, 0.0)
-    return PortfolioMatrix(day=day, weights=w)
+    return w
 
 
 def gross_return(psi: PortfolioMatrix, returns: ReturnMatrix) -> float:
@@ -92,7 +97,7 @@ def relative_entropy(next_psi: PortfolioMatrix, base: PortfolioMatrix) -> float:
     if np.any(escaped):
         i, j = np.argwhere(escaped)[0]
         raise SupportViolation(
-            f"weight {p[i, j]!r} at ({i}, {j}) has no support in the base portfolio"
+            f"weight {float(p[i, j])!r} at ({i}, {j}) has no support in the base portfolio"
         )
     mask = p > 0.0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))

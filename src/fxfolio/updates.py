@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParams, ZeroDiamond
 from .market import ReturnMatrix
-from .portfolio import PortfolioMatrix, gross_return, relative_entropy, uniform_portfolio
+from .portfolio import PortfolioMatrix, gross_return, relative_entropy, uniform_weights
 
 
 def _check_gamma(gamma: float) -> None:
@@ -24,18 +24,44 @@ def _check_gamma(gamma: float) -> None:
         raise InvalidParams(f"gamma must be finite and >= 0, got {gamma!r}")
 
 
-def _tilt(realized: PortfolioMatrix, exponents: np.ndarray, support_floor: float) -> PortfolioMatrix:
-    w = realized.weights
+def _check_inputs(realized: PortfolioMatrix, r_pred: ReturnMatrix, gamma: float, support_floor: float) -> None:
+    _check_gamma(gamma)
+    if not (0.0 <= support_floor < 1.0):
+        raise InvalidParams(f"support_floor must lie in [0, 1), got {support_floor!r}")
+    if realized.m != r_pred.m:
+        raise InvalidParams(f"portfolio is {realized.m}x{realized.m} but prediction is {r_pred.m}x{r_pred.m}")
+
+
+def _tilt(w: np.ndarray, r_pred: np.ndarray, gamma: float, growth: float, support_floor: float) -> np.ndarray:
+    """w * exp((gamma / growth) * r_pred) on w's support, renormalized, then mixed with uniform."""
+    rate = float(gamma) / growth
     active = w > 0.0
     # Shift before exponentiating; with a zero shift the factors are exactly 1.
-    shift = float(exponents[active].max())
+    # Rounding is monotone, so this is exactly the largest active exponent.
+    shift = rate * float(r_pred[active].max())
+    if not math.isfinite(shift):
+        raise InvalidParams(f"gamma {float(gamma)!r} overflows the tilt exponent: {shift!r} at the best return")
     factors = np.zeros_like(w)
-    factors[active] = np.exp(exponents[active] - shift)
+    factors[active] = np.exp(rate * r_pred[active] - shift)
     out = w * factors
     out = out / out.sum()
     if support_floor > 0.0:
-        out = (1.0 - support_floor) * out + support_floor * uniform_portfolio(realized.m).weights
-    return PortfolioMatrix(day=realized.day + 1, weights=out)
+        out = (1.0 - support_floor) * out + support_floor * uniform_weights(w.shape[0])
+    return out
+
+
+def tilt(rule: str, drift: np.ndarray, pred: np.ndarray, gamma: float, support_floor: float) -> np.ndarray:
+    """The engine's unchecked update of a drifted weight grid toward a predicted grid.
+
+    Where eiitc's predicted growth is <= 0 the prediction is 0 on every
+    held position, so the tilt's limit, the drift itself, is returned.
+    """
+    if rule == "iitc":
+        return _tilt(drift, pred, gamma, 1.0, support_floor)
+    growth = float(np.sum(drift * pred))
+    if growth <= 0.0:
+        return drift
+    return _tilt(drift, pred, gamma, growth, support_floor)
 
 
 def iitc_update(
@@ -45,12 +71,9 @@ def iitc_update(
     support_floor: float = 0.0,
 ) -> PortfolioMatrix:
     """Next-day weights proportional to realized * exp(gamma * predicted return)."""
-    _check_gamma(gamma)
-    if not (0.0 <= support_floor < 1.0):
-        raise InvalidParams(f"support_floor must lie in [0, 1), got {support_floor!r}")
-    if realized.m != r_pred.m:
-        raise InvalidParams(f"portfolio is {realized.m}x{realized.m} but prediction is {r_pred.m}x{r_pred.m}")
-    return _tilt(realized, gamma * r_pred.entries, support_floor)
+    _check_inputs(realized, r_pred, gamma, support_floor)
+    out = _tilt(realized.weights, r_pred.entries, gamma, 1.0, support_floor)
+    return PortfolioMatrix(day=realized.day + 1, weights=out)
 
 
 def eiitc_update(
@@ -60,15 +83,12 @@ def eiitc_update(
     support_floor: float = 0.0,
 ) -> PortfolioMatrix:
     """Like iitc_update with the exponent divided by the predicted drift growth."""
-    _check_gamma(gamma)
-    if not (0.0 <= support_floor < 1.0):
-        raise InvalidParams(f"support_floor must lie in [0, 1), got {support_floor!r}")
-    if realized.m != r_pred.m:
-        raise InvalidParams(f"portfolio is {realized.m}x{realized.m} but prediction is {r_pred.m}x{r_pred.m}")
+    _check_inputs(realized, r_pred, gamma, support_floor)
     drift_growth = gross_return(realized, r_pred)
     if drift_growth <= 0.0:
         raise ZeroDiamond(f"predicted growth of the drifted portfolio is {drift_growth!r}, tilt undefined")
-    return _tilt(realized, (gamma / drift_growth) * r_pred.entries, support_floor)
+    out = _tilt(realized.weights, r_pred.entries, gamma, drift_growth, support_floor)
+    return PortfolioMatrix(day=realized.day + 1, weights=out)
 
 
 def objective_value(

@@ -26,13 +26,12 @@ from .crossrate import SegmentConfig, cross_rate, mpcr_predict, mpo_predict
 from .data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
-    _order_labels,
     generate_market,
     normalized_returns,
+    order_labels,
     symmetric_masses,
 )
 from .errors import InvalidParams
-from .portfolio import PortfolioMatrix
 
 
 @dataclass
@@ -172,7 +171,7 @@ def profitability_suite(
     stats: dict = {"segments": segments, "seg_len": seg_len}
     for name, mpcr, masses, threshold in clauses:
         spec = SyntheticOrderSpec(segment_count=segments, segment_length=seg_len, masses=masses, seed=seed)
-        labels = _order_labels(spec, np.random.default_rng(spec.seed))
+        labels = order_labels(spec, np.random.default_rng(spec.seed))
         eta = effectiveness_estimate(labels, seg_len, mpcr, cfg)
         stats[f"eta_{name}"] = eta
         stats[f"threshold_{name}"] = threshold
@@ -233,16 +232,16 @@ def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
     for idx in range(replicates):
         m = sizes[idx % len(sizes)]
         drift = _random_weights(rng, m)
-        psi_next = PortfolioMatrix(day=2, weights=_random_weights(rng, m))
+        psi_next = _random_weights(rng, m)
         f_k = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(0.0, 0.05))
         t = solve_cost_from_drift(f_k, drift, psi_next, CostParams(c))
-        delta = f_k * float(np.sum(np.abs(psi_next.weights - drift)))
+        delta = f_k * float(np.sum(np.abs(psi_next - drift)))
         lo, hi = cost_bounds(delta, c)
         tag = f"seed={seed} replicate={idx} m={m} c={c}"
         if not (lo - 1e-9 <= t <= hi + 1e-9):
             violations.append(f"{tag}: T={t!r} outside sandwich [{lo!r}, {hi!r}]")
-        oracle = bisect_cost(f_k, drift, psi_next.weights, c)
+        oracle = bisect_cost(f_k, drift, psi_next, c)
         worst_oracle_gap = max(worst_oracle_gap, abs(t - oracle))
         if abs(t - oracle) > 1e-8:
             violations.append(f"{tag}: fixed point {t!r} vs bisection {oracle!r}")

@@ -160,7 +160,7 @@ def test_criterion_04_cost_sandwich_and_oracle(report):
         drift = random_portfolio_weights(rng, m, sparse=bool(rng.integers(2)))
         nxt = drift.copy() if n % 50 == 0 else random_portfolio_weights(rng, m, sparse=bool(rng.integers(2)))
         psi_next = PortfolioMatrix(day=2, weights=nxt)
-        t = solve_cost_from_drift(f_k, drift, psi_next, CostParams(c))
+        t = solve_cost_from_drift(f_k, drift, nxt, CostParams(c))
         delta = f_k * l1_distance(psi_next, PortfolioMatrix(day=1, weights=drift))
         lo, hi = cost_bounds(delta, c)
         sandwich_misses += int(not (lo - 1e-9 <= t <= hi + 1e-9))

@@ -24,11 +24,19 @@ from fxfolio.backtest import (
     universality_gap,
 )
 from fxfolio.costs import CostParams
-from fxfolio.crossrate import PredictorConfig, SegmentConfig
-from fxfolio.data_io import SyntheticMarketSpec, generate_market, normalized_returns
+from fxfolio.crossrate import PredictorConfig, SegmentConfig, grid_order
+from fxfolio.data_io import (
+    SyntheticMarketSpec,
+    SyntheticOrderSpec,
+    generate_market,
+    generate_order_process,
+    normalized_returns,
+    symmetric_masses,
+)
 from fxfolio.errors import (
     CostRatioAtLeastOne,
     EmptyLedger,
+    FxfolioError,
     InvalidBlockUnit,
     InvalidParams,
     NonPositiveDiamond,
@@ -37,7 +45,7 @@ from fxfolio.errors import (
     TooFewDays,
 )
 from fxfolio.market import ReturnMatrix
-from fxfolio.portfolio import uniform_portfolio
+from fxfolio.portfolio import PortfolioMatrix, relative_entropy, uniform_portfolio
 
 from oracles import greedy_partition
 
@@ -136,21 +144,20 @@ class TestLinearPredictor:
 
     def test_lag_one_echoes_last_day(self):
         history = constant_market(1.2, 3)
-        out = LinearPredictor((1.0,)).predict(history, day=4)
-        np.testing.assert_array_equal(out.entries, history[-1].entries)
-        assert out.day == 4
+        out = LinearPredictor((1.0,)).predict([r.entries for r in history])
+        np.testing.assert_array_equal(out, history[-1].entries)
 
     def test_short_history_renormalizes(self):
         history = constant_market(1.2, 1)
-        out = LinearPredictor((0.5, 0.5)).predict(history, day=2)
-        np.testing.assert_array_equal(out.entries, history[0].entries)
+        out = LinearPredictor((0.5, 0.5)).predict([r.entries for r in history])
+        np.testing.assert_array_equal(out, history[0].entries)
 
     def test_blend_may_straddle_the_diagonal(self):
         up = upper_only(1.2, 1)
         down = ReturnMatrix(day=2, entries=np.array([[0.0, 0.0], [1.1, 0.0]]))
-        out = LinearPredictor((0.5, 0.5)).predict([up, down], day=3)
-        assert out.entries[0, 1] == pytest.approx(0.6)
-        assert out.entries[1, 0] == pytest.approx(0.55)
+        out = LinearPredictor((0.5, 0.5)).predict([up.entries, down.entries])
+        assert out[0, 1] == pytest.approx(0.6)
+        assert out[1, 0] == pytest.approx(0.55)
 
 
 class TestRunBacktest:
@@ -416,6 +423,28 @@ class TestUniversalityGap:
         with pytest.raises(NormalizationViolated):
             universality_gap(led, (0, 1), "iitc", 0.0, 0.5)
 
+    def test_names_the_first_unnormalized_day(self):
+        rets = constant_market(1.0, 2) + [upper_only(0.4, 3), upper_only(1.3, 4)]
+        led = stub_ledger([1.0] * 4, [0.0] * 4, config=self.trivial_config(), returns=rets)
+        with pytest.raises(NormalizationViolated, match=r"^day 3: pair return sums in \[0.4, 0.4\] violate"):
+            universality_gap(led, (0, 1), "iitc", 0.0, 0.5)
+
+    @given(st.integers(0, 1000), st.lists(st.integers(0, 29), min_size=1, max_size=3), st.sampled_from([0.4, 0.9, 1.2]))
+    @settings(max_examples=40, deadline=None)
+    def test_first_unnormalized_day_matches_a_day_by_day_scan(self, seed, days, factor):
+        rets = normalized_market(seed, m=3, n_days=30)
+        for d in days:
+            rets[d] = ReturnMatrix(day=rets[d].day, entries=rets[d].entries * factor)
+        first = None
+        for r in rets:
+            sums = [r.entries[i, j] + r.entries[j, i] for i in range(3) for j in range(i + 1, 3)]
+            if abs(max(sums) - 1.0) > 1e-9 or min(sums) < 0.5 - 1e-9:
+                first = r.day
+                break
+        led = stub_ledger([1.0] * 30, [0.0] * 30, m=3, config=self.trivial_config(), returns=rets)
+        with pytest.raises(NormalizationViolated, match=rf"^day {first}: "):
+            universality_gap(led, (0, 1), "iitc", 0.0, 0.5)
+
     def test_long_run_gap_shrinks_under_decaying_schedule(self):
         # Growing blocks send gamma to zero, so the shortfall against the
         # best pair must not deepen across checkpoint horizons: either the
@@ -464,3 +493,85 @@ class TestSegmentSuccessRates:
     def test_rejects_bad_segment_length(self):
         with pytest.raises(InvalidParams):
             segment_success_rates(stub_ledger([1.0], [0.0]), seg_len=0)
+
+
+def drawn_market(kind, seed, m, n_days, seg_len):
+    if kind == "orders":
+        spec = SyntheticOrderSpec(
+            segment_count=n_days // seg_len + 1, segment_length=seg_len, masses=symmetric_masses(0.78), seed=seed
+        )
+        return generate_order_process(spec)[0]
+    quotes = generate_market(SyntheticMarketSpec(m=m, n_days=n_days, seed=seed, normalize=kind == "normalized"))
+    return normalized_returns(quotes) if kind == "normalized" else quotes
+
+
+class TestEngineInvariants:
+    """The engine runs unchecked on grids; every ledger it writes must still check."""
+
+    @given(
+        kind=st.sampled_from(["rates", "orders", "normalized"]),
+        seed=st.integers(0, 10_000),
+        m=st.integers(2, 4),
+        n_days=st.integers(8, 40),
+        predictor=st.sampled_from(["none", "linear", "crossrate"]),
+        lags=st.sampled_from([(1.0,), (0.6, 0.4), (0.5, 0.3, 0.2)]),
+        mpcr=st.sampled_from([1, 2]),
+        mpo=st.sampled_from([1, 2]),
+        adjusted=st.booleans(),
+        seg_len=st.sampled_from([2, 3, 5]),
+        rule=st.sampled_from(["iitc", "eiitc"]),
+        gamma=st.sampled_from([0.1, 0.5, 3.0]),
+        floor=st.sampled_from([0.0, 0.01, 0.2]),
+        cost=st.sampled_from([0.0, 0.005, 0.05]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ledger_checks(
+        self, kind, seed, m, n_days, predictor, lags, mpcr, mpo, adjusted, seg_len, rule, gamma, floor, cost
+    ):
+        if predictor == "linear":
+            pred = LinearPredictor(lags)
+        elif predictor == "crossrate":
+            pred = PredictorConfig(mpcr=mpcr, mpo=mpo, adjusted=adjusted, segment=SegmentConfig(L=seg_len))
+        else:
+            pred = None
+        ledger = run_backtest(
+            drawn_market(kind, seed, m, n_days, seg_len),
+            predictor=pred,
+            update=UpdateConfig(rule=rule, gamma=gamma, support_floor=floor),
+            costs=CostParams(cost),
+        )
+        for k in range(ledger.n_days):
+            PortfolioMatrix(day=k + 1, weights=ledger.portfolios[k])
+            PortfolioMatrix(day=k + 1, weights=ledger.realized[k])
+            grid = ledger.predicted[k]
+            if grid is None:
+                assert ledger.order_pred[k] == -1
+                continue
+            assert np.all(np.isfinite(grid)) and np.all(grid >= 0.0)
+            assert np.all(np.diag(grid) == 0.0)
+            assert ledger.order_pred[k] == grid_order(grid)
+        PortfolioMatrix(day=ledger.n_days + 1, weights=ledger.next_portfolio)
+
+
+def test_messages_print_plain_floats():
+    messages = []
+
+    def message(fn, *args, **kwargs):
+        with pytest.raises(FxfolioError) as info:
+            fn(*args, **kwargs)
+        messages.append(str(info.value))
+
+    gap_config = TestUniversalityGap().trivial_config()
+    message(PortfolioMatrix, day=1, weights=np.array([[0.0, np.nan], [0.5, 0.0]]))
+    upper, lower = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    message(relative_entropy, PortfolioMatrix(1, upper), PortfolioMatrix(1, lower))
+    message(growth_rate, stub_ledger([1.0, 0.0], [0.0, 0.0]))
+    message(cumulative_return_net, stub_ledger([1.0, 1.0], [0.0, 1.0]))
+    message(growth_rate_net, stub_ledger([1.0, 1.0], [0.0, 1.0]))
+    message(single_pair_growth_rate, constant_market(1.1, 2), 1, 0)
+    message(universality_gap, stub_ledger([1.0] * 2, [0.0] * 2, config=gap_config, returns=constant_market(1.3, 2)),
+            (0, 1), "iitc", 0.0, 0.5)
+    message(universality_gap, stub_ledger([1.0] * 2, [0.0] * 2, next_portfolio=lower), (0, 1), "iitc", 0.0, 0.5,
+            force=True)
+    for text in messages:
+        assert "np.float64" not in text, text

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fxfolio
+from fxfolio import cli, errors
 from fxfolio.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from fxfolio.data_io import load_rates, read_ledger, read_returns, read_summary
 
@@ -125,6 +126,18 @@ class TestBacktest:
         assert code == EXIT_IO
         assert "io error" in err
 
+    def test_overflowing_gamma_is_a_config_error(self, capsys, tmp_path):
+        market = tmp_path / "n.csv"
+        assert main(["generate", "--market", "--m", "3", "--days", "30", "--seed", "1", "--normalize",
+                     "--out", str(market)]) == EXIT_OK
+        capsys.readouterr()
+        code, _, err = run_cli(
+            capsys, "backtest", "--input", str(market), "--predictor", "linear", "--rule", "iitc",
+            "--gamma", "1e308", "--cost", "0.005",
+        )
+        assert code == EXIT_CONFIG
+        assert "gamma 1e+308 overflows" in err
+
     def test_bad_rule_flag(self, capsys, rates_file):
         code, _, _ = run_cli(capsys, "backtest", "--input", str(rates_file), "--rule", "bogus")
         assert code == EXIT_CONFIG
@@ -230,3 +243,41 @@ class TestEntrypoint:
 
     def test_exit_codes_are_stable(self):
         assert (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_VERIFY) == (0, 1, 2, 3)
+
+
+EXIT_CODE_OF = {
+    **dict.fromkeys(("IoError", "ParseError", "InvariantError", "NonMonotoneDays"), EXIT_IO),
+    **dict.fromkeys(
+        ("InvalidSpec", "InvalidParams", "InvalidC", "InvalidM", "InvalidBlockUnit", "InfeasibleTargets"), EXIT_CONFIG
+    ),
+    **dict.fromkeys(
+        (
+            "NonUnitDiagonal", "NonPositiveEntry", "SpreadViolation", "DayMismatch", "MissingNextDay",
+            "ComplementarityViolation", "DimensionMismatch", "ZeroReturn", "SupportViolation", "NonPositiveCapital",
+            "NoConvergence", "ZeroDiamond", "EmptyRange", "NoPredecessor", "TooShort", "EmptyHistory",
+            "InsufficientHistory", "LengthMismatch", "EmptySequence", "TooFewDays", "EmptyLedger",
+            "NonPositiveDiamond", "CostRatioAtLeastOne", "NonPositivePairReturn", "NormalizationViolated",
+        ),
+        EXIT_VERIFY,
+    ),
+}
+
+
+class TestErrorExitCodes:
+    def test_every_error_class_is_pinned(self):
+        bases = (errors.FxfolioError, errors.InputError, errors.ConfigError, errors.RunError)
+        defined = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, errors.FxfolioError) and obj not in bases
+        }
+        assert defined == set(EXIT_CODE_OF)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODE_OF))
+    def test_exit_code(self, capsys, monkeypatch, tmp_path, name):
+        def fail(ns):
+            raise getattr(errors, name)("planted")
+
+        monkeypatch.setattr(cli, "_cmd_generate", fail)
+        code, _, err = run_cli(capsys, "generate", "--market", "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_CODE_OF[name]
+        assert "planted" in err

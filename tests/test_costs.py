@@ -1,4 +1,4 @@
-"""Transaction cost fixed point, its sandwich bounds, and cost ratios."""
+"""Transaction cost fixed point, its sandwich bounds, and the cost-ratio bound."""
 
 import math
 
@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 from fxfolio.costs import (
     CostParams,
     cost_bounds,
-    cost_ratio,
     cost_ratio_bound,
     solve_cost_from_drift,
 )
-from fxfolio.errors import (
-    CostExceedsCapital,
-    InvalidC,
-    InvalidParams,
-    NonPositiveCapital,
-)
+from fxfolio.errors import InvalidC, InvalidParams, NonPositiveCapital
 from fxfolio.portfolio import PortfolioMatrix, l1_distance
 
 from oracles import random_portfolio_weights, scan_cost_root
@@ -50,29 +44,29 @@ class TestSolveCost:
         # 100 units drifted to (0.6, 0.4), retargeted to (0.4, 0.6):
         # T = 0.4 / 1.002 because each leg moves 20 plus/minus the fee drag.
         drift = np.array([[0.0, 0.6], [0.4, 0.0]])
-        t = solve_cost_from_drift(100.0, drift, two_pair(0.4, 0.6), CostParams(c=0.01, fp_tol=1e-14))
+        t = solve_cost_from_drift(100.0, drift, two_pair(0.4, 0.6).weights, CostParams(c=0.01, fp_tol=1e-14))
         assert t == pytest.approx(0.4 / 1.002, abs=1e-10)
         assert t == pytest.approx(0.3992015968, abs=1e-9)
 
     def test_pinned_value_sits_in_sandwich(self):
         drift = np.array([[0.0, 0.6], [0.4, 0.0]])
         nxt = two_pair(0.4, 0.6)
-        t = solve_cost_from_drift(100.0, drift, nxt, CostParams(c=0.01, fp_tol=1e-14))
+        t = solve_cost_from_drift(100.0, drift, nxt.weights, CostParams(c=0.01, fp_tol=1e-14))
         lo, hi = cost_bounds(100.0 * l1_distance(nxt, PortfolioMatrix(day=1, weights=drift)), 0.01)
         assert lo <= t <= hi
         assert (lo, hi) == (pytest.approx(0.39604, abs=1e-5), pytest.approx(0.40404, abs=1e-5))
 
     def test_zero_fee_is_free(self):
         drift = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert solve_cost_from_drift(50.0, drift, two_pair(0.0, 1.0), CostParams(c=0.0)) == 0.0
+        assert solve_cost_from_drift(50.0, drift, two_pair(0.0, 1.0).weights, CostParams(c=0.0)) == 0.0
 
     def test_no_move_is_free(self):
         nxt = two_pair(0.3, 0.7)
-        assert solve_cost_from_drift(80.0, nxt.weights, nxt, CostParams(c=0.05)) == pytest.approx(0.0, abs=1e-10)
+        assert solve_cost_from_drift(80.0, nxt.weights, nxt.weights, CostParams(c=0.05)) == pytest.approx(0.0, abs=1e-10)
 
     def test_rejects_nonpositive_capital(self):
         with pytest.raises(NonPositiveCapital):
-            solve_cost_from_drift(0.0, two_pair(0.5, 0.5).weights, two_pair(0.5, 0.5), CostParams(c=0.01))
+            solve_cost_from_drift(0.0, two_pair(0.5, 0.5).weights, two_pair(0.5, 0.5).weights, CostParams(c=0.01))
 
     def test_large_capital_settles(self):
         # A day from a normalized backtest at capital 1.7e13: adjacent floats
@@ -82,7 +76,7 @@ class TestSolveCost:
         nxt = np.zeros((3, 3))
         nxt[0, 1], nxt[0, 2], nxt[1, 2] = 0.029410472035986422, 0.06589749191679756, 0.904692036047216
         f_k = 16765245354929.578
-        t = solve_cost_from_drift(f_k, drift, PortfolioMatrix(day=1, weights=nxt), CostParams(c=0.005))
+        t = solve_cost_from_drift(f_k, drift, nxt, CostParams(c=0.005))
         assert t == pytest.approx(scan_cost_root(f_k, drift, nxt, 0.005), rel=1e-9)
 
     @given(st.integers(0, 100_000))
@@ -91,12 +85,12 @@ class TestSolveCost:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 6))
         drift = random_portfolio_weights(rng, m)
-        nxt = PortfolioMatrix(day=1, weights=random_portfolio_weights(rng, m))
+        nxt = random_portfolio_weights(rng, m)
         f_k = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(0.0, 0.05))
         t = solve_cost_from_drift(f_k, drift, nxt, CostParams(c=c, fp_tol=1e-13))
-        assert abs(t - scan_cost_root(f_k, drift, nxt.weights, c)) <= 1e-8
-        delta = f_k * naive_delta(nxt.weights, drift)
+        assert abs(t - scan_cost_root(f_k, drift, nxt, c)) <= 1e-8
+        delta = f_k * naive_delta(nxt, drift)
         lo, hi = cost_bounds(delta, c)
         assert lo - 1e-9 <= t <= hi + 1e-9
 
@@ -126,15 +120,6 @@ class TestCostBounds:
     def test_ordered(self, delta, c):
         lo, hi = cost_bounds(delta, c)
         assert 0.0 <= lo <= hi
-
-
-class TestCostRatio:
-    def test_pinned_value(self):
-        assert cost_ratio(0.5, 100.0) == pytest.approx(0.005, abs=1e-12)
-
-    def test_cost_swallowing_capital_rejected(self):
-        with pytest.raises(CostExceedsCapital):
-            cost_ratio(100.0, 100.0)
 
 
 class TestCostRatioBound:

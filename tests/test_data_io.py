@@ -11,11 +11,11 @@ from fxfolio.crossrate import PredictorConfig, cross_rate, order_of, transition_
 from fxfolio.data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
-    _order_labels,
     generate_market,
     generate_order_process,
     load_rates,
     normalized_returns,
+    order_labels,
     read_ledger,
     read_returns,
     read_summary,
@@ -220,7 +220,7 @@ class TestOrderProcess:
 
     def test_degenerate_target_pins_the_class(self):
         spec = SyntheticOrderSpec(segment_count=200, segment_length=5, masses=(1.0, 0.0, 0.0, 0.0), seed=5)
-        labels = _order_labels(spec, np.random.default_rng(spec.seed))
+        labels = order_labels(spec, np.random.default_rng(spec.seed))
         rates = segment_rates(labels, 5)
         assert all(w < 0.5 for w in rates)
         probs = transition_probabilities(rates)
@@ -232,14 +232,14 @@ class TestOrderProcess:
         spec = SyntheticOrderSpec(
             segment_count=20_000, segment_length=5, masses=(0.39, 0.11, 0.11, 0.39), seed=1
         )
-        labels = _order_labels(spec, np.random.default_rng(spec.seed))
+        labels = order_labels(spec, np.random.default_rng(spec.seed))
         paa, pab, pba, pbb = transition_probabilities(segment_rates(labels, 5))
         assert 0.76 <= paa + pbb <= 0.80
 
     def test_asymmetric_masses_rejected(self):
         spec = SyntheticOrderSpec(segment_count=10, segment_length=5, masses=(0.4, 0.2, 0.1, 0.3), seed=0)
         with pytest.raises(InfeasibleTargets):
-            _order_labels(spec, np.random.default_rng(0))
+            order_labels(spec, np.random.default_rng(0))
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
@@ -281,7 +281,7 @@ class TestLedgerFiles:
             if ledger.predicted[k] is None:
                 assert back.predicted[k] is None
             else:
-                np.testing.assert_array_equal(back.predicted[k].entries, ledger.predicted[k].entries)
+                np.testing.assert_array_equal(back.predicted[k], ledger.predicted[k])
         np.testing.assert_array_equal(back.next_portfolio, ledger.next_portfolio)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -329,6 +329,15 @@ class TestLedgerFiles:
     def test_wrong_matrix_size_names_line_and_key(self, tmp_path, key):
         path, ln = self.edit_last_day(tmp_path, lambda record: record[key].pop())
         with pytest.raises(ParseError, match=rf"line {ln}: key '{key}': bad value"):
+            read_ledger(path)
+
+    def test_invalid_return_matrix_names_line(self, tmp_path):
+        def fire_both_ways(record):
+            m = round(len(record["R"]) ** 0.5)
+            record["R"][1] = record["R"][m] = 1.1  # positions (0, 1) and (1, 0)
+
+        path, ln = self.edit_last_day(tmp_path, fire_both_ways)
+        with pytest.raises(ParseError, match=rf"line {ln}: key 'R': day \d+: both mirrored returns"):
             read_ledger(path)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fxfolio.errors import InvalidParams, ZeroDiamond
 from fxfolio.market import ReturnMatrix
 from fxfolio.portfolio import PortfolioMatrix, gross_return, uniform_portfolio
-from fxfolio.updates import eiitc_update, iitc_update, objective_value
+from fxfolio.updates import eiitc_update, iitc_update, objective_value, tilt
 
 from oracles import naive_tilt, random_portfolio_weights, random_return_entries
 
@@ -132,6 +132,30 @@ class TestEiitcUpdate:
             return
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(out.weights[realized.weights == 0.0] == 0.0)
+
+
+class TestTilt:
+    @given(st.integers(0, 10_000), st.sampled_from(["iitc", "eiitc"]), st.sampled_from([0.0, 0.05]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_typed_updates(self, seed, rule, floor):
+        _, realized, r_pred, gamma = random_case(seed)
+        out = tilt(rule, realized.weights, r_pred.entries, gamma, floor)
+        update = iitc_update if rule == "iitc" else eiitc_update
+        try:
+            expect = update(realized, r_pred, gamma, floor).weights
+        except ZeroDiamond:
+            expect = realized.weights
+        np.testing.assert_array_equal(out, expect)
+
+    def test_eiitc_keeps_the_drift_at_zero_predicted_growth(self):
+        drift = two_pair(1.0, 0.0).weights
+        assert tilt("eiitc", drift, np.array([[0.0, 0.0], [1.2, 0.0]]), 0.5, 0.0) is drift
+
+    @pytest.mark.parametrize("update", [iitc_update, eiitc_update])
+    def test_overflowing_gamma_is_invalid(self, update):
+        # gamma * 2.5 overflows to inf, and exp(inf - inf) would be NaN.
+        with pytest.raises(InvalidParams, match=r"gamma 1e\+308"):
+            update(two_pair(0.5, 0.5), returns([[0.0, 2.5], [0.0, 0.0]]), gamma=1e308)
 
 
 class TestObjectiveValue:
