@@ -3,8 +3,12 @@
 Formats:
   rates-csv   header ``day,i,j,open_rate,close_rate``; one row per ordered
               pair i != j with 1-based indices; the unit diagonal is implied.
+              No pair may profit in both directions on the same day.
   returns-csv header ``day,i,j,value``; one row per ordered pair, zeros
               included, so a day block reassembles to a full return matrix.
+
+Both csv formats hold plain decimal numbers (ints within int64), and
+every day of a file quotes the same number of currencies.
   ledger      JSON lines: a meta object, then one object per day with keys
               day, F, Fp, T, c, diamond, order_actual, order_pred, crossed
               and the flattened psi, psi_prime, R, R_pred matrices.
@@ -20,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,17 +32,20 @@ import numpy as np
 
 from .backtest import BacktestLedger
 from .errors import (
+    ComplementarityViolation,
     EmptyLedger,
     InfeasibleTargets,
     InvalidSpec,
     InvariantError,
     IoError,
     FxfolioError,
+    InputError,
     NonMonotoneDays,
     NormalizationViolated,
     ParseError,
 )
 from .market import DailyQuotes, ReturnMatrix, compute_return_matrix
+from .portfolio import PortfolioMatrix
 
 _ORDER_VALUE_LOW = 1.05
 _ORDER_VALUE_HIGH = 1.25
@@ -69,14 +77,158 @@ def json_value(obj) -> str:
     raise IoError(f"cannot serialize {type(obj).__name__}")
 
 
-def _field_error(path, ln: int, header: list[str], row: list[str], exc: ValueError) -> ParseError:
-    """Name the first field of a csv data row that does not parse: day, i, j are ints, the rest floats."""
+# ---------------------------------------------------------------------------
+# rate and return tables
+
+_RATES_HEADER = ("day", "i", "j", "open_rate", "close_rate")
+_RETURNS_HEADER = ("day", "i", "j", "value")
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_field(col: int, text: str):
+    """Python's int (day, i, j) or float, narrowed to what np.loadtxt accepts: plain ASCII decimals, ints in int64."""
+    value = (int if col < 3 else float)(text)
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"{text!r} is not a plain decimal literal")
+    if col < 3 and not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{text!r} does not fit in 64 bits")
+    return value
+
+
+def _field_error(path, ln: int, header: Sequence[str], row: list[str], exc: ValueError) -> ParseError:
+    """Name the first field of a csv data row that does not parse."""
     for col, (name, text) in enumerate(zip(header, row)):
         try:
-            (int if col < 3 else float)(text)
+            _parse_field(col, text)
         except ValueError as bad:
             return ParseError(f"{path}: line {ln}: column {col + 1} ({name}): {bad}")
     return ParseError(f"{path}: line {ln}: {exc}")
+
+
+def _pair_fault(kind: str, i: int, j: int) -> str | None:
+    if kind == "returns":
+        return f"bad pair ({i}, {j})" if i < 1 or j < 1 or i == j else None
+    if i < 1 or j < 1:
+        return f"indices are 1-based, got i={i}, j={j}"
+    if i == j:
+        return f"diagonal entries are implied, got i=j={i}"
+    return None
+
+
+def _first_fault(path, kind: str, header: Sequence[str], otherwise: InputError) -> InputError:
+    """Rescan a table row by row for the first bad line, else return ``otherwise``.
+
+    Only the error path runs this: a row fault (field count, parse, pair,
+    duplicate) comes before any fault of a whole day, and only a row-wise
+    scan knows the line it sits on.
+    """
+    seen: set[tuple[int, int, int]] = set()
+    try:
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            next(rows)
+            for ln, row in enumerate(rows, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    return ParseError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    day, i, j, *_ = [_parse_field(col, text) for col, text in enumerate(row)]
+                except ValueError as exc:
+                    return _field_error(path, ln, header, row, exc)
+                fault = _pair_fault(kind, i, j)
+                if fault is not None:
+                    return ParseError(f"{path}: line {ln}: {fault}")
+                if (day, i, j) in seen:
+                    return ParseError(f"{path}: line {ln}: duplicate entry for day {day}, pair ({i}, {j})")
+                seen.add((day, i, j))
+    except OSError as exc:
+        return IoError(f"cannot read {kind} file {path}: {exc}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return ParseError(f"{path}: {exc}")
+    return otherwise
+
+
+def _read_table(path, kind: str, header: tuple[str, ...], diagonal: float) -> tuple[list[int], list[np.ndarray]]:
+    """Parse a rates or returns csv into its days and one stacked (n, m, m) grid per value column.
+
+    Days may interleave but must first appear in increasing order; each
+    day needs all m(m-1) off-diagonal rows, with one m for every day.
+    """
+    dtype = np.dtype([(name, np.int64 if col < 3 else np.float64) for col, name in enumerate(header)])
+    try:
+        with open(path) as fh:
+            if next(csv.reader([fh.readline()]), None) != list(header):
+                raise ParseError(f"{path}: line 1: expected header {','.join(header)}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
+                # numpy 1.x reads "1.0" as the int 1 with a DeprecationWarning; int() refuses it.
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1)
+    except OSError as exc:
+        raise IoError(f"cannot read {kind} file {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except (ValueError, DeprecationWarning) as exc:
+        raise _first_fault(path, kind, header, ParseError(f"{path}: {exc}")) from exc
+    if table.size == 0:
+        raise ParseError(f"{path}: no data rows")
+
+    day, i, j = table["day"], table["i"], table["j"]
+    bad_pair = (i < 1) | (j < 1) | (i == j)
+    if bad_pair.any():
+        k = int(np.argmax(bad_pair))
+        raise _first_fault(path, kind, header, ParseError(f"{path}: data row {k + 1}: bad pair ({i[k]}, {j[k]})"))
+    days, first, at = np.unique(day, return_index=True, return_inverse=True)
+    if np.any(np.diff(first) <= 0):
+        raise _first_fault(path, kind, header, NonMonotoneDays(f"{path}: days must appear in strictly increasing order"))
+    span = np.zeros(days.size, dtype=np.int64)
+    np.maximum.at(span, at, np.maximum(i, j))
+    counts = np.bincount(at, minlength=days.size)
+    # span <= counts keeps span * (span - 1) inside int64 wherever it decides.
+    complete = (span <= counts) & (span * (span - 1) == counts)
+    m = int(span[0])
+    bad_day = ~complete | (span != m)
+    if bad_day.any():
+        k = int(np.argmax(bad_day))
+        d, mk = int(days[k]), int(span[k])
+        if not complete[k]:
+            noun = "off-diagonal rows" if kind == "rates" else "rows"
+            fault = ParseError(f"{path}: day {d}: expected {mk * (mk - 1)} {noun} for m={mk}, got {int(counts[k])}")
+        else:
+            fault = ParseError(f"{path}: day {d}: quotes m={mk} currencies, but day {int(days[0])} quotes m={m}")
+        raise _first_fault(path, kind, header, fault)
+    filled = np.zeros((days.size, m, m), dtype=bool)
+    filled[at, i - 1, j - 1] = True
+    if filled.sum() != table.size:
+        raise _first_fault(path, kind, header, ParseError(f"{path}: duplicate entries"))
+
+    grids = []
+    for name in header[3:]:
+        grid = np.zeros((days.size, m, m))
+        grid[:, np.arange(m), np.arange(m)] = diagonal
+        grid[at, i - 1, j - 1] = table[name]
+        grids.append(grid)
+    return days.tolist(), grids
+
+
+def _write_table(path, kind: str, header: tuple[str, ...], days: Iterable[tuple[int, Sequence[np.ndarray]]]) -> None:
+    """Write a rates or returns csv: one row per ordered pair, row-major, values as .17g."""
+    templates: dict[int, str] = {}
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for day, grids in days:
+                m = grids[0].shape[0]
+                if m not in templates:
+                    cells = ",".join(["%.17g"] * len(grids))
+                    # "\0" stands for the day, which is filled in before the values.
+                    templates[m] = "".join(f"\0,{i + 1},{j + 1},{cells}\n" for i in range(m) for j in range(m) if i != j)
+                off = ~np.eye(m, dtype=bool)
+                values = np.column_stack([grid[off] for grid in grids]).ravel().tolist()
+                fh.write(templates[m].replace("\0", str(day)) % tuple(values))
+    except OSError as exc:
+        raise IoError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -84,73 +236,24 @@ def _field_error(path, ln: int, header: list[str], row: list[str], exc: ValueErr
 
 
 def write_rates(quotes: Sequence[DailyQuotes], path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("day,i,j,open_rate,close_rate\n")
-            for q in quotes:
-                for i in range(q.m):
-                    for j in range(q.m):
-                        if i == j:
-                            continue
-                        fh.write(
-                            f"{q.day},{i + 1},{j + 1},{_fmt(q.open_rates.entries[i, j])},{_fmt(q.close_rates.entries[i, j])}\n"
-                        )
-    except OSError as exc:
-        raise IoError(f"cannot write rates file {path}: {exc}") from exc
+    _write_table(path, "rates", _RATES_HEADER, ((q.day, (q.open_rates.entries, q.close_rates.entries)) for q in quotes))
 
 
 def load_rates(path) -> list[DailyQuotes]:
     """Parse a rates-csv file into validated per-day quotes."""
+    days, (opens, closes) = _read_table(path, "rates", _RATES_HEADER, diagonal=1.0)
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(f"cannot read rates file {path}: {exc}") from exc
-    if not rows or rows[0] != ["day", "i", "j", "open_rate", "close_rate"]:
-        raise ParseError(f"{path}: line 1: expected header day,i,j,open_rate,close_rate")
-    by_day: dict[int, dict[tuple[int, int], tuple[float, float]]] = {}
-    day_first_seen: list[int] = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ParseError(f"{path}: line {ln}: expected 5 fields, got {len(row)}")
+        quotes = [DailyQuotes.from_grids(day, o, c) for day, o, c in zip(days, opens, closes)]
+    except FxfolioError as exc:
+        raise InvariantError(f"{path}: {exc}") from exc
+    # A pair whose open sell beats the close buy and whose open buy beats
+    # the close sell profits both ways: compute_return_matrix names it.
+    iu, ju = np.triu_indices(opens.shape[1], k=1)
+    both = (opens[:, iu, ju] > closes[:, ju, iu]) & (opens[:, ju, iu] > closes[:, iu, ju])
+    if both.any():
         try:
-            day, i, j = int(row[0]), int(row[1]), int(row[2])
-            open_rate, close_rate = float(row[3]), float(row[4])
-        except ValueError as exc:
-            raise _field_error(path, ln, rows[0], row, exc) from exc
-        if i < 1 or j < 1:
-            raise ParseError(f"{path}: line {ln}: indices are 1-based, got i={i}, j={j}")
-        if i == j:
-            raise ParseError(f"{path}: line {ln}: diagonal entries are implied, got i=j={i}")
-        if day not in by_day:
-            by_day[day] = {}
-            day_first_seen.append(day)
-        if (i, j) in by_day[day]:
-            raise ParseError(f"{path}: line {ln}: duplicate entry for day {day}, pair ({i}, {j})")
-        by_day[day][(i, j)] = (open_rate, close_rate)
-
-    if not by_day:
-        raise ParseError(f"{path}: no data rows")
-    if any(b <= a for a, b in zip(day_first_seen, day_first_seen[1:])) or sorted(day_first_seen) != day_first_seen:
-        raise NonMonotoneDays(f"{path}: days must appear in strictly increasing order")
-
-    quotes = []
-    for day in day_first_seen:
-        pairs = by_day[day]
-        m = max(max(i, j) for i, j in pairs)
-        expected = m * (m - 1)
-        if len(pairs) != expected:
-            raise ParseError(f"{path}: day {day}: expected {expected} off-diagonal rows for m={m}, got {len(pairs)}")
-        open_grid = np.eye(m)
-        close_grid = np.eye(m)
-        for (i, j), (o, c) in pairs.items():
-            open_grid[i - 1, j - 1] = o
-            close_grid[i - 1, j - 1] = c
-        try:
-            quotes.append(DailyQuotes.from_grids(day, open_grid, close_grid))
-        except FxfolioError as exc:
+            compute_return_matrix(quotes[int(np.argmax(both.any(axis=1)))])
+        except ComplementarityViolation as exc:
             raise InvariantError(f"{path}: {exc}") from exc
     return quotes
 
@@ -160,63 +263,15 @@ def load_rates(path) -> list[DailyQuotes]:
 
 
 def write_returns(returns: Sequence[ReturnMatrix], path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("day,i,j,value\n")
-            for r in returns:
-                for i in range(r.m):
-                    for j in range(r.m):
-                        if i != j:
-                            fh.write(f"{r.day},{i + 1},{j + 1},{_fmt(r.entries[i, j])}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write returns file {path}: {exc}") from exc
+    _write_table(path, "returns", _RETURNS_HEADER, ((r.day, (r.entries,)) for r in returns))
 
 
 def read_returns(path) -> list[ReturnMatrix]:
+    days, (grids,) = _read_table(path, "returns", _RETURNS_HEADER, diagonal=0.0)
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(f"cannot read returns file {path}: {exc}") from exc
-    if not rows or rows[0] != ["day", "i", "j", "value"]:
-        raise ParseError(f"{path}: line 1: expected header day,i,j,value")
-    by_day: dict[int, dict[tuple[int, int], float]] = {}
-    order: list[int] = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"{path}: line {ln}: expected 4 fields, got {len(row)}")
-        try:
-            day, i, j, value = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-        except ValueError as exc:
-            raise _field_error(path, ln, rows[0], row, exc) from exc
-        if i < 1 or j < 1 or i == j:
-            raise ParseError(f"{path}: line {ln}: bad pair ({i}, {j})")
-        if day not in by_day:
-            by_day[day] = {}
-            order.append(day)
-        if (i, j) in by_day[day]:
-            raise ParseError(f"{path}: line {ln}: duplicate entry for day {day}, pair ({i}, {j})")
-        by_day[day][(i, j)] = value
-    if not by_day:
-        raise ParseError(f"{path}: no data rows")
-    if sorted(order) != order or len(set(order)) != len(order):
-        raise NonMonotoneDays(f"{path}: days must appear in strictly increasing order")
-    out = []
-    for day in order:
-        pairs = by_day[day]
-        m = max(max(i, j) for i, j in pairs)
-        if len(pairs) != m * (m - 1):
-            raise ParseError(f"{path}: day {day}: expected {m * (m - 1)} rows for m={m}, got {len(pairs)}")
-        grid = np.zeros((m, m))
-        for (i, j), v in pairs.items():
-            grid[i - 1, j - 1] = v
-        try:
-            out.append(ReturnMatrix(day=day, entries=grid))
-        except FxfolioError as exc:
-            raise InvariantError(f"{path}: {exc}") from exc
-    return out
+        return [ReturnMatrix(day=day, entries=grid) for day, grid in zip(days, grids)]
+    except FxfolioError as exc:
+        raise InvariantError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +495,34 @@ def generate_order_process(spec: SyntheticOrderSpec) -> tuple[list[ReturnMatrix]
 # ledgers and summaries
 
 
+_DAY_KEYS = ("day", "F", "Fp", "T", "c", "diamond", "order_actual", "order_pred", "crossed", "psi", "psi_prime", "R", "R_pred")
+
+
+def _day_template(m: int, predicted: bool) -> str:
+    """A % template of one ledger day line with json_value's bytes; order_pred and crossed come preformatted."""
+    grid = "[" + ",".join(["%.17g"] * (m * m)) + "]"
+    specs = dict.fromkeys(_DAY_KEYS, "%.17g")
+    specs.update(day="%d", order_actual="%d", order_pred="%s", crossed="%s", psi=grid, psi_prime=grid, R=grid)
+    specs["R_pred"] = grid if predicted else "null"
+    return "{" + ",".join(f"{json.dumps(key)}:{specs[key]}" for key in _DAY_KEYS) + "}\n"
+
+
 def write_ledger(ledger: BacktestLedger, path) -> None:
     """JSON-lines dump: a meta line, then one line per day."""
     if ledger.n_days == 0:
         raise EmptyLedger("refusing to write a ledger with no days")
+    templates = {predicted: _day_template(ledger.m, predicted) for predicted in (False, True)}
+    scalars = zip(
+        ledger.day.tolist(),
+        ledger.capital.tolist(),
+        ledger.capital_net.tolist(),
+        ledger.cost.tolist(),
+        ledger.ratio.tolist(),
+        np.where(ledger.parked, 0.0, ledger.growth).tolist(),
+        ledger.order_actual.tolist(),
+        ledger.order_pred.tolist(),
+        ledger.pred_crossed_segment.tolist(),
+    )
     try:
         with open(path, "w") as fh:
             meta = {
@@ -454,24 +533,14 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
                 "next_psi": ledger.next_portfolio,
             }
             fh.write(json_value(meta) + "\n")
-            for k in range(ledger.n_days):
-                diamond = 0.0 if ledger.parked[k] else float(ledger.growth[k])
-                record = {
-                    "day": int(ledger.day[k]),
-                    "F": float(ledger.capital[k]),
-                    "Fp": float(ledger.capital_net[k]),
-                    "T": float(ledger.cost[k]),
-                    "c": float(ledger.ratio[k]),
-                    "diamond": diamond,
-                    "order_actual": int(ledger.order_actual[k]),
-                    "order_pred": None if ledger.order_pred[k] < 0 else int(ledger.order_pred[k]),
-                    "crossed": bool(ledger.pred_crossed_segment[k]),
-                    "psi": ledger.portfolios[k],
-                    "psi_prime": ledger.realized[k],
-                    "R": ledger.returns[k].entries,
-                    "R_pred": ledger.predicted[k],
-                }
-                fh.write(json_value(record) + "\n")
+            for k, (day, f, fp, t, c, diamond, order_actual, order_pred, crossed) in enumerate(scalars):
+                values = [day, f, fp, t, c, diamond, order_actual, "null" if order_pred < 0 else order_pred]
+                values.append("true" if crossed else "false")
+                predicted = ledger.predicted[k]
+                grids = (ledger.portfolios[k], ledger.realized[k], ledger.returns[k].entries)
+                for grid in grids if predicted is None else grids + (predicted,):
+                    values += grid.ravel().tolist()
+                fh.write(templates[predicted is not None] % tuple(values))
     except OSError as exc:
         raise IoError(f"cannot write ledger {path}: {exc}") from exc
 
@@ -499,6 +568,8 @@ def read_ledger(path) -> BacktestLedger:
         except (KeyError, TypeError, ValueError) as exc:
             problem = "missing" if isinstance(exc, KeyError) else f"bad value: {exc}"
             raise ParseError(f"{path}: line {ln}: key {key!r}: {problem}") from exc
+        except FxfolioError as exc:
+            raise ParseError(f"{path}: line {ln}: key {key!r}: {exc}") from exc
 
     m = field(meta_ln, meta, "m", int)
 
@@ -508,11 +579,26 @@ def read_ledger(path) -> BacktestLedger:
     def column(key, convert):
         return [field(ln, d, key, convert) for ln, d in days]
 
-    def returns_at(ln, k, entries):
-        try:
-            return ReturnMatrix(day=k, entries=entries)
-        except FxfolioError as exc:
-            raise ParseError(f"{path}: line {ln}: key 'R': {exc}") from exc
+    def matrices(key, convert):
+        """The key's matrix on every day record, read as convert(day, flat)."""
+        return [field(ln, d, key, lambda flat, k=k: convert(k, flat)) for (ln, d), k in zip(days, day)]
+
+    def weights(k, flat):
+        return PortfolioMatrix(day=k, weights=grid(flat)).weights
+
+    def prediction(k, flat):
+        if flat is None:
+            return None
+        # Linear predictions may fill both mirrored cells, so no ReturnMatrix here.
+        g = grid(flat)
+        bad = ~(np.isfinite(g) & (g >= 0.0))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"day {k}: predicted return at ({i}, {j}) is {float(g[i, j])!r}, must be finite and >= 0")
+        if np.diag(g).any():
+            i = int(np.argmax(np.diag(g) != 0.0))
+            raise ValueError(f"day {k}: predicted return diagonal at ({i}, {i}) must be 0")
+        return g
 
     day = column("day", int)
     diamond = np.array(column("diamond", float))
@@ -530,11 +616,11 @@ def read_ledger(path) -> BacktestLedger:
         order_actual=np.array(column("order_actual", int), dtype=np.int64),
         order_pred=np.array(column("order_pred", lambda v: -1 if v is None else int(v)), dtype=np.int64),
         pred_crossed_segment=np.array(column("crossed", bool)),
-        portfolios=column("psi", grid),
-        realized=column("psi_prime", grid),
-        returns=[returns_at(ln, k, r) for (ln, _), k, r in zip(days, day, column("R", grid))],
-        predicted=column("R_pred", lambda v: None if v is None else grid(v)),
-        next_portfolio=field(meta_ln, meta, "next_psi", grid),
+        portfolios=matrices("psi", weights),
+        realized=matrices("psi_prime", weights),
+        returns=matrices("R", lambda k, flat: ReturnMatrix(day=k, entries=grid(flat))),
+        predicted=matrices("R_pred", prediction),
+        next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: weights(day[-1] + 1, flat)),
     )
 
 

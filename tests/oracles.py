@@ -155,3 +155,192 @@ def random_return_entries(rng: np.random.Generator, m: int, fire_prob: float = 0
                 else:
                     r[j, i] = value
     return r
+
+
+# ---------------------------------------------------------------------------
+# File formats, row by row.  These readers parse each csv row with int and
+# float and fill per-day dicts; they share with the package only the error
+# classes and the matrix validators, whose messages they must repeat.  The
+# writers return the text a json_value-style recursive formatter produces.
+
+
+def _oracle_field_error(path, ln, header, row, exc):
+    from fxfolio.errors import ParseError
+
+    for col, (name, text) in enumerate(zip(header, row)):
+        try:
+            (int if col < 3 else float)(text)
+        except ValueError as bad:
+            return ParseError(f"{path}: line {ln}: column {col + 1} ({name}): {bad}")
+    return ParseError(f"{path}: line {ln}: {exc}")
+
+
+def load_rates_rowwise(path):
+    import csv
+
+    from fxfolio.errors import FxfolioError, InvariantError, NonMonotoneDays, ParseError
+    from fxfolio.market import DailyQuotes
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["day", "i", "j", "open_rate", "close_rate"]:
+        raise ParseError(f"{path}: line 1: expected header day,i,j,open_rate,close_rate")
+    by_day = {}
+    day_first_seen = []
+    for ln, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ParseError(f"{path}: line {ln}: expected 5 fields, got {len(row)}")
+        try:
+            day, i, j = int(row[0]), int(row[1]), int(row[2])
+            open_rate, close_rate = float(row[3]), float(row[4])
+        except ValueError as exc:
+            raise _oracle_field_error(path, ln, rows[0], row, exc) from exc
+        if i < 1 or j < 1:
+            raise ParseError(f"{path}: line {ln}: indices are 1-based, got i={i}, j={j}")
+        if i == j:
+            raise ParseError(f"{path}: line {ln}: diagonal entries are implied, got i=j={i}")
+        if day not in by_day:
+            by_day[day] = {}
+            day_first_seen.append(day)
+        if (i, j) in by_day[day]:
+            raise ParseError(f"{path}: line {ln}: duplicate entry for day {day}, pair ({i}, {j})")
+        by_day[day][(i, j)] = (open_rate, close_rate)
+    if not by_day:
+        raise ParseError(f"{path}: no data rows")
+    if sorted(day_first_seen) != day_first_seen:
+        raise NonMonotoneDays(f"{path}: days must appear in strictly increasing order")
+    quotes = []
+    for day in day_first_seen:
+        pairs = by_day[day]
+        m = max(max(i, j) for i, j in pairs)
+        if len(pairs) != m * (m - 1):
+            raise ParseError(f"{path}: day {day}: expected {m * (m - 1)} off-diagonal rows for m={m}, got {len(pairs)}")
+        open_grid = np.eye(m)
+        close_grid = np.eye(m)
+        for (i, j), (o, c) in pairs.items():
+            open_grid[i - 1, j - 1] = o
+            close_grid[i - 1, j - 1] = c
+        try:
+            quotes.append(DailyQuotes.from_grids(day, open_grid, close_grid))
+        except FxfolioError as exc:
+            raise InvariantError(f"{path}: {exc}") from exc
+    return quotes
+
+
+def read_returns_rowwise(path):
+    import csv
+
+    from fxfolio.errors import FxfolioError, InvariantError, NonMonotoneDays, ParseError
+    from fxfolio.market import ReturnMatrix
+
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["day", "i", "j", "value"]:
+        raise ParseError(f"{path}: line 1: expected header day,i,j,value")
+    by_day = {}
+    order = []
+    for ln, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{path}: line {ln}: expected 4 fields, got {len(row)}")
+        try:
+            day, i, j, value = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+        except ValueError as exc:
+            raise _oracle_field_error(path, ln, rows[0], row, exc) from exc
+        if i < 1 or j < 1 or i == j:
+            raise ParseError(f"{path}: line {ln}: bad pair ({i}, {j})")
+        if day not in by_day:
+            by_day[day] = {}
+            order.append(day)
+        if (i, j) in by_day[day]:
+            raise ParseError(f"{path}: line {ln}: duplicate entry for day {day}, pair ({i}, {j})")
+        by_day[day][(i, j)] = value
+    if not by_day:
+        raise ParseError(f"{path}: no data rows")
+    if sorted(order) != order:
+        raise NonMonotoneDays(f"{path}: days must appear in strictly increasing order")
+    out = []
+    for day in order:
+        pairs = by_day[day]
+        m = max(max(i, j) for i, j in pairs)
+        if len(pairs) != m * (m - 1):
+            raise ParseError(f"{path}: day {day}: expected {m * (m - 1)} rows for m={m}, got {len(pairs)}")
+        grid = np.zeros((m, m))
+        for (i, j), v in pairs.items():
+            grid[i - 1, j - 1] = v
+        try:
+            out.append(ReturnMatrix(day=day, entries=grid))
+        except FxfolioError as exc:
+            raise InvariantError(f"{path}: {exc}") from exc
+    return out
+
+
+def json_text(obj) -> str:
+    """JSON with every float as format(x, '.17g'), built recursively."""
+    import json
+
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{json_text(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(json_text(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return json_text(obj.ravel().tolist())
+    raise TypeError(type(obj).__name__)
+
+
+def rates_text(quotes) -> str:
+    out = ["day,i,j,open_rate,close_rate\n"]
+    for q in quotes:
+        for i in range(q.m):
+            for j in range(q.m):
+                if i != j:
+                    o = format(float(q.open_rates.entries[i, j]), ".17g")
+                    c = format(float(q.close_rates.entries[i, j]), ".17g")
+                    out.append(f"{q.day},{i + 1},{j + 1},{o},{c}\n")
+    return "".join(out)
+
+
+def returns_text(returns) -> str:
+    out = ["day,i,j,value\n"]
+    for r in returns:
+        for i in range(r.m):
+            for j in range(r.m):
+                if i != j:
+                    out.append(f"{r.day},{i + 1},{j + 1},{format(float(r.entries[i, j]), '.17g')}\n")
+    return "".join(out)
+
+
+def ledger_text(ledger) -> str:
+    meta = {"kind": "fxfolio-ledger", "m": ledger.m, "f0": ledger.f0, "config": ledger.config, "next_psi": ledger.next_portfolio}
+    lines = [json_text(meta)]
+    for k in range(ledger.n_days):
+        record = {
+            "day": int(ledger.day[k]),
+            "F": float(ledger.capital[k]),
+            "Fp": float(ledger.capital_net[k]),
+            "T": float(ledger.cost[k]),
+            "c": float(ledger.ratio[k]),
+            "diamond": 0.0 if ledger.parked[k] else float(ledger.growth[k]),
+            "order_actual": int(ledger.order_actual[k]),
+            "order_pred": None if ledger.order_pred[k] < 0 else int(ledger.order_pred[k]),
+            "crossed": bool(ledger.pred_crossed_segment[k]),
+            "psi": ledger.portfolios[k],
+            "psi_prime": ledger.realized[k],
+            "R": ledger.returns[k].entries,
+            "R_pred": ledger.predicted[k],
+        }
+        lines.append(json_text(record))
+    return "".join(line + "\n" for line in lines)

@@ -1,11 +1,17 @@
 """File formats, seeded generators, and ledger round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fxfolio.backtest import LinearPredictor, UpdateConfig, run_backtest
+import oracles
+from fxfolio import cli
+from fxfolio.backtest import BacktestLedger, LinearPredictor, UpdateConfig, run_backtest
 from fxfolio.costs import CostParams
 from fxfolio.crossrate import PredictorConfig, cross_rate, order_of, transition_probabilities
 from fxfolio.data_io import (
@@ -27,6 +33,7 @@ from fxfolio.data_io import (
 )
 from fxfolio.errors import (
     EmptyLedger,
+    FxfolioError,
     InfeasibleTargets,
     InvalidSpec,
     InvariantError,
@@ -34,7 +41,7 @@ from fxfolio.errors import (
     NonMonotoneDays,
     ParseError,
 )
-from fxfolio.market import ReturnMatrix
+from fxfolio.market import ReturnMatrix, compute_return_matrix
 
 
 GOOD_RATES = """day,i,j,open_rate,close_rate
@@ -340,6 +347,53 @@ class TestLedgerFiles:
         with pytest.raises(ParseError, match=rf"line {ln}: key 'R': day \d+: both mirrored returns"):
             read_ledger(path)
 
+    @staticmethod
+    def set_cell(key, index, value):
+        def edit(record):
+            if record[key] is None:
+                record[key] = [0.0] * len(record["R"])
+            record[key][index] = value
+
+        return edit
+
+    @pytest.mark.parametrize(
+        "key, index, value, problem",
+        [
+            ("psi", 1, -5.0, r"weight at \(0, 1\) is -5.0, must be finite and >= 0"),
+            ("psi", 0, 0.25, r"diagonal weight at \(0, 0\) must be 0"),
+            ("psi_prime", 1, -5.0, r"weight at \(0, 1\) is -5.0, must be finite and >= 0"),
+            ("psi_prime", 1, 3.0, r"weights sum to"),
+            ("R_pred", 1, -1.0, r"predicted return at \(0, 1\) is -1.0, must be finite and >= 0"),
+            ("R_pred", 1, float("inf"), r"predicted return at \(0, 1\) is inf, must be finite and >= 0"),
+            ("R_pred", 0, 0.5, r"predicted return diagonal at \(0, 0\) must be 0"),
+        ],
+    )
+    def test_invalid_matrix_names_line_and_key(self, tmp_path, key, index, value, problem):
+        path, ln = self.edit_last_day(tmp_path, self.set_cell(key, index, value))
+        with pytest.raises(ParseError, match=rf"line {ln}: key '{key}': .*day \d+: {problem}"):
+            read_ledger(path)
+
+    def test_predicted_mass_on_both_mirrored_cells_reads_back(self, tmp_path):
+        # A linear prediction may blend days whose best trades sit on opposite sides.
+        def both_sides(record):
+            m = round(len(record["R"]) ** 0.5)
+            record["R_pred"] = [0.0] * (m * m)
+            record["R_pred"][1], record["R_pred"][m] = 0.4, 0.6  # positions (0, 1) and (1, 0)
+
+        path, _ = self.edit_last_day(tmp_path, both_sides)
+        predicted = read_ledger(path).predicted[-1]
+        assert (predicted[0, 1], predicted[1, 0]) == (0.4, 0.6)
+
+    def test_invalid_next_portfolio_names_meta_line(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_ledger(small_ledger(), path)
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["next_psi"][1] = -5.0
+        lines[0] = json.dumps(meta)
+        with pytest.raises(ParseError, match=r"line 1: key 'next_psi': day \d+: weight at \(0, 1\) is -5.0"):
+            read_ledger(write_text(path, "\n".join(lines) + "\n"))
+
 
 class TestSummaryFiles:
     METRICS = {"I_N": 1.23456789012345678, "LI_N": 0.01, "F_N": 1.2, "R_N": 0.009, "eta": 0.75}
@@ -377,3 +431,219 @@ class TestSummaryFiles:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(IoError):
             write_summary(self.METRICS, tmp_path / "no" / "such" / "dir.csv")
+
+
+# ---------------------------------------------------------------------------
+# The columnar readers and writers against the row-wise oracles.
+
+FLOATS = st.floats(width=64)  # nan, inf and -0.0 included
+MUTATION_TOKENS = ["x", "nan", "", "0", "-1"]
+
+
+def mutate(data, text, tokens=MUTATION_TOKENS):
+    """One single-cell or single-line mutation of a csv text, drawn from data."""
+    lines = text.splitlines()
+    body = range(1, len(lines))
+    kind = data.draw(st.sampled_from(["cell", "duplicate", "drop", "swap lines", "swap days", "blank", "extra field"]))
+    ln, other = data.draw(st.sampled_from(body)), data.draw(st.sampled_from(body))
+    if kind == "cell":
+        fields = lines[ln].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(tokens))
+        lines[ln] = ",".join(fields)
+    elif kind == "duplicate":
+        lines.insert(data.draw(st.integers(ln + 1, len(lines))), lines[ln])
+    elif kind == "drop":
+        del lines[ln]
+    elif kind == "swap lines":
+        lines[ln], lines[other] = lines[other], lines[ln]
+    elif kind == "swap days":
+        a, b = lines[ln].split(","), lines[other].split(",")
+        a[0], b[0] = b[0], a[0]
+        lines[ln], lines[other] = ",".join(a), ",".join(b)
+    elif kind == "blank":
+        lines.insert(ln, "")
+    else:
+        lines[ln] += ",1"
+    return "\n".join(lines) + "\n"
+
+
+def base_file(tmp_path, kind, m, seed):
+    """A small valid rates or returns file."""
+    path = tmp_path / f"{kind}.csv"
+    quotes = generate_market(SyntheticMarketSpec(m=m, n_days=4, seed=seed, normalize=kind == "returns"))
+    if kind == "rates":
+        write_rates(quotes, path)
+    else:
+        write_returns(normalized_returns(quotes), path)
+    return path
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: each day's bit pattern, or the error class and message."""
+    try:
+        items = reader(path)
+    except FxfolioError as exc:
+        return type(exc), str(exc)
+    grids = lambda x: (x.open_rates.entries, x.close_rates.entries) if hasattr(x, "open_rates") else (x.entries,)  # noqa: E731
+    return [(x.day, x.m, tuple(g.tobytes() for g in grids(x))) for x in items]
+
+
+@st.composite
+def raw_ledgers(draw):
+    """Ledgers of arbitrary float64 values, parked days, missing predictions and orders."""
+    m, n = draw(st.sampled_from([2, 3, 12])), draw(st.integers(1, 4))
+    column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))  # noqa: E731
+    grid = lambda: draw(hnp.arrays(np.float64, (m, m), elements=FLOATS))  # noqa: E731
+    nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.just(-0.0)
+    returns = [
+        ReturnMatrix(day=k + 1, entries=np.triu(draw(hnp.arrays(np.float64, (m, m), elements=nonneg)), k=1))
+        for k in range(n)
+    ]
+    return BacktestLedger(
+        m=m,
+        f0=draw(FLOATS),
+        config={"rule": draw(st.sampled_from(["iitc", "eiitc"])), "gamma": draw(FLOATS), "lags": [1, 0.5], "none": None},
+        day=column(st.integers(-(2**63), 2**63 - 1)).astype(np.int64),
+        capital=column(FLOATS),
+        capital_net=column(FLOATS),
+        cost=column(FLOATS),
+        ratio=column(FLOATS),
+        growth=column(FLOATS),
+        parked=column(st.booleans()).astype(bool),
+        order_actual=column(st.sampled_from([1, 2])).astype(np.int64),
+        order_pred=column(st.sampled_from([-1, 1, 2])).astype(np.int64),
+        pred_crossed_segment=column(st.booleans()).astype(bool),
+        portfolios=[grid() for _ in range(n)],
+        realized=[grid() for _ in range(n)],
+        returns=returns,
+        predicted=[draw(st.none() | st.builds(grid)) for _ in range(n)],
+        next_portfolio=grid(),
+    )
+
+
+LENIENT = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestColumnarFilesAgainstRowwise:
+    @given(m=st.sampled_from([2, 3, 12]), n_days=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), normalize=st.booleans())
+    @LENIENT
+    def test_market_files_are_the_same_bytes(self, tmp_path, m, n_days, seed, normalize):
+        quotes = generate_market(SyntheticMarketSpec(m=m, n_days=n_days, seed=seed, normalize=normalize))
+        write_rates(quotes, tmp_path / "rates.csv")
+        assert (tmp_path / "rates.csv").read_bytes() == oracles.rates_text(quotes).encode()
+        returns = normalized_returns(quotes) if normalize else [compute_return_matrix(q) for q in quotes]
+        write_returns(returns, tmp_path / "returns.csv")
+        assert (tmp_path / "returns.csv").read_bytes() == oracles.returns_text(returns).encode()
+
+    @given(data=st.data(), m=st.sampled_from([2, 3, 12]))
+    @LENIENT
+    def test_extreme_returns_are_the_same_bytes(self, tmp_path, data, m):
+        nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.just(-0.0)
+        returns = [
+            ReturnMatrix(day=day, entries=np.triu(data.draw(hnp.arrays(np.float64, (m, m), elements=nonneg)), k=1))
+            for day in range(1, data.draw(st.integers(1, 3)) + 1)
+        ]
+        write_returns(returns, tmp_path / "returns.csv")
+        assert (tmp_path / "returns.csv").read_bytes() == oracles.returns_text(returns).encode()
+
+    @given(
+        m=st.sampled_from([2, 3, 12]),
+        seed=st.integers(0, 2**32 - 1),
+        predictor=st.sampled_from(
+            [None, LinearPredictor((0.6, 0.4)), PredictorConfig(), PredictorConfig(mpcr=2, mpo=2, adjusted=True)]
+        ),
+        rule=st.sampled_from(["iitc", "eiitc"]),
+        cost=st.sampled_from([0.0, 0.005]),
+    )
+    @LENIENT
+    def test_backtest_ledgers_are_the_same_bytes(self, tmp_path, m, seed, predictor, rule, cost):
+        quotes = generate_market(SyntheticMarketSpec(m=m, n_days=8, seed=seed))
+        ledger = run_backtest(quotes, predictor=predictor, update=UpdateConfig(rule=rule), costs=CostParams(c=cost))
+        write_ledger(ledger, tmp_path / "run.jsonl")
+        assert (tmp_path / "run.jsonl").read_bytes() == oracles.ledger_text(ledger).encode()
+
+    @given(ledger=raw_ledgers())
+    @LENIENT
+    def test_arbitrary_ledgers_are_the_same_bytes(self, tmp_path, ledger):
+        write_ledger(ledger, tmp_path / "run.jsonl")
+        assert (tmp_path / "run.jsonl").read_bytes() == oracles.ledger_text(ledger).encode()
+
+    @given(data=st.data(), kind=st.sampled_from(["rates", "returns"]), m=st.sampled_from([2, 3]), seed=st.integers(0, 1000))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_files_read_the_same(self, tmp_path, data, kind, m, seed):
+        path = base_file(tmp_path, kind, m, seed)
+        write_text(path, mutate(data, path.read_text()))
+        reader, oracle = (load_rates, oracles.load_rates_rowwise) if kind == "rates" else (read_returns, oracles.read_returns_rowwise)
+        assert outcome(reader, path) == outcome(oracle, path)
+
+    @pytest.mark.parametrize(
+        "old, new, column",
+        [
+            ("1,2,1,0.7,0.72", "1,2,1,0.7,0.7_2", "column 5 (close_rate): '0.7_2' is not a plain decimal literal"),
+            ("1,2,1,0.7,0.72", "1,0_2,1,0.7,0.72", "column 2 (i): '0_2' is not a plain decimal literal"),
+            ("1,2,1,0.7,0.72", "1,2,1,0.7,٠.72", "column 5 (close_rate): '٠.72' is not a plain decimal literal"),
+        ],
+        ids=["float separator", "int separator", "arabic-indic digit"],
+    )
+    def test_separators_and_non_ascii_digits_are_rejected(self, tmp_path, old, new, column):
+        path = write_text(tmp_path / "r.csv", GOOD_RATES.replace(old, new))
+        assert len(oracles.load_rates_rowwise(path)) == 2  # a row-wise int/float parse accepted these
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {column}")):
+            load_rates(path)
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [(load_rates, GOOD_RATES), (read_returns, GOOD_RETURNS + "2,1,2,0\n2,2,1,1.3\n")],
+        ids=["rates", "returns"],
+    )
+    def test_days_beyond_int64_are_rejected(self, tmp_path, reader, text):
+        path = write_text(tmp_path / "in.csv", text.replace("\n2,", f"\n{2**63},"))
+        with pytest.raises(ParseError, match=f"line 4: column 1 \\(day\\): '{2**63}' does not fit in 64 bits"):
+            reader(path)
+
+    def test_pair_firing_both_ways_is_rejected(self, tmp_path):
+        text = GOOD_RATES.replace("1,1,2,1.4,1.5\n1,2,1,0.7,0.72", "1,1,2,1.10,0.99\n1,2,1,1.00,0.98")
+        path = write_text(tmp_path / "r.csv", text)
+        assert len(oracles.load_rates_rowwise(path)) == 2
+        with pytest.raises(InvariantError, match=r"r.csv: day 1: pair \(0, 1\) fires in both directions"):
+            load_rates(path)
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (load_rates, GOOD_RATES + "".join(f"3,{i},{j},1.2,1.1\n3,{j},{i},0.8,0.9\n" for i, j in ((1, 2), (1, 3), (2, 3)))),
+            (read_returns, GOOD_RETURNS + "".join(f"2,{i},{j},0\n2,{j},{i},1.1\n" for i, j in ((1, 2), (1, 3), (2, 3)))),
+        ],
+        ids=["rates", "returns"],
+    )
+    def test_mixed_currency_counts_are_rejected(self, tmp_path, reader, text):
+        path = write_text(tmp_path / "in.csv", text)
+        oracle = oracles.load_rates_rowwise if reader is load_rates else oracles.read_returns_rowwise
+        assert [x.m for x in oracle(path)][-1] == 3
+        with pytest.raises(ParseError, match=r"in.csv: day \d: quotes m=3 currencies, but day 1 quotes m=2"):
+            reader(path)
+
+
+class TestMalformedInputThroughTheCli:
+    TOKENS = MUTATION_TOKENS + ["1_0", str(2**63), "١", "inf", "1e400", "\"1\"", " "]
+
+    @given(data=st.data(), kind=st.sampled_from(["rates", "returns"]), m=st.sampled_from([2, 3]), seed=st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_is_clean(self, tmp_path, capsys, data, kind, m, seed):
+        path = base_file(tmp_path, kind, m, seed)
+        write_text(path, mutate(data, path.read_text(), self.TOKENS))
+        code = cli.main(["backtest", "--input", str(path), "--input-kind", kind, "--predictor", "crossrate", "--L", "2"])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_IO), err
+        assert err == "" if code == cli.EXIT_OK else err.startswith("io error: ")
+
+    def test_pair_firing_both_ways_exits_1(self, tmp_path, capsys):
+        path = write_text(tmp_path / "r.csv", GOOD_RATES.replace("1,1,2,1.4,1.5\n1,2,1,0.7,0.72", "1,1,2,1.10,0.99\n1,2,1,1.00,0.98"))
+        assert cli.main(["backtest", "--input", str(path), "--predictor", "none"]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(f"io error: {path}: day 1: pair (0, 1) fires in both directions")
+
+    def test_mixed_currency_counts_exit_1(self, tmp_path, capsys):
+        path = write_text(tmp_path / "r.csv", GOOD_RATES.replace("2,1,2,1.45,1.38\n2,2,1,0.71,0.69\n", "".join(
+            f"2,{i},{j},1.2,1.1\n2,{j},{i},0.8,0.9\n" for i, j in ((1, 2), (1, 3), (2, 3)))))
+        assert cli.main(["backtest", "--input", str(path), "--predictor", "none"]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith(f"io error: {path}: day 2: quotes m=3 currencies, but day 1 quotes m=2")
