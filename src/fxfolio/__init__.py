@@ -33,6 +33,7 @@ from .crossrate import (
     adjusted_cross_rate,
     cross_rate,
     effectiveness_ratio,
+    grid_orders,
     mpcr_predict,
     mpo_predict,
     nearest_nonzero_day,
@@ -62,9 +63,13 @@ from .data_io import (
 from .errors import FxfolioError
 from .market import (
     DailyQuotes,
+    QuoteStack,
     RateMatrix,
     ReturnMatrix,
+    ReturnStack,
+    as_stack,
     compute_return_matrix,
+    compute_returns,
     exchange_options,
     trading_matrix,
 )

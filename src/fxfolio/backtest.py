@@ -29,6 +29,7 @@ from .crossrate import (
     adjusted_cross_rate,
     cross_rate,
     grid_order,
+    grid_orders,
     mpcr_predict,
     prediction_hits,
     reference_day,
@@ -39,14 +40,13 @@ from .errors import (
     InsufficientHistory,
     InvalidBlockUnit,
     InvalidParams,
-    NonMonotoneDays,
     NonPositiveCapital,
     NonPositiveDiamond,
     NonPositivePairReturn,
     NormalizationViolated,
     TooFewDays,
 )
-from .market import DailyQuotes, ReturnMatrix, compute_return_matrix
+from .market import QuoteStack, ReturnStack, as_stack, compute_returns, upper_pairs
 from .portfolio import uniform_portfolio
 from .updates import tilt
 
@@ -101,7 +101,7 @@ class LinearPredictor:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if len(w) == 0 or any(x < 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-12:
+        if len(w) == 0 or not all(x >= 0.0 for x in w) or abs(sum(w) - 1.0) > 1e-12:
             raise InvalidParams(f"lag weights must be nonnegative and sum to 1, got {self.weights!r}")
         object.__setattr__(self, "weights", w)
 
@@ -158,7 +158,7 @@ class BacktestLedger:
     pred_crossed_segment: np.ndarray
     portfolios: list[np.ndarray]
     realized: list[np.ndarray]
-    returns: list[ReturnMatrix]
+    returns: ReturnStack
     predicted: list[np.ndarray | None]
     next_portfolio: np.ndarray = field(default=None)
 
@@ -167,45 +167,31 @@ class BacktestLedger:
         return len(self.day)
 
 
-def _as_returns(market: Sequence) -> list[ReturnMatrix]:
-    if len(market) < 2:
-        raise TooFewDays(f"a backtest needs at least 2 days, got {len(market)}")
-    first = market[0]
-    if isinstance(first, DailyQuotes):
-        rets = [compute_return_matrix(q) for q in market]
-        days = [q.day for q in market]
-    elif isinstance(first, ReturnMatrix):
-        rets = list(market)
-        days = [r.day for r in rets]
-    else:
-        raise InvalidParams(f"market must hold DailyQuotes or ReturnMatrix items, got {type(first).__name__}")
-    if any(b <= a for a, b in zip(days, days[1:])):
-        raise NonMonotoneDays("market days must be strictly increasing")
-    m = rets[0].m
-    if any(r.m != m for r in rets):
-        raise InvalidParams("all market days must quote the same number of currencies")
-    return rets
-
-
 def run_backtest(
-    market: Sequence,
+    market: QuoteStack | ReturnStack | Sequence,
     predictor: PredictorConfig | LinearPredictor | None = None,
     update: UpdateConfig = UpdateConfig(),
     schedule: GammaSchedule | None = None,
     costs: CostParams | None = None,
     f0: float = 1.0,
 ) -> BacktestLedger:
-    """Run the daily cycle over a sequence of DailyQuotes or ReturnMatrix.
+    """Run the daily cycle over a QuoteStack or ReturnStack (or a sequence of their one-day objects).
 
-    With no predictor (or while the predictor still lacks history) the
-    weights simply drift with the returns, which is the gamma = 0
-    behaviour.  Day indices in the ledger are positional, 1..N.
+    Every day's returns and order are computed over the whole stack
+    before the loop; each depends on its own day only.  With no
+    predictor (or while the predictor still lacks history) the weights
+    simply drift with the returns, which is the gamma = 0 behaviour.
+    Day indices in the ledger are positional, 1..N.
     """
     if f0 <= 0.0 or not math.isfinite(f0):
         raise NonPositiveCapital(f"starting capital must be finite and > 0, got {f0!r}")
-    rets = _as_returns(market)
+    if len(market) < 2:
+        raise TooFewDays(f"a backtest needs at least 2 days, got {len(market)}")
+    rets = as_stack(market)
+    if isinstance(rets, QuoteStack):
+        rets = compute_returns(rets)
     n = len(rets)
-    m = rets[0].m
+    m = rets.m
     if costs is None:
         costs = CostParams(0.0)
     if schedule is None:
@@ -222,16 +208,16 @@ def run_backtest(
     c_col = np.empty(n)
     g_col = np.empty(n)
     parked_col = np.zeros(n, dtype=bool)
-    oa_col = np.empty(n, dtype=np.int64)
     op_col = np.full(n, -1, dtype=np.int64)
     crossed_col = np.zeros(n, dtype=bool)
     psi_list: list[np.ndarray] = []
     drift_list: list[np.ndarray] = []
     pred_list: list[np.ndarray | None] = [None] * n
 
-    # Validated once above; from here on the loop runs on bare grids.
-    grids = np.stack([r.entries for r in rets])
-    grids.flags.writeable = False
+    # Validated once, in the stack; from here on the loop runs on bare grids.
+    grids = rets.grids
+    oa_col = grid_orders(grids)
+    day_orders = oa_col.tolist()
     psi = uniform_portfolio(m, day=1).weights
     f_prev = f0
     t_charge = 0.0
@@ -257,8 +243,7 @@ def run_backtest(
             growth = 1.0
             parked_col[k - 1] = True
 
-        o_k = grid_order(r_k)
-        orders.append(o_k)
+        orders.append(day_orders[k - 1])
 
         psi_list.append(psi)
         drift_list.append(drift)
@@ -269,7 +254,6 @@ def run_backtest(
         t_col[day_idx] = t_charge
         c_col[day_idx] = 0.0 if k == 1 else t_charge / f_prev
         g_col[day_idx] = growth
-        oa_col[day_idx] = o_k
         op_col[day_idx] = order_next
         crossed_col[day_idx] = crossed_next
 
@@ -393,11 +377,11 @@ def growth_rate_net(ledger: BacktestLedger) -> float:
     return growth_rate(ledger) + float(np.mean(np.log1p(-ledger.ratio)))
 
 
-def single_pair_growth_rate(returns: Sequence[ReturnMatrix], i: int, j: int) -> float:
+def single_pair_growth_rate(returns: ReturnStack | Sequence, i: int, j: int) -> float:
     """Average log return of parking all weight on position (i, j)."""
     if len(returns) == 0:
         raise EmptyLedger("no days to average over")
-    vals = np.array([r.entries[i, j] for r in returns])
+    vals = as_stack(returns).grids[:, i, j]
     if np.any(vals <= 0.0):
         k = int(np.argmax(vals <= 0.0))
         raise NonPositivePairReturn(f"day {k + 1}: pair ({i}, {j}) returned {float(vals[k])!r}, benchmark undefined")
@@ -453,15 +437,15 @@ def universality_gap(
             raise NormalizationViolated("guarantee needs support_floor 0 (pass force to override)")
         if cfg["schedule"]["mode"] != "constant":
             raise NormalizationViolated("guarantee needs a constant learning rate (pass force to override)")
-        grids = np.stack([r.entries for r in ledger.returns])
-        iu, ju = np.triu_indices(ledger.m, k=1)
+        grids = ledger.returns.grids
+        iu, ju = upper_pairs(ledger.m)
         pair_sums = grids[:, iu, ju] + grids[:, ju, iu]
         lo, hi = pair_sums.min(axis=1), pair_sums.max(axis=1)
         bad = (np.abs(hi - 1.0) > 1e-9) | (lo < r_floor - 1e-9)
         if np.any(bad):
             k = int(np.argmax(bad))
             raise NormalizationViolated(
-                f"day {ledger.returns[k].day}: pair return sums in [{float(lo[k])!r}, {float(hi[k])!r}] "
+                f"day {int(ledger.returns.days[k])}: pair return sums in [{float(lo[k])!r}, {float(hi[k])!r}] "
                 f"violate the [{r_floor}, 1] normalization (pass force to override)"
             )
     i, j = pair

@@ -50,8 +50,16 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in the CLI's own ``config error:`` line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidParams(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fxfolio", description="Currency-pair portfolio backtesting toolkit")
+    parser = _Parser(prog="fxfolio", description="Currency-pair portfolio backtesting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic rates or returns file")
@@ -241,6 +249,8 @@ def _summary_metrics(ledger: BacktestLedger, ns) -> dict:
 
 def _cmd_verify(ns) -> int:
     jobs = _resolve_jobs(ns.jobs)
+    if ns.max_violations < 0:
+        raise InvalidParams(f"--max-violations must be >= 0, got {ns.max_violations}")
     _print_config(
         "verify",
         {
@@ -278,17 +288,15 @@ def _cmd_verify(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
+        ns = build_parser().parse_args(argv)
         if ns.command == "generate":
             return _cmd_generate(ns)
         if ns.command == "backtest":
             return _cmd_backtest(ns)
         return _cmd_verify(ns)
+    except SystemExit as exc:  # --help
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -86,6 +86,18 @@ def grid_order(grid: np.ndarray) -> int:
     return UPPER if i < j else LOWER
 
 
+def grid_orders(grids: np.ndarray) -> np.ndarray:
+    """grid_order of every grid of an (n, m, m) stack at once, as an int64 array."""
+    n, m = grids.shape[0], grids.shape[1]
+    flat = grids.reshape(n, m * m)
+    top = flat.max(axis=1)
+    hits = flat == top[:, None]
+    i, j = np.divmod(hits.argmax(axis=1), m)
+    orders = np.where(i < j, UPPER, LOWER)
+    orders[(top == 0.0) | (hits.sum(axis=1) != 1)] = FLAT
+    return orders.astype(np.int64)
+
+
 def transpose(returns: ReturnMatrix) -> ReturnMatrix:
     """Swap every pair's position side; flips order 1 days into order 2 days."""
     return ReturnMatrix(day=returns.day, entries=returns.entries.T)

@@ -26,7 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,15 @@ from .errors import (
     NormalizationViolated,
     ParseError,
 )
-from .market import DailyQuotes, ReturnMatrix, compute_return_matrix
+from .market import (
+    DailyQuotes,
+    QuoteStack,
+    ReturnMatrix,
+    ReturnStack,
+    as_stack,
+    compute_returns,
+    upper_pairs,
+)
 from .portfolio import PortfolioMatrix
 
 _ORDER_VALUE_LOW = 1.05
@@ -149,7 +157,7 @@ def _first_fault(path, kind: str, header: Sequence[str], otherwise: InputError) 
     return otherwise
 
 
-def _read_table(path, kind: str, header: tuple[str, ...], diagonal: float) -> tuple[list[int], list[np.ndarray]]:
+def _read_table(path, kind: str, header: tuple[str, ...], diagonal: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Parse a rates or returns csv into its days and one stacked (n, m, m) grid per value column.
 
     Days may interleave but must first appear in increasing order; each
@@ -209,24 +217,22 @@ def _read_table(path, kind: str, header: tuple[str, ...], diagonal: float) -> tu
         grid[:, np.arange(m), np.arange(m)] = diagonal
         grid[at, i - 1, j - 1] = table[name]
         grids.append(grid)
-    return days.tolist(), grids
+    return days, grids
 
 
-def _write_table(path, kind: str, header: tuple[str, ...], days: Iterable[tuple[int, Sequence[np.ndarray]]]) -> None:
-    """Write a rates or returns csv: one row per ordered pair, row-major, values as .17g."""
-    templates: dict[int, str] = {}
+def _write_table(path, kind: str, header: tuple[str, ...], days: np.ndarray, grids: Sequence[np.ndarray]) -> None:
+    """Write a rates or returns csv from (n, m, m) stacks: one row per ordered pair, row-major, values as .17g."""
+    m = grids[0].shape[1]
+    cells = ",".join(["%.17g"] * len(grids))
+    # "\0" stands for the day, which is filled in before the values.
+    template = "".join(f"\0,{i + 1},{j + 1},{cells}\n" for i in range(m) for j in range(m) if i != j)
+    off = ~np.eye(m, dtype=bool)
+    values = np.stack([grid[:, off] for grid in grids], axis=-1).reshape(len(days), -1)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for day, grids in days:
-                m = grids[0].shape[0]
-                if m not in templates:
-                    cells = ",".join(["%.17g"] * len(grids))
-                    # "\0" stands for the day, which is filled in before the values.
-                    templates[m] = "".join(f"\0,{i + 1},{j + 1},{cells}\n" for i in range(m) for j in range(m) if i != j)
-                off = ~np.eye(m, dtype=bool)
-                values = np.column_stack([grid[off] for grid in grids]).ravel().tolist()
-                fh.write(templates[m].replace("\0", str(day)) % tuple(values))
+            for day, row in zip(days.tolist(), values):
+                fh.write(template.replace("\0", str(day)) % tuple(row.tolist()))
     except OSError as exc:
         raise IoError(f"cannot write {kind} file {path}: {exc}") from exc
 
@@ -235,26 +241,24 @@ def _write_table(path, kind: str, header: tuple[str, ...], days: Iterable[tuple[
 # rate files
 
 
-def write_rates(quotes: Sequence[DailyQuotes], path) -> None:
-    _write_table(path, "rates", _RATES_HEADER, ((q.day, (q.open_rates.entries, q.close_rates.entries)) for q in quotes))
+def write_rates(quotes: QuoteStack | Sequence[DailyQuotes], path) -> None:
+    quotes = as_stack(quotes)
+    _write_table(path, "rates", _RATES_HEADER, quotes.days, (quotes.open, quotes.close))
 
 
-def load_rates(path) -> list[DailyQuotes]:
-    """Parse a rates-csv file into validated per-day quotes."""
+def load_rates(path) -> QuoteStack:
+    """Parse a rates-csv file into one validated quote stack."""
     days, (opens, closes) = _read_table(path, "rates", _RATES_HEADER, diagonal=1.0)
     try:
-        quotes = [DailyQuotes.from_grids(day, o, c) for day, o, c in zip(days, opens, closes)]
+        quotes = QuoteStack(days, opens, closes)
     except FxfolioError as exc:
         raise InvariantError(f"{path}: {exc}") from exc
     # A pair whose open sell beats the close buy and whose open buy beats
-    # the close sell profits both ways: compute_return_matrix names it.
-    iu, ju = np.triu_indices(opens.shape[1], k=1)
-    both = (opens[:, iu, ju] > closes[:, ju, iu]) & (opens[:, ju, iu] > closes[:, iu, ju])
-    if both.any():
-        try:
-            compute_return_matrix(quotes[int(np.argmax(both.any(axis=1)))])
-        except ComplementarityViolation as exc:
-            raise InvariantError(f"{path}: {exc}") from exc
+    # the close sell profits both ways: compute_returns names it.
+    try:
+        compute_returns(quotes)
+    except ComplementarityViolation as exc:
+        raise InvariantError(f"{path}: {exc}") from exc
     return quotes
 
 
@@ -262,14 +266,16 @@ def load_rates(path) -> list[DailyQuotes]:
 # return-matrix files
 
 
-def write_returns(returns: Sequence[ReturnMatrix], path) -> None:
-    _write_table(path, "returns", _RETURNS_HEADER, ((r.day, (r.entries,)) for r in returns))
+def write_returns(returns: ReturnStack | Sequence[ReturnMatrix], path) -> None:
+    returns = as_stack(returns)
+    _write_table(path, "returns", _RETURNS_HEADER, returns.days, (returns.grids,))
 
 
-def read_returns(path) -> list[ReturnMatrix]:
+def read_returns(path) -> ReturnStack:
+    """Parse a returns-csv file into one validated return stack."""
     days, (grids,) = _read_table(path, "returns", _RETURNS_HEADER, diagonal=0.0)
     try:
-        return [ReturnMatrix(day=day, entries=grid) for day, grid in zip(days, grids)]
+        return ReturnStack(days, grids)
     except FxfolioError as exc:
         raise InvariantError(f"{path}: {exc}") from exc
 
@@ -292,6 +298,8 @@ class SyntheticMarketSpec:
     r_floor: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.m <= 1:
             raise InvalidSpec(f"m must be > 1, got {self.m}")
         if self.n_days < 2:
@@ -304,7 +312,7 @@ class SyntheticMarketSpec:
             raise InvalidSpec(f"r_floor must lie in (0, 1) in normalize mode, got {self.r_floor!r}")
 
 
-def generate_market(spec: SyntheticMarketSpec) -> list[DailyQuotes]:
+def generate_market(spec: SyntheticMarketSpec) -> QuoteStack:
     """Seeded quote history; every day passes the rate-matrix validators.
 
     Plain mode: per-pair mid rates follow an exponentiated random walk
@@ -323,61 +331,58 @@ def generate_market(spec: SyntheticMarketSpec) -> list[DailyQuotes]:
         return _generate_normalized(spec, rng)
     eps = spec.spread_epsilon
     n_pairs = spec.m * (spec.m - 1) // 2
-    iu, ju = np.triu_indices(spec.m, k=1)
     log_mid = np.zeros(n_pairs)
-    quotes = []
-    for day in range(1, spec.n_days + 1):
+    mid_open = np.empty((spec.n_days, n_pairs))
+    mid_close = np.empty((spec.n_days, n_pairs))
+    for k in range(spec.n_days):
         log_open = log_mid + rng.normal(spec.drift, spec.vol, n_pairs)
-        mid_open = np.maximum(np.exp(log_open), 2.0 * eps)
+        mid_open[k] = np.maximum(np.exp(log_open), 2.0 * eps)
         log_close = log_open + rng.normal(spec.drift, spec.vol, n_pairs)
         # A drop beyond the spread would make both trade directions win.
-        mid_close = np.maximum(np.exp(log_close), np.maximum(mid_open - 1.98 * eps, 2.0 * eps))
-        quotes.append(_quotes_from_mids(day, spec.m, iu, ju, mid_open, mid_close, eps))
-        log_mid = np.log(mid_close)
-    return quotes
+        mid_close[k] = np.maximum(np.exp(log_close), np.maximum(mid_open[k] - 1.98 * eps, 2.0 * eps))
+        log_mid = np.log(mid_close[k])
+    return _quotes_from_mids(spec.m, mid_open, mid_close, eps)
 
 
-def _generate_normalized(spec: SyntheticMarketSpec, rng: np.random.Generator) -> list[DailyQuotes]:
+def _generate_normalized(spec: SyntheticMarketSpec, rng: np.random.Generator) -> QuoteStack:
     eps = spec.spread_epsilon
-    iu, ju = np.triu_indices(spec.m, k=1)
-    n_pairs = iu.size
+    n_pairs = spec.m * (spec.m - 1) // 2
     gross = 1.25 / spec.r_floor
-    quotes = []
-    for day in range(1, spec.n_days + 1):
-        targets = rng.uniform(spec.r_floor + 1e-6, 0.999, n_pairs)
-        targets[rng.integers(0, n_pairs)] = 1.0
-        ratios = gross * targets
-        # Close buy small enough that the reverse direction stays unprofitable.
-        close_buy = 0.99 * 4.0 * eps / (ratios - 1.0)
-        mid_close = close_buy + eps
-        # Open sell lands exactly on ratio * close_buy, so the traded
-        # buy-low/sell-high ratio equals the drawn target.
-        mid_open = ratios * close_buy - eps
-        quotes.append(_quotes_from_mids(day, spec.m, iu, ju, mid_open, mid_close, eps))
-    return quotes
+    targets = np.empty((spec.n_days, n_pairs))
+    for k in range(spec.n_days):
+        targets[k] = rng.uniform(spec.r_floor + 1e-6, 0.999, n_pairs)
+        targets[k, rng.integers(0, n_pairs)] = 1.0
+    ratios = gross * targets
+    # Close buy small enough that the reverse direction stays unprofitable.
+    close_buy = 0.99 * 4.0 * eps / (ratios - 1.0)
+    mid_close = close_buy + eps
+    # Open sell lands exactly on ratio * close_buy, so the traded
+    # buy-low/sell-high ratio equals the drawn target.
+    mid_open = ratios * close_buy - eps
+    return _quotes_from_mids(spec.m, mid_open, mid_close, eps)
 
 
-def _quotes_from_mids(day, m, iu, ju, mid_open, mid_close, eps) -> DailyQuotes:
-    open_grid = np.eye(m)
-    close_grid = np.eye(m)
-    open_grid[iu, ju] = mid_open + eps
-    open_grid[ju, iu] = mid_open - eps
-    close_grid[iu, ju] = mid_close + eps
-    close_grid[ju, iu] = mid_close - eps
-    return DailyQuotes.from_grids(day, open_grid, close_grid)
+def _quotes_from_mids(m, mid_open, mid_close, eps) -> QuoteStack:
+    """Days 1..n quoted at mid +- eps from (n, pairs) opening and closing mids."""
+    iu, ju = upper_pairs(m)
+    n = mid_open.shape[0]
+    open_grid = np.tile(np.eye(m), (n, 1, 1))
+    close_grid = np.tile(np.eye(m), (n, 1, 1))
+    open_grid[:, iu, ju] = mid_open + eps
+    open_grid[:, ju, iu] = mid_open - eps
+    close_grid[:, iu, ju] = mid_close + eps
+    close_grid[:, ju, iu] = mid_close - eps
+    return QuoteStack(np.arange(1, n + 1), open_grid, close_grid)
 
 
-def normalized_returns(quotes: Sequence[DailyQuotes]) -> list[ReturnMatrix]:
-    """Same-day return matrices rescaled so each day's best pair sum is 1."""
-    out = []
-    for q in quotes:
-        r = compute_return_matrix(q)
-        pair_sums = r.entries + r.entries.T
-        top = float(pair_sums.max())
-        if top <= 0.0:
-            raise NormalizationViolated(f"day {q.day}: no pair traded, cannot rescale")
-        out.append(ReturnMatrix(day=r.day, entries=r.entries / top))
-    return out
+def normalized_returns(quotes: QuoteStack) -> ReturnStack:
+    """Same-day returns rescaled so each day's best pair sum is 1."""
+    rets = compute_returns(quotes)
+    top = (rets.grids + rets.grids.transpose(0, 2, 1)).max(axis=(1, 2))
+    if np.any(top <= 0.0):
+        k = int(np.argmax(top <= 0.0))
+        raise NormalizationViolated(f"day {int(rets.days[k])}: no pair traded, cannot rescale")
+    return ReturnStack(rets.days, rets.grids / top[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +407,8 @@ class SyntheticOrderSpec:
     dependence_gap: int = 50
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if self.segment_count < 1:
             raise InvalidSpec(f"segment_count must be >= 1, got {self.segment_count}")
         if self.segment_length < 2:
@@ -409,7 +416,7 @@ class SyntheticOrderSpec:
         if self.dependence_gap < 1:
             raise InvalidSpec(f"dependence_gap must be >= 1, got {self.dependence_gap}")
         masses = tuple(float(x) for x in self.masses)
-        if len(masses) != 4 or any(x < 0.0 for x in masses):
+        if len(masses) != 4 or not all(x >= 0.0 for x in masses):
             raise InvalidSpec(f"masses must be four nonnegative numbers, got {self.masses!r}")
         if abs(sum(masses) - 1.0) > 1e-12:
             raise InvalidSpec(f"masses must sum to 1 within 1e-12, got sum {sum(masses)!r}")
@@ -465,30 +472,24 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> list[int
     return labels
 
 
-def _matrix_for_label(day: int, label: int, value: float) -> ReturnMatrix:
-    """3-currency matrix whose unique best trade sits on the labeled side.
+def generate_order_process(spec: SyntheticOrderSpec) -> tuple[ReturnStack, list[int]]:
+    """Seeded daily 3-currency return matrices plus the order labels they realize.
 
-    Two fixed side positions, one above and one below the diagonal, pay
-    on every day regardless of the label, so a drifting portfolio always
-    keeps support that the next day rewards.
+    Each day's unique best trade sits on its labeled side.  Two fixed side
+    positions, one above and one below the diagonal, pay on every day
+    regardless of the label, so a drifting portfolio always keeps support
+    that the next day rewards.
     """
-    grid = np.zeros((3, 3))
-    grid[1, 2] = _ORDER_SIDE_VALUES[0]
-    grid[2, 0] = _ORDER_SIDE_VALUES[1]
-    if label == 1:
-        grid[0, 1] = value
-    else:
-        grid[1, 0] = value
-    return ReturnMatrix(day=day, entries=grid)
-
-
-def generate_order_process(spec: SyntheticOrderSpec) -> tuple[list[ReturnMatrix], list[int]]:
-    """Seeded daily return matrices plus the order labels they realize."""
     rng = np.random.default_rng(spec.seed)
     labels = order_labels(spec, rng)
     values = rng.uniform(_ORDER_VALUE_LOW, _ORDER_VALUE_HIGH, len(labels))
-    matrices = [_matrix_for_label(day, lab, val) for day, (lab, val) in enumerate(zip(labels, values), start=1)]
-    return matrices, labels
+    upper = np.array(labels) == 1
+    grids = np.zeros((len(labels), 3, 3))
+    grids[:, 1, 2] = _ORDER_SIDE_VALUES[0]
+    grids[:, 2, 0] = _ORDER_SIDE_VALUES[1]
+    grids[upper, 0, 1] = values[upper]
+    grids[~upper, 1, 0] = values[~upper]
+    return ReturnStack(np.arange(1, len(labels) + 1), grids), labels
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +513,7 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
     if ledger.n_days == 0:
         raise EmptyLedger("refusing to write a ledger with no days")
     templates = {predicted: _day_template(ledger.m, predicted) for predicted in (False, True)}
+    returns = ledger.returns.grids
     scalars = zip(
         ledger.day.tolist(),
         ledger.capital.tolist(),
@@ -537,7 +539,7 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
                 values = [day, f, fp, t, c, diamond, order_actual, "null" if order_pred < 0 else order_pred]
                 values.append("true" if crossed else "false")
                 predicted = ledger.predicted[k]
-                grids = (ledger.portfolios[k], ledger.realized[k], ledger.returns[k].entries)
+                grids = (ledger.portfolios[k], ledger.realized[k], returns[k])
                 for grid in grids if predicted is None else grids + (predicted,):
                     values += grid.ravel().tolist()
                 fh.write(templates[predicted is not None] % tuple(values))
@@ -548,13 +550,18 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
 def read_ledger(path) -> BacktestLedger:
     records = []
     try:
-        with open(path) as fh:
-            for ln, line in enumerate(fh, start=1):
+        with open(path, "rb") as fh:
+            for ln, raw in enumerate(fh, start=1):
+                line = raw.decode("utf-8")
                 if line.strip():
                     records.append((ln, json.loads(line)))
     except OSError as exc:
         raise IoError(f"cannot read ledger {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: line {ln}: not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: line {ln}: bad JSON: nested too deeply") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise ParseError(f"{path}: line {ln}: bad JSON: {exc}") from exc
     if not records or not isinstance(records[0][1], dict) or records[0][1].get("kind") != "fxfolio-ledger":
         raise ParseError(f"{path}: missing fxfolio-ledger meta line")
@@ -565,7 +572,7 @@ def read_ledger(path) -> BacktestLedger:
     def field(ln, record, key, convert):
         try:
             return convert(record[key])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problem = "missing" if isinstance(exc, KeyError) else f"bad value: {exc}"
             raise ParseError(f"{path}: line {ln}: key {key!r}: {problem}") from exc
         except FxfolioError as exc:
@@ -600,6 +607,15 @@ def read_ledger(path) -> BacktestLedger:
             raise ValueError(f"day {k}: predicted return diagonal at ({i}, {i}) must be 0")
         return g
 
+    def return_stack():
+        grids = matrices("R", lambda k, flat: grid(flat))
+        try:
+            return ReturnStack(day, np.array(grids))
+        except (FxfolioError, OverflowError) as exc:
+            # Name the line of the first bad matrix; else the day column is at fault.
+            matrices("R", lambda k, flat: ReturnMatrix(day=k, entries=grid(flat)))
+            raise ParseError(f"{path}: key 'day': {exc}") from exc
+
     day = column("day", int)
     diamond = np.array(column("diamond", float))
     return BacktestLedger(
@@ -618,7 +634,7 @@ def read_ledger(path) -> BacktestLedger:
         pred_crossed_segment=np.array(column("crossed", bool)),
         portfolios=matrices("psi", weights),
         realized=matrices("psi_prime", weights),
-        returns=matrices("R", lambda k, flat: ReturnMatrix(day=k, entries=grid(flat))),
+        returns=return_stack(),
         predicted=matrices("R_pred", prediction),
         next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: weights(day[-1] + 1, flat)),
     )
@@ -642,10 +658,12 @@ def write_summary(metrics: dict, path) -> None:
 
 def read_summary(path) -> dict:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(f"cannot read summary {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if len(rows) != 2 or tuple(rows[0]) != _SUMMARY_FIELDS:
         raise ParseError(f"{path}: expected header {','.join(_SUMMARY_FIELDS)} and one data row")
     out = {}

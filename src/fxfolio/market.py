@@ -1,26 +1,42 @@
-"""Daily bid/ask rate matrices and the price relatives they induce.
+"""Daily bid/ask rate matrices, the price relatives they induce, and stacked histories of both.
 
 An m x m rate matrix quotes every currency pair once per triangle: the
 entry at (i, j) with i < j is the rate at which the desk sells pair
 (i, j) to the investor, the mirrored entry at (j, i) is the rate at
 which it buys the pair back.  The wedge between the two is the spread,
 and it must be strictly positive entrywise.
+
+A market history is held as one stack of such grids, shape (n, m, m),
+validated in one pass; indexing a stack gives the one-day objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     ComplementarityViolation,
     DayMismatch,
+    InvalidParams,
     MissingNextDay,
+    NonMonotoneDays,
     NonPositiveEntry,
     NonUnitDiagonal,
+    RunError,
 )
 from .errors import SpreadViolation
+
+
+@lru_cache(maxsize=None)
+def upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j of an m x m grid, built once per m and read-only."""
+    iu, ju = np.triu_indices(m, k=1)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
 
 
 def _as_square(grid) -> np.ndarray:
@@ -49,7 +65,7 @@ class RateMatrix:
         if np.any(diag != 1.0):
             i = int(np.argmax(diag != 1.0))
             raise NonUnitDiagonal(f"day {self.day}: diagonal entry ({i}, {i}) is {float(diag[i])!r}, must be 1")
-        iu, ju = np.triu_indices(m, k=1)
+        iu, ju = upper_pairs(m)
         if np.any(grid[iu, ju] <= grid[ju, iu]):
             k = int(np.argmax(grid[iu, ju] <= grid[ju, iu]))
             i, j = int(iu[k]), int(ju[k])
@@ -116,7 +132,7 @@ class ReturnMatrix:
         if np.any(np.diag(grid) != 0.0):
             i = int(np.argmax(np.diag(grid) != 0.0))
             raise NonUnitDiagonal(f"day {self.day}: return diagonal at ({i}, {i}) must be 0")
-        iu, ju = np.triu_indices(m, k=1)
+        iu, ju = upper_pairs(m)
         both = (grid[iu, ju] > 0.0) & (grid[ju, iu] > 0.0)
         if np.any(both):
             k = int(np.argmax(both))
@@ -220,7 +236,7 @@ def compute_return_matrix(
     close_buy = np.tril(closing.entries, k=-1).T
 
     grid = np.zeros((m, m))
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = upper_pairs(m)
     up_fires = open_sell[iu, ju] > close_buy[iu, ju]
     down_fires = open_buy[iu, ju] > close_sell[iu, ju]
     both = up_fires & down_fires
@@ -235,3 +251,155 @@ def compute_return_matrix(
     grid[iu[up_fires], ju[up_fires]] = (open_sell[iu, ju][up_fires] / close_buy[iu, ju][up_fires])
     grid[ju[down_fires], iu[down_fires]] = (open_buy[iu, ju][down_fires] / close_sell[iu, ju][down_fires])
     return ReturnMatrix(day=day, entries=grid)
+
+
+# ---------------------------------------------------------------------------
+# stacked histories
+
+
+def _rate_faults(grids: np.ndarray) -> np.ndarray:
+    """Per day of an (n, m, m) stack: does it fail a RateMatrix check."""
+    iu, ju = upper_pairs(grids.shape[1])
+    bad = ~(np.isfinite(grids) & (grids > 0.0)).all(axis=(1, 2))
+    bad |= (np.diagonal(grids, axis1=1, axis2=2) != 1.0).any(axis=1)
+    bad |= (grids[:, iu, ju] <= grids[:, ju, iu]).any(axis=1)
+    return bad
+
+
+def _return_faults(grids: np.ndarray) -> np.ndarray:
+    """Per day of an (n, m, m) stack: does it fail a ReturnMatrix check."""
+    iu, ju = upper_pairs(grids.shape[1])
+    bad = ~(np.isfinite(grids) & (grids >= 0.0)).all(axis=(1, 2))
+    bad |= (np.diagonal(grids, axis1=1, axis2=2) != 0.0).any(axis=1)
+    bad |= ((grids[:, iu, ju] > 0.0) & (grids[:, ju, iu] > 0.0)).any(axis=1)
+    return bad
+
+
+def _read_only_stack(days, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Read-only copies of a day vector and its (n, m, m) float64 grid stacks, shapes checked."""
+    days = np.array(days, dtype=np.int64)
+    out = []
+    for grid in grids:
+        grid = np.array(grid, dtype=np.float64)
+        if days.ndim != 1 or grid.ndim != 3 or grid.shape[0] != days.size or grid.shape[1] != grid.shape[2] or grid.shape[1] < 2:
+            raise DayMismatch(f"expected {days.size} square grids of size >= 2 for days of shape {days.shape}, got shape {grid.shape}")
+        grid.flags.writeable = False
+        out.append(grid)
+    days.flags.writeable = False
+    return days, out
+
+
+def _check_days(days: np.ndarray) -> None:
+    if np.any(np.diff(days) <= 0):
+        raise NonMonotoneDays("market days must be strictly increasing")
+
+
+class _DayStack:
+    days: np.ndarray
+
+    def __len__(self) -> int:
+        return self.days.size
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class QuoteStack(_DayStack):
+    """A quote history: strictly increasing days (n,) and opening and closing rate grids (n, m, m).
+
+    Every day passes the RateMatrix checks.  ``stack[k]`` is day k's
+    DailyQuotes and a slice is a stack of its days.
+    """
+
+    days: np.ndarray
+    open: np.ndarray
+    close: np.ndarray
+
+    def __post_init__(self):
+        days, (opens, closes) = _read_only_stack(self.days, self.open, self.close)
+        bad = _rate_faults(opens) | _rate_faults(closes)
+        if bad.any():
+            k = int(np.argmax(bad))
+            DailyQuotes.from_grids(int(days[k]), opens[k], closes[k])  # raises the day's own error
+        _check_days(days)
+        object.__setattr__(self, "days", days)
+        object.__setattr__(self, "open", opens)
+        object.__setattr__(self, "close", closes)
+
+    @property
+    def m(self) -> int:
+        return self.open.shape[1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return QuoteStack(self.days[k], self.open[k], self.close[k])
+        return DailyQuotes.from_grids(int(self.days[k]), self.open[k], self.close[k])
+
+
+@dataclass(frozen=True, eq=False)
+class ReturnStack(_DayStack):
+    """A return history: strictly increasing days (n,) and price-relative grids (n, m, m).
+
+    Every day passes the ReturnMatrix checks.  ``stack[k]`` is day k's
+    ReturnMatrix and a slice is a stack of its days.
+    """
+
+    days: np.ndarray
+    grids: np.ndarray
+
+    def __post_init__(self):
+        days, (grids,) = _read_only_stack(self.days, self.grids)
+        bad = _return_faults(grids)
+        if bad.any():
+            k = int(np.argmax(bad))
+            ReturnMatrix(day=int(days[k]), entries=grids[k])  # raises the day's own error
+        _check_days(days)
+        object.__setattr__(self, "days", days)
+        object.__setattr__(self, "grids", grids)
+
+    @property
+    def m(self) -> int:
+        return self.grids.shape[1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ReturnStack(self.days[k], self.grids[k])
+        return ReturnMatrix(day=int(self.days[k]), entries=self.grids[k])
+
+
+def as_stack(market) -> QuoteStack | ReturnStack:
+    """A market as one stack: a stack passes through, a sequence of DailyQuotes or ReturnMatrix days is stacked."""
+    if isinstance(market, (QuoteStack, ReturnStack)):
+        return market
+    items = list(market)
+    if not items:
+        raise InvalidParams("a market needs at least one day")
+    kind = type(items[0])
+    if kind not in (DailyQuotes, ReturnMatrix) or any(type(x) is not kind for x in items):
+        raise InvalidParams(f"market must hold DailyQuotes or ReturnMatrix items, got {kind.__name__}")
+    if any(x.m != items[0].m for x in items):
+        raise InvalidParams("all market days must quote the same number of currencies")
+    days = [x.day for x in items]
+    if kind is ReturnMatrix:
+        return ReturnStack(days, np.stack([x.entries for x in items]))
+    return QuoteStack(days, np.stack([x.open_rates.entries for x in items]), np.stack([x.close_rates.entries for x in items]))
+
+
+def compute_returns(quotes: QuoteStack) -> ReturnStack:
+    """Same-day price relatives of every day at once, bit for bit those of compute_return_matrix.
+
+    The first day with a pair firing both ways, or a ratio that
+    overflows, raises what compute_return_matrix raises for it.
+    """
+    iu, ju = upper_pairs(quotes.m)
+    open_sell, open_buy = quotes.open[:, iu, ju], quotes.open[:, ju, iu]
+    close_sell, close_buy = quotes.close[:, iu, ju], quotes.close[:, ju, iu]
+    grids = np.zeros(quotes.open.shape)
+    grids[:, iu, ju] = np.where(open_sell > close_buy, open_sell / close_buy, 0.0)
+    grids[:, ju, iu] = np.where(open_buy > close_sell, open_buy / close_sell, 0.0)
+    try:
+        return ReturnStack(quotes.days, grids)
+    except RunError:
+        compute_return_matrix(quotes[int(np.argmax(_return_faults(grids)))])  # raises the day's own error
+        raise

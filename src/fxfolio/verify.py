@@ -43,6 +43,13 @@ class SuiteResult:
     stats: dict = field(default_factory=dict)
 
 
+def _check_run(replicates: int, seed: int) -> None:
+    if replicates < 1:
+        raise InvalidParams(f"replicates must be >= 1, got {replicates}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
+
+
 # ---------------------------------------------------------------------------
 # universality sweep (gap inequality + cost-ratio bound + ledger identities)
 
@@ -94,8 +101,7 @@ def _universality_replicate(args) -> tuple[int, list[str], float]:
 
 
 def universality_suite(replicates: int = 100, seed: int = 1, n_days: int = 250, r_floor: float = 0.5, jobs: int = 1) -> SuiteResult:
-    if replicates < 1:
-        raise InvalidParams(f"replicates must be >= 1, got {replicates}")
+    _check_run(replicates, seed)
     args = [(idx, seed, n_days, r_floor) for idx in range(replicates)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -162,6 +168,8 @@ def profitability_suite(
     flip_mass) under the alternation method; effectiveness at least 1/2.
     Both clauses allow the given slack below their nominal level.
     """
+    if segments < 2:
+        raise InvalidParams(f"segments must be >= 2, got {segments}: the first segment only seeds the prediction")
     cfg = SegmentConfig(L=seg_len)
     clauses = [
         ("mpcr1", 1, symmetric_masses(same_class_mass), same_class_mass - slack),
@@ -225,6 +233,7 @@ def _random_weights(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
+    _check_run(replicates, seed)
     rng = np.random.default_rng(seed)
     sizes = (2, 3, 4, 6)
     violations: list[str] = []

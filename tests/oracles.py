@@ -160,7 +160,8 @@ def random_return_entries(rng: np.random.Generator, m: int, fire_prob: float = 0
 # ---------------------------------------------------------------------------
 # File formats, row by row.  These readers parse each csv row with int and
 # float and fill per-day dicts; they share with the package only the error
-# classes and the matrix validators, whose messages they must repeat.  The
+# classes, the one-day matrix validators and compute_return_matrix, whose
+# messages they must repeat.  The
 # writers return the text a json_value-style recursive formatter produces.
 
 
@@ -178,8 +179,8 @@ def _oracle_field_error(path, ln, header, row, exc):
 def load_rates_rowwise(path):
     import csv
 
-    from fxfolio.errors import FxfolioError, InvariantError, NonMonotoneDays, ParseError
-    from fxfolio.market import DailyQuotes
+    from fxfolio.errors import ComplementarityViolation, FxfolioError, InvariantError, NonMonotoneDays, ParseError
+    from fxfolio.market import DailyQuotes, compute_return_matrix
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -225,6 +226,12 @@ def load_rates_rowwise(path):
         try:
             quotes.append(DailyQuotes.from_grids(day, open_grid, close_grid))
         except FxfolioError as exc:
+            raise InvariantError(f"{path}: {exc}") from exc
+    # No pair may profit both ways on one day.
+    for q in quotes:
+        try:
+            compute_return_matrix(q)
+        except ComplementarityViolation as exc:
             raise InvariantError(f"{path}: {exc}") from exc
     return quotes
 
@@ -344,3 +351,31 @@ def ledger_text(ledger) -> str:
         }
         lines.append(json_text(record))
     return "".join(line + "\n" for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Stacked histories, one day at a time: what a stack constructor must
+# raise or hold, built from the one-day classes in day order.
+
+
+def _check_days_increase(days):
+    from fxfolio.errors import NonMonotoneDays
+
+    if any(b <= a for a, b in zip(days, days[1:])):
+        raise NonMonotoneDays("market days must be strictly increasing")
+
+
+def quotes_day_by_day(days, opens, closes):
+    from fxfolio.market import DailyQuotes
+
+    out = [DailyQuotes.from_grids(int(d), o, c) for d, o, c in zip(days, opens, closes)]
+    _check_days_increase(list(days))
+    return out
+
+
+def returns_day_by_day(days, grids):
+    from fxfolio.market import ReturnMatrix
+
+    out = [ReturnMatrix(day=int(d), entries=g) for d, g in zip(days, grids)]
+    _check_days_increase(list(days))
+    return out

@@ -44,7 +44,7 @@ from fxfolio.errors import (
     NormalizationViolated,
     TooFewDays,
 )
-from fxfolio.market import ReturnMatrix
+from fxfolio.market import ReturnMatrix, ReturnStack, as_stack
 from fxfolio.portfolio import PortfolioMatrix, relative_entropy, uniform_portfolio
 
 from oracles import greedy_partition
@@ -54,13 +54,14 @@ def upper_only(value, day):
     return ReturnMatrix(day=day, entries=np.array([[0.0, value], [0.0, 0.0]]))
 
 
+def constant_stack(value, n, m=2):
+    grids = np.zeros((n, m, m))
+    grids[:, 0, 1] = value
+    return ReturnStack(np.arange(1, n + 1), grids)
+
+
 def constant_market(value, n, m=2):
-    out = []
-    for day in range(1, n + 1):
-        grid = np.zeros((m, m))
-        grid[0, 1] = value
-        out.append(ReturnMatrix(day=day, entries=grid))
-    return out
+    return list(constant_stack(value, n, m))
 
 
 def stub_ledger(growth, ratio, m=2, config=None, returns=None, portfolios=None, next_portfolio=None):
@@ -83,7 +84,7 @@ def stub_ledger(growth, ratio, m=2, config=None, returns=None, portfolios=None, 
         pred_crossed_segment=np.zeros(n, dtype=bool),
         portfolios=portfolios if portfolios is not None else [uniform_portfolio(m).weights] * n,
         realized=[uniform_portfolio(m).weights] * n,
-        returns=returns if returns is not None else constant_market(1.0, n, m),
+        returns=as_stack(returns) if returns is not None else constant_stack(1.0, n, m),
         predicted=[None] * n,
         next_portfolio=next_portfolio if next_portfolio is not None else uniform_portfolio(m).weights,
     )
@@ -432,7 +433,7 @@ class TestUniversalityGap:
     @given(st.integers(0, 1000), st.lists(st.integers(0, 29), min_size=1, max_size=3), st.sampled_from([0.4, 0.9, 1.2]))
     @settings(max_examples=40, deadline=None)
     def test_first_unnormalized_day_matches_a_day_by_day_scan(self, seed, days, factor):
-        rets = normalized_market(seed, m=3, n_days=30)
+        rets = list(normalized_market(seed, m=3, n_days=30))
         for d in days:
             rets[d] = ReturnMatrix(day=rets[d].day, entries=rets[d].entries * factor)
         first = None

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fxfolio
 from fxfolio import cli, errors
@@ -187,6 +189,109 @@ class TestVerify:
     def test_config_precedes_results(self, capsys):
         _, lines, _ = run_cli(capsys, "verify", "--suite", "cost-bounds", "--replicates", "20")
         assert lines[0].startswith("config ")
+
+
+class TestRejectedArguments:
+    """Values that used to slip past validation, or ran checks on nothing, exit 2 with a typed message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--market", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["generate", "--orders", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["generate", "--orders", "--masses", "nan,nan,nan,nan"], "masses must be four nonnegative numbers"),
+            (["verify", "--suite", "cost-bounds", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["verify", "--suite", "universality", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["verify", "--suite", "profitability", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["verify", "--suite", "cost-bounds", "--replicates", "0"], "replicates must be >= 1, got 0"),
+            (["verify", "--suite", "cost-bounds", "--replicates", "-5"], "replicates must be >= 1, got -5"),
+            (["verify", "--suite", "profitability", "--segments", "1"], "segments must be >= 2, got 1"),
+            (["verify", "--suite", "cost-bounds", "--max-violations", "-1"], "--max-violations must be >= 0, got -1"),
+            (["generate", "--market", "--days", "x"], "argument --days: invalid int value: 'x'"),
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, argv, message):
+        if argv[0] == "generate":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        code, lines, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert err.splitlines()[-1].startswith("config error: ")
+        assert message in err
+        assert not (tmp_path / "x.csv").exists()
+        assert not any(line.startswith("[") for line in lines)
+
+    def test_nan_lags(self, capsys, rates_file):
+        code, _, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--predictor", "linear", "--lags", "nan")
+        assert code == EXIT_CONFIG
+        assert "config error: lag weights must be nonnegative and sum to 1, got (nan,)" in err
+
+
+# Values drawn for every flag, beside a few valid ones; sizes stay small.
+ODD = ["nan", "inf", "-inf", "-1", "0", "1e308", "", "x", str(2**70)]
+SMALL = ["nan", "inf", "-1", "0", "1e308", "", "x", "1", "2", "3"]
+FLAGS = {
+    "generate": {
+        "--seed": ODD + ["1"], "--m": SMALL + ["4"], "--days": SMALL + ["60"], "--epsilon": ODD + ["0.005"],
+        "--drift": ODD, "--vol": ODD + ["0.01"], "--r-floor": ODD + ["0.5"], "--segments": SMALL + ["12"],
+        "--L": SMALL + ["5"], "--paa-pbb": ODD + ["0.78"], "--masses": ODD + ["0.4,0.1,0.1,0.4", "nan,0,0,1"],
+        "--K": ODD + ["50"],
+    },
+    "backtest": {
+        "--rule": ODD + ["iitc", "eiitc"], "--gamma": ODD + ["0.1"], "--support-floor": ODD + ["0.1"],
+        "--predictor": ODD + ["crossrate", "linear", "none"], "--mpcr": ODD + ["2"], "--mpo": ODD + ["2"],
+        "--L": ODD + ["2", "5"], "--c-a": ODD + ["0.25"], "--c-b": ODD + ["0.75"],
+        "--lags": ODD + ["0.6,0.4", "nan,1", "1,"], "--schedule": ODD + ["block-decaying"],
+        "--block-unit": ODD + ["5"], "--cost": ODD + ["0.005"], "--f0": ODD + ["2"],
+    },
+    "verify": {
+        "--suite": ODD + ["universality", "profitability", "cost-bounds"], "--replicates": SMALL, "--seed": ODD + ["1"],
+        "--days": SMALL + ["60"], "--r-floor": ODD + ["0.5"], "--segments": SMALL + ["50"], "--L": SMALL + ["5"],
+        "--paa-pbb": ODD + ["0.78"], "--pab-pba": ODD + ["0.6"], "--max-violations": ODD + ["2"],
+    },
+}
+
+
+@st.composite
+def argvs(draw, workdir):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command == "generate":
+        argv += [draw(st.sampled_from(["--market", "--orders"])), "--out", os.path.join(workdir, "out.csv")]
+        if draw(st.booleans()):
+            argv.append("--normalize")
+    elif command == "backtest":
+        kind = draw(st.sampled_from(["rates", "returns"]))
+        argv += ["--input", os.path.join(workdir, f"{kind}.csv"), "--input-kind", kind,
+                 "--ledger", os.path.join(workdir, "ledger.jsonl"), "--summary", os.path.join(workdir, "summary.csv")]
+        if draw(st.booleans()):
+            argv.append("--adjusted")
+    else:
+        argv += ["--jobs", "1", "--suite", draw(st.sampled_from(["universality", "profitability", "cost-bounds"])),
+                 "--replicates", "1", "--days", "30", "--segments", "20"]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[command])), max_size=4, unique=True)):
+        argv += [flag, draw(st.sampled_from(FLAGS[command][flag]))]
+    return argv
+
+
+class TestArgumentFuzz:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        assert main(["generate", "--market", "--m", "3", "--days", "40", "--seed", "3", "--out", str(d / "rates.csv")]) == 0
+        assert main(["generate", "--orders", "--segments", "8", "--seed", "3", "--out", str(d / "returns.csv")]) == 0
+        return str(d)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_exit_is_typed(self, capsys, workdir, data):
+        argv = data.draw(argvs(workdir))
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_VERIFY), argv
+        if code != EXIT_OK:
+            assert err.splitlines()[-1].startswith(("config error: ", "io error: ", "run failed: ")), (argv, err)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fxfolio.crossrate import (
     FLAT,
@@ -14,6 +15,8 @@ from fxfolio.crossrate import (
     adjusted_cross_rate,
     cross_rate,
     effectiveness_ratio,
+    grid_order,
+    grid_orders,
     mpcr_predict,
     mpo_predict,
     nearest_nonzero_day,
@@ -72,6 +75,25 @@ class TestOrderOf:
         grid = np.zeros((3, 3))
         grid[0, 1] = grid[2, 1] = 1.3
         assert order_of(ReturnMatrix(day=1, entries=grid)) == FLAT
+
+
+class TestGridOrders:
+    @given(m=st.integers(2, 4), n=st.integers(0, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_grid_order_day_by_day(self, m, n, data):
+        # Few distinct values, so flat days and ties, on and off the diagonal, are common.
+        values = st.sampled_from([0.0, -0.0, 0.0, 0.9, 1.1, 1.2])
+        stack = data.draw(hnp.arrays(np.float64, (n, m, m), elements=values))
+        got = grid_orders(stack)
+        assert got.dtype == np.int64
+        assert got.tolist() == [grid_order(g) for g in stack]
+
+    def test_flat_and_tied_days(self):
+        stack = np.zeros((4, 2, 2))
+        stack[1, 0, 1] = 1.2
+        stack[2, 1, 0] = 1.2
+        stack[3, 0, 1] = stack[3, 1, 0] = 1.2
+        assert grid_orders(stack).tolist() == [FLAT, UPPER, LOWER, FLAT]
 
 
 class TestTranspose:

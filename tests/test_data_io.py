@@ -41,7 +41,7 @@ from fxfolio.errors import (
     NonMonotoneDays,
     ParseError,
 )
-from fxfolio.market import ReturnMatrix, compute_return_matrix
+from fxfolio.market import ReturnMatrix, ReturnStack, compute_return_matrix
 
 
 GOOD_RATES = """day,i,j,open_rate,close_rate
@@ -395,6 +395,67 @@ class TestLedgerFiles:
             read_ledger(write_text(path, "\n".join(lines) + "\n"))
 
 
+class TestDamagedLedgerAndSummaryFiles:
+    """Readers of damaged files raise only ParseError, naming the file and, where known, the line."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("written")
+        write_ledger(small_ledger(), d / "run.jsonl")
+        write_summary(TestSummaryFiles.METRICS, d / "summary.csv")
+        return (d / "run.jsonl").read_bytes(), (d / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "index, edit, message",
+        [
+            (2, lambda line: b"\xff" + line, r"line 3: not UTF-8: "),
+            (2, lambda line: b"[" * 100_000, r"line 3: bad JSON: nested too deeply"),
+            (2, lambda line: b"1" * 5000, r"line 3: bad JSON: "),
+            (0, lambda line: line.replace(b'"m":3', b'"m":1e400'), r"line 1: key 'm': bad value"),
+            (2, lambda line: line.replace(b'"day":2', b'"day":1e400'), r"line 3: key 'day': bad value"),
+            (2, lambda line: line.replace(b'"day":2', b'"day":1'), r"key 'day': market days must be strictly increasing"),
+        ],
+        ids=["non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day"],
+    )
+    def test_ledger_errors_are_typed(self, tmp_path, written, index, edit, message):
+        lines = written[0].splitlines(keepends=True)
+        lines[index] = edit(lines[index])
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {message}"):
+            read_ledger(path)
+
+    def test_summary_non_utf8_is_typed(self, tmp_path, written):
+        path = tmp_path / "summary.csv"
+        path.write_bytes(written[1].replace(b"eta", b"\xffta"))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: "):
+            read_summary(path)
+
+    @given(
+        which=st.sampled_from([0, 1]),
+        kind=st.sampled_from(["flip", "truncate", "nest"]),
+        position=st.floats(0.0, 1.0),
+        value=st.integers(0, 255),
+        depth=st.integers(1, 200_000),
+    )
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_damaged_files_raise_only_parse_errors(self, tmp_path, written, which, kind, position, value, depth):
+        data = bytearray(written[which])
+        at = int(position * (len(data) - 1))
+        if kind == "flip":
+            data[at] ^= value or 0x80
+        elif kind == "truncate":
+            del data[at:]
+        else:
+            data[at:at] = b"[" * depth
+        path = tmp_path / ("run.jsonl" if which == 0 else "summary.csv")
+        path.write_bytes(bytes(data))
+        try:
+            (read_ledger if which == 0 else read_summary)(path)
+        except ParseError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+
 class TestSummaryFiles:
     METRICS = {"I_N": 1.23456789012345678, "LI_N": 0.01, "F_N": 1.2, "R_N": 0.009, "eta": 0.75}
 
@@ -440,6 +501,13 @@ FLOATS = st.floats(width=64)  # nan, inf and -0.0 included
 MUTATION_TOKENS = ["x", "nan", "", "0", "-1"]
 
 
+def swap_days(lines, ln, other):
+    """Swap the day fields of two csv lines in place."""
+    a, b = lines[ln].split(","), lines[other].split(",")
+    a[0], b[0] = b[0], a[0]
+    lines[ln], lines[other] = ",".join(a), ",".join(b)
+
+
 def mutate(data, text, tokens=MUTATION_TOKENS):
     """One single-cell or single-line mutation of a csv text, drawn from data."""
     lines = text.splitlines()
@@ -457,9 +525,7 @@ def mutate(data, text, tokens=MUTATION_TOKENS):
     elif kind == "swap lines":
         lines[ln], lines[other] = lines[other], lines[ln]
     elif kind == "swap days":
-        a, b = lines[ln].split(","), lines[other].split(",")
-        a[0], b[0] = b[0], a[0]
-        lines[ln], lines[other] = ",".join(a), ",".join(b)
+        swap_days(lines, ln, other)
     elif kind == "blank":
         lines.insert(ln, "")
     else:
@@ -495,10 +561,9 @@ def raw_ledgers(draw):
     column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))  # noqa: E731
     grid = lambda: draw(hnp.arrays(np.float64, (m, m), elements=FLOATS))  # noqa: E731
     nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.just(-0.0)
-    returns = [
-        ReturnMatrix(day=k + 1, entries=np.triu(draw(hnp.arrays(np.float64, (m, m), elements=nonneg)), k=1))
-        for k in range(n)
-    ]
+    returns = ReturnStack(
+        np.arange(1, n + 1), [np.triu(draw(hnp.arrays(np.float64, (m, m), elements=nonneg)), k=1) for _ in range(n)]
+    )
     return BacktestLedger(
         m=m,
         f0=draw(FLOATS),
@@ -576,6 +641,17 @@ class TestColumnarFilesAgainstRowwise:
         reader, oracle = (load_rates, oracles.load_rates_rowwise) if kind == "rates" else (read_returns, oracles.read_returns_rowwise)
         assert outcome(reader, path) == outcome(oracle, path)
 
+    # These four of the 576 day swaps of the m=3, seed-185 rates file make pair (1, 2) fire both ways on one day.
+    @pytest.mark.parametrize("ln, other", [(4, 10), (6, 12), (10, 4), (12, 6)])
+    def test_swapped_days_firing_both_ways_read_the_same(self, tmp_path, ln, other):
+        path = base_file(tmp_path, "rates", 3, 185)
+        lines = path.read_text().splitlines()
+        swap_days(lines, ln, other)
+        write_text(path, "\n".join(lines) + "\n")
+        got = outcome(load_rates, path)
+        assert got == outcome(oracles.load_rates_rowwise, path)
+        assert got[0] is InvariantError and "pair (1, 2) fires in both directions" in got[1]
+
     @pytest.mark.parametrize(
         "old, new, column",
         [
@@ -604,7 +680,7 @@ class TestColumnarFilesAgainstRowwise:
     def test_pair_firing_both_ways_is_rejected(self, tmp_path):
         text = GOOD_RATES.replace("1,1,2,1.4,1.5\n1,2,1,0.7,0.72", "1,1,2,1.10,0.99\n1,2,1,1.00,0.98")
         path = write_text(tmp_path / "r.csv", text)
-        assert len(oracles.load_rates_rowwise(path)) == 2
+        assert outcome(load_rates, path) == outcome(oracles.load_rates_rowwise, path)
         with pytest.raises(InvariantError, match=r"r.csv: day 1: pair \(0, 1\) fires in both directions"):
             load_rates(path)
 
