@@ -13,9 +13,11 @@ from .backtest import (
     cumulative_return_net,
     growth_rate,
     growth_rate_net,
+    predict,
     run_backtest,
     segment_success_rates,
     single_pair_growth_rate,
+    sweep,
     universality_gap,
 )
 from .costs import (

@@ -22,22 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import CostParams, solve_cost_from_drift
+from .costs import CostParams, solve_cost_from_drift, solve_costs_from_drift
 from .crossrate import (
-    SWAP,
+    FLAT,
     PredictorConfig,
-    adjusted_cross_rate,
-    cross_rate,
-    grid_order,
     grid_orders,
-    mpcr_predict,
-    prediction_hits,
-    reference_day,
+    predicted_references,
+    referenced_orders,
 )
 from .errors import (
     CostRatioAtLeastOne,
     EmptyLedger,
-    InsufficientHistory,
     InvalidBlockUnit,
     InvalidParams,
     NonPositiveCapital,
@@ -48,7 +43,7 @@ from .errors import (
 )
 from .market import QuoteStack, ReturnStack, as_stack, compute_returns, upper_pairs
 from .portfolio import uniform_portfolio
-from .updates import tilt
+from .updates import tilt, tilts
 
 
 @dataclass(frozen=True)
@@ -167,6 +162,94 @@ class BacktestLedger:
         return len(self.day)
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """Every prediction a run uses, computed from the market alone before any day loop.
+
+    Entry k (k = 0..n) is what the predictor says after observing days
+    1..k, about day k+1; entry 0, and every day on which the predictor
+    still lacks history, holds no prediction.  A cross-rate prediction is
+    the day `ref[k]` (0-based) as it was, or transposed where `swap[k]`;
+    a linear one is the blend `blend[k]`.
+    """
+
+    order_actual: np.ndarray
+    has: np.ndarray
+    order_pred: np.ndarray
+    crossed: np.ndarray
+    ref: np.ndarray | None = None
+    swap: np.ndarray | None = None
+    blend: np.ndarray | None = None
+
+    def predicted_grids(self, grids: np.ndarray) -> list[np.ndarray | None]:
+        """The predicted grid of every entry, or None: grids[ref], its C-contiguous transpose, or the blend."""
+        if self.blend is not None:
+            return [None, *self.blend[1:]]
+        out: list[np.ndarray | None] = [None] * len(self.has)
+        if self.ref is not None:
+            for k, (ref, swap) in enumerate(zip(self.ref.tolist(), self.swap.tolist())):
+                if ref >= 0:
+                    out[k] = grids[ref].T.copy() if swap else grids[ref]
+        return out
+
+
+def predict(rets: ReturnStack, predictor: PredictorConfig | LinearPredictor | None) -> Prediction:
+    """The prediction phase: every day's order and every next-day prediction of a run.
+
+    Each entry depends on the days it has observed only, and equals what
+    the scalar API (LinearPredictor.predict, cross_rate or
+    adjusted_cross_rate, mpcr_predict and reference_day) gives on that
+    prefix, bit for bit.
+    """
+    grids = rets.grids
+    n = len(grids)
+    order_actual = grid_orders(grids)
+    no_order = np.full(n + 1, -1, dtype=np.int64)
+    no_flag = np.zeros(n + 1, dtype=bool)
+    if predictor is None:
+        return Prediction(order_actual, no_flag, no_order, no_flag)
+    if isinstance(predictor, LinearPredictor):
+        blend = _linear_blends(predictor, grids)
+        order_pred = np.concatenate(([-1], grid_orders(blend[1:])))
+        return Prediction(order_actual, order_pred >= 0, order_pred, no_flag, blend=blend)
+
+    ref = no_order.copy()
+    swap = no_flag.copy()
+    ref[1:], swap[1:] = predicted_references(predictor, order_actual)
+    order_pred = referenced_orders(order_actual, ref, swap)
+    has = ref >= 0
+    seg_len = predictor.segment.L
+    crossed = has & (ref + 1 <= np.arange(n + 1) // seg_len * seg_len)
+    return Prediction(order_actual, has, order_pred, crossed, ref=ref, swap=swap)
+
+
+def _linear_blends(lin: LinearPredictor, grids: np.ndarray) -> np.ndarray:
+    """LinearPredictor.predict(grids[:k]) for k = 1..n in rows 1..n, summed in the same order."""
+    n = len(grids)
+    depth = len(lin.weights)
+    out = np.zeros((n + 1,) + grids.shape[1:])
+    # The first days renormalize a shorter prefix of the weights.
+    for k in range(1, min(depth, n + 1)):
+        out[k] = lin.predict(grids[:k])
+    if n >= depth:
+        w = np.array(lin.weights)
+        w = w / w.sum()
+        full = out[depth:]
+        for lag in range(depth):
+            full += w[lag] * grids[depth - 1 - lag : n - lag]
+    return out
+
+
+def _returns(market: QuoteStack | ReturnStack | Sequence, f0: float) -> ReturnStack:
+    """The run's return stack, after the checks that every run of the engine makes."""
+    if f0 <= 0.0 or not math.isfinite(f0):
+        raise NonPositiveCapital(f"starting capital must be finite and > 0, got {f0!r}")
+    if len(market) < 2:
+        raise TooFewDays(f"a backtest needs at least 2 days, got {len(market)}")
+    rets = as_stack(market)
+    return compute_returns(rets) if isinstance(rets, QuoteStack) else rets
+
+
 def run_backtest(
     market: QuoteStack | ReturnStack | Sequence,
     predictor: PredictorConfig | LinearPredictor | None = None,
@@ -177,19 +260,14 @@ def run_backtest(
 ) -> BacktestLedger:
     """Run the daily cycle over a QuoteStack or ReturnStack (or a sequence of their one-day objects).
 
-    Every day's returns and order are computed over the whole stack
-    before the loop; each depends on its own day only.  With no
+    Every day's returns, order and next-day prediction come from the
+    market alone, before the day loop (see predict); the loop holds the
+    drift, parking, tilt and cost solve of one configuration.  With no
     predictor (or while the predictor still lacks history) the weights
     simply drift with the returns, which is the gamma = 0 behaviour.
     Day indices in the ledger are positional, 1..N.
     """
-    if f0 <= 0.0 or not math.isfinite(f0):
-        raise NonPositiveCapital(f"starting capital must be finite and > 0, got {f0!r}")
-    if len(market) < 2:
-        raise TooFewDays(f"a backtest needs at least 2 days, got {len(market)}")
-    rets = as_stack(market)
-    if isinstance(rets, QuoteStack):
-        rets = compute_returns(rets)
+    rets = _returns(market, f0)
     n = len(rets)
     m = rets.m
     if costs is None:
@@ -198,41 +276,29 @@ def run_backtest(
         schedule = GammaSchedule(mode="constant", gamma0=update.gamma)
     gammas = schedule.per_day(n)
 
-    cfg = predictor if isinstance(predictor, PredictorConfig) else None
-    lin = predictor if isinstance(predictor, LinearPredictor) else None
-    seg_len = cfg.segment.L if cfg is not None else 0
-
     f_col = np.empty(n)
     fp_col = np.empty(n)
     t_col = np.empty(n)
     c_col = np.empty(n)
     g_col = np.empty(n)
     parked_col = np.zeros(n, dtype=bool)
-    op_col = np.full(n, -1, dtype=np.int64)
-    crossed_col = np.zeros(n, dtype=bool)
     psi_list: list[np.ndarray] = []
     drift_list: list[np.ndarray] = []
-    pred_list: list[np.ndarray | None] = [None] * n
 
     # Validated once, in the stack; from here on the loop runs on bare grids.
     grids = rets.grids
-    oa_col = grid_orders(grids)
-    day_orders = oa_col.tolist()
+    prediction = predict(rets, predictor)
+    preds = prediction.predicted_grids(grids)
     psi = uniform_portfolio(m, day=1).weights
     f_prev = f0
     t_charge = 0.0
-    orders: list[int] = []
-    w_hist: list[float] = []
-    pred_next: np.ndarray | None = None
-    order_next = -1
-    crossed_next = False
 
     for k in range(1, n + 1):
         r_k = grids[k - 1]
         fp = f_prev - t_charge
         if fp <= 0.0:
             raise NonPositiveCapital(f"day {k}: costs of {t_charge!r} exhaust capital {f_prev!r}")
-        diamond = float(np.sum(psi * r_k))
+        diamond = float((psi * r_k).sum())
         if diamond > 0.0:
             f_k = fp * diamond
             drift = psi * r_k / diamond
@@ -243,47 +309,16 @@ def run_backtest(
             growth = 1.0
             parked_col[k - 1] = True
 
-        orders.append(day_orders[k - 1])
-
         psi_list.append(psi)
         drift_list.append(drift)
-        pred_list[k - 1] = pred_next
         day_idx = k - 1
         f_col[day_idx] = f_k
         fp_col[day_idx] = fp
         t_col[day_idx] = t_charge
         c_col[day_idx] = 0.0 if k == 1 else t_charge / f_prev
         g_col[day_idx] = growth
-        op_col[day_idx] = order_next
-        crossed_col[day_idx] = crossed_next
 
-        # Segment bookkeeping, then the prediction for day k+1.
-        if cfg is not None and seg_len > 0 and k % seg_len == 0:
-            seg = k // seg_len
-            seg_orders = orders[(seg - 1) * seg_len : k]
-            if cfg.adjusted:
-                w_hist.append(adjusted_cross_rate(seg_orders, history=orders[: (seg - 1) * seg_len]))
-            else:
-                prev = orders[(seg - 1) * seg_len - 1] if seg > 1 else None
-                w_hist.append(cross_rate(seg_orders, prev))
-
-        pred_next = None
-        order_next = -1
-        crossed_next = False
-        if lin is not None:
-            pred_next = lin.predict(grids[:k])
-            order_next = grid_order(pred_next)
-        elif cfg is not None and w_hist:
-            w_pred = mpcr_predict(cfg.mpcr, w_hist, cfg.segment)
-            try:
-                ref, swap = reference_day(cfg.mpo, cfg.adjusted, w_pred, orders)
-            except InsufficientHistory:
-                pass
-            else:
-                pred_next = grids[ref - 1].T.copy() if swap else grids[ref - 1]
-                order_next = SWAP[orders[ref - 1]] if swap else orders[ref - 1]
-                crossed_next = ref <= (k // seg_len) * seg_len
-
+        pred_next = preds[k]
         gamma_next = gammas[min(k + 1, n + 1)]
         if pred_next is not None and gamma_next > 0.0:
             psi = tilt(update.rule, drift, pred_next, gamma_next, update.support_floor)
@@ -313,13 +348,105 @@ def run_backtest(
         ratio=c_col,
         growth=g_col,
         parked=parked_col,
-        order_actual=oa_col,
-        order_pred=op_col,
-        pred_crossed_segment=crossed_col,
+        order_actual=prediction.order_actual,
+        order_pred=prediction.order_pred[:n],
+        pred_crossed_segment=prediction.crossed[:n],
         portfolios=psi_list,
         realized=drift_list,
         returns=rets,
-        predicted=pred_list,
+        predicted=preds[:n],
+        next_portfolio=psi,
+    )
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Columns of a batch of runs over one market; row b belongs to the batch's member b."""
+
+    capital: np.ndarray
+    capital_net: np.ndarray
+    cost: np.ndarray
+    ratio: np.ndarray
+    growth: np.ndarray
+    first_portfolio: np.ndarray
+    next_portfolio: np.ndarray
+
+
+def sweep(
+    market: QuoteStack | ReturnStack | Sequence,
+    predictor: PredictorConfig | LinearPredictor | None,
+    members: Sequence[tuple[UpdateConfig, CostParams]],
+    f0: float = 1.0,
+) -> Sweep:
+    """run_backtest for each (update, costs) member at once, on (B, m, m) arrays.
+
+    The members share the market, the predictor's one prediction phase
+    and f0, and each runs at its own constant learning rate.  Row b of
+    every column is bit-equal to run_backtest(market, predictor,
+    *members[b], f0=f0)'s; no per-day books are kept.  run_backtest stays
+    the loop for a single configuration: at B = 1 this one costs more
+    per day.
+    """
+    rets = _returns(market, f0)
+    n = len(rets)
+    m = rets.m
+    b = len(members)
+    if b == 0:
+        raise InvalidParams("a sweep needs at least one member")
+    eiitc = np.array([update.rule == "eiitc" for update, _ in members])
+    gamma = np.array([update.gamma for update, _ in members], dtype=float)
+    floor = np.array([update.support_floor for update, _ in members], dtype=float)
+    fee = np.array([costs.c for _, costs in members], dtype=float)
+    fp_tol = np.array([costs.fp_tol for _, costs in members], dtype=float)
+    fp_max_iter = np.array([costs.fp_max_iter for _, costs in members], dtype=np.int64)
+
+    columns = np.empty((5, b, n))
+    f_col, fp_col, t_col, c_col, g_col = columns
+    grids = rets.grids
+    preds = predict(rets, predictor).predicted_grids(grids)
+    first = uniform_portfolio(m, day=1).weights
+    psi = np.repeat(first[None], b, axis=0)
+    f_prev = np.full(b, float(f0))
+    t_charge = np.zeros(b)
+
+    for k in range(1, n + 1):
+        fp = f_prev - t_charge
+        if np.any(fp <= 0.0):
+            i = int(np.argmax(fp <= 0.0))
+            raise NonPositiveCapital(
+                f"day {k}: costs of {float(t_charge[i])!r} exhaust capital {float(f_prev[i])!r}"
+            )
+        held = psi * grids[k - 1]
+        diamond = held.reshape(b, m * m).sum(axis=1)
+        live = diamond > 0.0
+        if live.all():
+            f_k = fp * diamond
+            drift = held / diamond[:, None, None]
+            growth = diamond
+        else:
+            f_k = np.where(live, fp * diamond, fp)
+            drift = np.where(live[:, None, None], held / np.where(live, diamond, 1.0)[:, None, None], psi)
+            growth = np.where(live, diamond, 1.0)
+
+        day_idx = k - 1
+        f_col[:, day_idx] = f_k
+        fp_col[:, day_idx] = fp
+        t_col[:, day_idx] = t_charge
+        c_col[:, day_idx] = 0.0 if k == 1 else t_charge / f_prev
+        g_col[:, day_idx] = growth
+
+        pred_next = preds[k]
+        psi = drift if pred_next is None else tilts(eiitc, drift, pred_next, gamma, floor)
+        t_charge = solve_costs_from_drift(f_k, drift, psi, fee, fp_tol, fp_max_iter)
+        f_prev = f_k
+
+    return Sweep(
+        capital=f_col,
+        capital_net=fp_col,
+        cost=t_col,
+        ratio=c_col,
+        growth=g_col,
+        first_portfolio=first,
         next_portfolio=psi,
     )
 
@@ -354,10 +481,15 @@ def cumulative_return(ledger: BacktestLedger) -> float:
 def growth_rate(ledger: BacktestLedger) -> float:
     """Average log growth factor per day, costs ignored. Parked days count log 1."""
     _require_days(ledger)
-    if np.any(ledger.growth <= 0.0):
-        k = int(np.argmax(ledger.growth <= 0.0))
-        raise NonPositiveDiamond(f"day {k + 1}: growth factor {float(ledger.growth[k])!r} has no log")
-    return float(np.mean(np.log(ledger.growth)))
+    return row_growth_rate(ledger.growth)
+
+
+def row_growth_rate(growth: np.ndarray) -> float:
+    """growth_rate of one column of daily growth factors."""
+    if np.any(growth <= 0.0):
+        k = int(np.argmax(growth <= 0.0))
+        raise NonPositiveDiamond(f"day {k + 1}: growth factor {float(growth[k])!r} has no log")
+    return float(np.mean(np.log(growth)))
 
 
 def cumulative_return_net(ledger: BacktestLedger) -> float:
@@ -371,10 +503,16 @@ def cumulative_return_net(ledger: BacktestLedger) -> float:
 
 def growth_rate_net(ledger: BacktestLedger) -> float:
     """Average log growth per day net of costs."""
-    if np.any(ledger.ratio >= 1.0):
-        k = int(np.argmax(ledger.ratio >= 1.0))
-        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {float(ledger.ratio[k])!r} >= 1")
-    return growth_rate(ledger) + float(np.mean(np.log1p(-ledger.ratio)))
+    _require_days(ledger)
+    return row_growth_rate_net(ledger.growth, ledger.ratio)
+
+
+def row_growth_rate_net(growth: np.ndarray, ratio: np.ndarray) -> float:
+    """growth_rate_net of one run's growth and cost-ratio columns."""
+    if np.any(ratio >= 1.0):
+        k = int(np.argmax(ratio >= 1.0))
+        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {float(ratio[k])!r} >= 1")
+    return row_growth_rate(growth) + float(np.mean(np.log1p(-ratio)))
 
 
 def single_pair_growth_rate(returns: ReturnStack | Sequence, i: int, j: int) -> float:
@@ -409,11 +547,8 @@ def universality_gap(
     The guarantee assumes a normalized market (every pair's daily return
     sum in [r_floor, 1] with maximum exactly 1), a linear predictor, a
     constant learning rate, and no support floor.  Runs outside those
-    hypotheses are refused unless force is set.
-
-    rhs = (1/N) log(psi_1_ij / psi_{N+1}_ij) + (1/N) sum log(1 - c_k)
-          + gamma * r_floor - gamma            (iitc)
-          + gamma * r_floor - gamma / r_floor  (eiitc)
+    hypotheses are refused unless force is set.  The arithmetic is
+    pair_gap's.
     """
     _require_days(ledger)
     if rule not in ("iitc", "eiitc"):
@@ -437,35 +572,70 @@ def universality_gap(
             raise NormalizationViolated("guarantee needs support_floor 0 (pass force to override)")
         if cfg["schedule"]["mode"] != "constant":
             raise NormalizationViolated("guarantee needs a constant learning rate (pass force to override)")
-        grids = ledger.returns.grids
-        iu, ju = upper_pairs(ledger.m)
-        pair_sums = grids[:, iu, ju] + grids[:, ju, iu]
-        lo, hi = pair_sums.min(axis=1), pair_sums.max(axis=1)
-        bad = (np.abs(hi - 1.0) > 1e-9) | (lo < r_floor - 1e-9)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise NormalizationViolated(
-                f"day {int(ledger.returns.days[k])}: pair return sums in [{float(lo[k])!r}, {float(hi[k])!r}] "
-                f"violate the [{r_floor}, 1] normalization (pass force to override)"
-            )
+        check_normalized(ledger.returns, r_floor)
     i, j = pair
     benchmark = single_pair_growth_rate(ledger.returns, i, j)
-    psi_first = float(ledger.portfolios[0][i, j])
-    psi_after = float(ledger.next_portfolio[i, j])
+    return pair_gap(
+        ledger.growth,
+        ledger.ratio,
+        benchmark,
+        float(ledger.portfolios[0][i, j]),
+        float(ledger.next_portfolio[i, j]),
+        pair,
+        rule,
+        gamma,
+        r_floor,
+        tol,
+    )
+
+
+def check_normalized(returns: ReturnStack, r_floor: float) -> None:
+    """Refuse a market whose daily pair return sums leave [r_floor, 1] or miss a maximum of 1."""
+    grids = returns.grids
+    iu, ju = upper_pairs(returns.m)
+    pair_sums = grids[:, iu, ju] + grids[:, ju, iu]
+    lo, hi = pair_sums.min(axis=1), pair_sums.max(axis=1)
+    bad = (np.abs(hi - 1.0) > 1e-9) | (lo < r_floor - 1e-9)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise NormalizationViolated(
+            f"day {int(returns.days[k])}: pair return sums in [{float(lo[k])!r}, {float(hi[k])!r}] "
+            f"violate the [{r_floor}, 1] normalization (pass force to override)"
+        )
+
+
+def pair_gap(
+    growth: np.ndarray,
+    ratio: np.ndarray,
+    benchmark: float,
+    psi_first: float,
+    psi_after: float,
+    pair: tuple[int, int],
+    rule: str,
+    gamma: float,
+    r_floor: float,
+    tol: float = 1e-9,
+) -> GapResult:
+    """The gap inequality of one run's growth and cost-ratio columns against one pair's benchmark.
+
+    rhs = (1/N) log(psi_1_ij / psi_{N+1}_ij) + (1/N) sum log(1 - c_k)
+          + gamma * r_floor - gamma            (iitc)
+          + gamma * r_floor - gamma / r_floor  (eiitc)
+    """
     if psi_first <= 0.0 or psi_after <= 0.0:
         raise NonPositivePairReturn(
-            f"pair ({i}, {j}) has weight {psi_first!r} on day 1 and {psi_after!r} after the run; "
+            f"pair ({pair[0]}, {pair[1]}) has weight {psi_first!r} on day 1 and {psi_after!r} after the run; "
             "the guarantee needs both positive"
         )
-    n = ledger.n_days
+    n = len(growth)
     penalty = gamma if rule == "iitc" else gamma / r_floor
     rhs = (
         (math.log(psi_first) - math.log(psi_after)) / n
-        + float(np.mean(np.log1p(-ledger.ratio)))
+        + float(np.mean(np.log1p(-ratio)))
         + gamma * r_floor
         - penalty
     )
-    lhs = growth_rate_net(ledger) - benchmark
+    lhs = row_growth_rate_net(growth, ratio) - benchmark
     return GapResult(lhs_gap=lhs, rhs_bound=rhs, holds=bool(lhs >= rhs - tol))
 
 
@@ -478,15 +648,9 @@ def segment_success_rates(ledger: BacktestLedger, seg_len: int) -> tuple[list[fl
     """
     if seg_len < 1:
         raise InvalidParams(f"segment length must be >= 1, got {seg_len!r}")
-    thetas: list[float] = []
-    flags: list[bool] = []
-    n = ledger.n_days
-    for start in range(0, (n // seg_len) * seg_len, seg_len):
-        pred = ledger.order_pred[start : start + seg_len]
-        actual = ledger.order_actual[start : start + seg_len]
-        if np.any(pred < 0):
-            continue
-        theta = prediction_hits(list(pred), list(actual)) / seg_len
-        thetas.append(theta)
-        flags.append(theta >= 0.5)
-    return thetas, flags
+    count = ledger.n_days // seg_len
+    pred = ledger.order_pred[: count * seg_len].reshape(count, seg_len)
+    actual = ledger.order_actual[: count * seg_len].reshape(count, seg_len)
+    hits = ((actual != FLAT) & (pred == actual)).sum(axis=1)
+    thetas = hits[(pred >= 0).all(axis=1)] / seg_len
+    return thetas.tolist(), (thetas >= 0.5).tolist()

@@ -139,11 +139,18 @@ def _parse_lags(text: str) -> tuple[float, ...]:
 
 
 def _resolve_jobs(value) -> int:
-    if value is None:
-        value = int(os.environ.get("FXFOLIO_JOBS", "1"))
-    if value < 1:
-        raise InvalidParams(f"--jobs must be >= 1, got {value}")
-    return value
+    if value is not None:
+        if value < 1:
+            raise InvalidParams(f"--jobs must be >= 1, got {value}")
+        return value
+    text = os.environ.get("FXFOLIO_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise InvalidParams(f"FXFOLIO_JOBS must be an integer >= 1, got {text!r}") from None
+    if jobs < 1:
+        raise InvalidParams(f"FXFOLIO_JOBS must be >= 1, got {text!r}")
+    return jobs
 
 
 def _cmd_generate(ns) -> int:
@@ -284,7 +291,10 @@ def _cmd_verify(ns) -> int:
         print(f"... {len(result.violations) - ns.max_violations} more violations suppressed")
     print(f"stats {json_value(result.stats)}")
     print(f"[{'PASS' if result.passed else 'FAIL'}] {result.suite}: {result.checked} checks, {len(result.violations)} violations")
-    return EXIT_OK if result.passed else EXIT_VERIFY
+    if result.passed:
+        return EXIT_OK
+    print(f"run failed: {result.suite} suite found {len(result.violations)} violations", file=sys.stderr)
+    return EXIT_VERIFY
 
 
 def main(argv=None) -> int:

@@ -58,7 +58,7 @@ def solve_cost_from_drift(
     target = f_k * w_next
     t = 0.0
     for _ in range(params.fp_max_iter):
-        t_new = params.c * float(np.sum(np.abs(target - held - t * w_next)))
+        t_new = params.c * float(np.abs(target - held - t * w_next).sum())
         if abs(t_new - t) <= params.fp_tol * max(1.0, t_new):
             return t_new
         t = t_new
@@ -67,6 +67,46 @@ def solve_cost_from_drift(
         f"within {params.fp_max_iter} iterations"
     )
 
+
+def solve_costs_from_drift(
+    f_k: np.ndarray,
+    realized_weights: np.ndarray,
+    next_weights: np.ndarray,
+    c: np.ndarray,
+    fp_tol: np.ndarray,
+    fp_max_iter: np.ndarray,
+) -> np.ndarray:
+    """solve_cost_from_drift for each row of a batch: row b solves with f_k[b], its grids, c[b] and its controls.
+
+    Every row iterates from T = 0 with its own stopping test and keeps the
+    iterate at which it first stops, so each row is bit-equal to the
+    scalar solve.
+    """
+    bad = ~np.isfinite(f_k) | (f_k <= 0.0)
+    if bad.any():
+        raise NonPositiveCapital(f"capital must be finite and > 0, got {float(f_k[np.argmax(bad)])!r}")
+    rows = len(f_k)
+    t = np.zeros(rows)
+    todo = c != 0.0
+    if not todo.any():
+        return t
+    w_next = next_weights / next_weights.reshape(rows, -1).sum(axis=1)[:, None, None]
+    gap = f_k[:, None, None] * w_next - f_k[:, None, None] * realized_weights
+    for step in range(1, int(fp_max_iter[todo].max()) + 1):
+        t_new = c * np.abs(gap - t[:, None, None] * w_next).reshape(rows, -1).sum(axis=1)
+        stop = np.abs(t_new - t) <= fp_tol * np.maximum(1.0, t_new)
+        t = np.where(todo, t_new, t)
+        todo &= ~stop
+        stuck = todo & (step >= fp_max_iter)
+        if stuck.any():
+            b = int(np.argmax(stuck))
+            raise NoConvergence(
+                f"cost fixed point did not move less than {float(fp_tol[b])!r} (relative above 1) "
+                f"within {int(fp_max_iter[b])} iterations"
+            )
+        if not todo.any():
+            break
+    return t
 
 def cost_bounds(delta: float, c: float) -> tuple[float, float]:
     """Sandwich for the daily cost: (c/(1+c)) * delta <= T <= (c/(1-c)) * delta."""

@@ -251,6 +251,111 @@ def predict_return(
     return transpose(returns[ref - 1]) if swap else returns[ref - 1]
 
 
+# ---------------------------------------------------------------------------
+# The same rules over a whole order history at once.  Each entry depends on
+# the orders up to its own day only, and equals the scalar rule above.
+
+
+def _last_decisive(orders: np.ndarray) -> np.ndarray:
+    """Index of the latest decisive day at or before each day, -1 before the first."""
+    last = np.where(orders != FLAT, _day_indexes(len(orders)), -1)
+    return np.maximum.accumulate(last, out=last)
+
+
+def _day_indexes(n: int) -> np.ndarray:
+    """0..n-1 as int32: a day index fits, and the profitability suite's 100,000-day histories stay small."""
+    return np.arange(n, dtype=np.int32)
+
+
+def _before(last: np.ndarray) -> np.ndarray:
+    """Shift a running index one day later: the latest decisive day strictly before each day."""
+    return np.concatenate(([-1], last[:-1]))
+
+
+def segment_cross_rates(orders: np.ndarray, seg_len: int, adjusted: bool) -> np.ndarray:
+    """cross_rate (or adjusted_cross_rate) of every complete segment, each reaching back before it.
+
+    Segment s covers days s*seg_len .. (s+1)*seg_len - 1 (0-based); its
+    first day compares against the day before the segment, as the
+    engine's bookkeeping does.
+    """
+    count = len(orders) // seg_len
+    if count == 0:
+        return np.empty(0)
+    orders = np.asarray(orders[: count * seg_len])
+    if adjusted:
+        decisive = orders != FLAT
+        prev = _before(_last_decisive(orders))
+        crossed = decisive & (prev >= 0) & (orders[prev] != orders)
+        crossings = crossed.reshape(count, seg_len).sum(axis=1)
+        decisive_days = decisive.reshape(count, seg_len).sum(axis=1)
+        return np.where(decisive_days > 0, crossings / np.maximum(decisive_days, 1), 0.0)
+    crossed = np.zeros(len(orders), dtype=bool)
+    crossed[1:] = orders[1:] != orders[:-1]
+    return crossed.reshape(count, seg_len).sum(axis=1) / seg_len
+
+
+def mpcr_guesses(method: int, rates: np.ndarray, cfg: SegmentConfig) -> np.ndarray:
+    """mpcr_predict after each segment: entry s guesses from rates[:s + 1]."""
+    if method not in (1, 2):
+        raise InvalidParams(f"mpcr method must be 1 or 2, got {method!r}")
+    if method == 1:
+        return np.asarray(rates, dtype=float)
+    return np.where(rates >= 0.5, cfg.c_a, cfg.c_b)
+
+
+def reference_days(
+    method: int, adjusted: bool, flip: np.ndarray, orders: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """reference_day for every prefix of an order history, from each prefix's flip test.
+
+    Entry k is reference_day(method, adjusted, w, orders[:k + 1]) for any
+    guess w with (w >= 1/2) == flip[k]: a 0-based day index, or -1 where
+    that raises InsufficientHistory, and whether the day's side is swapped.
+    """
+    if method not in (1, 2):
+        raise InvalidParams(f"mpo method must be 1 or 2, got {method!r}")
+    flip = np.asarray(flip, dtype=bool)
+    if adjusted:
+        ref = _last_decisive(np.asarray(orders))
+        if method == 2:
+            ref = np.where(flip & (ref >= 0), _before(ref)[ref], ref)
+    else:
+        ref = _day_indexes(len(orders))
+        if method == 2:
+            ref -= flip
+    swap = flip & (ref >= 0) if method == 1 else np.zeros(len(orders), dtype=bool)
+    return ref, swap
+
+
+def predicted_references(cfg: PredictorConfig, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference day and swap flag of every next-day prediction over an order history.
+
+    Entry k is the prediction made after observing orders[:k + 1]: the
+    mpcr guess from the segments complete by then decides the flip, and
+    reference_days turns it into a 0-based day index, -1 while no
+    segment is complete or the history is too short.
+    """
+    n = len(orders)
+    seg_len = cfg.segment.L
+    rates = segment_cross_rates(orders, seg_len, cfg.adjusted)
+    if not len(rates):
+        return np.full(n, -1, dtype=np.int32), np.zeros(n, dtype=bool)
+    # Entry k >= seg_len - 1 sees the guess made after segment (k + 1) // seg_len - 1.
+    flip = np.zeros(n, dtype=bool)
+    flip[seg_len - 1 :] = np.repeat(mpcr_guesses(cfg.mpcr, rates, cfg.segment) >= 0.5, seg_len)[: n - seg_len + 1]
+    ref, swap = reference_days(cfg.mpo, cfg.adjusted, flip, orders)
+    ref[: seg_len - 1] = -1
+    return ref, swap
+
+
+def referenced_orders(orders: np.ndarray, ref: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """The order each prediction calls: the reference day's, swapped where flagged, -1 where none."""
+    source = orders[ref]
+    swapped = np.where(source == FLAT, FLAT, UPPER + LOWER - source)
+    return np.where(ref >= 0, np.where(swap, swapped, source), -1)
+
+
 def prediction_hits(predicted: Sequence[int], actual: Sequence[int]) -> int:
     """Count matches, never crediting flat outcomes: a flat day has no side to call."""
     if len(predicted) != len(actual):

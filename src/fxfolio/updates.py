@@ -58,11 +58,42 @@ def tilt(rule: str, drift: np.ndarray, pred: np.ndarray, gamma: float, support_f
     """
     if rule == "iitc":
         return _tilt(drift, pred, gamma, 1.0, support_floor)
-    growth = float(np.sum(drift * pred))
+    growth = float((drift * pred).sum())
     if growth <= 0.0:
         return drift
     return _tilt(drift, pred, gamma, growth, support_floor)
 
+
+def tilts(
+    eiitc: np.ndarray, drift: np.ndarray, pred: np.ndarray, gamma: np.ndarray, support_floor: np.ndarray
+) -> np.ndarray:
+    """tilt for each row of a (B, m, m) batch of drifted grids toward one shared prediction.
+
+    Row b follows rule eiitc[b] at gamma[b] and support_floor[b], bit for
+    bit as tilt does; a row with gamma 0, or an eiitc row whose predicted
+    growth is <= 0, keeps its drift.
+    """
+    rows = len(drift)
+    growth = np.where(eiitc, (drift * pred).reshape(rows, -1).sum(axis=1), 1.0)
+    tilted = (gamma > 0.0) & ~(growth <= 0.0)
+    if not tilted.any():
+        return drift
+    rate = np.where(tilted, gamma / np.where(tilted, growth, 1.0), 0.0)
+    active = drift > 0.0
+    with np.errstate(over="ignore"):  # an overflowing row is refused just below, as tilt refuses it
+        shift = rate * np.where(active, pred, -np.inf).reshape(rows, -1).max(axis=1)
+    overflow = tilted & ~np.isfinite(shift)
+    if overflow.any():
+        b = int(np.argmax(overflow))
+        raise InvalidParams(
+            f"gamma {float(gamma[b])!r} overflows the tilt exponent: {float(shift[b])!r} at the best return"
+        )
+    out = drift * np.exp(np.where(active, rate[:, None, None] * pred - shift[:, None, None], -np.inf))
+    out = out / out.reshape(rows, -1).sum(axis=1)[:, None, None]
+    if np.any(support_floor > 0.0):
+        floor = support_floor[:, None, None]
+        out = np.where(floor > 0.0, (1.0 - floor) * out + floor * uniform_weights(drift.shape[1]), out)
+    return np.where(tilted[:, None, None], out, drift)
 
 def iitc_update(
     realized: PortfolioMatrix,

@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .backtest import (
     LinearPredictor,
     UpdateConfig,
-    growth_rate,
-    growth_rate_net,
-    run_backtest,
-    universality_gap,
+    check_normalized,
+    pair_gap,
+    row_growth_rate,
+    row_growth_rate_net,
+    single_pair_growth_rate,
+    sweep,
 )
 from .costs import CostParams, cost_bounds, cost_ratio_bound, solve_cost_from_drift
-from .crossrate import SegmentConfig, cross_rate, mpcr_predict, mpo_predict
+from .crossrate import PredictorConfig, SegmentConfig, predicted_references, referenced_orders
 from .data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
@@ -55,48 +57,62 @@ def _check_run(replicates: int, seed: int) -> None:
 
 _GAMMAS = (0.0, 0.1, 0.5)
 _COST_LEVELS = (0.0, 0.005)
+_MEMBERS = [
+    (UpdateConfig(rule=rule, gamma=gamma), CostParams(c))
+    for rule in ("iitc", "eiitc")
+    for gamma in _GAMMAS
+    for c in _COST_LEVELS
+]
 
 
 def _universality_replicate(args) -> tuple[int, list[str], float]:
+    """One market's checks: every (rule, gamma, c) member runs in one sweep, then each is checked per pair."""
     idx, base_seed, n_days, r_floor = args
     seed = base_seed + idx
     m = 2 + idx % 3
     quotes = generate_market(SyntheticMarketSpec(m=m, n_days=n_days, seed=seed, normalize=True, r_floor=r_floor))
     rets = normalized_returns(quotes)
+    check_normalized(rets, r_floor)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    benchmarks = [single_pair_growth_rate(rets, i, j) for i, j in pairs]
+    f0 = 1.0
+    runs = sweep(rets, LinearPredictor((1.0,)), _MEMBERS, f0=f0)
     violations: list[str] = []
     checked = 0
     min_margin = math.inf
-    for rule in ("iitc", "eiitc"):
-        for gamma in _GAMMAS:
-            for c in _COST_LEVELS:
-                ledger = run_backtest(
-                    rets,
-                    predictor=LinearPredictor((1.0,)),
-                    update=UpdateConfig(rule=rule, gamma=gamma),
-                    costs=CostParams(c),
-                )
-                tag = f"seed={seed} m={m} rule={rule} gamma={gamma} c={c}"
-                prev_f = np.concatenate(([ledger.f0], ledger.capital[:-1]))
-                err = np.abs(ledger.capital_net - (prev_f - ledger.cost))
-                scale = np.maximum(1.0, np.abs(prev_f))
-                if np.any(err > 1e-9 * scale):
-                    violations.append(f"{tag}: capital identity off by {float((err / scale).max()):.3e}")
-                decomp = growth_rate(ledger) + float(np.mean(np.log1p(-ledger.ratio)))
-                if abs(decomp - growth_rate_net(ledger)) > 1e-9 * max(1.0, abs(decomp)):
-                    violations.append(f"{tag}: net growth-rate decomposition broken")
-                bound = cost_ratio_bound(rule, gamma, r_floor, c)
-                worst = float(ledger.ratio[1:].max(initial=0.0))
-                if worst > bound + 1e-9:
-                    violations.append(f"{tag}: realized cost ratio {worst!r} exceeds bound {bound!r}")
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        res = universality_gap(ledger, (i, j), rule, gamma, r_floor)
-                        checked += 1
-                        min_margin = min(min_margin, res.lhs_gap - res.rhs_bound)
-                        if not res.holds:
-                            violations.append(
-                                f"{tag} pair=({i},{j}): gap {res.lhs_gap!r} < bound {res.rhs_bound!r}"
-                            )
+    for b, (update, costs) in enumerate(_MEMBERS):
+        rule, gamma, c = update.rule, update.gamma, costs.c
+        capital, capital_net, cost = runs.capital[b], runs.capital_net[b], runs.cost[b]
+        ratio, growth = runs.ratio[b], runs.growth[b]
+        tag = f"seed={seed} m={m} rule={rule} gamma={gamma} c={c}"
+        prev_f = np.concatenate(([f0], capital[:-1]))
+        err = np.abs(capital_net - (prev_f - cost))
+        scale = np.maximum(1.0, np.abs(prev_f))
+        if np.any(err > 1e-9 * scale):
+            violations.append(f"{tag}: capital identity off by {float((err / scale).max()):.3e}")
+        decomp = row_growth_rate(growth) + float(np.mean(np.log1p(-ratio)))
+        if abs(decomp - row_growth_rate_net(growth, ratio)) > 1e-9 * max(1.0, abs(decomp)):
+            violations.append(f"{tag}: net growth-rate decomposition broken")
+        bound = cost_ratio_bound(rule, gamma, r_floor, c)
+        worst = float(ratio[1:].max(initial=0.0))
+        if worst > bound + 1e-9:
+            violations.append(f"{tag}: realized cost ratio {worst!r} exceeds bound {bound!r}")
+        for (i, j), benchmark in zip(pairs, benchmarks):
+            res = pair_gap(
+                growth,
+                ratio,
+                benchmark,
+                float(runs.first_portfolio[i, j]),
+                float(runs.next_portfolio[b, i, j]),
+                (i, j),
+                rule,
+                gamma,
+                r_floor,
+            )
+            checked += 1
+            min_margin = min(min_margin, res.lhs_gap - res.rhs_bound)
+            if not res.holds:
+                violations.append(f"{tag} pair=({i},{j}): gap {res.lhs_gap!r} < bound {res.rhs_bound!r}")
     return checked, violations, min_margin
 
 
@@ -127,29 +143,21 @@ def universality_suite(replicates: int = 100, seed: int = 1, n_days: int = 250, 
 def effectiveness_estimate(labels: list[int], seg_len: int, mpcr: int, cfg: SegmentConfig) -> float:
     """Fraction of predicted segments with at least half the orders right.
 
-    Day-level predictions use the one-day-back order method; the cross
-    rate method under test picks the persist-or-flip regime per segment.
+    Day-level predictions use the engine's plain one-day-back order rule
+    (mpo 1); the cross rate method under test picks the persist-or-flip
+    regime per segment from the segments before it.  A flat day is
+    predicted right when its predecessor was flat.
     """
     n_segments = len(labels) // seg_len
-    w_hist: list[float] = []
-    seen: list[int] = []
-    effective = 0
-    predicted = 0
-    for n in range(n_segments):
-        seg = labels[n * seg_len : (n + 1) * seg_len]
-        if w_hist:
-            w_pred = mpcr_predict(mpcr, w_hist, cfg)
-            hits = 0
-            for actual in seg:
-                hits += int(mpo_predict(1, False, w_pred, seen) == actual)
-                seen.append(actual)
-            predicted += 1
-            effective += int(hits / seg_len >= 0.5)
-        else:
-            seen.extend(seg)
-        prev = seen[-seg_len - 1] if len(seen) > seg_len else None
-        w_hist.append(cross_rate(seg, prev))
-    return effective / predicted if predicted else 0.0
+    if n_segments < 2:
+        return 0.0
+    orders = np.asarray(labels, dtype=np.int8)[: n_segments * seg_len]
+    rule = PredictorConfig(mpcr=mpcr, mpo=1, segment=replace(cfg, L=seg_len))
+    ref, swap = predicted_references(rule, orders[:-1])
+    # Entry k calls day k + 1; the days of the first segment are never called.
+    called = referenced_orders(orders[:-1], ref, swap)
+    hits = (called == orders[1:])[seg_len - 1 :].reshape(n_segments - 1, seg_len).sum(axis=1)
+    return int((hits / seg_len >= 0.5).sum()) / (n_segments - 1)
 
 
 def profitability_suite(

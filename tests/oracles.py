@@ -379,3 +379,114 @@ def returns_day_by_day(days, grids):
     out = [ReturnMatrix(day=int(d), entries=g) for d, g in zip(days, grids)]
     _check_days_increase(list(days))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The engine one day and one configuration at a time: what the prediction
+# phase, the batched sweep and the vectorized summaries must reproduce bit
+# for bit.  These call the package's scalar API (the typed one-day rules)
+# in the order the day loop used to.
+
+
+def predictions_day_by_day(grids, predictor):
+    """(grid or None, order or -1, crossed) predicted after each of days 0..n, from the scalar rules."""
+    from fxfolio.backtest import LinearPredictor
+    from fxfolio.crossrate import SWAP, adjusted_cross_rate, cross_rate, grid_order, mpcr_predict, reference_day
+    from fxfolio.errors import InsufficientHistory
+
+    orders = [grid_order(g) for g in grids]
+    out = [(None, -1, False)]
+    w_hist = []
+    for k in range(1, len(grids) + 1):
+        if predictor is None:
+            out.append((None, -1, False))
+            continue
+        if isinstance(predictor, LinearPredictor):
+            pred = predictor.predict(grids[:k])
+            out.append((pred, grid_order(pred), False))
+            continue
+        seg_len = predictor.segment.L
+        if k % seg_len == 0:
+            start = k - seg_len
+            if predictor.adjusted:
+                w_hist.append(adjusted_cross_rate(orders[start:k], history=orders[:start]))
+            else:
+                w_hist.append(cross_rate(orders[start:k], orders[start - 1] if start else None))
+        entry = (None, -1, False)
+        if w_hist:
+            w_pred = mpcr_predict(predictor.mpcr, w_hist, predictor.segment)
+            try:
+                ref, swap = reference_day(predictor.mpo, predictor.adjusted, w_pred, orders[:k])
+            except InsufficientHistory:
+                pass
+            else:
+                grid = grids[ref - 1].T.copy() if swap else grids[ref - 1]
+                order = SWAP[orders[ref - 1]] if swap else orders[ref - 1]
+                entry = (grid, order, ref <= (k // seg_len) * seg_len)
+        out.append(entry)
+    return out
+
+
+def segment_success_rates_loop(ledger, seg_len):
+    """Per-segment theta and flag, one segment at a time with prediction_hits."""
+    from fxfolio.crossrate import prediction_hits
+
+    thetas, flags = [], []
+    n = ledger.n_days
+    for start in range(0, (n // seg_len) * seg_len, seg_len):
+        pred = ledger.order_pred[start : start + seg_len]
+        actual = ledger.order_actual[start : start + seg_len]
+        if np.any(pred < 0):
+            continue
+        theta = prediction_hits(list(pred), list(actual)) / seg_len
+        thetas.append(theta)
+        flags.append(theta >= 0.5)
+    return thetas, flags
+
+
+def universality_replicate_per_config(args):
+    """One universality replicate as 12 separate backtests, each checked pair by pair with universality_gap."""
+    from fxfolio.backtest import LinearPredictor, UpdateConfig, growth_rate, growth_rate_net, run_backtest, universality_gap
+    from fxfolio.costs import CostParams, cost_ratio_bound
+    from fxfolio.data_io import SyntheticMarketSpec, generate_market, normalized_returns
+
+    idx, base_seed, n_days, r_floor = args
+    seed = base_seed + idx
+    m = 2 + idx % 3
+    quotes = generate_market(SyntheticMarketSpec(m=m, n_days=n_days, seed=seed, normalize=True, r_floor=r_floor))
+    rets = normalized_returns(quotes)
+    violations = []
+    checked = 0
+    min_margin = math.inf
+    for rule in ("iitc", "eiitc"):
+        for gamma in (0.0, 0.1, 0.5):
+            for c in (0.0, 0.005):
+                ledger = run_backtest(
+                    rets,
+                    predictor=LinearPredictor((1.0,)),
+                    update=UpdateConfig(rule=rule, gamma=gamma),
+                    costs=CostParams(c),
+                )
+                tag = f"seed={seed} m={m} rule={rule} gamma={gamma} c={c}"
+                prev_f = np.concatenate(([ledger.f0], ledger.capital[:-1]))
+                err = np.abs(ledger.capital_net - (prev_f - ledger.cost))
+                scale = np.maximum(1.0, np.abs(prev_f))
+                if np.any(err > 1e-9 * scale):
+                    violations.append(f"{tag}: capital identity off by {float((err / scale).max()):.3e}")
+                decomp = growth_rate(ledger) + float(np.mean(np.log1p(-ledger.ratio)))
+                if abs(decomp - growth_rate_net(ledger)) > 1e-9 * max(1.0, abs(decomp)):
+                    violations.append(f"{tag}: net growth-rate decomposition broken")
+                bound = cost_ratio_bound(rule, gamma, r_floor, c)
+                worst = float(ledger.ratio[1:].max(initial=0.0))
+                if worst > bound + 1e-9:
+                    violations.append(f"{tag}: realized cost ratio {worst!r} exceeds bound {bound!r}")
+                for i in range(m):
+                    for j in range(i + 1, m):
+                        res = universality_gap(ledger, (i, j), rule, gamma, r_floor)
+                        checked += 1
+                        min_margin = min(min_margin, res.lhs_gap - res.rhs_bound)
+                        if not res.holds:
+                            violations.append(
+                                f"{tag} pair=({i},{j}): gap {res.lhs_gap!r} < bound {res.rhs_bound!r}"
+                            )
+    return checked, violations, min_margin

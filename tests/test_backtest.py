@@ -18,9 +18,11 @@ from fxfolio.backtest import (
     cumulative_return_net,
     growth_rate,
     growth_rate_net,
+    predict,
     run_backtest,
     segment_success_rates,
     single_pair_growth_rate,
+    sweep,
     universality_gap,
 )
 from fxfolio.costs import CostParams
@@ -47,7 +49,12 @@ from fxfolio.errors import (
 from fxfolio.market import ReturnMatrix, ReturnStack, as_stack
 from fxfolio.portfolio import PortfolioMatrix, relative_entropy, uniform_portfolio
 
-from oracles import greedy_partition
+from oracles import (
+    greedy_partition,
+    predictions_day_by_day,
+    random_return_entries,
+    segment_success_rates_loop,
+)
 
 
 def upper_only(value, day):
@@ -495,6 +502,17 @@ class TestSegmentSuccessRates:
         with pytest.raises(InvalidParams):
             segment_success_rates(stub_ledger([1.0], [0.0]), seg_len=0)
 
+    @given(n=st.integers(0, 30), seg_len=st.integers(1, 6), data=st.data())
+    @settings(max_examples=200)
+    def test_matches_segment_by_segment(self, n, seg_len, data):
+        column = lambda values: np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=np.int64)  # noqa: E731
+        led = stub_ledger([1.0] * n, [0.0] * n)
+        led.order_actual = column([0, 1, 2])
+        led.order_pred = column([-1, 0, 1, 2])
+        thetas, flags = segment_success_rates(led, seg_len)
+        assert (thetas, flags) == segment_success_rates_loop(led, seg_len)
+        assert all(type(t) is float for t in thetas) and all(type(f) is bool for f in flags)
+
 
 def drawn_market(kind, seed, m, n_days, seg_len):
     if kind == "orders":
@@ -553,6 +571,123 @@ class TestEngineInvariants:
             assert ledger.order_pred[k] == grid_order(grid)
         PortfolioMatrix(day=ledger.n_days + 1, weights=ledger.next_portfolio)
 
+
+def random_stack(seed, m, n_days, fire_prob):
+    """Complementary random grids; with a low fire_prob many days are flat and park the book."""
+    rng = np.random.default_rng(seed)
+    return ReturnStack(np.arange(1, n_days + 1), [random_return_entries(rng, m, fire_prob) for _ in range(n_days)])
+
+
+def drawn_predictor(kind, lags, mpcr, mpo, adjusted, seg_len):
+    if kind == "linear":
+        return LinearPredictor(lags)
+    if kind == "crossrate":
+        return PredictorConfig(mpcr=mpcr, mpo=mpo, adjusted=adjusted, segment=SegmentConfig(L=seg_len))
+    return None
+
+
+PREDICTORS = dict(
+    kind=st.sampled_from(["none", "linear", "crossrate"]),
+    lags=st.sampled_from([(1.0,), (0.6, 0.4), (0.5, 0.3, 0.2)]),
+    mpcr=st.sampled_from([1, 2]),
+    mpo=st.sampled_from([1, 2]),
+    adjusted=st.booleans(),
+    seg_len=st.sampled_from([1, 2, 5]),
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestPredictionPhase:
+    """predict() equals the scalar rules day by day, first days and flat days included."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(2, 4),
+        n_days=st.integers(1, 14),
+        fire=st.sampled_from([0.3, 0.9]),
+        **PREDICTORS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scalar_rules(self, seed, m, n_days, fire, kind, lags, mpcr, mpo, adjusted, seg_len):
+        rets = random_stack(seed, m, n_days, fire)
+        predictor = drawn_predictor(kind, lags, mpcr, mpo, adjusted, seg_len)
+        prediction = predict(rets, predictor)
+        expected = predictions_day_by_day(rets.grids, predictor)
+        assert prediction.order_actual.tolist() == [grid_order(g) for g in rets.grids]
+        for k, (got, (grid, order, crossed)) in enumerate(zip(prediction.predicted_grids(rets.grids), expected)):
+            assert bool(prediction.has[k]) == (grid is not None)
+            assert (prediction.order_pred[k], bool(prediction.crossed[k])) == (order, crossed)
+            if grid is None:
+                assert got is None
+            else:
+                assert same_bits(got, grid) and got.flags.c_contiguous
+
+
+class TestSweep:
+    """Every member of a batch is bit-equal to its own run_backtest."""
+
+    MEMBER = st.tuples(
+        st.sampled_from(["iitc", "eiitc"]),
+        st.sampled_from([0.0, 0.1, 0.5, 3.0]),
+        st.sampled_from([0.0, 0.005, 0.05]),
+    )
+
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(2, 4),
+        n_days=st.integers(2, 40),
+        fire=st.sampled_from([0.3, 0.7, 1.0]),
+        floor=st.sampled_from([0.0, 0.01]),
+        f0=st.sampled_from([1.0, 3.5]),
+        members=st.lists(MEMBER, min_size=1, max_size=6),
+        **PREDICTORS,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_members_match_single_runs(
+        self, seed, m, n_days, fire, floor, f0, members, kind, lags, mpcr, mpo, adjusted, seg_len
+    ):
+        rets = random_stack(seed, m, n_days, fire)
+        predictor = drawn_predictor(kind, lags, mpcr, mpo, adjusted, seg_len)
+        configs = [
+            (UpdateConfig(rule=rule, gamma=gamma, support_floor=floor), CostParams(c)) for rule, gamma, c in members
+        ]
+        runs = sweep(rets, predictor, configs, f0=f0)
+        for b, (update, costs) in enumerate(configs):
+            ledger = run_backtest(rets, predictor=predictor, update=update, costs=costs, f0=f0)
+            for name in ("capital", "capital_net", "cost", "ratio", "growth"):
+                assert same_bits(getattr(runs, name)[b], getattr(ledger, name)), name
+            assert same_bits(runs.first_portfolio, ledger.portfolios[0])
+            assert same_bits(runs.next_portfolio[b], ledger.next_portfolio)
+
+    def test_parked_days_and_eiitc_fallbacks(self):
+        # An upper-only market under flip predictions gives eiitc zero
+        # predicted growth; its flat days park every member.
+        grids = np.zeros((30, 2, 2))
+        grids[::3, 0, 1] = 1.1
+        rets = ReturnStack(np.arange(1, 31), grids)
+        predictor = PredictorConfig(mpcr=1, mpo=1, segment=SegmentConfig(L=2))
+        configs = [
+            (UpdateConfig(rule=rule, gamma=gamma), CostParams(c))
+            for rule in ("iitc", "eiitc")
+            for gamma in (0.0, 0.5)
+            for c in (0.0, 0.01)
+        ]
+        runs = sweep(rets, predictor, configs)
+        for b, (update, costs) in enumerate(configs):
+            ledger = run_backtest(rets, predictor=predictor, update=update, costs=costs)
+            assert ledger.parked.sum() == 20
+            assert np.any(ledger.order_pred == 2)  # flips of upper-only days
+            for name in ("capital", "capital_net", "cost", "ratio", "growth"):
+                assert same_bits(getattr(runs, name)[b], getattr(ledger, name)), name
+            assert same_bits(runs.next_portfolio[b], ledger.next_portfolio)
+
+    def test_needs_a_member(self):
+        with pytest.raises(InvalidParams):
+            sweep(constant_stack(1.1, 3), None, [])
 
 def test_messages_print_plain_floats():
     messages = []

@@ -220,6 +220,16 @@ class TestRejectedArguments:
         assert not (tmp_path / "x.csv").exists()
         assert not any(line.startswith("[") for line in lines)
 
+    @pytest.mark.parametrize("value", ["x", "0", "-3", ""])
+    def test_bad_jobs_environment(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FXFOLIO_JOBS", value)
+        code, lines, err = run_cli(capsys, "verify", "--suite", "cost-bounds", "--replicates", "2")
+        assert code == EXIT_CONFIG
+        assert err.splitlines()[-1].startswith("config error: FXFOLIO_JOBS")
+        assert repr(value) in err
+        assert "--jobs" not in err
+        assert lines == []
+
     def test_nan_lags(self, capsys, rates_file):
         code, _, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--predictor", "linear", "--lags", "nan")
         assert code == EXIT_CONFIG
@@ -292,6 +302,13 @@ class TestArgumentFuzz:
         assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_VERIFY), argv
         if code != EXIT_OK:
             assert err.splitlines()[-1].startswith(("config error: ", "io error: ", "run failed: ")), (argv, err)
+
+    def test_failed_suite_ends_in_run_failed(self, capsys):
+        # A verification that finds violations is a run failure like any other.
+        code, lines, err = run_cli(capsys, "verify", "--suite", "profitability", "--segments", "20", "--pab-pba", "0")
+        assert code == EXIT_VERIFY
+        assert lines[-1] == "[FAIL] profitability: 38 checks, 1 violations"
+        assert err.splitlines()[-1] == "run failed: profitability suite found 1 violations"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -12,8 +12,9 @@ from fxfolio.costs import (
     cost_bounds,
     cost_ratio_bound,
     solve_cost_from_drift,
+    solve_costs_from_drift,
 )
-from fxfolio.errors import InvalidC, InvalidParams, NonPositiveCapital
+from fxfolio.errors import InvalidC, InvalidParams, NoConvergence, NonPositiveCapital
 from fxfolio.portfolio import PortfolioMatrix, l1_distance
 
 from oracles import random_portfolio_weights, scan_cost_root
@@ -157,3 +158,28 @@ class TestCostRatioBound:
         assert bound >= 0.0
         assert cost_ratio_bound(rule, gamma + 0.1, r_floor, c) >= bound
         assert cost_ratio_bound(rule, gamma, r_floor, min(c + 0.1, 0.99)) >= bound
+
+
+class TestBatchSolve:
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_scalar_solve(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 6))
+        drift = np.array([random_portfolio_weights(rng, m, sparse=True) for _ in range(rows)])
+        nxt = np.array([random_portfolio_weights(rng, m) for _ in range(rows)])
+        f_k = rng.choice([1e-9, 0.7, 3.0, 1e12], size=rows)
+        c = rng.choice([0.0, 0.005, 0.3, 0.9], size=rows)
+        t = solve_costs_from_drift(f_k, drift, nxt, c, np.full(rows, 1e-10), np.full(rows, 10_000))
+        for b in range(rows):
+            expect = solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b], CostParams(float(c[b])))
+            assert t[b] == expect and type(expect) is float
+
+    def test_a_stuck_row_raises(self):
+        drift = np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2)
+        nxt = np.array([[[0.0, 0.0], [1.0, 0.0]]] * 2)
+        args = (np.ones(2), drift, nxt, np.array([0.0, 0.5]), np.full(2, 1e-10))
+        with pytest.raises(NoConvergence, match="within 2 iterations"):
+            solve_costs_from_drift(*args, np.array([1, 2]))
+        with pytest.raises(NonPositiveCapital):
+            solve_costs_from_drift(np.array([1.0, 0.0]), *args[1:], np.array([5, 5]))

@@ -22,7 +22,12 @@ from fxfolio.crossrate import (
     nearest_nonzero_day,
     order_of,
     predict_return,
+    predicted_references,
     prediction_hits,
+    reference_day,
+    reference_days,
+    referenced_orders,
+    segment_cross_rates,
     transition_probabilities,
     transpose,
 )
@@ -38,7 +43,7 @@ from fxfolio.errors import (
 )
 from fxfolio.market import ReturnMatrix
 
-from oracles import count_crossings, random_return_entries
+from oracles import count_crossings, predictions_day_by_day, random_return_entries
 
 
 def returns(grid, day=1):
@@ -303,6 +308,62 @@ class TestSuccessStatistics:
         with pytest.raises(EmptySequence):
             effectiveness_ratio([])
 
+
+
+ORDER_SEQUENCES = st.lists(st.sampled_from([FLAT, UPPER, LOWER]), min_size=1, max_size=40)
+
+
+class TestOrderRulesOverAHistory:
+    """The vectorized rules equal the scalar ones on every prefix, flat days included."""
+
+    @given(ORDER_SEQUENCES, st.sampled_from([1, 2, 5]), st.booleans())
+    @settings(max_examples=200)
+    def test_segment_cross_rates(self, orders, seg_len, adjusted):
+        rates = segment_cross_rates(np.array(orders), seg_len, adjusted)
+        expected = []
+        for start in range(0, len(orders) // seg_len * seg_len, seg_len):
+            seg = orders[start : start + seg_len]
+            if adjusted:
+                expected.append(adjusted_cross_rate(seg, history=orders[:start]))
+            else:
+                expected.append(cross_rate(seg, orders[start - 1] if start else None))
+        assert rates.tolist() == expected
+
+    @pytest.mark.parametrize("method", [1, 2])
+    @pytest.mark.parametrize("adjusted", [False, True])
+    @given(orders=ORDER_SEQUENCES, guesses=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=40, max_size=40))
+    @settings(max_examples=100)
+    def test_reference_days(self, method, adjusted, orders, guesses):
+        w_pred = np.array(guesses[: len(orders)])
+        ref, swap = reference_days(method, adjusted, w_pred >= 0.5, np.array(orders))
+        for k in range(len(orders)):
+            try:
+                day, swapped = reference_day(method, adjusted, float(w_pred[k]), orders[: k + 1])
+            except InsufficientHistory:
+                assert ref[k] == -1
+            else:
+                assert (ref[k], bool(swap[k])) == (day - 1, swapped)
+
+    @pytest.mark.parametrize("mpcr", [1, 2])
+    @pytest.mark.parametrize("mpo", [1, 2])
+    @pytest.mark.parametrize("adjusted", [False, True])
+    @pytest.mark.parametrize("seg_len", [1, 2, 5])
+    @given(orders=ORDER_SEQUENCES)
+    @settings(max_examples=40)
+    def test_predicted_references(self, mpcr, mpo, adjusted, seg_len, orders):
+        cfg = PredictorConfig(mpcr=mpcr, mpo=mpo, adjusted=adjusted, segment=SegmentConfig(L=seg_len))
+        # Order 1 fires (0, 1), order 2 fires (1, 0), a flat day fires nothing.
+        grids = np.zeros((len(orders), 2, 2))
+        grids[np.array(orders) == UPPER, 0, 1] = 1.2
+        grids[np.array(orders) == LOWER, 1, 0] = 1.2
+        ref, swap = predicted_references(cfg, np.array(orders))
+        called = referenced_orders(np.array(orders), ref, swap)
+        for k, (grid, order, _) in enumerate(predictions_day_by_day(grids, cfg)[1:]):
+            assert called[k] == order
+            if grid is None:
+                assert ref[k] == -1
+            else:
+                assert np.array_equal(grids[ref[k]].T if swap[k] else grids[ref[k]], grid)
 
 class TestConfigValidation:
     def test_segment_bounds(self):

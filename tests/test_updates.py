@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fxfolio.errors import InvalidParams, ZeroDiamond
 from fxfolio.market import ReturnMatrix
 from fxfolio.portfolio import PortfolioMatrix, gross_return, uniform_portfolio
-from fxfolio.updates import eiitc_update, iitc_update, objective_value, tilt
+from fxfolio.updates import eiitc_update, iitc_update, objective_value, tilt, tilts
 
 from oracles import naive_tilt, random_portfolio_weights, random_return_entries
 
@@ -150,6 +150,27 @@ class TestTilt:
     def test_eiitc_keeps_the_drift_at_zero_predicted_growth(self):
         drift = two_pair(1.0, 0.0).weights
         assert tilt("eiitc", drift, np.array([[0.0, 0.0], [1.2, 0.0]]), 0.5, 0.0) is drift
+
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_rows_match_tilt(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 6))
+        drift = np.array([random_portfolio_weights(rng, m, sparse=True) for _ in range(rows)])
+        pred = random_return_entries(rng, m, fire_prob=0.6)
+        eiitc = rng.random(rows) < 0.5
+        gamma = rng.choice([0.0, 0.3, 2.0], size=rows)
+        floor = rng.choice([0.0, 0.05], size=rows)
+        out = tilts(eiitc, drift, pred, gamma, floor)
+        for b in range(rows):
+            rule = "eiitc" if eiitc[b] else "iitc"
+            expect = tilt(rule, drift[b], pred, gamma[b], floor[b]) if gamma[b] > 0.0 else drift[b]
+            assert out[b].tobytes() == expect.tobytes()
+
+    def test_batch_overflow_names_the_row(self):
+        drift = np.array([two_pair(0.5, 0.5).weights] * 2)
+        with pytest.raises(InvalidParams, match=r"gamma 1e\+308"):
+            tilts(np.array([False, True]), drift, np.array([[0.0, 2.5], [0.0, 0.0]]), np.array([0.1, 1e308]), np.zeros(2))
 
     @pytest.mark.parametrize("update", [iitc_update, eiitc_update])
     def test_overflowing_gamma_is_invalid(self, update):

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import universality_replicate_per_config
+
 from fxfolio.crossrate import SegmentConfig, cross_rate, mpcr_predict, mpo_predict
 from fxfolio.errors import InvalidParams
 from fxfolio.verify import (
+    _universality_replicate,
     bisect_cost,
     cost_bounds_suite,
     effectiveness_estimate,
@@ -28,6 +31,12 @@ class TestUniversalitySuite:
         assert serial.checked == parallel.checked
         assert serial.stats == parallel.stats
         assert serial.violations == parallel.violations
+
+    @pytest.mark.parametrize("seed", [1, 2, 97])
+    def test_batched_replicate_matches_per_config_runs(self, seed):
+        for idx in range(3):
+            args = (idx, seed, 250, 0.5)
+            assert _universality_replicate(args) == universality_replicate_per_config(args)
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(InvalidParams):
