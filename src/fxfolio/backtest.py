@@ -41,7 +41,7 @@ from .errors import (
     NormalizationViolated,
     TooFewDays,
 )
-from .market import QuoteStack, ReturnStack, as_stack, compute_returns, upper_pairs
+from .market import QuoteStack, ReturnStack, as_stack, upper_pairs
 from .portfolio import uniform_portfolio
 from .updates import tilt, tilts
 
@@ -65,25 +65,22 @@ class UpdateConfig:
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """Constant learning rate, or gamma0/i on the i-th growing block of days."""
+    """The shape of the learning rate: constant, or gamma/i on the i-th growing block of days."""
 
     mode: str = "constant"
-    gamma0: float = 0.1
     block_unit: int = 5
 
     def __post_init__(self):
         if self.mode not in ("constant", "block-decaying"):
             raise InvalidParams(f"mode must be 'constant' or 'block-decaying', got {self.mode!r}")
-        if self.gamma0 < 0.0 or not math.isfinite(self.gamma0):
-            raise InvalidParams(f"gamma0 must be finite and >= 0, got {self.gamma0!r}")
 
-    def per_day(self, n_days: int) -> np.ndarray:
-        """Gamma for days 1..n_days+1 (index 0 unused)."""
-        out = np.full(n_days + 2, self.gamma0)
+    def per_day(self, n_days: int, gamma: float) -> np.ndarray:
+        """The rate for days 1..n_days+1 (index 0 unused) of a run at learning rate gamma."""
+        out = np.full(n_days + 2, gamma)
         if self.mode == "block-decaying":
             for i, block in enumerate(block_partition(n_days, self.block_unit), start=1):
                 for d in block:
-                    out[d] = self.gamma0 / i
+                    out[d] = gamma / i
             out[n_days + 1] = out[n_days]
         return out
 
@@ -100,15 +97,18 @@ class LinearPredictor:
             raise InvalidParams(f"lag weights must be nonnegative and sum to 1, got {self.weights!r}")
         object.__setattr__(self, "weights", w)
 
-    def predict(self, history: Sequence[np.ndarray]) -> np.ndarray:
-        """Blend of the latest return grids, newest first.
+    def predict(self, history: Sequence[np.ndarray]) -> np.ndarray | None:
+        """Blend of the latest return grids, newest first; None while the weights of the lags seen sum to 0.
 
         Days whose maxima sit on opposite triangles blend into a grid with
         mass at both mirrored positions, which no ReturnMatrix may hold.
         """
         depth = min(len(self.weights), len(history))
         w = np.array(self.weights[:depth])
-        w = w / w.sum()
+        total = w.sum()
+        if total == 0.0:
+            return None
+        w = w / total
         return sum(w[l] * history[-1 - l] for l in range(depth))
 
 
@@ -170,7 +170,7 @@ class Prediction:
     1..k, about day k+1; entry 0, and every day on which the predictor
     still lacks history, holds no prediction.  A cross-rate prediction is
     the day `ref[k]` (0-based) as it was, or transposed where `swap[k]`;
-    a linear one is the blend `blend[k]`.
+    a linear one is the blend `blend[k]` where `has[k]`.
     """
 
     order_actual: np.ndarray
@@ -184,7 +184,7 @@ class Prediction:
     def predicted_grids(self, grids: np.ndarray) -> list[np.ndarray | None]:
         """The predicted grid of every entry, or None: grids[ref], its C-contiguous transpose, or the blend."""
         if self.blend is not None:
-            return [None, *self.blend[1:]]
+            return [grid if has else None for grid, has in zip(self.blend, self.has.tolist())]
         out: list[np.ndarray | None] = [None] * len(self.has)
         if self.ref is not None:
             for k, (ref, swap) in enumerate(zip(self.ref.tolist(), self.swap.tolist())):
@@ -209,9 +209,9 @@ def predict(rets: ReturnStack, predictor: PredictorConfig | LinearPredictor | No
     if predictor is None:
         return Prediction(order_actual, no_flag, no_order, no_flag)
     if isinstance(predictor, LinearPredictor):
-        blend = _linear_blends(predictor, grids)
-        order_pred = np.concatenate(([-1], grid_orders(blend[1:])))
-        return Prediction(order_actual, order_pred >= 0, order_pred, no_flag, blend=blend)
+        blend, has = _linear_blends(predictor, grids)
+        order_pred = np.where(has, np.concatenate(([-1], grid_orders(blend[1:]))), -1)
+        return Prediction(order_actual, has, order_pred, no_flag, blend=blend)
 
     ref = no_order.copy()
     swap = no_flag.copy()
@@ -223,21 +223,25 @@ def predict(rets: ReturnStack, predictor: PredictorConfig | LinearPredictor | No
     return Prediction(order_actual, has, order_pred, crossed, ref=ref, swap=swap)
 
 
-def _linear_blends(lin: LinearPredictor, grids: np.ndarray) -> np.ndarray:
-    """LinearPredictor.predict(grids[:k]) for k = 1..n in rows 1..n, summed in the same order."""
+def _linear_blends(lin: LinearPredictor, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LinearPredictor.predict(grids[:k]) for k = 1..n in rows 1..n, summed in the same order, and which rows hold one."""
     n = len(grids)
     depth = len(lin.weights)
     out = np.zeros((n + 1,) + grids.shape[1:])
+    has = np.arange(n + 1) > 0
     # The first days renormalize a shorter prefix of the weights.
     for k in range(1, min(depth, n + 1)):
-        out[k] = lin.predict(grids[:k])
+        pred = lin.predict(grids[:k])
+        has[k] = pred is not None
+        if has[k]:
+            out[k] = pred
     if n >= depth:
         w = np.array(lin.weights)
         w = w / w.sum()
         full = out[depth:]
         for lag in range(depth):
             full += w[lag] * grids[depth - 1 - lag : n - lag]
-    return out
+    return out, has
 
 
 def _returns(market: QuoteStack | ReturnStack | Sequence, f0: float) -> ReturnStack:
@@ -247,15 +251,15 @@ def _returns(market: QuoteStack | ReturnStack | Sequence, f0: float) -> ReturnSt
     if len(market) < 2:
         raise TooFewDays(f"a backtest needs at least 2 days, got {len(market)}")
     rets = as_stack(market)
-    return compute_returns(rets) if isinstance(rets, QuoteStack) else rets
+    return rets.returns if isinstance(rets, QuoteStack) else rets
 
 
 def run_backtest(
     market: QuoteStack | ReturnStack | Sequence,
     predictor: PredictorConfig | LinearPredictor | None = None,
     update: UpdateConfig = UpdateConfig(),
-    schedule: GammaSchedule | None = None,
-    costs: CostParams | None = None,
+    schedule: GammaSchedule = GammaSchedule(),
+    costs: CostParams = CostParams(0.0),
     f0: float = 1.0,
 ) -> BacktestLedger:
     """Run the daily cycle over a QuoteStack or ReturnStack (or a sequence of their one-day objects).
@@ -270,11 +274,7 @@ def run_backtest(
     rets = _returns(market, f0)
     n = len(rets)
     m = rets.m
-    if costs is None:
-        costs = CostParams(0.0)
-    if schedule is None:
-        schedule = GammaSchedule(mode="constant", gamma0=update.gamma)
-    gammas = schedule.per_day(n)
+    gammas = schedule.per_day(n, update.gamma)
 
     f_col = np.empty(n)
     fp_col = np.empty(n)
@@ -333,8 +333,8 @@ def run_backtest(
         "m": m,
         "n_days": n,
         "update": {"rule": update.rule, "gamma": update.gamma, "support_floor": update.support_floor},
-        "schedule": {"mode": schedule.mode, "gamma0": schedule.gamma0, "block_unit": schedule.block_unit},
-        "costs": {"c": costs.c, "fp_tol": costs.fp_tol, "fp_max_iter": costs.fp_max_iter},
+        "schedule": {"mode": schedule.mode, "block_unit": schedule.block_unit},
+        "costs": {"c": costs.c},
         "predictor": _predictor_config(predictor),
     }
     return BacktestLedger(
@@ -397,8 +397,6 @@ def sweep(
     gamma = np.array([update.gamma for update, _ in members], dtype=float)
     floor = np.array([update.support_floor for update, _ in members], dtype=float)
     fee = np.array([costs.c for _, costs in members], dtype=float)
-    fp_tol = np.array([costs.fp_tol for _, costs in members], dtype=float)
-    fp_max_iter = np.array([costs.fp_max_iter for _, costs in members], dtype=np.int64)
 
     columns = np.empty((5, b, n))
     f_col, fp_col, t_col, c_col, g_col = columns
@@ -437,7 +435,7 @@ def sweep(
 
         pred_next = preds[k]
         psi = drift if pred_next is None else tilts(eiitc, drift, pred_next, gamma, floor)
-        t_charge = solve_costs_from_drift(f_k, drift, psi, fee, fp_tol, fp_max_iter)
+        t_charge = solve_costs_from_drift(f_k, drift, psi, fee)
         f_prev = f_k
 
     return Sweep(
@@ -526,6 +524,10 @@ def single_pair_growth_rate(returns: ReturnStack | Sequence, i: int, j: int) -> 
     return float(np.mean(np.log(vals)))
 
 
+# Slack on the gap inequality for float rounding in the run's sums.
+_GAP_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class GapResult:
     lhs_gap: float
@@ -540,7 +542,6 @@ def universality_gap(
     gamma: float,
     r_floor: float,
     force: bool = False,
-    tol: float = 1e-9,
 ) -> GapResult:
     """Net growth over the single-pair benchmark against its guaranteed floor.
 
@@ -585,7 +586,6 @@ def universality_gap(
         rule,
         gamma,
         r_floor,
-        tol,
     )
 
 
@@ -614,7 +614,6 @@ def pair_gap(
     rule: str,
     gamma: float,
     r_floor: float,
-    tol: float = 1e-9,
 ) -> GapResult:
     """The gap inequality of one run's growth and cost-ratio columns against one pair's benchmark.
 
@@ -636,7 +635,7 @@ def pair_gap(
         - penalty
     )
     lhs = row_growth_rate_net(growth, ratio) - benchmark
-    return GapResult(lhs_gap=lhs, rhs_bound=rhs, holds=bool(lhs >= rhs - tol))
+    return GapResult(lhs_gap=lhs, rhs_bound=rhs, holds=bool(lhs >= rhs - _GAP_TOL))
 
 
 def segment_success_rates(ledger: BacktestLedger, seg_len: int) -> tuple[list[float], list[bool]]:

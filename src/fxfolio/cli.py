@@ -199,7 +199,7 @@ def _build_predictor(ns):
 def _cmd_backtest(ns) -> int:
     predictor = _build_predictor(ns)
     update = UpdateConfig(rule=ns.rule, gamma=ns.gamma, support_floor=ns.support_floor)
-    schedule = GammaSchedule(mode=ns.schedule, gamma0=ns.gamma, block_unit=ns.block_unit)
+    schedule = GammaSchedule(mode=ns.schedule, block_unit=ns.block_unit)
     costs = CostParams(ns.cost)
     _print_config(
         "backtest",

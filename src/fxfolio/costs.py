@@ -16,21 +16,22 @@ import numpy as np
 from .errors import InvalidC, InvalidParams, NoConvergence, NonPositiveCapital
 
 
+# Both solves stop at a step of at most FP_TOL, taken relative to T once T
+# exceeds 1: above about 1e6 adjacent floats lie further apart than 1e-10.
+FP_TOL = 1e-10
+FP_MAX_ITER = 10_000
+_STUCK = f"cost fixed point did not move less than {FP_TOL!r} (relative above 1) within {FP_MAX_ITER} iterations"
+
+
 @dataclass(frozen=True)
 class CostParams:
-    """Fee rate and fixed-point iteration controls."""
+    """Fee rate."""
 
     c: float
-    fp_tol: float = 1e-10
-    fp_max_iter: int = 10_000
 
     def __post_init__(self):
         if not (0.0 <= self.c < 1.0) or not math.isfinite(self.c):
             raise InvalidC(f"fee rate c must lie in [0, 1), got {self.c!r}")
-        if self.fp_tol <= 0.0:
-            raise InvalidParams(f"fp_tol must be > 0, got {self.fp_tol!r}")
-        if self.fp_max_iter < 1:
-            raise InvalidParams(f"fp_max_iter must be >= 1, got {self.fp_max_iter!r}")
 
 
 def solve_cost_from_drift(
@@ -45,9 +46,7 @@ def solve_cost_from_drift(
     carried portfolio on a day with no return), next_weights the target
     portfolio's.  Starts at T = 0 and iterates; the map is a contraction
     with constant <= c, so the fixed point is unique and the iteration
-    converges geometrically.  It stops
-    at a step of at most fp_tol, taken relative to T once T exceeds 1:
-    above about 1e6 adjacent floats lie further apart than 1e-10.
+    converges geometrically.  It stops at the first step within FP_TOL.
     """
     if f_k <= 0.0 or not math.isfinite(f_k):
         raise NonPositiveCapital(f"capital must be finite and > 0, got {f_k!r}")
@@ -57,15 +56,12 @@ def solve_cost_from_drift(
     held = f_k * realized_weights
     target = f_k * w_next
     t = 0.0
-    for _ in range(params.fp_max_iter):
+    for _ in range(FP_MAX_ITER):
         t_new = params.c * float(np.abs(target - held - t * w_next).sum())
-        if abs(t_new - t) <= params.fp_tol * max(1.0, t_new):
+        if abs(t_new - t) <= FP_TOL * max(1.0, t_new):
             return t_new
         t = t_new
-    raise NoConvergence(
-        f"cost fixed point did not move less than {params.fp_tol!r} (relative above 1) "
-        f"within {params.fp_max_iter} iterations"
-    )
+    raise NoConvergence(_STUCK)
 
 
 def solve_costs_from_drift(
@@ -73,10 +69,8 @@ def solve_costs_from_drift(
     realized_weights: np.ndarray,
     next_weights: np.ndarray,
     c: np.ndarray,
-    fp_tol: np.ndarray,
-    fp_max_iter: np.ndarray,
 ) -> np.ndarray:
-    """solve_cost_from_drift for each row of a batch: row b solves with f_k[b], its grids, c[b] and its controls.
+    """solve_cost_from_drift for each row of a batch: row b solves with f_k[b], its grids and c[b].
 
     Every row iterates from T = 0 with its own stopping test and keeps the
     iterate at which it first stops, so each row is bit-equal to the
@@ -92,21 +86,15 @@ def solve_costs_from_drift(
         return t
     w_next = next_weights / next_weights.reshape(rows, -1).sum(axis=1)[:, None, None]
     gap = f_k[:, None, None] * w_next - f_k[:, None, None] * realized_weights
-    for step in range(1, int(fp_max_iter[todo].max()) + 1):
+    for _ in range(FP_MAX_ITER):
         t_new = c * np.abs(gap - t[:, None, None] * w_next).reshape(rows, -1).sum(axis=1)
-        stop = np.abs(t_new - t) <= fp_tol * np.maximum(1.0, t_new)
+        stop = np.abs(t_new - t) <= FP_TOL * np.maximum(1.0, t_new)
         t = np.where(todo, t_new, t)
         todo &= ~stop
-        stuck = todo & (step >= fp_max_iter)
-        if stuck.any():
-            b = int(np.argmax(stuck))
-            raise NoConvergence(
-                f"cost fixed point did not move less than {float(fp_tol[b])!r} (relative above 1) "
-                f"within {int(fp_max_iter[b])} iterations"
-            )
         if not todo.any():
-            break
-    return t
+            return t
+    raise NoConvergence(_STUCK)
+
 
 def cost_bounds(delta: float, c: float) -> tuple[float, float]:
     """Sandwich for the daily cost: (c/(1+c)) * delta <= T <= (c/(1-c)) * delta."""

@@ -248,15 +248,17 @@ def write_rates(quotes: QuoteStack | Sequence[DailyQuotes], path) -> None:
 
 def load_rates(path) -> QuoteStack:
     """Parse a rates-csv file into one validated quote stack."""
-    days, (opens, closes) = _read_table(path, "rates", _RATES_HEADER, diagonal=1.0)
+    days, grids = _read_table(path, "rates", _RATES_HEADER, diagonal=1.0)
     try:
-        quotes = QuoteStack(days, opens, closes)
+        quotes = QuoteStack(days, *grids)
     except FxfolioError as exc:
         raise InvariantError(f"{path}: {exc}") from exc
+    del grids  # the stack holds its own copies; free these before the returns are computed
     # A pair whose open sell beats the close buy and whose open buy beats
-    # the close sell profits both ways: compute_returns names it.
+    # the close sell profits both ways: computing the returns names it.
+    # The stack keeps them for the run that follows.
     try:
-        compute_returns(quotes)
+        quotes.returns
     except ComplementarityViolation as exc:
         raise InvariantError(f"{path}: {exc}") from exc
     return quotes

@@ -13,7 +13,7 @@ validated in one pass; indexing a stack gives the one-day objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -309,7 +309,8 @@ class QuoteStack(_DayStack):
     """A quote history: strictly increasing days (n,) and opening and closing rate grids (n, m, m).
 
     Every day passes the RateMatrix checks.  ``stack[k]`` is day k's
-    DailyQuotes and a slice is a stack of its days.
+    DailyQuotes and a slice is a stack of its days.  ``stack.returns`` is
+    compute_returns(stack), computed once, on first use.
     """
 
     days: np.ndarray
@@ -330,6 +331,10 @@ class QuoteStack(_DayStack):
     @property
     def m(self) -> int:
         return self.open.shape[1]
+
+    @cached_property
+    def returns(self) -> ReturnStack:
+        return compute_returns(self)
 
     def __getitem__(self, k):
         if isinstance(k, slice):

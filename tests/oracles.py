@@ -403,7 +403,7 @@ def predictions_day_by_day(grids, predictor):
             continue
         if isinstance(predictor, LinearPredictor):
             pred = predictor.predict(grids[:k])
-            out.append((pred, grid_order(pred), False))
+            out.append((None, -1, False) if pred is None else (pred, grid_order(pred), False))
             continue
         seg_len = predictor.segment.L
         if k % seg_len == 0:

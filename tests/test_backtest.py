@@ -48,6 +48,7 @@ from fxfolio.errors import (
 )
 from fxfolio.market import ReturnMatrix, ReturnStack, as_stack
 from fxfolio.portfolio import PortfolioMatrix, relative_entropy, uniform_portfolio
+from fxfolio.updates import tilt
 
 from oracles import (
     greedy_partition,
@@ -128,11 +129,11 @@ class TestBlockPartition:
 
 class TestGammaSchedule:
     def test_constant(self):
-        g = GammaSchedule(mode="constant", gamma0=0.3).per_day(5)
+        g = GammaSchedule(mode="constant").per_day(5, 0.3)
         assert np.all(g == 0.3)
 
     def test_block_decaying_pinned(self):
-        g = GammaSchedule(mode="block-decaying", gamma0=0.6, block_unit=2).per_day(10)
+        g = GammaSchedule(mode="block-decaying", block_unit=2).per_day(10, 0.6)
         np.testing.assert_allclose(g[1:3], 0.6)
         np.testing.assert_allclose(g[3:7], 0.3)
         np.testing.assert_allclose(g[7:11], 0.2)
@@ -159,6 +160,13 @@ class TestLinearPredictor:
         history = constant_market(1.2, 1)
         out = LinearPredictor((0.5, 0.5)).predict([r.entries for r in history])
         np.testing.assert_array_equal(out, history[0].entries)
+
+    def test_zero_weight_prefix_makes_no_prediction(self):
+        grids = [r.entries for r in constant_market(1.2, 2)]
+        lagged = LinearPredictor((0.0, 1.0))
+        assert lagged.predict([]) is None
+        assert lagged.predict(grids[:1]) is None
+        np.testing.assert_array_equal(lagged.predict(grids), grids[0])
 
     def test_blend_may_straddle_the_diagonal(self):
         up = upper_only(1.2, 1)
@@ -255,6 +263,19 @@ class TestRunBacktest:
         assert np.all(ledger.order_pred[:5] == -1)
         assert np.all(ledger.order_pred[5:] >= 0)
 
+    def test_block_decaying_rates_come_from_the_update(self):
+        rets = normalized_market(seed=2, m=3, n_days=30)
+        schedule = GammaSchedule(mode="block-decaying", block_unit=5)
+        ledger = run_backtest(rets, LinearPredictor((1.0,)), UpdateConfig(gamma=0.5), schedule=schedule)
+        assert ledger.config["update"]["gamma"] == 0.5
+        assert ledger.config["schedule"] == {"mode": "block-decaying", "block_unit": 5}
+        rates = schedule.per_day(30, 0.5)
+        # Blocks cover days 1-5, 6-15 and 16-30.
+        assert (rates[5], rates[6], rates[16], rates[31]) == (0.5, 0.25, 0.5 / 3, 0.5 / 3)
+        for k in range(1, 30):
+            expect = tilt("iitc", ledger.realized[k - 1], ledger.predicted[k], float(rates[k + 1]), 0.0)
+            assert same_bits(ledger.portfolios[k], expect), k
+
     def test_config_echo(self):
         rets = normalized_market(seed=3, m=3, n_days=10)
         ledger = run_backtest(rets, predictor=LinearPredictor((1.0,)), f0=2.5)
@@ -262,6 +283,9 @@ class TestRunBacktest:
         assert ledger.config["m"] == 3
         assert ledger.config["n_days"] == 10
         assert ledger.config["predictor"] == {"kind": "linear", "weights": [1.0]}
+        assert ledger.config["update"] == {"rule": "iitc", "gamma": 0.1, "support_floor": 0.0}
+        assert ledger.config["schedule"] == {"mode": "constant", "block_unit": 5}
+        assert ledger.config["costs"] == {"c": 0.0}
 
 
     def test_large_capital_settles_the_cost(self):
@@ -383,7 +407,7 @@ class TestUniversalityGap:
         return {
             "predictor": {"kind": "linear", "weights": [1.0]},
             "update": {"rule": rule, "gamma": gamma, "support_floor": 0.0},
-            "schedule": {"mode": "constant", "gamma0": gamma, "block_unit": 5},
+            "schedule": {"mode": "constant", "block_unit": 5},
         }
 
     def trivial_ledger(self):
@@ -466,7 +490,7 @@ class TestUniversalityGap:
                 rets[:n],
                 predictor=LinearPredictor((1.0,)),
                 update=UpdateConfig(rule="iitc", gamma=0.1),
-                schedule=GammaSchedule(mode="block-decaying", gamma0=0.1, block_unit=5),
+                schedule=GammaSchedule(mode="block-decaying", block_unit=5),
                 costs=CostParams(c=0.005),
             )
             best = max(
@@ -533,7 +557,7 @@ class TestEngineInvariants:
         m=st.integers(2, 4),
         n_days=st.integers(8, 40),
         predictor=st.sampled_from(["none", "linear", "crossrate"]),
-        lags=st.sampled_from([(1.0,), (0.6, 0.4), (0.5, 0.3, 0.2)]),
+        lags=st.sampled_from([(1.0,), (0.6, 0.4), (0.5, 0.3, 0.2), (0.0, 0.6, 0.4)]),
         mpcr=st.sampled_from([1, 2]),
         mpo=st.sampled_from([1, 2]),
         adjusted=st.booleans(),
@@ -588,7 +612,7 @@ def drawn_predictor(kind, lags, mpcr, mpo, adjusted, seg_len):
 
 PREDICTORS = dict(
     kind=st.sampled_from(["none", "linear", "crossrate"]),
-    lags=st.sampled_from([(1.0,), (0.6, 0.4), (0.5, 0.3, 0.2)]),
+    lags=st.sampled_from([(1.0,), (0.6, 0.4), (0.5, 0.3, 0.2), (0.0, 0.6, 0.4)]),
     mpcr=st.sampled_from([1, 2]),
     mpo=st.sampled_from([1, 2]),
     adjusted=st.booleans(),

@@ -115,6 +115,19 @@ class TestBacktest:
         assert code == EXIT_OK
         assert math.isnan(parse_summary_line(lines)["eta"])
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_first_lag_waits_for_history(self, capsys, rates_file, tmp_path):
+        ledger_path = tmp_path / "lagged.jsonl"
+        code, _, err = run_cli(
+            capsys, "backtest", "--input", str(rates_file), "--predictor", "linear", "--lags", "0,1",
+            "--ledger", str(ledger_path),
+        )
+        assert (code, err) == (EXIT_OK, "")
+        ledger = read_ledger(ledger_path)
+        assert ledger.order_pred[:2].tolist() == [-1, -1] and ledger.order_pred[2] >= 0
+        assert ledger.predicted[1] is None
+        np.testing.assert_array_equal(ledger.portfolios[1], ledger.realized[0])
+
     def test_returns_input_kind(self, capsys, tmp_path):
         orders = tmp_path / "orders.csv"
         assert main(["generate", "--orders", "--segments", "20", "--seed", "5", "--out", str(orders)]) == EXIT_OK

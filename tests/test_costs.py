@@ -33,26 +33,20 @@ class TestCostParams:
         with pytest.raises(InvalidC):
             CostParams(c=-0.01)
 
-    def test_rejects_bad_iteration_controls(self):
-        with pytest.raises(InvalidParams):
-            CostParams(c=0.01, fp_tol=0.0)
-        with pytest.raises(InvalidParams):
-            CostParams(c=0.01, fp_max_iter=0)
-
 
 class TestSolveCost:
     def test_pinned_two_pair_shift(self):
         # 100 units drifted to (0.6, 0.4), retargeted to (0.4, 0.6):
         # T = 0.4 / 1.002 because each leg moves 20 plus/minus the fee drag.
         drift = np.array([[0.0, 0.6], [0.4, 0.0]])
-        t = solve_cost_from_drift(100.0, drift, two_pair(0.4, 0.6).weights, CostParams(c=0.01, fp_tol=1e-14))
+        t = solve_cost_from_drift(100.0, drift, two_pair(0.4, 0.6).weights, CostParams(c=0.01))
         assert t == pytest.approx(0.4 / 1.002, abs=1e-10)
         assert t == pytest.approx(0.3992015968, abs=1e-9)
 
     def test_pinned_value_sits_in_sandwich(self):
         drift = np.array([[0.0, 0.6], [0.4, 0.0]])
         nxt = two_pair(0.4, 0.6)
-        t = solve_cost_from_drift(100.0, drift, nxt.weights, CostParams(c=0.01, fp_tol=1e-14))
+        t = solve_cost_from_drift(100.0, drift, nxt.weights, CostParams(c=0.01))
         lo, hi = cost_bounds(100.0 * l1_distance(nxt, PortfolioMatrix(day=1, weights=drift)), 0.01)
         assert lo <= t <= hi
         assert (lo, hi) == (pytest.approx(0.39604, abs=1e-5), pytest.approx(0.40404, abs=1e-5))
@@ -89,7 +83,7 @@ class TestSolveCost:
         nxt = random_portfolio_weights(rng, m)
         f_k = float(rng.uniform(0.5, 2.0))
         c = float(rng.uniform(0.0, 0.05))
-        t = solve_cost_from_drift(f_k, drift, nxt, CostParams(c=c, fp_tol=1e-13))
+        t = solve_cost_from_drift(f_k, drift, nxt, CostParams(c=c))
         assert abs(t - scan_cost_root(f_k, drift, nxt, c)) <= 1e-8
         delta = f_k * naive_delta(nxt, drift)
         lo, hi = cost_bounds(delta, c)
@@ -170,16 +164,19 @@ class TestBatchSolve:
         nxt = np.array([random_portfolio_weights(rng, m) for _ in range(rows)])
         f_k = rng.choice([1e-9, 0.7, 3.0, 1e12], size=rows)
         c = rng.choice([0.0, 0.005, 0.3, 0.9], size=rows)
-        t = solve_costs_from_drift(f_k, drift, nxt, c, np.full(rows, 1e-10), np.full(rows, 10_000))
+        t = solve_costs_from_drift(f_k, drift, nxt, c)
         for b in range(rows):
             expect = solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b], CostParams(float(c[b])))
             assert t[b] == expect and type(expect) is float
 
     def test_a_stuck_row_raises(self):
-        drift = np.array([[[0.0, 1.0], [0.0, 0.0]]] * 2)
-        nxt = np.array([[[0.0, 0.0], [1.0, 0.0]]] * 2)
-        args = (np.ones(2), drift, nxt, np.array([0.0, 0.5]), np.full(2, 1e-10))
-        with pytest.raises(NoConvergence, match="within 2 iterations"):
-            solve_costs_from_drift(*args, np.array([1, 2]))
+        # A full swap at c = 0.999 contracts by 0.999 a step: about 23,000
+        # steps to move less than 1e-10, past the 10,000-step cap.
+        drift = np.array([[0.0, 1.0], [0.0, 0.0]])
+        nxt = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(NoConvergence, match="within 10000 iterations"):
+            solve_cost_from_drift(1.0, drift, nxt, CostParams(0.999))
+        with pytest.raises(NoConvergence, match="within 10000 iterations"):
+            solve_costs_from_drift(np.ones(2), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.999]))
         with pytest.raises(NonPositiveCapital):
-            solve_costs_from_drift(np.array([1.0, 0.0]), *args[1:], np.array([5, 5]))
+            solve_costs_from_drift(np.array([1.0, 0.0]), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.5]))

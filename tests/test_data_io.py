@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from fxfolio import cli
+from fxfolio import cli, market
 from fxfolio.backtest import BacktestLedger, LinearPredictor, UpdateConfig, run_backtest
 from fxfolio.costs import CostParams
 from fxfolio.crossrate import PredictorConfig, cross_rate, order_of, transition_probabilities
@@ -41,7 +41,7 @@ from fxfolio.errors import (
     NonMonotoneDays,
     ParseError,
 )
-from fxfolio.market import ReturnMatrix, ReturnStack, compute_return_matrix
+from fxfolio.market import ReturnMatrix, ReturnStack, compute_return_matrix, compute_returns
 
 
 GOOD_RATES = """day,i,j,open_rate,close_rate
@@ -105,6 +105,16 @@ class TestRatesFiles:
             assert b.day == q.day
             np.testing.assert_array_equal(b.open_rates.entries, q.open_rates.entries)
             np.testing.assert_array_equal(b.close_rates.entries, q.close_rates.entries)
+
+    def test_returns_are_computed_once_per_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "gen.csv"
+        write_rates(generate_market(SyntheticMarketSpec(m=3, n_days=6, seed=2)), path)
+        calls = []
+        monkeypatch.setattr(market, "compute_returns", lambda quotes: calls.append(1) or compute_returns(quotes))
+        quotes = load_rates(path)
+        ledger = run_backtest(quotes, LinearPredictor((1.0,)))
+        assert len(calls) == 1 and ledger.returns is quotes.returns
+        np.testing.assert_array_equal(quotes.returns.grids, compute_returns(quotes).grids)
 
     def test_collapsed_spread_names_the_day(self, tmp_path):
         bad = GOOD_RATES.replace("2,1,2,1.45,1.38\n2,2,1,0.71,0.69\n", "2,1,2,0.7,1.38\n2,2,1,0.7,0.69\n")

@@ -7,8 +7,11 @@ the working directory and relative paths, so the printed configuration
 lines do not depend on where OUTDIR is.  Every output gets one
 ``sha256  label`` line on stdout: each generated file, and for each
 backtest and verify run its stdout (prefixed with the exit code), ledger
-and summary.  The fxfolio package used is the first one on the import
-path, and its location is printed to stderr.
+and summary.  Each ledger gets a second line, ``sha256  LEDGER days``,
+over its day lines alone, so a deliberate change to the meta line (the
+config echo) shows apart from any change to a day record.  The fxfolio
+package used is the first one on the import path, and its location is
+printed to stderr.
 
 To check that a change keeps every byte, run this against the parent's
 ``src`` and the change's ``src`` into two directories and ``diff`` the two
@@ -76,8 +79,10 @@ def verify_runs() -> list[tuple[str, list[str]]]:
     return [(label, ["verify", *args, "--jobs", "1"]) for label, args in runs]
 
 
-def sha256_file(path: str) -> str:
+def sha256_file(path: str, skip_first_line: bool = False) -> str:
     with open(path, "rb") as fh:
+        if skip_first_line:
+            fh.readline()
         return hashlib.sha256(fh.read()).hexdigest()
 
 
@@ -119,6 +124,7 @@ def main(argv=None) -> int:
         emit_text(run_cli(cli_main, cli_args), f"{stem} stdout")
         for written in (ledger, summary):
             emit(sha256_file(written) if os.path.exists(written) else "missing", written)
+        emit(sha256_file(ledger, skip_first_line=True) if os.path.exists(ledger) else "missing", f"{ledger} days")
     for label, args in verify_runs():
         emit_text(run_cli(cli_main, args), f"{label} stdout")
     return 0
