@@ -41,10 +41,7 @@ from .crossrate import (
     nearest_nonzero_day,
     order_of,
     predict_return,
-    prediction_hits,
     reference_day,
-    transition_probabilities,
-    transpose,
 )
 from .data_io import (
     SyntheticMarketSpec,
@@ -72,8 +69,6 @@ from .market import (
     as_stack,
     compute_return_matrix,
     compute_returns,
-    exchange_options,
-    trading_matrix,
 )
 from .portfolio import (
     PortfolioMatrix,

@@ -73,6 +73,8 @@ class GammaSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "block-decaying"):
             raise InvalidParams(f"mode must be 'constant' or 'block-decaying', got {self.mode!r}")
+        if self.block_unit < 2:
+            raise InvalidBlockUnit(f"block unit must be >= 2, got {self.block_unit!r}")
 
     def per_day(self, n_days: int, gamma: float) -> np.ndarray:
         """The rate for days 1..n_days+1 (index 0 unused) of a run at learning rate gamma."""
@@ -168,29 +170,17 @@ class Prediction:
 
     Entry k (k = 0..n) is what the predictor says after observing days
     1..k, about day k+1; entry 0, and every day on which the predictor
-    still lacks history, holds no prediction.  A cross-rate prediction is
-    the day `ref[k]` (0-based) as it was, or transposed where `swap[k]`;
-    a linear one is the blend `blend[k]` where `has[k]`.
+    still lacks history, holds no prediction.  ``grids[k]`` is the
+    predicted return grid, or None: a cross-rate prediction is the
+    reference day's grid, mirrored across the diagonal into a C-contiguous
+    copy where its side is swapped; a linear one is the blend of the latest
+    days.
     """
 
     order_actual: np.ndarray
-    has: np.ndarray
     order_pred: np.ndarray
     crossed: np.ndarray
-    ref: np.ndarray | None = None
-    swap: np.ndarray | None = None
-    blend: np.ndarray | None = None
-
-    def predicted_grids(self, grids: np.ndarray) -> list[np.ndarray | None]:
-        """The predicted grid of every entry, or None: grids[ref], its C-contiguous transpose, or the blend."""
-        if self.blend is not None:
-            return [grid if has else None for grid, has in zip(self.blend, self.has.tolist())]
-        out: list[np.ndarray | None] = [None] * len(self.has)
-        if self.ref is not None:
-            for k, (ref, swap) in enumerate(zip(self.ref.tolist(), self.swap.tolist())):
-                if ref >= 0:
-                    out[k] = grids[ref].T.copy() if swap else grids[ref]
-        return out
+    grids: list[np.ndarray | None]
 
 
 def predict(rets: ReturnStack, predictor: PredictorConfig | LinearPredictor | None) -> Prediction:
@@ -207,20 +197,25 @@ def predict(rets: ReturnStack, predictor: PredictorConfig | LinearPredictor | No
     no_order = np.full(n + 1, -1, dtype=np.int64)
     no_flag = np.zeros(n + 1, dtype=bool)
     if predictor is None:
-        return Prediction(order_actual, no_flag, no_order, no_flag)
+        return Prediction(order_actual, no_order, no_flag, [None] * (n + 1))
     if isinstance(predictor, LinearPredictor):
         blend, has = _linear_blends(predictor, grids)
         order_pred = np.where(has, np.concatenate(([-1], grid_orders(blend[1:]))), -1)
-        return Prediction(order_actual, has, order_pred, no_flag, blend=blend)
+        preds = [grid if h else None for grid, h in zip(blend, has.tolist())]
+        return Prediction(order_actual, order_pred, no_flag, preds)
 
     ref = no_order.copy()
     swap = no_flag.copy()
     ref[1:], swap[1:] = predicted_references(predictor, order_actual)
     order_pred = referenced_orders(order_actual, ref, swap)
-    has = ref >= 0
-    seg_len = predictor.segment.L
-    crossed = has & (ref + 1 <= np.arange(n + 1) // seg_len * seg_len)
-    return Prediction(order_actual, has, order_pred, crossed, ref=ref, swap=swap)
+    # No segment completes within the run once L > n, so clamping L there keeps every entry.
+    seg_len = min(predictor.segment.L, n + 1)
+    crossed = (ref >= 0) & (ref + 1 <= np.arange(n + 1) // seg_len * seg_len)
+    preds: list[np.ndarray | None] = [None] * (n + 1)
+    for k, (day, swapped) in enumerate(zip(ref.tolist(), swap.tolist())):
+        if day >= 0:
+            preds[k] = grids[day].T.copy() if swapped else grids[day]
+    return Prediction(order_actual, order_pred, crossed, preds)
 
 
 def _linear_blends(lin: LinearPredictor, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +283,7 @@ def run_backtest(
     # Validated once, in the stack; from here on the loop runs on bare grids.
     grids = rets.grids
     prediction = predict(rets, predictor)
-    preds = prediction.predicted_grids(grids)
+    preds = prediction.grids
     psi = uniform_portfolio(m, day=1).weights
     f_prev = f0
     t_charge = 0.0
@@ -401,7 +396,7 @@ def sweep(
     columns = np.empty((5, b, n))
     f_col, fp_col, t_col, c_col, g_col = columns
     grids = rets.grids
-    preds = predict(rets, predictor).predicted_grids(grids)
+    preds = predict(rets, predictor).grids
     first = uniform_portfolio(m, day=1).weights
     psi = np.repeat(first[None], b, axis=0)
     f_prev = np.full(b, float(f0))
@@ -647,6 +642,7 @@ def segment_success_rates(ledger: BacktestLedger, seg_len: int) -> tuple[list[fl
     """
     if seg_len < 1:
         raise InvalidParams(f"segment length must be >= 1, got {seg_len!r}")
+    seg_len = min(seg_len, ledger.n_days + 1)  # clamped as in predict
     count = ledger.n_days // seg_len
     pred = ledger.order_pred[: count * seg_len].reshape(count, seg_len)
     actual = ledger.order_actual[: count * seg_len].reshape(count, seg_len)

@@ -9,6 +9,7 @@ from --seed, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=("universality", "profitability", "cost-bounds"), required=True)
     ver.add_argument("--replicates", type=int, default=100)
     ver.add_argument("--seed", type=int, default=1)
-    ver.add_argument("--jobs", type=int, default=None, help="parallel replicates (default FXFOLIO_JOBS or 1)")
+    ver.add_argument("--jobs", type=int, default=1, help="parallel replicates")
     ver.add_argument("--days", type=int, default=250)
     ver.add_argument("--r-floor", type=float, default=0.5)
     ver.add_argument("--segments", type=int, default=20_000)
@@ -136,21 +137,6 @@ def _parse_lags(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise InvalidParams(f"--lags: {exc}") from exc
-
-
-def _resolve_jobs(value) -> int:
-    if value is not None:
-        if value < 1:
-            raise InvalidParams(f"--jobs must be >= 1, got {value}")
-        return value
-    text = os.environ.get("FXFOLIO_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise InvalidParams(f"FXFOLIO_JOBS must be an integer >= 1, got {text!r}") from None
-    if jobs < 1:
-        raise InvalidParams(f"FXFOLIO_JOBS must be >= 1, got {text!r}")
-    return jobs
 
 
 def _cmd_generate(ns) -> int:
@@ -255,7 +241,8 @@ def _summary_metrics(ledger: BacktestLedger, ns) -> dict:
 
 
 def _cmd_verify(ns) -> int:
-    jobs = _resolve_jobs(ns.jobs)
+    if ns.jobs < 1:
+        raise InvalidParams(f"--jobs must be >= 1, got {ns.jobs}")
     if ns.max_violations < 0:
         raise InvalidParams(f"--max-violations must be >= 0, got {ns.max_violations}")
     _print_config(
@@ -264,7 +251,7 @@ def _cmd_verify(ns) -> int:
             "suite": ns.suite,
             "replicates": ns.replicates,
             "seed": ns.seed,
-            "jobs": jobs,
+            "jobs": ns.jobs,
             "days": ns.days,
             "r_floor": ns.r_floor,
             "segments": ns.segments,
@@ -274,7 +261,7 @@ def _cmd_verify(ns) -> int:
         },
     )
     if ns.suite == "universality":
-        result = universality_suite(replicates=ns.replicates, seed=ns.seed, n_days=ns.days, r_floor=ns.r_floor, jobs=jobs)
+        result = universality_suite(replicates=ns.replicates, seed=ns.seed, n_days=ns.days, r_floor=ns.r_floor, jobs=ns.jobs)
     elif ns.suite == "profitability":
         result = profitability_suite(
             segments=ns.segments,
@@ -297,7 +284,25 @@ def _cmd_verify(ns) -> int:
     return EXIT_VERIFY
 
 
+def _fix_mmap_threshold() -> None:
+    """Map every block of 4 MiB or more on its own and unmap it when freed (glibc only).
+
+    glibc raises its threshold to the largest mapped block freed so far, putting a run's big
+    tables on the heap, where earlier runs' holes moved peak memory by ~10 MB with the seed
+    or a path's length.  Smaller blocks reuse the heap and skip a page fault per 4 KiB.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 4 << 20)  # -3 is glibc's M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_mmap_threshold()
     try:
         ns = build_parser().parse_args(argv)
         if ns.command == "generate":

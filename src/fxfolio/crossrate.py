@@ -18,13 +18,11 @@ import numpy as np
 from .errors import (
     EmptyHistory,
     EmptyRange,
+    EmptySequence,
     InsufficientHistory,
     InvalidParams,
-    LengthMismatch,
     NoPredecessor,
-    TooShort,
 )
-from .errors import EmptySequence
 from .market import ReturnMatrix
 
 # Order labels.
@@ -98,11 +96,6 @@ def grid_orders(grids: np.ndarray) -> np.ndarray:
     return orders.astype(np.int64)
 
 
-def transpose(returns: ReturnMatrix) -> ReturnMatrix:
-    """Swap every pair's position side; flips order 1 days into order 2 days."""
-    return ReturnMatrix(day=returns.day, entries=returns.entries.T)
-
-
 def cross_rate(orders: Sequence[int], prev_order: int | None = None) -> float:
     """Fraction of days whose order differs from the day before.
 
@@ -155,27 +148,6 @@ def adjusted_cross_rate(orders: Sequence[int], history: Sequence[int] = ()) -> f
     if decisive == 0:
         return 0.0
     return crossings / decisive
-
-
-def transition_probabilities(values: Sequence[float]) -> tuple[float, float, float, float]:
-    """Empirical masses of consecutive half-interval moves (AA, AB, BA, BB).
-
-    A is [0, 1/2), B is [1/2, 1]; each consecutive pair of cross rates
-    contributes one count.
-    """
-    if len(values) < 2:
-        raise TooShort(f"need at least two cross rates, got {len(values)}")
-    high = [v >= 0.5 for v in values]
-    counts = {(False, False): 0, (False, True): 0, (True, False): 0, (True, True): 0}
-    for a, b in zip(high, high[1:]):
-        counts[(a, b)] += 1
-    total = len(values) - 1
-    return (
-        counts[(False, False)] / total,
-        counts[(False, True)] / total,
-        counts[(True, False)] / total,
-        counts[(True, True)] / total,
-    )
 
 
 def mpcr_predict(method: int, history: Sequence[float], cfg: SegmentConfig) -> float:
@@ -248,7 +220,8 @@ def predict_return(
     if orders is None:
         orders = [order_of(r) for r in returns]
     ref, swap = reference_day(method, adjusted, w_pred, orders)
-    return transpose(returns[ref - 1]) if swap else returns[ref - 1]
+    r = returns[ref - 1]
+    return ReturnMatrix(day=r.day, entries=r.entries.T) if swap else r
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +327,6 @@ def referenced_orders(orders: np.ndarray, ref: np.ndarray, swap: np.ndarray) -> 
     source = orders[ref]
     swapped = np.where(source == FLAT, FLAT, UPPER + LOWER - source)
     return np.where(ref >= 0, np.where(swap, swapped, source), -1)
-
-
-def prediction_hits(predicted: Sequence[int], actual: Sequence[int]) -> int:
-    """Count matches, never crediting flat outcomes: a flat day has no side to call."""
-    if len(predicted) != len(actual):
-        raise LengthMismatch(f"got {len(predicted)} predictions for {len(actual)} outcomes")
-    return sum(1 for p, a in zip(predicted, actual) if a != FLAT and p == a)
 
 
 def effectiveness_ratio(flags: Sequence[bool]) -> float:

@@ -40,10 +40,6 @@ class DayMismatch(RunError):
     pass
 
 
-class MissingNextDay(RunError):
-    pass
-
-
 class ComplementarityViolation(RunError):
     """Both mirrored return conditions fired for the same currency pair."""
 
@@ -96,19 +92,11 @@ class NoPredecessor(RunError):
     pass
 
 
-class TooShort(RunError):
-    pass
-
-
 class EmptyHistory(RunError):
     pass
 
 
 class InsufficientHistory(RunError):
-    pass
-
-
-class LengthMismatch(RunError):
     pass
 
 

@@ -21,7 +21,6 @@ from .errors import (
     ComplementarityViolation,
     DayMismatch,
     InvalidParams,
-    MissingNextDay,
     NonMonotoneDays,
     NonPositiveEntry,
     NonUnitDiagonal,
@@ -148,87 +147,15 @@ class ReturnMatrix:
         return self.entries.shape[0]
 
 
-def trading_matrix(s_k: RateMatrix, s_k1: RateMatrix, anchor_upper_on: int) -> np.ndarray:
-    """Splice two consecutive days into a single trading grid.
+def compute_return_matrix(quotes: DailyQuotes) -> ReturnMatrix:
+    """Price relatives of one day, its opening quotes against its closing quotes.
 
-    With anchor_upper_on == s_k.day the result keeps day-k diagonal and
-    upper triangle and takes the lower triangle from day k+1; anchoring
-    on day k+1 swaps the roles.  The splice is returned as a raw grid:
-    mixing days can legitimately break the one-day spread invariant.
+    For each pair the upper entry is open-sell over close-buy, the lower
+    entry open-buy over close-sell, and each fires only when its ratio
+    exceeds one.  Both firing at once is rejected: it would price the
+    pair's round trip as profitable in both directions simultaneously.
     """
-    if s_k1.day != s_k.day + 1:
-        raise DayMismatch(f"trading matrix needs consecutive days, got {s_k.day} and {s_k1.day}")
-    if s_k.m != s_k1.m:
-        raise DayMismatch(f"day {s_k.day} is {s_k.m}x{s_k.m} but day {s_k1.day} is {s_k1.m}x{s_k1.m}")
-    if anchor_upper_on == s_k.day:
-        upper, lower = s_k.entries, s_k1.entries
-    elif anchor_upper_on == s_k1.day:
-        upper, lower = s_k1.entries, s_k.entries
-    else:
-        raise DayMismatch(
-            f"anchor_upper_on must be {s_k.day} or {s_k1.day}, got {anchor_upper_on}"
-        )
-    out = np.tril(lower, k=-1) + np.triu(upper, k=0)
-    return out
-
-
-def exchange_options(s_k: RateMatrix, s_k1: RateMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Day-(k+1) option quotes for unwinding a day-k position, per pair.
-
-    For each pair the buy option is live when the day-(k+1) buy quote
-    clears the day-k sell quote, the sell option when the day-(k+1)
-    sell quote clears the day-k buy quote.  Live options are filled
-    with the day-(k+1) buy quote, dead ones with 0.  Both grids carry
-    the pair's value at both mirrored positions.
-    """
-    if s_k1.day != s_k.day + 1:
-        raise DayMismatch(f"exchange options need consecutive days, got {s_k.day} and {s_k1.day}")
-    if s_k.m != s_k1.m:
-        raise DayMismatch(f"day {s_k.day} is {s_k.m}x{s_k.m} but day {s_k1.day} is {s_k1.m}x{s_k1.m}")
-    sell_k = np.triu(s_k.entries, k=1)
-    buy_k = np.tril(s_k.entries, k=-1).T
-    sell_k1 = np.triu(s_k1.entries, k=1)
-    buy_k1 = np.tril(s_k1.entries, k=-1).T
-    # Per-pair quotes live on the upper triangle now; conditions are strict.
-    buy_option = np.where(buy_k1 > sell_k, buy_k1, 0.0)
-    sell_option = np.where(sell_k1 > buy_k, buy_k1, 0.0)
-    buy_option = buy_option + buy_option.T
-    sell_option = sell_option + sell_option.T
-    return buy_option, sell_option
-
-
-def compute_return_matrix(
-    quotes_k: DailyQuotes,
-    quotes_k1: DailyQuotes | None = None,
-    horizon: str = "same-day",
-) -> ReturnMatrix:
-    """Price relatives from opening quotes against closing quotes.
-
-    horizon "same-day" closes against quotes_k's own close; "next-day"
-    closes against quotes_k1's close and requires it.  For each pair the
-    upper entry is open-sell over close-buy, the lower entry open-buy
-    over close-sell, and each fires only when its ratio exceeds one.
-    Both firing at once is rejected: it would price the pair's round
-    trip as profitable in both directions simultaneously.
-    """
-    if horizon == "same-day":
-        closing = quotes_k.close_rates
-        day = quotes_k.day
-    elif horizon == "next-day":
-        if quotes_k1 is None:
-            raise MissingNextDay(f"next-day returns for day {quotes_k.day} need day {quotes_k.day + 1} quotes")
-        if quotes_k1.day != quotes_k.day + 1:
-            raise DayMismatch(f"expected day {quotes_k.day + 1} quotes, got day {quotes_k1.day}")
-        if quotes_k1.m != quotes_k.m:
-            raise DayMismatch(
-                f"day {quotes_k.day} is {quotes_k.m}x{quotes_k.m} but day {quotes_k1.day} is {quotes_k1.m}x{quotes_k1.m}"
-            )
-        closing = quotes_k1.close_rates
-        day = quotes_k1.day
-    else:
-        raise MissingNextDay(f"unknown horizon {horizon!r}, expected 'same-day' or 'next-day'")
-
-    opening = quotes_k.open_rates
+    opening, closing, day = quotes.open_rates, quotes.close_rates, quotes.day
     m = opening.m
     open_sell = np.triu(opening.entries, k=1)
     open_buy = np.tril(opening.entries, k=-1).T

@@ -160,13 +160,16 @@ def effectiveness_estimate(labels: list[int], seg_len: int, mpcr: int, cfg: Segm
     return int((hits / seg_len >= 0.5).sum()) / (n_segments - 1)
 
 
+# How far below its nominal level each effectiveness clause may fall.
+_SLACK = 0.05
+
+
 def profitability_suite(
     segments: int = 20_000,
     seg_len: int = 5,
     seed: int = 1,
     same_class_mass: float = 0.78,
     flip_mass: float = 0.6,
-    slack: float = 0.05,
 ) -> SuiteResult:
     """Monte Carlo check that segment-level prediction stays effective.
 
@@ -174,14 +177,14 @@ def profitability_suite(
     under the persistence cross-rate method; expected effectiveness is
     the same-class mass.  Clause 2: flip-heavy targets (P_AB + P_BA =
     flip_mass) under the alternation method; effectiveness at least 1/2.
-    Both clauses allow the given slack below their nominal level.
+    Both clauses allow _SLACK below their nominal level.
     """
     if segments < 2:
         raise InvalidParams(f"segments must be >= 2, got {segments}: the first segment only seeds the prediction")
     cfg = SegmentConfig(L=seg_len)
     clauses = [
-        ("mpcr1", 1, symmetric_masses(same_class_mass), same_class_mass - slack),
-        ("mpcr2", 2, symmetric_masses(1.0 - flip_mass), 0.5 - slack),
+        ("mpcr1", 1, symmetric_masses(same_class_mass), same_class_mass - _SLACK),
+        ("mpcr2", 2, symmetric_masses(1.0 - flip_mass), 0.5 - _SLACK),
     ]
     violations: list[str] = []
     stats: dict = {"segments": segments, "seg_len": seg_len}
@@ -206,7 +209,11 @@ def profitability_suite(
 # cost-bound sweep (fixed point vs. sandwich and an independent root finder)
 
 
-def bisect_cost(f_k: float, drift_weights: np.ndarray, next_weights: np.ndarray, c: float, tol: float = 1e-12) -> float:
+# Bracket width, relative to max(1, hi), at which the bisection stops.
+_BISECT_TOL = 1e-12
+
+
+def bisect_cost(f_k: float, drift_weights: np.ndarray, next_weights: np.ndarray, c: float) -> float:
     """Root of c * sum|f_k w - f_k w' - T w| - T by bisection.
 
     Kept deliberately separate from the production fixed-point iteration
@@ -228,7 +235,7 @@ def bisect_cost(f_k: float, drift_weights: np.ndarray, next_weights: np.ndarray,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= _BISECT_TOL * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
 

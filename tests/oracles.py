@@ -428,9 +428,7 @@ def predictions_day_by_day(grids, predictor):
 
 
 def segment_success_rates_loop(ledger, seg_len):
-    """Per-segment theta and flag, one segment at a time with prediction_hits."""
-    from fxfolio.crossrate import prediction_hits
-
+    """Per-segment theta and flag, one segment at a time, counting hits day by day."""
     thetas, flags = [], []
     n = ledger.n_days
     for start in range(0, (n // seg_len) * seg_len, seg_len):
@@ -438,7 +436,9 @@ def segment_success_rates_loop(ledger, seg_len):
         actual = ledger.order_actual[start : start + seg_len]
         if np.any(pred < 0):
             continue
-        theta = prediction_hits(list(pred), list(actual)) / seg_len
+        # A flat day (order 0) has no side to call, so it is never a hit.
+        hits = sum(1 for p, a in zip(pred.tolist(), actual.tolist()) if a != 0 and p == a)
+        theta = hits / seg_len
         thetas.append(theta)
         flags.append(theta >= 0.5)
     return thetas, flags

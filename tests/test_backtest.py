@@ -143,6 +143,11 @@ class TestGammaSchedule:
         with pytest.raises(InvalidParams):
             GammaSchedule(mode="linear")
 
+    @pytest.mark.parametrize("mode", ["constant", "block-decaying"])
+    def test_rejects_block_unit_below_two(self, mode):
+        with pytest.raises(InvalidBlockUnit, match="block unit must be >= 2, got 1"):
+            GammaSchedule(mode=mode, block_unit=1)
+
 
 class TestLinearPredictor:
     def test_rejects_nonconvex_weights(self):
@@ -642,8 +647,8 @@ class TestPredictionPhase:
         prediction = predict(rets, predictor)
         expected = predictions_day_by_day(rets.grids, predictor)
         assert prediction.order_actual.tolist() == [grid_order(g) for g in rets.grids]
-        for k, (got, (grid, order, crossed)) in enumerate(zip(prediction.predicted_grids(rets.grids), expected)):
-            assert bool(prediction.has[k]) == (grid is not None)
+        assert len(prediction.grids) == len(expected)
+        for k, (got, (grid, order, crossed)) in enumerate(zip(prediction.grids, expected)):
             assert (prediction.order_pred[k], bool(prediction.crossed[k])) == (order, crossed)
             if grid is None:
                 assert got is None

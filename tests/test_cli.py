@@ -1,5 +1,6 @@
 """Command-line driver: flags, exit codes, printed output, file side effects."""
 
+import ctypes
 import json
 import math
 import os
@@ -153,6 +154,13 @@ class TestBacktest:
         assert code == EXIT_CONFIG
         assert "gamma 1e+308 overflows" in err
 
+    def test_segment_longer_than_an_array_can_hold(self, capsys, rates_file):
+        # Any L past the 60 days completes no segment, so 2**70 runs as 1000 does.
+        code, lines, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--L", str(2**70))
+        assert (code, err) == (EXIT_OK, "")
+        _, past_history, _ = run_cli(capsys, "backtest", "--input", str(rates_file), "--L", "1000")
+        assert lines[-1] == past_history[-1]
+
     def test_bad_rule_flag(self, capsys, rates_file):
         code, _, _ = run_cli(capsys, "backtest", "--input", str(rates_file), "--rule", "bogus")
         assert code == EXIT_CONFIG
@@ -193,12 +201,6 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "everything")
         assert code == EXIT_CONFIG
 
-    def test_jobs_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("FXFOLIO_JOBS", "2")
-        code, lines, _ = run_cli(capsys, "verify", "--suite", "cost-bounds", "--replicates", "50")
-        assert code == EXIT_OK
-        assert json.loads(lines[0][len("config "):])["jobs"] == 2
-
     def test_config_precedes_results(self, capsys):
         _, lines, _ = run_cli(capsys, "verify", "--suite", "cost-bounds", "--replicates", "20")
         assert lines[0].startswith("config ")
@@ -220,6 +222,7 @@ class TestRejectedArguments:
             (["verify", "--suite", "cost-bounds", "--replicates", "-5"], "replicates must be >= 1, got -5"),
             (["verify", "--suite", "profitability", "--segments", "1"], "segments must be >= 2, got 1"),
             (["verify", "--suite", "cost-bounds", "--max-violations", "-1"], "--max-violations must be >= 0, got -1"),
+            (["verify", "--suite", "cost-bounds", "--jobs", "0"], "--jobs must be >= 1, got 0"),
             (["generate", "--market", "--days", "x"], "argument --days: invalid int value: 'x'"),
         ],
     )
@@ -233,14 +236,13 @@ class TestRejectedArguments:
         assert not (tmp_path / "x.csv").exists()
         assert not any(line.startswith("[") for line in lines)
 
-    @pytest.mark.parametrize("value", ["x", "0", "-3", ""])
-    def test_bad_jobs_environment(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("FXFOLIO_JOBS", value)
-        code, lines, err = run_cli(capsys, "verify", "--suite", "cost-bounds", "--replicates", "2")
+    @pytest.mark.parametrize("schedule", ["constant", "block-decaying"])
+    def test_block_unit_below_two(self, capsys, rates_file, schedule):
+        code, lines, err = run_cli(
+            capsys, "backtest", "--input", str(rates_file), "--schedule", schedule, "--block-unit", "-3"
+        )
         assert code == EXIT_CONFIG
-        assert err.splitlines()[-1].startswith("config error: FXFOLIO_JOBS")
-        assert repr(value) in err
-        assert "--jobs" not in err
+        assert err.splitlines()[-1] == "config error: block unit must be >= 2, got -3"
         assert lines == []
 
     def test_nan_lags(self, capsys, rates_file):
@@ -387,10 +389,10 @@ EXIT_CODE_OF = {
     ),
     **dict.fromkeys(
         (
-            "NonUnitDiagonal", "NonPositiveEntry", "SpreadViolation", "DayMismatch", "MissingNextDay",
+            "NonUnitDiagonal", "NonPositiveEntry", "SpreadViolation", "DayMismatch",
             "ComplementarityViolation", "DimensionMismatch", "ZeroReturn", "SupportViolation", "NonPositiveCapital",
-            "NoConvergence", "ZeroDiamond", "EmptyRange", "NoPredecessor", "TooShort", "EmptyHistory",
-            "InsufficientHistory", "LengthMismatch", "EmptySequence", "TooFewDays", "EmptyLedger",
+            "NoConvergence", "ZeroDiamond", "EmptyRange", "NoPredecessor", "EmptyHistory",
+            "InsufficientHistory", "EmptySequence", "TooFewDays", "EmptyLedger",
             "NonPositiveDiamond", "CostRatioAtLeastOne", "NonPositivePairReturn", "NormalizationViolated",
         ),
         EXIT_VERIFY,
@@ -416,3 +418,35 @@ class TestErrorExitCodes:
         code, _, err = run_cli(capsys, "generate", "--market", "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_CODE_OF[name]
         assert "planted" in err
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+    )]
+
+
+def _mallinfo2():
+    """glibc's mallinfo2, or None where the C library has none (not glibc, or glibc < 2.33)."""
+    try:
+        fn = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.argtypes, fn.restype = (), _Mallinfo2
+    return fn
+
+
+class TestMmapThreshold:
+    def test_freed_large_block_leaves_later_ones_mapped(self, capsys):
+        """Freeing a 16 MiB block would raise glibc's threshold and put the next 6 MiB block on the heap."""
+        mallinfo2 = _mallinfo2()
+        if mallinfo2 is None:
+            pytest.skip("needs glibc >= 2.33")
+        assert run_cli(capsys, "--help")[0] == EXIT_OK
+        big = bytearray(16 << 20)
+        del big
+        before = mallinfo2().hblks
+        block = bytearray(6 << 20)
+        assert mallinfo2().hblks == before + 1
+        del block
+        assert mallinfo2().hblks == before

@@ -23,13 +23,10 @@ from fxfolio.crossrate import (
     order_of,
     predict_return,
     predicted_references,
-    prediction_hits,
     reference_day,
     reference_days,
     referenced_orders,
     segment_cross_rates,
-    transition_probabilities,
-    transpose,
 )
 from fxfolio.errors import (
     EmptyHistory,
@@ -37,9 +34,7 @@ from fxfolio.errors import (
     EmptySequence,
     InsufficientHistory,
     InvalidParams,
-    LengthMismatch,
     NoPredecessor,
-    TooShort,
 )
 from fxfolio.market import ReturnMatrix
 
@@ -99,22 +94,6 @@ class TestGridOrders:
         stack[2, 1, 0] = 1.2
         stack[3, 0, 1] = stack[3, 1, 0] = 1.2
         assert grid_orders(stack).tolist() == [FLAT, UPPER, LOWER, FLAT]
-
-
-class TestTranspose:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=100, deadline=None)
-    def test_involution_and_label_swap(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 6))
-        r = ReturnMatrix(day=1, entries=random_return_entries(rng, m))
-        rr = transpose(r)
-        np.testing.assert_array_equal(transpose(rr).entries, r.entries)
-        assert order_of(rr) == {FLAT: FLAT, UPPER: LOWER, LOWER: UPPER}[order_of(r)]
-
-    def test_zero_matrix_fixed(self):
-        z = returns([[0.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(transpose(z).entries, z.entries)
 
 
 class TestCrossRate:
@@ -177,23 +156,6 @@ class TestAdjustedCrossRate:
     def test_agrees_with_plain_on_strictly_unequal(self, orders, history):
         prev = history[-1] if history else None
         assert adjusted_cross_rate(orders, history=history) == cross_rate(orders, prev_order=prev)
-
-
-class TestTransitionProbabilities:
-    def test_hand_classified_series(self):
-        assert transition_probabilities([0.2, 0.3, 0.6, 0.7, 0.1]) == (0.25, 0.25, 0.25, 0.25)
-
-    def test_all_low(self):
-        assert transition_probabilities([0.1, 0.2, 0.3]) == (1.0, 0.0, 0.0, 0.0)
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            transition_probabilities([0.4])
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=2, max_size=40))
-    @settings(max_examples=200)
-    def test_masses_sum_to_one(self, values):
-        assert sum(transition_probabilities(values)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMpcrPredict:
@@ -285,20 +247,6 @@ class TestPredictReturn:
 
 
 class TestSuccessStatistics:
-    def test_hand_counted_rate(self):
-        assert prediction_hits([1, 2, 1, 2], [1, 2, 2, 2]) / 4 == 0.75
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            prediction_hits([1], [1, 2])
-
-    def test_empty(self):
-        assert prediction_hits([], []) == 0
-
-    def test_flat_outcome_never_credited(self):
-        assert prediction_hits([0, 1, 2], [0, 1, 2]) == 2
-        assert prediction_hits([0], [0]) == 0
-
     def test_effectiveness_fraction(self):
         assert effectiveness_ratio([True, True, False]) == pytest.approx(2.0 / 3.0)
         assert effectiveness_ratio([True]) == 1.0

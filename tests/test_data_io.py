@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import oracles
 from fxfolio import cli, market
 from fxfolio.backtest import BacktestLedger, LinearPredictor, UpdateConfig, run_backtest
 from fxfolio.costs import CostParams
-from fxfolio.crossrate import PredictorConfig, cross_rate, order_of, transition_probabilities
+from fxfolio.crossrate import PredictorConfig, cross_rate, order_of
 from fxfolio.data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
@@ -219,6 +220,13 @@ def segment_rates(labels, seg_len):
     return rates
 
 
+def transition_masses(rates):
+    """Empirical masses (AA, AB, BA, BB) of consecutive cross-rate classes, A = [0, 1/2) and B = [1/2, 1]."""
+    high = [w >= 0.5 for w in rates]
+    counts = Counter(zip(high, high[1:]))
+    return tuple(counts[pair] / (len(rates) - 1) for pair in ((False, False), (False, True), (True, False), (True, True)))
+
+
 class TestOrderProcess:
     def test_deterministic(self):
         spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=symmetric_masses(0.7), seed=21)
@@ -240,7 +248,7 @@ class TestOrderProcess:
         labels = order_labels(spec, np.random.default_rng(spec.seed))
         rates = segment_rates(labels, 5)
         assert all(w < 0.5 for w in rates)
-        probs = transition_probabilities(rates)
+        probs = transition_masses(rates)
         assert probs[0] == 1.0
 
     def test_empirical_masses_near_targets(self):
@@ -250,7 +258,7 @@ class TestOrderProcess:
             segment_count=20_000, segment_length=5, masses=(0.39, 0.11, 0.11, 0.39), seed=1
         )
         labels = order_labels(spec, np.random.default_rng(spec.seed))
-        paa, pab, pba, pbb = transition_probabilities(segment_rates(labels, 5))
+        paa, pab, pba, pbb = transition_masses(segment_rates(labels, 5))
         assert 0.76 <= paa + pbb <= 0.80
 
     def test_asymmetric_masses_rejected(self):

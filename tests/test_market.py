@@ -1,4 +1,4 @@
-"""Rate matrices, trading splices, exchange options, and return construction."""
+"""Rate matrices, return construction, and the stacked histories of both."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from fxfolio.data_io import SyntheticMarketSpec, generate_market
 from fxfolio.errors import (
     ComplementarityViolation,
     FxfolioError,
-    DayMismatch,
-    MissingNextDay,
     NonPositiveEntry,
     NonUnitDiagonal,
     SpreadViolation,
@@ -24,8 +22,6 @@ from fxfolio.market import (
     ReturnStack,
     compute_return_matrix,
     compute_returns,
-    exchange_options,
-    trading_matrix,
 )
 
 from oracles import random_return_entries
@@ -77,59 +73,6 @@ class TestRateMatrix:
             rm.entries[0, 1] = 2.0
 
 
-class TestTradingMatrix:
-    S_K = [[1.0, 1.4], [0.70, 1.0]]
-    S_K1 = [[1.0, 1.5], [0.72, 1.0]]
-
-    def test_anchor_on_first_day(self):
-        out = trading_matrix(rates(3, self.S_K), rates(4, self.S_K1), anchor_upper_on=3)
-        np.testing.assert_array_equal(out, [[1.0, 1.4], [0.72, 1.0]])
-
-    def test_anchor_on_second_day(self):
-        out = trading_matrix(rates(3, self.S_K), rates(4, self.S_K1), anchor_upper_on=4)
-        np.testing.assert_array_equal(out, [[1.0, 1.5], [0.70, 1.0]])
-
-    def test_identical_days_are_identity_splice(self):
-        a = rates(1, self.S_K)
-        b = rates(2, self.S_K)
-        for anchor in (1, 2):
-            np.testing.assert_array_equal(trading_matrix(a, b, anchor), a.entries)
-
-    def test_nonconsecutive_days_rejected(self):
-        with pytest.raises(DayMismatch):
-            trading_matrix(rates(1, self.S_K), rates(3, self.S_K1), anchor_upper_on=1)
-
-
-class TestExchangeOptions:
-    def test_buy_option_fires(self):
-        # Tomorrow's buy quote 0.75 beats today's sell quote 0.70.
-        buy, _ = exchange_options(rates(1, [[1.0, 0.70], [0.65, 1.0]]), rates(2, [[1.0, 0.80], [0.75, 1.0]]))
-        assert buy[0, 1] == 0.75
-        assert buy[1, 0] == 0.75
-
-    def test_buy_option_zero_when_unprofitable(self):
-        buy, _ = exchange_options(rates(1, [[1.0, 0.70], [0.60, 1.0]]), rates(2, [[1.0, 0.80], [0.65, 1.0]]))
-        assert buy[0, 1] == 0.0
-
-    def test_sell_option_fires(self):
-        _, sell = exchange_options(rates(1, [[1.0, 0.78], [0.72, 1.0]]), rates(2, [[1.0, 0.80], [0.74, 1.0]]))
-        assert sell[0, 1] == 0.74
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_entries_zero_or_next_day_quote(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 5))
-        q1 = random_quotes(rng, m, day=1)
-        q2 = random_quotes(rng, m, day=2)
-        buy, sell = exchange_options(q1.open_rates, q2.open_rates)
-        next_buy = np.triu(q2.open_rates.entries.T, k=1)  # buy quotes mirrored up
-        for grid in (buy, sell):
-            up = np.triu(grid, k=1)
-            assert np.all((up == 0.0) | (up == next_buy))
-            np.testing.assert_array_equal(grid, grid.T)
-
-
 class TestComputeReturnMatrix:
     def test_profitable_pair(self):
         q = quotes(1, [[1.0, 1.0], [0.7, 1.0]], [[1.0, 0.9], [0.8, 1.0]])
@@ -148,18 +91,6 @@ class TestComputeReturnMatrix:
         r = compute_return_matrix(quotes(1, grid, grid))
         assert r.entries[0, 1] == pytest.approx(1.2 / 0.9, rel=1e-12)
         assert r.entries[1, 0] == 0.0
-
-    def test_next_day_horizon_requires_follow_up(self):
-        q = quotes(1, [[1.0, 1.2], [0.9, 1.0]], [[1.0, 1.2], [0.9, 1.0]])
-        with pytest.raises(MissingNextDay):
-            compute_return_matrix(q, horizon="next-day")
-
-    def test_next_day_uses_later_close(self):
-        day1 = quotes(1, [[1.0, 1.2], [0.9, 1.0]], [[1.0, 1.2], [0.9, 1.0]])
-        day2 = quotes(2, [[1.0, 1.2], [0.9, 1.0]], [[1.0, 1.05], [0.8, 1.0]])
-        r = compute_return_matrix(day1, day2, horizon="next-day")
-        assert r.day == 2
-        assert r.entries[0, 1] == pytest.approx(1.2 / 0.8, rel=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
