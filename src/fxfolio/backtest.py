@@ -81,8 +81,7 @@ class GammaSchedule:
         out = np.full(n_days + 2, gamma)
         if self.mode == "block-decaying":
             for i, block in enumerate(block_partition(n_days, self.block_unit), start=1):
-                for d in block:
-                    out[d] = gamma / i
+                out[block.start : block.stop] = gamma / i
             out[n_days + 1] = out[n_days]
         return out
 
@@ -122,17 +121,12 @@ def block_partition(n_days: int, unit: int) -> list[range]:
     """
     if not (1 < unit < n_days):
         raise InvalidBlockUnit(f"block unit must satisfy 1 < unit < n_days, got unit={unit}, n_days={n_days}")
-    count = math.ceil((math.sqrt(1.0 + 8.0 * n_days / unit) - 1.0) / 2.0)
-    # Guard the float sqrt near integer roots.
-    while count * (count + 1) * unit // 2 < n_days:
-        count += 1
-    while count > 1 and (count - 1) * count * unit // 2 >= n_days:
-        count -= 1
     blocks = []
-    for i in range(1, count + 1):
-        start = i * (i - 1) * unit // 2 + 1
-        end = i * (i + 1) * unit // 2 if i < count else n_days
+    start, length = 1, unit
+    while start <= n_days:
+        end = min(start + length - 1, n_days)
         blocks.append(range(start, end + 1))
+        start, length = end + 1, length + unit
     return blocks
 
 
@@ -242,7 +236,7 @@ def _linear_blends(lin: LinearPredictor, grids: np.ndarray) -> tuple[np.ndarray,
 def _returns(market: QuoteStack | ReturnStack | Sequence, f0: float) -> ReturnStack:
     """The run's return stack, after the checks that every run of the engine makes."""
     if f0 <= 0.0 or not math.isfinite(f0):
-        raise NonPositiveCapital(f"starting capital must be finite and > 0, got {f0!r}")
+        raise InvalidParams(f"starting capital must be finite and > 0, got {f0!r}")
     if len(market) < 2:
         raise TooFewDays(f"a backtest needs at least 2 days, got {len(market)}")
     rets = as_stack(market)
@@ -314,7 +308,7 @@ def run_backtest(
         g_col[day_idx] = growth
 
         pred_next = preds[k]
-        gamma_next = gammas[min(k + 1, n + 1)]
+        gamma_next = gammas[k + 1]
         if pred_next is not None and gamma_next > 0.0:
             psi = tilt(update.rule, drift, pred_next, gamma_next, update.support_floor)
         else:
@@ -530,56 +524,37 @@ class GapResult:
     holds: bool
 
 
-def universality_gap(
-    ledger: BacktestLedger,
-    pair: tuple[int, int],
-    rule: str,
-    gamma: float,
-    r_floor: float,
-    force: bool = False,
-) -> GapResult:
-    """Net growth over the single-pair benchmark against its guaranteed floor.
+def universality_gap(ledger: BacktestLedger, pair: tuple[int, int], r_floor: float) -> GapResult:
+    """Net growth over the single-pair benchmark against the guaranteed floor of the run's own rule and gamma.
 
     The guarantee assumes a normalized market (every pair's daily return
     sum in [r_floor, 1] with maximum exactly 1), a linear predictor, a
-    constant learning rate, and no support floor.  Runs outside those
-    hypotheses are refused unless force is set.  The arithmetic is
-    pair_gap's.
+    constant learning rate, and no support floor; runs outside those
+    hypotheses are refused.  The arithmetic is pair_gap's, which checks
+    the inequality for any rule and gamma.
     """
     _require_days(ledger)
-    if rule not in ("iitc", "eiitc"):
-        raise InvalidParams(f"rule must be 'iitc' or 'eiitc', got {rule!r}")
     if not (0.0 < r_floor < 1.0):
         raise InvalidParams(f"return floor must lie in (0, 1), got {r_floor!r}")
-    if gamma < 0.0:
-        raise InvalidParams(f"gamma must be >= 0, got {gamma!r}")
-    if not force:
-        cfg = ledger.config
-        if cfg["predictor"]["kind"] != "linear":
-            raise NormalizationViolated(
-                f"guarantee needs a linear predictor, run used {cfg['predictor']['kind']!r} (pass force to override)"
-            )
-        if cfg["update"]["rule"] != rule or cfg["update"]["gamma"] != gamma:
-            raise NormalizationViolated(
-                f"run used rule {cfg['update']['rule']!r} with gamma {cfg['update']['gamma']!r}, "
-                f"not {rule!r} with {gamma!r} (pass force to override)"
-            )
-        if cfg["update"]["support_floor"] != 0.0:
-            raise NormalizationViolated("guarantee needs support_floor 0 (pass force to override)")
-        if cfg["schedule"]["mode"] != "constant":
-            raise NormalizationViolated("guarantee needs a constant learning rate (pass force to override)")
-        check_normalized(ledger.returns, r_floor)
+    cfg = ledger.config
+    update = UpdateConfig(**cfg["update"])  # the run's own rule and gamma, checked as the run checked them
+    if cfg["predictor"]["kind"] != "linear":
+        raise NormalizationViolated(f"guarantee needs a linear predictor, run used {cfg['predictor']['kind']!r}")
+    if update.support_floor != 0.0:
+        raise NormalizationViolated("guarantee needs support_floor 0")
+    if cfg["schedule"]["mode"] != "constant":
+        raise NormalizationViolated("guarantee needs a constant learning rate")
+    check_normalized(ledger.returns, r_floor)
     i, j = pair
-    benchmark = single_pair_growth_rate(ledger.returns, i, j)
     return pair_gap(
         ledger.growth,
         ledger.ratio,
-        benchmark,
+        single_pair_growth_rate(ledger.returns, i, j),
         float(ledger.portfolios[0][i, j]),
         float(ledger.next_portfolio[i, j]),
         pair,
-        rule,
-        gamma,
+        update.rule,
+        update.gamma,
         r_floor,
     )
 
@@ -595,7 +570,7 @@ def check_normalized(returns: ReturnStack, r_floor: float) -> None:
         k = int(np.argmax(bad))
         raise NormalizationViolated(
             f"day {int(returns.days[k])}: pair return sums in [{float(lo[k])!r}, {float(hi[k])!r}] "
-            f"violate the [{r_floor}, 1] normalization (pass force to override)"
+            f"violate the [{r_floor}, 1] normalization"
         )
 
 

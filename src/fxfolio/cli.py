@@ -85,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     bt = sub.add_parser("backtest", help="run the daily strategy over a rates or returns file")
     bt.add_argument("--input", required=True)
     bt.add_argument("--input-kind", choices=("rates", "returns"), default="rates")
-    bt.add_argument("--ledger", default=None, help="write the per-day ledger here (jsonl)")
-    bt.add_argument("--summary", default=None, help="write the one-row summary here (csv)")
     bt.add_argument("--rule", choices=("iitc", "eiitc"), default="iitc")
     bt.add_argument("--gamma", type=float, default=0.1)
     bt.add_argument("--support-floor", type=float, default=0.0)
@@ -102,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--block-unit", type=int, default=5)
     bt.add_argument("--cost", type=float, default=0.0)
     bt.add_argument("--f0", type=float, default=1.0)
+    bt.add_argument("--ledger", default=None, help="write the per-day ledger here (jsonl)")
+    bt.add_argument("--summary", default=None, help="write the one-row summary here (csv)")
 
     ver = sub.add_parser("verify", help="run a randomized verification suite")
     ver.add_argument("--suite", choices=("universality", "profitability", "cost-bounds"), required=True)
@@ -116,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--pab-pba", type=float, default=0.6)
     ver.add_argument("--max-violations", type=int, default=20, help="violation lines to print")
     return parser
-
-
-def _print_config(command: str, items: dict) -> None:
-    print(f"config {json_value({'command': command, **items})}")
 
 
 def _parse_masses(text: str) -> tuple[float, float, float, float]:
@@ -151,7 +147,7 @@ def _cmd_generate(ns) -> int:
             normalize=ns.normalize,
             r_floor=ns.r_floor,
         )
-        _print_config("generate", {"mode": "market", **spec.__dict__, "out": ns.out})
+        print(f"config {json_value({'command': 'generate', 'mode': 'market', **spec.__dict__, 'out': ns.out})}")
         write_rates(generate_market(spec), ns.out)
     else:
         masses = _parse_masses(ns.masses) if ns.masses else symmetric_masses(ns.paa_pbb)
@@ -162,7 +158,7 @@ def _cmd_generate(ns) -> int:
             seed=ns.seed,
             dependence_gap=ns.K,
         )
-        _print_config("generate", {"mode": "orders", **spec.__dict__, "out": ns.out})
+        print(f"config {json_value({'command': 'generate', 'mode': 'orders', **spec.__dict__, 'out': ns.out})}")
         matrices, _ = generate_order_process(spec)
         write_returns(matrices, ns.out)
     print(f"wrote {ns.out}")
@@ -187,33 +183,10 @@ def _cmd_backtest(ns) -> int:
     update = UpdateConfig(rule=ns.rule, gamma=ns.gamma, support_floor=ns.support_floor)
     schedule = GammaSchedule(mode=ns.schedule, block_unit=ns.block_unit)
     costs = CostParams(ns.cost)
-    _print_config(
-        "backtest",
-        {
-            "input": ns.input,
-            "input_kind": ns.input_kind,
-            "rule": ns.rule,
-            "gamma": ns.gamma,
-            "support_floor": ns.support_floor,
-            "predictor": ns.predictor,
-            "mpcr": ns.mpcr,
-            "mpo": ns.mpo,
-            "adjusted": ns.adjusted,
-            "L": ns.L,
-            "c_a": ns.c_a,
-            "c_b": ns.c_b,
-            "lags": ns.lags,
-            "schedule": ns.schedule,
-            "block_unit": ns.block_unit,
-            "cost": ns.cost,
-            "f0": ns.f0,
-            "ledger": ns.ledger,
-            "summary": ns.summary,
-        },
-    )
+    print(f"config {json_value(vars(ns))}")
     market = load_rates(ns.input) if ns.input_kind == "rates" else read_returns(ns.input)
     ledger = run_backtest(market, predictor=predictor, update=update, schedule=schedule, costs=costs, f0=ns.f0)
-    metrics = _summary_metrics(ledger, ns)
+    metrics = _summary_metrics(ledger)
     if ns.ledger:
         write_ledger(ledger, ns.ledger)
     if ns.summary:
@@ -225,10 +198,11 @@ def _cmd_backtest(ns) -> int:
     return EXIT_OK
 
 
-def _summary_metrics(ledger: BacktestLedger, ns) -> dict:
+def _summary_metrics(ledger: BacktestLedger) -> dict:
     eta = math.nan
-    if ns.predictor == "crossrate":
-        _, flags = segment_success_rates(ledger, ns.L)
+    predictor = ledger.config["predictor"]
+    if predictor["kind"] == "crossrate":
+        _, flags = segment_success_rates(ledger, predictor["L"])
         if flags:
             eta = effectiveness_ratio(flags)
     return {
@@ -245,21 +219,7 @@ def _cmd_verify(ns) -> int:
         raise InvalidParams(f"--jobs must be >= 1, got {ns.jobs}")
     if ns.max_violations < 0:
         raise InvalidParams(f"--max-violations must be >= 0, got {ns.max_violations}")
-    _print_config(
-        "verify",
-        {
-            "suite": ns.suite,
-            "replicates": ns.replicates,
-            "seed": ns.seed,
-            "jobs": ns.jobs,
-            "days": ns.days,
-            "r_floor": ns.r_floor,
-            "segments": ns.segments,
-            "L": ns.L,
-            "paa_pbb": ns.paa_pbb,
-            "pab_pba": ns.pab_pba,
-        },
-    )
+    print(f"config {json_value(vars(ns))}")
     if ns.suite == "universality":
         result = universality_suite(replicates=ns.replicates, seed=ns.seed, n_days=ns.days, r_floor=ns.r_floor, jobs=ns.jobs)
     elif ns.suite == "profitability":

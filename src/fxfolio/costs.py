@@ -100,8 +100,8 @@ def cost_bounds(delta: float, c: float) -> tuple[float, float]:
     """Sandwich for the daily cost: (c/(1+c)) * delta <= T <= (c/(1-c)) * delta."""
     if not (0.0 <= c < 1.0) or not math.isfinite(c):
         raise InvalidC(f"fee rate c must lie in [0, 1), got {c!r}")
-    if delta < 0.0:
-        raise InvalidParams(f"turnover must be >= 0, got {delta!r}")
+    if delta < 0.0 or not math.isfinite(delta):
+        raise InvalidParams(f"turnover must be finite and >= 0, got {delta!r}")
     return (c / (1.0 + c)) * delta, (c / (1.0 - c)) * delta
 
 

@@ -209,17 +209,13 @@ def predict_return(
     adjusted: bool,
     w_pred: float,
     returns: Sequence[ReturnMatrix],
-    orders: Sequence[int] | None = None,
 ) -> ReturnMatrix:
     """Next-day return matrix implied by a cross-rate guess.
 
     The reference day's matrix, transposed when its side is swapped, so
-    its order equals mpo_predict's.  `orders` are the orders of
-    `returns` when the caller already has them.
+    its order equals mpo_predict's.
     """
-    if orders is None:
-        orders = [order_of(r) for r in returns]
-    ref, swap = reference_day(method, adjusted, w_pred, orders)
+    ref, swap = reference_day(method, adjusted, w_pred, [order_of(r) for r in returns])
     r = returns[ref - 1]
     return ReturnMatrix(day=r.day, entries=r.entries.T) if swap else r
 

@@ -549,6 +549,34 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
         raise IoError(f"cannot write ledger {path}: {exc}") from exc
 
 
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "bool": (bool,)}
+
+
+def _typed(kind: str, value):
+    """value, if JSON gave it this kind; type() keeps out bools, which Python counts as ints."""
+    if type(value) not in _JSON_KINDS[kind]:
+        raise ValueError(f"{value!r} is not a JSON {kind}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float; ints count, since %.17g writes 1.0 as 1."""
+    return float(_typed("number", value))
+
+
+def _order(value) -> int:
+    if _typed("integer", value) not in (0, 1, 2):
+        raise ValueError(f"order {value!r} is not 0, 1 or 2")
+    return value
+
+
+def _diamond(value) -> float:
+    x = _number(value)
+    if not x >= 0.0:
+        raise ValueError(f"weighted return {x!r} must be >= 0")
+    return x
+
+
 def read_ledger(path) -> BacktestLedger:
     records = []
     try:
@@ -580,7 +608,7 @@ def read_ledger(path) -> BacktestLedger:
         except FxfolioError as exc:
             raise ParseError(f"{path}: line {ln}: key {key!r}: {exc}") from exc
 
-    m = field(meta_ln, meta, "m", int)
+    m = field(meta_ln, meta, "m", lambda v: _typed("integer", v))
 
     def grid(flat):
         return np.array(flat, dtype=float).reshape(m, m)
@@ -618,22 +646,22 @@ def read_ledger(path) -> BacktestLedger:
             matrices("R", lambda k, flat: ReturnMatrix(day=k, entries=grid(flat)))
             raise ParseError(f"{path}: key 'day': {exc}") from exc
 
-    day = column("day", int)
-    diamond = np.array(column("diamond", float))
+    day = column("day", lambda v: _typed("integer", v))
+    diamond = np.array(column("diamond", _diamond))
     return BacktestLedger(
         m=m,
-        f0=field(meta_ln, meta, "f0", float),
+        f0=field(meta_ln, meta, "f0", _number),
         config=field(meta_ln, meta, "config", dict),
         day=np.array(day),
-        capital=np.array(column("F", float)),
-        capital_net=np.array(column("Fp", float)),
-        cost=np.array(column("T", float)),
-        ratio=np.array(column("c", float)),
+        capital=np.array(column("F", _number)),
+        capital_net=np.array(column("Fp", _number)),
+        cost=np.array(column("T", _number)),
+        ratio=np.array(column("c", _number)),
         growth=np.where(diamond > 0.0, diamond, 1.0),
         parked=diamond == 0.0,
-        order_actual=np.array(column("order_actual", int), dtype=np.int64),
-        order_pred=np.array(column("order_pred", lambda v: -1 if v is None else int(v)), dtype=np.int64),
-        pred_crossed_segment=np.array(column("crossed", bool)),
+        order_actual=np.array(column("order_actual", _order), dtype=np.int64),
+        order_pred=np.array(column("order_pred", lambda v: -1 if v is None else _order(v)), dtype=np.int64),
+        pred_crossed_segment=np.array(column("crossed", lambda v: _typed("bool", v))),
         portfolios=matrices("psi", weights),
         realized=matrices("psi_prime", weights),
         returns=return_stack(),

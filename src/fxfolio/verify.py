@@ -119,8 +119,9 @@ def _universality_replicate(args) -> tuple[int, list[str], float]:
 def universality_suite(replicates: int = 100, seed: int = 1, n_days: int = 250, r_floor: float = 0.5, jobs: int = 1) -> SuiteResult:
     _check_run(replicates, seed)
     args = [(idx, seed, n_days, r_floor) for idx in range(replicates)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_universality_replicate, args))
     else:
         results = [_universality_replicate(a) for a in args]

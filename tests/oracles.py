@@ -482,7 +482,7 @@ def universality_replicate_per_config(args):
                     violations.append(f"{tag}: realized cost ratio {worst!r} exceeds bound {bound!r}")
                 for i in range(m):
                     for j in range(i + 1, m):
-                        res = universality_gap(ledger, (i, j), rule, gamma, r_floor)
+                        res = universality_gap(ledger, (i, j), r_floor)
                         checked += 1
                         min_margin = min(min_margin, res.lhs_gap - res.rhs_bound)
                         if not res.holds:

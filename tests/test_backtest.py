@@ -18,6 +18,7 @@ from fxfolio.backtest import (
     cumulative_return_net,
     growth_rate,
     growth_rate_net,
+    pair_gap,
     predict,
     run_backtest,
     segment_success_rates,
@@ -407,6 +408,21 @@ class TestSinglePairBenchmark:
             single_pair_growth_rate(rets, 1, 0)
 
 
+def pair_gap_args(ledger, pair):
+    """pair_gap's arguments up to the rule, as universality_gap reads them from a ledger."""
+    i, j = pair
+    benchmark = single_pair_growth_rate(ledger.returns, i, j)
+    return ledger.growth, ledger.ratio, benchmark, float(ledger.portfolios[0][i, j]), float(ledger.next_portfolio[i, j]), pair
+
+
+class TestPairGap:
+    def test_eiitc_bound_is_weaker(self):
+        args = pair_gap_args(TestUniversalityGap().trivial_ledger(), (0, 1))
+        a = pair_gap(*args, "iitc", 0.2, 0.5)
+        b = pair_gap(*args, "eiitc", 0.2, 0.5)
+        assert b.rhs_bound <= a.rhs_bound
+
+
 class TestUniversalityGap:
     def trivial_config(self, rule="iitc", gamma=0.0):
         return {
@@ -420,7 +436,7 @@ class TestUniversalityGap:
         return stub_ledger([1.0, 1.0], [0.0, 0.0], config=self.trivial_config(), returns=rets)
 
     def test_degenerate_bound_is_zero(self):
-        out = universality_gap(self.trivial_ledger(), (0, 1), "iitc", 0.0, 0.5)
+        out = universality_gap(self.trivial_ledger(), (0, 1), 0.5)
         assert out.rhs_bound == 0.0
         assert out.lhs_gap >= 0.0
         assert out.holds
@@ -435,36 +451,57 @@ class TestUniversalityGap:
         )
         for i in range(3):
             for j in range(i + 1, 3):
-                out = universality_gap(ledger, (i, j), "iitc", 0.1, 0.5)
+                out = universality_gap(ledger, (i, j), 0.5)
                 assert out.holds, (i, j, out)
 
-    def test_eiitc_bound_is_weaker(self):
-        led = self.trivial_ledger()
-        a = universality_gap(led, (0, 1), "iitc", 0.2, 0.5, force=True)
-        b = universality_gap(led, (0, 1), "eiitc", 0.2, 0.5, force=True)
-        assert b.rhs_bound <= a.rhs_bound
+    def test_judges_the_runs_own_rule_and_gamma(self):
+        rets = normalized_market(seed=5, m=3, n_days=60)
+        ledger = run_backtest(rets, predictor=LinearPredictor((1.0,)), update=UpdateConfig(rule="eiitc", gamma=0.5))
+        args = pair_gap_args(ledger, (0, 2))
+        assert universality_gap(ledger, (0, 2), 0.5) == pair_gap(*args, "eiitc", 0.5, 0.5)
+        assert universality_gap(ledger, (0, 2), 0.5) != pair_gap(*args, "iitc", 0.5, 0.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.1])
+    def test_refuses_a_bad_echoed_gamma(self, gamma):
+        led = stub_ledger([1.0, 1.0], [0.0, 0.0], config=self.trivial_config(gamma=gamma), returns=constant_market(1.0, 2))
+        with pytest.raises(InvalidParams, match=rf"^gamma must be finite and >= 0, got {gamma!r}$"):
+            universality_gap(led, (0, 1), 0.5)
+
+    def test_refuses_an_unknown_echoed_rule(self):
+        led = stub_ledger([1.0, 1.0], [0.0, 0.0], config=self.trivial_config(rule="ogd"), returns=constant_market(1.0, 2))
+        with pytest.raises(InvalidParams, match="rule must be 'iitc' or 'eiitc', got 'ogd'"):
+            universality_gap(led, (0, 1), 0.5)
 
     def test_refuses_crossrate_predictions(self):
         led = self.trivial_ledger()
         led.config["predictor"] = {"kind": "crossrate"}
-        with pytest.raises(NormalizationViolated):
-            universality_gap(led, (0, 1), "iitc", 0.0, 0.5)
-        assert isinstance(universality_gap(led, (0, 1), "iitc", 0.0, 0.5, force=True), GapResult)
+        with pytest.raises(NormalizationViolated, match="^guarantee needs a linear predictor, run used 'crossrate'$"):
+            universality_gap(led, (0, 1), 0.5)
+        assert isinstance(pair_gap(*pair_gap_args(led, (0, 1)), "iitc", 0.0, 0.5), GapResult)
 
-    def test_refuses_mismatched_rule(self):
-        with pytest.raises(NormalizationViolated):
-            universality_gap(self.trivial_ledger(), (0, 1), "eiitc", 0.0, 0.5)
+    @pytest.mark.parametrize(
+        "section, key, value, problem",
+        [
+            ("update", "support_floor", 0.1, "guarantee needs support_floor 0"),
+            ("schedule", "mode", "block-decaying", "guarantee needs a constant learning rate"),
+        ],
+    )
+    def test_refuses_runs_outside_the_hypotheses(self, section, key, value, problem):
+        led = self.trivial_ledger()
+        led.config[section][key] = value
+        with pytest.raises(NormalizationViolated, match=f"^{problem}$"):
+            universality_gap(led, (0, 1), 0.5)
 
     def test_refuses_unnormalized_returns(self):
         led = stub_ledger([1.0, 1.0], [0.0, 0.0], config=self.trivial_config(), returns=constant_market(1.3, 2))
         with pytest.raises(NormalizationViolated):
-            universality_gap(led, (0, 1), "iitc", 0.0, 0.5)
+            universality_gap(led, (0, 1), 0.5)
 
     def test_names_the_first_unnormalized_day(self):
         rets = constant_market(1.0, 2) + [upper_only(0.4, 3), upper_only(1.3, 4)]
         led = stub_ledger([1.0] * 4, [0.0] * 4, config=self.trivial_config(), returns=rets)
         with pytest.raises(NormalizationViolated, match=r"^day 3: pair return sums in \[0.4, 0.4\] violate"):
-            universality_gap(led, (0, 1), "iitc", 0.0, 0.5)
+            universality_gap(led, (0, 1), 0.5)
 
     @given(st.integers(0, 1000), st.lists(st.integers(0, 29), min_size=1, max_size=3), st.sampled_from([0.4, 0.9, 1.2]))
     @settings(max_examples=40, deadline=None)
@@ -480,7 +517,7 @@ class TestUniversalityGap:
                 break
         led = stub_ledger([1.0] * 30, [0.0] * 30, m=3, config=self.trivial_config(), returns=rets)
         with pytest.raises(NormalizationViolated, match=rf"^day {first}: "):
-            universality_gap(led, (0, 1), "iitc", 0.0, 0.5)
+            universality_gap(led, (0, 1), 0.5)
 
     def test_long_run_gap_shrinks_under_decaying_schedule(self):
         # Growing blocks send gamma to zero, so the shortfall against the
@@ -735,8 +772,7 @@ def test_messages_print_plain_floats():
     message(growth_rate_net, stub_ledger([1.0, 1.0], [0.0, 1.0]))
     message(single_pair_growth_rate, constant_market(1.1, 2), 1, 0)
     message(universality_gap, stub_ledger([1.0] * 2, [0.0] * 2, config=gap_config, returns=constant_market(1.3, 2)),
-            (0, 1), "iitc", 0.0, 0.5)
-    message(universality_gap, stub_ledger([1.0] * 2, [0.0] * 2, next_portfolio=lower), (0, 1), "iitc", 0.0, 0.5,
-            force=True)
+            (0, 1), 0.5)
+    message(pair_gap, *pair_gap_args(stub_ledger([1.0] * 2, [0.0] * 2, next_portfolio=lower), (0, 1)), "iitc", 0.0, 0.5)
     for text in messages:
         assert "np.float64" not in text, text

@@ -1,6 +1,8 @@
 """Command-line driver: flags, exit codes, printed output, file side effects."""
 
+import argparse
 import ctypes
+import gc
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fxfolio
-from fxfolio import cli, errors
+from fxfolio import cli, errors, verify
 from fxfolio.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from fxfolio.data_io import load_rates, read_ledger, read_returns, read_summary
 
@@ -205,6 +207,65 @@ class TestVerify:
         _, lines, _ = run_cli(capsys, "verify", "--suite", "cost-bounds", "--replicates", "20")
         assert lines[0].startswith("config ")
 
+    @pytest.mark.parametrize("replicates, pool_sizes", [("1", []), ("2", [2])])
+    def test_jobs_above_replicates_start_one_worker_each(self, capsys, monkeypatch, replicates, pool_sizes):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        argv = ["verify", "--suite", "universality", "--replicates", replicates, "--days", "30"]
+        code, lines, _ = run_cli(capsys, *argv, "--jobs", "3")
+        assert code == EXIT_OK
+        assert started == pool_sizes
+        assert run_cli(capsys, *argv, "--jobs", "1")[1][1:] == lines[1:]
+        assert started == pool_sizes
+
+
+# The config line's keys: the subcommand, then every flag it parsed, in parser order.
+CONFIG_KEYS = {
+    "backtest": [
+        "command", "input", "input_kind", "rule", "gamma", "support_floor", "predictor", "mpcr", "mpo", "adjusted",
+        "L", "c_a", "c_b", "lags", "schedule", "block_unit", "cost", "f0", "ledger", "summary",
+    ],
+    "verify": [
+        "command", "suite", "replicates", "seed", "jobs", "days", "r_floor", "segments", "L", "paa_pbb", "pab_pba",
+        "max_violations",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, echoed",
+    [
+        (["backtest", "--cost", "0.005", "--lags", "0.6,0.4"], {"cost": 0.005, "lags": "0.6,0.4"}),
+        (["verify", "--suite", "cost-bounds", "--replicates", "20", "--max-violations", "3"], {"max_violations": 3}),
+    ],
+    ids=["backtest", "verify"],
+)
+def test_config_line_echoes_every_parsed_flag(capsys, rates_file, argv, echoed):
+    command = argv[0]
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert CONFIG_KEYS[command] == ["command"] + [a.dest for a in subparsers.choices[command]._actions if a.dest != "help"]
+    if command == "backtest":
+        argv = argv + ["--input", str(rates_file)]
+    _, lines, _ = run_cli(capsys, *argv)
+    config = json.loads(lines[0][len("config "):])
+    assert list(config) == CONFIG_KEYS[command]
+    assert config["command"] == command
+    assert {key: config[key] for key in echoed} == echoed
+
 
 class TestRejectedArguments:
     """Values that used to slip past validation, or ran checks on nothing, exit 2 with a typed message."""
@@ -244,6 +305,12 @@ class TestRejectedArguments:
         assert code == EXIT_CONFIG
         assert err.splitlines()[-1] == "config error: block unit must be >= 2, got -3"
         assert lines == []
+
+    @pytest.mark.parametrize("f0", ["0", "-1", "nan", "inf"])
+    def test_bad_starting_capital(self, capsys, rates_file, f0):
+        code, _, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--f0", f0)
+        assert code == EXIT_CONFIG
+        assert err.splitlines()[-1] == f"config error: starting capital must be finite and > 0, got {float(f0)!r}"
 
     def test_nan_lags(self, capsys, rates_file):
         code, _, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--predictor", "linear", "--lags", "nan")
@@ -443,10 +510,16 @@ class TestMmapThreshold:
         if mallinfo2 is None:
             pytest.skip("needs glibc >= 2.33")
         assert run_cli(capsys, "--help")[0] == EXIT_OK
-        big = bytearray(16 << 20)
-        del big
-        before = mallinfo2().hblks
-        block = bytearray(6 << 20)
-        assert mallinfo2().hblks == before + 1
-        del block
-        assert mallinfo2().hblks == before
+        # A cyclic collection between the reads could free some other mapped block.
+        gc.collect()
+        gc.disable()
+        try:
+            big = bytearray(16 << 20)
+            del big
+            before = mallinfo2().hblks
+            block = bytearray(6 << 20)
+            assert mallinfo2().hblks == before + 1
+            del block
+            assert mallinfo2().hblks == before
+        finally:
+            gc.enable()

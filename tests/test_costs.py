@@ -107,6 +107,11 @@ class TestCostBounds:
         with pytest.raises(InvalidParams):
             cost_bounds(-1.0, 0.01)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_turnover(self, delta):
+        with pytest.raises(InvalidParams, match=f"turnover must be finite and >= 0, got {delta!r}"):
+            cost_bounds(delta, 0.01)
+
     @given(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
         st.floats(min_value=0.0, max_value=0.5, allow_nan=False),

@@ -432,8 +432,35 @@ class TestDamagedLedgerAndSummaryFiles:
             (0, lambda line: line.replace(b'"m":3', b'"m":1e400'), r"line 1: key 'm': bad value"),
             (2, lambda line: line.replace(b'"day":2', b'"day":1e400'), r"line 3: key 'day': bad value"),
             (2, lambda line: line.replace(b'"day":2', b'"day":1'), r"key 'day': market days must be strictly increasing"),
+            (0, lambda line: line.replace(b'"m":3', b'"m":"3"'), r"line 1: key 'm': bad value: '3' is not a JSON integer"),
+            (0, lambda line: line.replace(b'"f0":1,"config"', b'"f0":true,"config"'),
+             r"line 1: key 'f0': bad value: True is not a JSON number"),
+            (2, lambda line: line.replace(b'"day":2', b'"day":1.7'), r"line 3: key 'day': bad value: 1.7 is not a JSON integer"),
+            (2, lambda line: line.replace(b'"day":2', b'"day":true'), r"line 3: key 'day': bad value: True is not a JSON integer"),
+            (2, lambda line: re.sub(rb'"order_actual":\d', b'"order_actual":1.9', line),
+             r"line 3: key 'order_actual': bad value: 1.9 is not a JSON integer"),
+            (2, lambda line: re.sub(rb'"order_actual":\d', b'"order_actual":7', line),
+             r"line 3: key 'order_actual': bad value: order 7 is not 0, 1 or 2"),
+            (2, lambda line: line.replace(b'"order_pred":null', b'"order_pred":-1'),
+             r"line 3: key 'order_pred': bad value: order -1 is not 0, 1 or 2"),
+            (2, lambda line: line.replace(b'"order_pred":null', b'"order_pred":false'),
+             r"line 3: key 'order_pred': bad value: False is not a JSON integer"),
+            (2, lambda line: re.sub(rb'"crossed":\w+', b'"crossed":"no"', line),
+             r"line 3: key 'crossed': bad value: 'no' is not a JSON bool"),
+            (2, lambda line: re.sub(rb'"crossed":\w+', b'"crossed":0', line),
+             r"line 3: key 'crossed': bad value: 0 is not a JSON bool"),
+            (2, lambda line: re.sub(rb'"F":[^,]+', b'"F":"1.5"', line), r"line 3: key 'F': bad value: '1.5' is not a JSON number"),
+            (2, lambda line: re.sub(rb'"T":[^,]+', b'"T":false', line), r"line 3: key 'T': bad value: False is not a JSON number"),
+            (2, lambda line: re.sub(rb'"diamond":[^,]+', b'"diamond":-3.0', line),
+             r"line 3: key 'diamond': bad value: weighted return -3.0 must be >= 0"),
+            (2, lambda line: re.sub(rb'"diamond":[^,]+', b'"diamond":NaN', line),
+             r"line 3: key 'diamond': bad value: weighted return nan must be >= 0"),
         ],
-        ids=["non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day"],
+        ids=[
+            "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "string m", "bool f0",
+            "float day", "bool day", "float order", "order out of range", "negative order_pred", "bool order_pred",
+            "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
+        ],
     )
     def test_ledger_errors_are_typed(self, tmp_path, written, index, edit, message):
         lines = written[0].splitlines(keepends=True)
