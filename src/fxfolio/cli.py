@@ -59,6 +59,17 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParams(f"{self.prog}: {message}")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags whose value the config line echoes: NaN and infinities are not JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fxfolio", description="Currency-pair portfolio backtesting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,20 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--input", required=True)
     bt.add_argument("--input-kind", choices=("rates", "returns"), default="rates")
     bt.add_argument("--rule", choices=("iitc", "eiitc"), default="iitc")
-    bt.add_argument("--gamma", type=float, default=0.1)
-    bt.add_argument("--support-floor", type=float, default=0.0)
+    bt.add_argument("--gamma", type=_finite_float, default=0.1)
+    bt.add_argument("--support-floor", type=_finite_float, default=0.0)
     bt.add_argument("--predictor", choices=("crossrate", "linear", "none"), default="crossrate")
     bt.add_argument("--mpcr", type=int, choices=(1, 2), default=1)
     bt.add_argument("--mpo", type=int, choices=(1, 2), default=1)
     bt.add_argument("--adjusted", action="store_true", help="use the decisive-day variants")
     bt.add_argument("--L", type=int, default=5)
-    bt.add_argument("--c-a", type=float, default=0.25)
-    bt.add_argument("--c-b", type=float, default=0.75)
+    bt.add_argument("--c-a", type=_finite_float, default=0.25)
+    bt.add_argument("--c-b", type=_finite_float, default=0.75)
     bt.add_argument("--lags", default="1", help="comma weights for the linear predictor, newest first")
     bt.add_argument("--schedule", choices=("constant", "block-decaying"), default="constant")
     bt.add_argument("--block-unit", type=int, default=5)
-    bt.add_argument("--cost", type=float, default=0.0)
-    bt.add_argument("--f0", type=float, default=1.0)
+    bt.add_argument("--cost", type=_finite_float, default=0.0)
+    bt.add_argument("--f0", type=_finite_float, default=1.0)
     bt.add_argument("--ledger", default=None, help="write the per-day ledger here (jsonl)")
     bt.add_argument("--summary", default=None, help="write the one-row summary here (csv)")
 
@@ -109,11 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=1)
     ver.add_argument("--jobs", type=int, default=1, help="parallel replicates")
     ver.add_argument("--days", type=int, default=250)
-    ver.add_argument("--r-floor", type=float, default=0.5)
+    ver.add_argument("--r-floor", type=_finite_float, default=0.5)
     ver.add_argument("--segments", type=int, default=20_000)
     ver.add_argument("--L", type=int, default=5)
-    ver.add_argument("--paa-pbb", type=float, default=0.78)
-    ver.add_argument("--pab-pba", type=float, default=0.6)
+    ver.add_argument("--paa-pbb", type=_finite_float, default=0.78)
+    ver.add_argument("--pab-pba", type=_finite_float, default=0.6)
     ver.add_argument("--max-violations", type=int, default=20, help="violation lines to print")
     return parser
 

@@ -23,7 +23,7 @@ from .backtest import (
     single_pair_growth_rate,
     sweep,
 )
-from .costs import CostParams, cost_bounds, cost_ratio_bound, solve_cost_from_drift
+from .costs import CostParams, cost_bounds, cost_ratio_bound, solve_costs_from_drift
 from .crossrate import PredictorConfig, SegmentConfig, predicted_references, referenced_orders
 from .data_io import (
     SyntheticMarketSpec,
@@ -241,32 +241,74 @@ def bisect_cost(f_k: float, drift_weights: np.ndarray, next_weights: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def _random_weights(rng: np.random.Generator, m: int) -> np.ndarray:
-    w = np.zeros((m, m))
-    off = ~np.eye(m, dtype=bool)
-    w[off] = rng.dirichlet(np.ones(m * m - m))
-    return w
+def bisect_costs(f_k: np.ndarray, drift_weights: np.ndarray, next_weights: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """bisect_cost for each row of a batch: row b bisects with f_k[b], its grids and c[b].
+
+    Every row keeps its own bracket and stopping test and stops moving once
+    that test holds, so each row is bit-equal to the scalar bisection.  Like
+    it, this shares no code with the production solves in costs.py.
+    """
+    flat = (len(f_k), math.prod(drift_weights.shape[1:]))
+    gap = (f_k[:, None, None] * next_weights - f_k[:, None, None] * drift_weights).reshape(flat)
+    w = next_weights.reshape(flat)
+    lo = np.zeros(len(f_k))
+    hi = c / (1.0 - c) * f_k * np.abs(next_weights - drift_weights).reshape(flat).sum(axis=1) + 1e-6
+    todo = c != 0.0
+    for _ in range(200):
+        if not todo.any():
+            break
+        mid = 0.5 * (lo + hi)
+        up = c * np.abs(gap - mid[:, None] * w).sum(axis=1) - mid >= 0.0
+        lo = np.where(todo & up, mid, lo)
+        hi = np.where(todo & ~up, mid, hi)
+        todo &= hi - lo > _BISECT_TOL * np.maximum(1.0, hi)
+    return np.where(c == 0.0, 0.0, 0.5 * (lo + hi))
+
+
+_SIZES = (2, 3, 4, 6)
 
 
 def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
+    """Check the cost solve against its sandwich and the bisection oracle on random days.
+
+    Replicate idx draws an m = _SIZES[idx % 4] day into row idx // 4 of that
+    m's group.  Every draw is made first, in replicate order, so the random
+    stream is the same as one replicate at a time; then each group is solved
+    and bisected at once, and the checks run in replicate order.
+    """
     _check_run(replicates, seed)
     rng = np.random.default_rng(seed)
-    sizes = (2, 3, 4, 6)
+    # Per group: the off-diagonal weights of the drift and the target, f_k and c.
+    draws = []
+    for g, m in enumerate(_SIZES):
+        rows = len(range(g, replicates, len(_SIZES)))
+        draws.append((np.empty((rows, m * m - m)), np.empty((rows, m * m - m)), np.empty(rows), np.empty(rows)))
+    alphas = [np.ones(m * m - m) for m in _SIZES]
+    for idx in range(replicates):
+        g, row = idx % len(_SIZES), idx // len(_SIZES)
+        drift_off, next_off, f_k, c = draws[g]
+        drift_off[row] = rng.dirichlet(alphas[g])
+        next_off[row] = rng.dirichlet(alphas[g])
+        f_k[row] = rng.uniform(0.5, 2.0)
+        c[row] = rng.uniform(0.0, 0.05)
+    # Per group: one column (c, T, turnover, bisection root) per row.
+    solved = []
+    for m, (drift_off, next_off, f_k, c) in zip(_SIZES, draws):
+        drift, psi_next = np.zeros((2, len(f_k), m, m))
+        off = ~np.eye(m, dtype=bool)
+        drift[:, off], psi_next[:, off] = drift_off, next_off
+        t = solve_costs_from_drift(f_k, drift, psi_next, c)
+        delta = f_k * np.abs(psi_next - drift).reshape(len(f_k), m * m).sum(axis=1)
+        solved.append(np.stack((c, t, delta, bisect_costs(f_k, drift, psi_next, c))))
     violations: list[str] = []
     worst_oracle_gap = 0.0
     for idx in range(replicates):
-        m = sizes[idx % len(sizes)]
-        drift = _random_weights(rng, m)
-        psi_next = _random_weights(rng, m)
-        f_k = float(rng.uniform(0.5, 2.0))
-        c = float(rng.uniform(0.0, 0.05))
-        t = solve_cost_from_drift(f_k, drift, psi_next, CostParams(c))
-        delta = f_k * float(np.sum(np.abs(psi_next - drift)))
+        m = _SIZES[idx % len(_SIZES)]
+        c, t, delta, oracle = solved[idx % len(_SIZES)][:, idx // len(_SIZES)].tolist()
         lo, hi = cost_bounds(delta, c)
         tag = f"seed={seed} replicate={idx} m={m} c={c}"
         if not (lo - 1e-9 <= t <= hi + 1e-9):
             violations.append(f"{tag}: T={t!r} outside sandwich [{lo!r}, {hi!r}]")
-        oracle = bisect_cost(f_k, drift, psi_next, c)
         worst_oracle_gap = max(worst_oracle_gap, abs(t - oracle))
         if abs(t - oracle) > 1e-8:
             violations.append(f"{tag}: fixed point {t!r} vs bisection {oracle!r}")

@@ -267,6 +267,13 @@ def test_config_line_echoes_every_parsed_flag(capsys, rates_file, argv, echoed):
     assert {key: config[key] for key in echoed} == echoed
 
 
+# Every float-valued flag of the subcommands whose config line echoes the parsed flags.
+FLOAT_FLAGS = {
+    "backtest": ["--gamma", "--support-floor", "--c-a", "--c-b", "--cost", "--f0"],
+    "verify": ["--r-floor", "--paa-pbb", "--pab-pba"],
+}
+
+
 class TestRejectedArguments:
     """Values that used to slip past validation, or ran checks on nothing, exit 2 with a typed message."""
 
@@ -306,11 +313,36 @@ class TestRejectedArguments:
         assert err.splitlines()[-1] == "config error: block unit must be >= 2, got -3"
         assert lines == []
 
-    @pytest.mark.parametrize("f0", ["0", "-1", "nan", "inf"])
-    def test_bad_starting_capital(self, capsys, rates_file, f0):
+    @pytest.mark.parametrize(
+        "f0, message",
+        [
+            pytest.param("0", "starting capital must be finite and > 0, got 0.0", id="0"),
+            pytest.param("-1", "starting capital must be finite and > 0, got -1.0", id="-1"),
+            pytest.param("nan", "fxfolio backtest: argument --f0: must be a finite number, got 'nan'", id="nan"),
+            pytest.param("inf", "fxfolio backtest: argument --f0: must be a finite number, got 'inf'", id="inf"),
+        ],
+    )
+    def test_bad_starting_capital(self, capsys, rates_file, f0, message):
         code, _, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--f0", f0)
         assert code == EXIT_CONFIG
-        assert err.splitlines()[-1] == f"config error: starting capital must be finite and > 0, got {float(f0)!r}"
+        assert err.splitlines()[-1] == f"config error: {message}"
+
+    @pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in FLOAT_FLAGS.items() for flag in flags])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_float_flags(self, capsys, rates_file, command, flag, value):
+        # Rejected while parsing: the config line, which would echo a bare nan or inf, is never printed.
+        argv = ["backtest", "--input", str(rates_file)] if command == "backtest" else ["verify", "--suite", "cost-bounds"]
+        code, lines, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert code == EXIT_CONFIG
+        assert err.splitlines()[-1] == f"config error: fxfolio {command}: argument {flag}: must be a finite number, got {value!r}"
+        assert lines == []
+
+    def test_every_float_flag_is_checked_for_finiteness(self):
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command, flags in FLOAT_FLAGS.items():
+            actions = subparsers.choices[command]._actions
+            assert [a.option_strings[0] for a in actions if a.type is cli._finite_float] == flags
+            assert not [a.dest for a in actions if a.type is float]
 
     def test_nan_lags(self, capsys, rates_file):
         code, _, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--predictor", "linear", "--lags", "nan")
@@ -341,6 +373,10 @@ FLAGS = {
         "--paa-pbb": ODD + ["0.78"], "--pab-pba": ODD + ["0.6"], "--max-violations": ODD + ["2"],
     },
 }
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @st.composite
@@ -380,8 +416,11 @@ class TestArgumentFuzz:
         argv = data.draw(argvs(workdir))
         capsys.readouterr()
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_VERIFY), argv
+        for line in out.splitlines():
+            if line.startswith("config "):
+                json.loads(line[len("config "):], parse_constant=reject_constant)
         if code != EXIT_OK:
             assert err.splitlines()[-1].startswith(("config error: ", "io error: ", "run failed: ")), (argv, err)
 

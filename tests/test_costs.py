@@ -164,11 +164,11 @@ class TestBatchSolve:
     @settings(max_examples=100, deadline=None)
     def test_rows_match_the_scalar_solve(self, seed, rows):
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 7))
         drift = np.array([random_portfolio_weights(rng, m, sparse=True) for _ in range(rows)])
         nxt = np.array([random_portfolio_weights(rng, m) for _ in range(rows)])
         f_k = rng.choice([1e-9, 0.7, 3.0, 1e12], size=rows)
-        c = rng.choice([0.0, 0.005, 0.3, 0.9], size=rows)
+        c = rng.choice([0.0, 0.005, 0.05, 0.3, 0.9], size=rows)
         t = solve_costs_from_drift(f_k, drift, nxt, c)
         for b in range(rows):
             expect = solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b], CostParams(float(c[b])))

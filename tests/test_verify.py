@@ -1,15 +1,23 @@
 """The randomized verification suites and their internal oracles."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import universality_replicate_per_config
+from oracles import random_portfolio_weights, universality_replicate_per_config
 
+from fxfolio import verify
 from fxfolio.crossrate import SegmentConfig, cross_rate, mpcr_predict, mpo_predict
 from fxfolio.errors import InvalidParams
 from fxfolio.verify import (
     _universality_replicate,
     bisect_cost,
+    bisect_costs,
     cost_bounds_suite,
     effectiveness_estimate,
     profitability_suite,
@@ -106,3 +114,99 @@ class TestCostBoundsSuite:
             t = bisect_cost(f_k, drift, nxt, c)
             residual = c * float(np.sum(np.abs(f_k * nxt - f_k * drift - t * nxt))) - t
             assert abs(residual) <= 1e-9
+
+
+class TestBatchBisection:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([1e-9, 1e12]), st.floats(1e-9, 1e12)),
+                st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_scalar_bisection(self, seed, m, rows):
+        rng = np.random.default_rng(seed)
+        drift = np.array([random_portfolio_weights(rng, m, sparse=True) for _ in rows])
+        nxt = np.array([random_portfolio_weights(rng, m) for _ in rows])
+        f_k = np.array([f for f, _ in rows])
+        c = np.array([c for _, c in rows])
+        t = bisect_costs(f_k, drift, nxt, c)
+        for b, (f, cb) in enumerate(rows):
+            assert t[b] == bisect_cost(f, drift[b], nxt[b], cb)
+
+    @pytest.mark.parametrize("name", ["bisect_cost", "bisect_costs"])
+    def test_shares_no_code_with_the_production_solve(self, name):
+        tree = ast.parse(Path(verify.__file__).read_text())
+        from_costs = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module in ("costs", "fxfolio.costs")
+            for alias in node.names
+        }
+        assert "solve_costs_from_drift" in from_costs
+        [func] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        assert not used & (from_costs | {"costs"})
+
+
+def replicate_draws(replicates, seed):
+    """(f_k, c) of every cost-bounds replicate, replayed one replicate at a time from the suite's stream."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for idx in range(replicates):
+        m = (2, 3, 4, 6)[idx % 4]
+        rng.dirichlet(np.ones(m * m - m))
+        rng.dirichlet(np.ones(m * m - m))
+        draws.append((rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.05)))
+    return draws
+
+
+class TestCostBoundsViolationOrder:
+    """Violation lines come in replicate order, the sandwich line first, however the suite batches its rows."""
+
+    def run_with(self, monkeypatch, replicates, seed, moves):
+        """The suite's violations, with the cost of replicate idx replaced by moves[idx](T)."""
+        by_draw = {draw: idx for idx, draw in enumerate(replicate_draws(replicates, seed))}
+        solve = verify.solve_costs_from_drift
+
+        def perturbed(f_k, drift, nxt, c):
+            t = solve(f_k, drift, nxt, c)
+            for row, draw in enumerate(zip(f_k.tolist(), c.tolist())):
+                idx = by_draw[draw]
+                if idx in moves:
+                    t[row] = moves[idx](t[row])
+            return t
+
+        monkeypatch.setattr(verify, "solve_costs_from_drift", perturbed)
+        result = cost_bounds_suite(replicates=replicates, seed=seed)
+        assert result.checked == replicates
+        return [
+            (int(re.search(r" replicate=(\d+) ", line).group(1)), "sandwich" if "outside sandwich" in line else "oracle")
+            for line in result.violations
+        ]
+
+    def test_uneven_groups(self, monkeypatch):
+        # Seven replicates: m = 2 holds 0 and 4, m = 3 holds 1 and 5, m = 4 holds 2 and 6, m = 6 holds 3.
+        nudge = lambda t: t + 1e-7  # noqa: E731  past the oracle's 1e-8, inside the sandwich
+        above = lambda t: 10.0 * t + 1.0  # noqa: E731
+        below = lambda t: -1.0  # noqa: E731
+        found = self.run_with(monkeypatch, 7, 3, {6: below, 5: nudge, 3: above, 2: nudge, 0: above})
+        assert found == [
+            (0, "sandwich"), (0, "oracle"),
+            (2, "oracle"),
+            (3, "sandwich"), (3, "oracle"),
+            (5, "oracle"),
+            (6, "sandwich"), (6, "oracle"),
+        ]
+
+    @pytest.mark.parametrize("replicates", [1, 2, 3])
+    def test_empty_groups(self, monkeypatch, replicates):
+        above = lambda t: 10.0 * t + 1.0  # noqa: E731
+        found = self.run_with(monkeypatch, replicates, 1, {idx: above for idx in range(replicates)})
+        assert found == [(idx, kind) for idx in range(replicates) for kind in ("sandwich", "oracle")]

@@ -75,6 +75,9 @@ def verify_runs() -> list[tuple[str, list[str]]]:
     runs += [
         ("verify/profitability", ["--suite", "profitability", "--segments", "2000"]),
         ("verify/cost-bounds", ["--suite", "cost-bounds", "--replicates", "500"]),
+        # Group sizes by m that differ from one another.
+        ("verify/cost-bounds-r7-s3", ["--suite", "cost-bounds", "--replicates", "7", "--seed", "3"]),
+        ("verify/cost-bounds-r2001-s2", ["--suite", "cost-bounds", "--replicates", "2001", "--seed", "2"]),
     ]
     return [(label, ["verify", *args, "--jobs", "1"]) for label, args in runs]
 
