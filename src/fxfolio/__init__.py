@@ -15,7 +15,6 @@ from .backtest import (
     growth_rate_net,
     predict,
     run_backtest,
-    segment_success_rates,
     single_pair_growth_rate,
     sweep,
     universality_gap,
@@ -42,6 +41,7 @@ from .crossrate import (
     order_of,
     predict_return,
     reference_day,
+    segment_success_rates,
 )
 from .data_io import (
     SyntheticMarketSpec,
@@ -66,7 +66,6 @@ from .market import (
     RateMatrix,
     ReturnMatrix,
     ReturnStack,
-    as_stack,
     compute_return_matrix,
     compute_returns,
 )

@@ -23,13 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .costs import CostParams, solve_cost_from_drift, solve_costs_from_drift
-from .crossrate import (
-    FLAT,
-    PredictorConfig,
-    grid_orders,
-    predicted_references,
-    referenced_orders,
-)
+from .crossrate import PredictorConfig, grid_orders, predicted_references, referenced_orders
 from .errors import (
     CostRatioAtLeastOne,
     EmptyLedger,
@@ -41,26 +35,9 @@ from .errors import (
     NormalizationViolated,
     TooFewDays,
 )
-from .market import QuoteStack, ReturnStack, as_stack, upper_pairs
+from .market import QuoteStack, ReturnStack, expect_stack, upper_pairs
 from .portfolio import uniform_portfolio
-from .updates import tilt, tilts
-
-
-@dataclass(frozen=True)
-class UpdateConfig:
-    """Tilt rule, learning rate, and optional uniform mix-in to keep support alive."""
-
-    rule: str = "iitc"
-    gamma: float = 0.1
-    support_floor: float = 0.0
-
-    def __post_init__(self):
-        if self.rule not in ("iitc", "eiitc"):
-            raise InvalidParams(f"rule must be 'iitc' or 'eiitc', got {self.rule!r}")
-        if self.gamma < 0.0 or not math.isfinite(self.gamma):
-            raise InvalidParams(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if not (0.0 <= self.support_floor < 1.0):
-            raise InvalidParams(f"support_floor must lie in [0, 1), got {self.support_floor!r}")
+from .updates import UpdateConfig, tilt, tilts
 
 
 @dataclass(frozen=True)
@@ -233,25 +210,24 @@ def _linear_blends(lin: LinearPredictor, grids: np.ndarray) -> tuple[np.ndarray,
     return out, has
 
 
-def _returns(market: QuoteStack | ReturnStack | Sequence, f0: float) -> ReturnStack:
+def _returns(market: QuoteStack | ReturnStack, f0: float) -> ReturnStack:
     """The run's return stack, after the checks that every run of the engine makes."""
     if f0 <= 0.0 or not math.isfinite(f0):
         raise InvalidParams(f"starting capital must be finite and > 0, got {f0!r}")
-    if len(market) < 2:
+    if len(expect_stack(market, QuoteStack, ReturnStack)) < 2:
         raise TooFewDays(f"a backtest needs at least 2 days, got {len(market)}")
-    rets = as_stack(market)
-    return rets.returns if isinstance(rets, QuoteStack) else rets
+    return market.returns if isinstance(market, QuoteStack) else market
 
 
 def run_backtest(
-    market: QuoteStack | ReturnStack | Sequence,
+    market: QuoteStack | ReturnStack,
     predictor: PredictorConfig | LinearPredictor | None = None,
     update: UpdateConfig = UpdateConfig(),
     schedule: GammaSchedule = GammaSchedule(),
     costs: CostParams = CostParams(0.0),
     f0: float = 1.0,
 ) -> BacktestLedger:
-    """Run the daily cycle over a QuoteStack or ReturnStack (or a sequence of their one-day objects).
+    """Run the daily cycle over a QuoteStack or ReturnStack.
 
     Every day's returns, order and next-day prediction come from the
     market alone, before the day loop (see predict); the loop holds the
@@ -362,7 +338,7 @@ class Sweep:
 
 
 def sweep(
-    market: QuoteStack | ReturnStack | Sequence,
+    market: QuoteStack | ReturnStack,
     predictor: PredictorConfig | LinearPredictor | None,
     members: Sequence[tuple[UpdateConfig, CostParams]],
     f0: float = 1.0,
@@ -482,9 +458,7 @@ def row_growth_rate(growth: np.ndarray) -> float:
 def cumulative_return_net(ledger: BacktestLedger) -> float:
     """Product of growth factors discounted by the daily cost ratios."""
     _require_days(ledger)
-    if np.any(ledger.ratio >= 1.0):
-        k = int(np.argmax(ledger.ratio >= 1.0))
-        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {float(ledger.ratio[k])!r} >= 1")
+    _check_cost_ratios(ledger.ratio)
     return float(np.prod(ledger.growth * (1.0 - ledger.ratio)))
 
 
@@ -496,17 +470,22 @@ def growth_rate_net(ledger: BacktestLedger) -> float:
 
 def row_growth_rate_net(growth: np.ndarray, ratio: np.ndarray) -> float:
     """growth_rate_net of one run's growth and cost-ratio columns."""
-    if np.any(ratio >= 1.0):
-        k = int(np.argmax(ratio >= 1.0))
-        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {float(ratio[k])!r} >= 1")
+    _check_cost_ratios(ratio)
     return row_growth_rate(growth) + float(np.mean(np.log1p(-ratio)))
 
 
-def single_pair_growth_rate(returns: ReturnStack | Sequence, i: int, j: int) -> float:
+def _check_cost_ratios(ratio: np.ndarray) -> None:
+    """Refuse a cost-ratio column with a day whose cost takes all its capital: its net factor has no log."""
+    if np.any(ratio >= 1.0):
+        k = int(np.argmax(ratio >= 1.0))
+        raise CostRatioAtLeastOne(f"day {k + 1}: cost ratio {float(ratio[k])!r} >= 1")
+
+
+def single_pair_growth_rate(returns: ReturnStack, i: int, j: int) -> float:
     """Average log return of parking all weight on position (i, j)."""
-    if len(returns) == 0:
+    if len(expect_stack(returns, ReturnStack)) == 0:
         raise EmptyLedger("no days to average over")
-    vals = as_stack(returns).grids[:, i, j]
+    vals = returns.grids[:, i, j]
     if np.any(vals <= 0.0):
         k = int(np.argmax(vals <= 0.0))
         raise NonPositivePairReturn(f"day {k + 1}: pair ({i}, {j}) returned {float(vals[k])!r}, benchmark undefined")
@@ -606,21 +585,3 @@ def pair_gap(
     )
     lhs = row_growth_rate_net(growth, ratio) - benchmark
     return GapResult(lhs_gap=lhs, rhs_bound=rhs, holds=bool(lhs >= rhs - _GAP_TOL))
-
-
-def segment_success_rates(ledger: BacktestLedger, seg_len: int) -> tuple[list[float], list[bool]]:
-    """Per-segment prediction success over complete, fully predicted segments.
-
-    A day counts as a hit only when its predicted order equals a
-    decisive actual order; segments containing any day without a
-    prediction are skipped.
-    """
-    if seg_len < 1:
-        raise InvalidParams(f"segment length must be >= 1, got {seg_len!r}")
-    seg_len = min(seg_len, ledger.n_days + 1)  # clamped as in predict
-    count = ledger.n_days // seg_len
-    pred = ledger.order_pred[: count * seg_len].reshape(count, seg_len)
-    actual = ledger.order_actual[: count * seg_len].reshape(count, seg_len)
-    hits = ((actual != FLAT) & (pred == actual)).sum(axis=1)
-    thetas = hits[(pred >= 0).all(axis=1)] / seg_len
-    return thetas.tolist(), (thetas >= 0.5).tolist()

@@ -24,10 +24,9 @@ from .backtest import (
     growth_rate,
     growth_rate_net,
     run_backtest,
-    segment_success_rates,
 )
 from .costs import CostParams
-from .crossrate import PredictorConfig, SegmentConfig, effectiveness_ratio
+from .crossrate import PredictorConfig, SegmentConfig, effectiveness_ratio, segment_success_rates
 from .data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
@@ -82,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--m", type=int, default=3, help="currency count (market mode)")
     gen.add_argument("--days", type=int, default=250, help="number of days (market mode)")
-    gen.add_argument("--epsilon", type=float, default=0.005, help="half spread")
-    gen.add_argument("--drift", type=float, default=0.0)
-    gen.add_argument("--vol", type=float, default=0.01)
+    gen.add_argument("--epsilon", type=_finite_float, default=0.005, help="half spread")
+    gen.add_argument("--drift", type=_finite_float, default=0.0)
+    gen.add_argument("--vol", type=_finite_float, default=0.01)
     gen.add_argument("--normalize", action="store_true", help="target best-pair-return 1 per day")
-    gen.add_argument("--r-floor", type=float, default=0.5)
+    gen.add_argument("--r-floor", type=_finite_float, default=0.5)
     gen.add_argument("--segments", type=int, default=100, help="segment count (orders mode)")
     gen.add_argument("--L", type=int, default=5, help="segment length")
-    gen.add_argument("--paa-pbb", type=float, default=0.78, help="same-class transition mass (orders mode)")
+    gen.add_argument("--paa-pbb", type=_finite_float, default=0.78, help="same-class transition mass (orders mode)")
     gen.add_argument("--masses", default=None, help="explicit P_AA,P_AB,P_BA,P_BB (overrides --paa-pbb)")
     gen.add_argument("--K", type=int, default=50, help="dependence gap in segments")
 
@@ -213,8 +212,8 @@ def _summary_metrics(ledger: BacktestLedger) -> dict:
     eta = math.nan
     predictor = ledger.config["predictor"]
     if predictor["kind"] == "crossrate":
-        _, flags = segment_success_rates(ledger, predictor["L"])
-        if flags:
+        _, flags = segment_success_rates(ledger.order_actual, ledger.order_pred, predictor["L"])
+        if len(flags):
             eta = effectiveness_ratio(flags)
     return {
         "I_N": cumulative_return(ledger),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidC, InvalidParams, NoConvergence, NonPositiveCapital
+from .updates import UpdateConfig
 
 
 # Both solves stop at a step of at most FP_TOL, taken relative to T once T
@@ -98,8 +99,7 @@ def solve_costs_from_drift(
 
 def cost_bounds(delta: float, c: float) -> tuple[float, float]:
     """Sandwich for the daily cost: (c/(1+c)) * delta <= T <= (c/(1-c)) * delta."""
-    if not (0.0 <= c < 1.0) or not math.isfinite(c):
-        raise InvalidC(f"fee rate c must lie in [0, 1), got {c!r}")
+    CostParams(c)
     if delta < 0.0 or not math.isfinite(delta):
         raise InvalidParams(f"turnover must be finite and >= 0, got {delta!r}")
     return (c / (1.0 + c)) * delta, (c / (1.0 - c)) * delta
@@ -112,13 +112,9 @@ def cost_ratio_bound(rule: str, gamma: float, r_floor: float, c: float) -> float
     eiitc rule replaces gamma with gamma/r.  Tight exactly when one
     position carries the floor return and another the ceiling.
     """
-    if rule not in ("iitc", "eiitc"):
-        raise InvalidParams(f"rule must be 'iitc' or 'eiitc', got {rule!r}")
+    UpdateConfig(rule, gamma)
     if not (0.0 < r_floor < 1.0) or not math.isfinite(r_floor):
         raise InvalidParams(f"return floor must lie in (0, 1), got {r_floor!r}")
-    if gamma < 0.0 or not math.isfinite(gamma):
-        raise InvalidParams(f"gamma must be >= 0, got {gamma!r}")
-    if not (0.0 <= c < 1.0) or not math.isfinite(c):
-        raise InvalidC(f"fee rate c must lie in [0, 1), got {c!r}")
+    CostParams(c)
     rate = gamma if rule == "iitc" else gamma / r_floor
     return (c / (1.0 - c)) * math.expm1(rate * (1.0 - r_floor))

@@ -157,8 +157,7 @@ def mpcr_predict(method: int, history: Sequence[float], cfg: SegmentConfig) -> f
     the class flipping, answering c_a after a high-rate segment and c_b
     after a low-rate one.
     """
-    if method not in (1, 2):
-        raise InvalidParams(f"mpcr method must be 1 or 2, got {method!r}")
+    PredictorConfig(mpcr=method)
     if len(history) == 0:
         raise EmptyHistory("no completed segments to predict from")
     last = float(history[-1])
@@ -176,8 +175,7 @@ def reference_day(method: int, adjusted: bool, w_pred: float, orders: Sequence[i
     Plain mode steps back over days as they come; adjusted mode steps
     back over decisive days only.
     """
-    if method not in (1, 2):
-        raise InvalidParams(f"mpo method must be 1 or 2, got {method!r}")
+    PredictorConfig(mpo=method)
     k = len(orders)
     if k == 0:
         raise InsufficientHistory("no observed orders to predict from")
@@ -264,36 +262,31 @@ def segment_cross_rates(orders: np.ndarray, seg_len: int, adjusted: bool) -> np.
     return crossed.reshape(count, seg_len).sum(axis=1) / seg_len
 
 
-def mpcr_guesses(method: int, rates: np.ndarray, cfg: SegmentConfig) -> np.ndarray:
-    """mpcr_predict after each segment: entry s guesses from rates[:s + 1]."""
-    if method not in (1, 2):
-        raise InvalidParams(f"mpcr method must be 1 or 2, got {method!r}")
-    if method == 1:
+def mpcr_guesses(cfg: PredictorConfig, rates: np.ndarray) -> np.ndarray:
+    """mpcr_predict(cfg.mpcr, ...) after each segment: entry s guesses from rates[:s + 1]."""
+    if cfg.mpcr == 1:
         return np.asarray(rates, dtype=float)
-    return np.where(rates >= 0.5, cfg.c_a, cfg.c_b)
+    return np.where(rates >= 0.5, cfg.segment.c_a, cfg.segment.c_b)
 
 
-def reference_days(
-    method: int, adjusted: bool, flip: np.ndarray, orders: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """reference_day for every prefix of an order history, from each prefix's flip test.
+def reference_days(cfg: PredictorConfig, flip: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """reference_day(cfg.mpo, cfg.adjusted, ...) for every prefix of an order history, from each prefix's flip test.
 
-    Entry k is reference_day(method, adjusted, w, orders[:k + 1]) for any
-    guess w with (w >= 1/2) == flip[k]: a 0-based day index, or -1 where
-    that raises InsufficientHistory, and whether the day's side is swapped.
+    Entry k is reference_day(cfg.mpo, cfg.adjusted, w, orders[:k + 1]) for
+    any guess w with (w >= 1/2) == flip[k]: a 0-based day index, or -1
+    where that raises InsufficientHistory, and whether the day's side is
+    swapped.
     """
-    if method not in (1, 2):
-        raise InvalidParams(f"mpo method must be 1 or 2, got {method!r}")
     flip = np.asarray(flip, dtype=bool)
-    if adjusted:
+    if cfg.adjusted:
         ref = _last_decisive(np.asarray(orders))
-        if method == 2:
+        if cfg.mpo == 2:
             ref = np.where(flip & (ref >= 0), _before(ref)[ref], ref)
     else:
         ref = _day_indexes(len(orders))
-        if method == 2:
+        if cfg.mpo == 2:
             ref -= flip
-    swap = flip & (ref >= 0) if method == 1 else np.zeros(len(orders), dtype=bool)
+    swap = flip & (ref >= 0) if cfg.mpo == 1 else np.zeros(len(orders), dtype=bool)
     return ref, swap
 
 
@@ -312,8 +305,8 @@ def predicted_references(cfg: PredictorConfig, orders: np.ndarray) -> tuple[np.n
         return np.full(n, -1, dtype=np.int32), np.zeros(n, dtype=bool)
     # Entry k >= seg_len - 1 sees the guess made after segment (k + 1) // seg_len - 1.
     flip = np.zeros(n, dtype=bool)
-    flip[seg_len - 1 :] = np.repeat(mpcr_guesses(cfg.mpcr, rates, cfg.segment) >= 0.5, seg_len)[: n - seg_len + 1]
-    ref, swap = reference_days(cfg.mpo, cfg.adjusted, flip, orders)
+    flip[seg_len - 1 :] = np.repeat(mpcr_guesses(cfg, rates) >= 0.5, seg_len)[: n - seg_len + 1]
+    ref, swap = reference_days(cfg, flip, orders)
     ref[: seg_len - 1] = -1
     return ref, swap
 
@@ -325,8 +318,28 @@ def referenced_orders(orders: np.ndarray, ref: np.ndarray, swap: np.ndarray) -> 
     return np.where(ref >= 0, np.where(swap, swapped, source), -1)
 
 
+def segment_success_rates(
+    order_actual: np.ndarray, order_pred: np.ndarray, seg_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment prediction success theta, and theta >= 1/2, over complete, fully predicted segments.
+
+    Day d's prediction order_pred[d] (-1 for none) is aligned as the
+    engine's order_pred column: made after days 0..d-1.  A day counts as
+    a hit only when its predicted order equals a decisive actual order;
+    segments containing any day without a prediction are skipped.
+    """
+    SegmentConfig(L=seg_len)
+    seg_len = min(seg_len, len(order_actual) + 1)  # clamped as in predict
+    count = len(order_actual) // seg_len
+    pred = order_pred[: count * seg_len].reshape(count, seg_len)
+    actual = order_actual[: count * seg_len].reshape(count, seg_len)
+    hits = ((actual != FLAT) & (pred == actual)).sum(axis=1)
+    thetas = hits[(pred >= 0).all(axis=1)] / seg_len
+    return thetas, thetas >= 0.5
+
+
 def effectiveness_ratio(flags: Sequence[bool]) -> float:
     """Fraction of segments whose predictor was effective."""
     if len(flags) == 0:
         raise EmptySequence("effectiveness over no segments is undefined")
-    return sum(bool(f) for f in flags) / len(flags)
+    return int(np.count_nonzero(flags)) / len(flags)

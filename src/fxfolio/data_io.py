@@ -44,20 +44,15 @@ from .errors import (
     NormalizationViolated,
     ParseError,
 )
-from .market import (
-    DailyQuotes,
-    QuoteStack,
-    ReturnMatrix,
-    ReturnStack,
-    as_stack,
-    compute_returns,
-    upper_pairs,
-)
+from .market import QuoteStack, ReturnMatrix, ReturnStack, compute_returns, expect_stack, upper_pairs
 from .portfolio import PortfolioMatrix
 
 _ORDER_VALUE_LOW = 1.05
 _ORDER_VALUE_HIGH = 1.25
 _ORDER_SIDE_VALUES = (0.9, 0.85)
+# Normalize mode draws each non-best pair's daily target from uniform(r_floor + _TARGET_MARGIN, _TARGET_HIGH).
+_TARGET_MARGIN = 1e-6
+_TARGET_HIGH = 0.999
 
 
 def _fmt(x: float) -> str:
@@ -241,8 +236,8 @@ def _write_table(path, kind: str, header: tuple[str, ...], days: np.ndarray, gri
 # rate files
 
 
-def write_rates(quotes: QuoteStack | Sequence[DailyQuotes], path) -> None:
-    quotes = as_stack(quotes)
+def write_rates(quotes: QuoteStack, path) -> None:
+    expect_stack(quotes, QuoteStack)
     _write_table(path, "rates", _RATES_HEADER, quotes.days, (quotes.open, quotes.close))
 
 
@@ -268,8 +263,8 @@ def load_rates(path) -> QuoteStack:
 # return-matrix files
 
 
-def write_returns(returns: ReturnStack | Sequence[ReturnMatrix], path) -> None:
-    returns = as_stack(returns)
+def write_returns(returns: ReturnStack, path) -> None:
+    expect_stack(returns, ReturnStack)
     _write_table(path, "returns", _RETURNS_HEADER, returns.days, (returns.grids,))
 
 
@@ -312,6 +307,9 @@ class SyntheticMarketSpec:
             raise InvalidSpec(f"drift/vol must be finite with vol >= 0, got {self.drift!r}/{self.vol!r}")
         if self.normalize and not (0.0 < self.r_floor < 1.0):
             raise InvalidSpec(f"r_floor must lie in (0, 1) in normalize mode, got {self.r_floor!r}")
+        # numpy's uniform refuses high < low.
+        if self.normalize and _TARGET_HIGH - (self.r_floor + _TARGET_MARGIN) < 0:
+            raise InvalidSpec(f"r_floor + {_TARGET_MARGIN} must not exceed {_TARGET_HIGH} in normalize mode, got {self.r_floor!r}")
 
 
 def generate_market(spec: SyntheticMarketSpec) -> QuoteStack:
@@ -352,7 +350,7 @@ def _generate_normalized(spec: SyntheticMarketSpec, rng: np.random.Generator) ->
     gross = 1.25 / spec.r_floor
     targets = np.empty((spec.n_days, n_pairs))
     for k in range(spec.n_days):
-        targets[k] = rng.uniform(spec.r_floor + 1e-6, 0.999, n_pairs)
+        targets[k] = rng.uniform(spec.r_floor + _TARGET_MARGIN, _TARGET_HIGH, n_pairs)
         targets[k, rng.integers(0, n_pairs)] = 1.0
     ratios = gross * targets
     # Close buy small enough that the reverse direction stays unprofitable.
@@ -648,7 +646,7 @@ def read_ledger(path) -> BacktestLedger:
 
     day = column("day", lambda v: _typed("integer", v))
     diamond = np.array(column("diamond", _diamond))
-    return BacktestLedger(
+    ledger = BacktestLedger(
         m=m,
         f0=field(meta_ln, meta, "f0", _number),
         config=field(meta_ln, meta, "config", dict),
@@ -668,6 +666,12 @@ def read_ledger(path) -> BacktestLedger:
         predicted=matrices("R_pred", prediction),
         next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: weights(day[-1] + 1, flat)),
     )
+    # A day has a predicted order exactly when it has a predicted grid.
+    for (ln, _), order, predicted in zip(days, ledger.order_pred.tolist(), ledger.predicted):
+        if (order < 0) != (predicted is None):
+            found = f"{order} but R_pred is null" if predicted is None else "null but R_pred holds a prediction"
+            raise ParseError(f"{path}: line {ln}: key 'order_pred': {found}")
+    return ledger
 
 
 _SUMMARY_FIELDS = ("I_N", "LI_N", "F_N", "R_N", "eta")

@@ -300,22 +300,12 @@ class ReturnStack(_DayStack):
         return ReturnMatrix(day=int(self.days[k]), entries=self.grids[k])
 
 
-def as_stack(market) -> QuoteStack | ReturnStack:
-    """A market as one stack: a stack passes through, a sequence of DailyQuotes or ReturnMatrix days is stacked."""
-    if isinstance(market, (QuoteStack, ReturnStack)):
-        return market
-    items = list(market)
-    if not items:
-        raise InvalidParams("a market needs at least one day")
-    kind = type(items[0])
-    if kind not in (DailyQuotes, ReturnMatrix) or any(type(x) is not kind for x in items):
-        raise InvalidParams(f"market must hold DailyQuotes or ReturnMatrix items, got {kind.__name__}")
-    if any(x.m != items[0].m for x in items):
-        raise InvalidParams("all market days must quote the same number of currencies")
-    days = [x.day for x in items]
-    if kind is ReturnMatrix:
-        return ReturnStack(days, np.stack([x.entries for x in items]))
-    return QuoteStack(days, np.stack([x.open_rates.entries for x in items]), np.stack([x.close_rates.entries for x in items]))
+def expect_stack(market, *kinds: type):
+    """market itself when it is one of the stack kinds; anything else raises InvalidParams naming its type."""
+    if not isinstance(market, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidParams(f"market must be a {expected}, got {type(market).__name__}")
+    return market
 
 
 def compute_returns(quotes: QuoteStack) -> ReturnStack:

@@ -11,6 +11,7 @@ one.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +20,25 @@ from .market import ReturnMatrix
 from .portfolio import PortfolioMatrix, gross_return, relative_entropy, uniform_weights
 
 
-def _check_gamma(gamma: float) -> None:
-    if gamma < 0.0 or not math.isfinite(gamma):
-        raise InvalidParams(f"gamma must be finite and >= 0, got {gamma!r}")
+@dataclass(frozen=True)
+class UpdateConfig:
+    """Tilt rule, learning rate, and optional uniform mix-in to keep support alive."""
+
+    rule: str = "iitc"
+    gamma: float = 0.1
+    support_floor: float = 0.0
+
+    def __post_init__(self):
+        if self.rule not in ("iitc", "eiitc"):
+            raise InvalidParams(f"rule must be 'iitc' or 'eiitc', got {self.rule!r}")
+        if self.gamma < 0.0 or not math.isfinite(self.gamma):
+            raise InvalidParams(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        if not (0.0 <= self.support_floor < 1.0):
+            raise InvalidParams(f"support_floor must lie in [0, 1), got {self.support_floor!r}")
 
 
 def _check_inputs(realized: PortfolioMatrix, r_pred: ReturnMatrix, gamma: float, support_floor: float) -> None:
-    _check_gamma(gamma)
-    if not (0.0 <= support_floor < 1.0):
-        raise InvalidParams(f"support_floor must lie in [0, 1), got {support_floor!r}")
+    UpdateConfig(gamma=gamma, support_floor=support_floor)
     if realized.m != r_pred.m:
         raise InvalidParams(f"portfolio is {realized.m}x{realized.m} but prediction is {r_pred.m}x{r_pred.m}")
 
@@ -141,9 +152,7 @@ def objective_value(
     around the drifted weights; expanding there (and not at psi_next)
     is what makes its closed-form maximizer the eiitc_update tilt.
     """
-    _check_gamma(gamma)
-    if rule not in ("iitc", "eiitc"):
-        raise InvalidParams(f"rule must be 'iitc' or 'eiitc', got {rule!r}")
+    UpdateConfig(rule, gamma)
     penalty = relative_entropy(psi_next, realized)
     if rule == "iitc":
         return gamma * gross_return(psi_next, r_pred) - penalty

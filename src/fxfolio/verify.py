@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,14 @@ from .backtest import (
     sweep,
 )
 from .costs import CostParams, cost_bounds, cost_ratio_bound, solve_costs_from_drift
-from .crossrate import PredictorConfig, SegmentConfig, predicted_references, referenced_orders
+from .crossrate import (
+    PredictorConfig,
+    SegmentConfig,
+    effectiveness_ratio,
+    predicted_references,
+    referenced_orders,
+    segment_success_rates,
+)
 from .data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
@@ -141,26 +148,6 @@ def universality_suite(replicates: int = 100, seed: int = 1, n_days: int = 250, 
 # profitability Monte Carlo (segment effectiveness frequency)
 
 
-def effectiveness_estimate(labels: list[int], seg_len: int, mpcr: int, cfg: SegmentConfig) -> float:
-    """Fraction of predicted segments with at least half the orders right.
-
-    Day-level predictions use the engine's plain one-day-back order rule
-    (mpo 1); the cross rate method under test picks the persist-or-flip
-    regime per segment from the segments before it.  A flat day is
-    predicted right when its predecessor was flat.
-    """
-    n_segments = len(labels) // seg_len
-    if n_segments < 2:
-        return 0.0
-    orders = np.asarray(labels, dtype=np.int8)[: n_segments * seg_len]
-    rule = PredictorConfig(mpcr=mpcr, mpo=1, segment=replace(cfg, L=seg_len))
-    ref, swap = predicted_references(rule, orders[:-1])
-    # Entry k calls day k + 1; the days of the first segment are never called.
-    called = referenced_orders(orders[:-1], ref, swap)
-    hits = (called == orders[1:])[seg_len - 1 :].reshape(n_segments - 1, seg_len).sum(axis=1)
-    return int((hits / seg_len >= 0.5).sum()) / (n_segments - 1)
-
-
 # How far below its nominal level each effectiveness clause may fall.
 _SLACK = 0.05
 
@@ -174,6 +161,10 @@ def profitability_suite(
 ) -> SuiteResult:
     """Monte Carlo check that segment-level prediction stays effective.
 
+    Day-level predictions use the engine's plain one-day-back order rule
+    (mpo 1); the cross rate method under test picks the persist-or-flip
+    regime per segment from the segments before it.  Each clause's
+    effectiveness is scored as the CLI scores a run's eta.
     Clause 1: persistence-heavy targets (P_AA + P_BB = same_class_mass)
     under the persistence cross-rate method; expected effectiveness is
     the same-class mass.  Clause 2: flip-heavy targets (P_AB + P_BA =
@@ -191,8 +182,12 @@ def profitability_suite(
     stats: dict = {"segments": segments, "seg_len": seg_len}
     for name, mpcr, masses, threshold in clauses:
         spec = SyntheticOrderSpec(segment_count=segments, segment_length=seg_len, masses=masses, seed=seed)
-        labels = order_labels(spec, np.random.default_rng(spec.seed))
-        eta = effectiveness_estimate(labels, seg_len, mpcr, cfg)
+        orders = np.asarray(order_labels(spec, np.random.default_rng(spec.seed)), dtype=np.int8)
+        # Aligned as backtest.predict aligns it: day d's call is made after days 0..d-1.
+        order_pred = np.full(len(orders), -1, dtype=np.int8)
+        ref, swap = predicted_references(PredictorConfig(mpcr=mpcr, mpo=1, segment=cfg), orders[:-1])
+        order_pred[1:] = referenced_orders(orders[:-1], ref, swap)
+        eta = effectiveness_ratio(segment_success_rates(orders, order_pred, seg_len)[1])
         stats[f"eta_{name}"] = eta
         stats[f"threshold_{name}"] = threshold
         if eta < threshold:

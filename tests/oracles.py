@@ -427,13 +427,13 @@ def predictions_day_by_day(grids, predictor):
     return out
 
 
-def segment_success_rates_loop(ledger, seg_len):
+def segment_success_rates_loop(order_actual, order_pred, seg_len):
     """Per-segment theta and flag, one segment at a time, counting hits day by day."""
     thetas, flags = [], []
-    n = ledger.n_days
+    n = len(order_actual)
     for start in range(0, (n // seg_len) * seg_len, seg_len):
-        pred = ledger.order_pred[start : start + seg_len]
-        actual = ledger.order_actual[start : start + seg_len]
+        pred = order_pred[start : start + seg_len]
+        actual = order_actual[start : start + seg_len]
         if np.any(pred < 0):
             continue
         # A flat day (order 0) has no side to call, so it is never a hit.

@@ -24,7 +24,7 @@ from fxfolio.cli import main
 from fxfolio.costs import CostParams, cost_bounds, solve_cost_from_drift
 from fxfolio.crossrate import PredictorConfig, SegmentConfig, cross_rate, mpcr_predict, mpo_predict
 from fxfolio.data_io import SyntheticMarketSpec, generate_market, normalized_returns
-from fxfolio.market import ReturnMatrix
+from fxfolio.market import ReturnMatrix, ReturnStack
 from fxfolio.portfolio import PortfolioMatrix, l1_distance
 from fxfolio.updates import eiitc_update, iitc_update, objective_value
 from fxfolio.verify import profitability_suite, universality_suite
@@ -318,8 +318,9 @@ def test_criterion_09_ledger_integrity_and_causality(report, universality_result
         )
 
         cut = 80
-        bumped = list(rets)
-        bumped[cut] = ReturnMatrix(day=rets[cut].day, entries=rets[cut].entries * 0.9)
+        grids = rets.grids.copy()
+        grids[cut] *= 0.9
+        bumped = ReturnStack(rets.days, grids)
         other = run_backtest(bumped, predictor=predictor, update=update, costs=costs)
         same = (
             np.array_equal(base.capital[:cut], other.capital[:cut])

@@ -21,13 +21,12 @@ from fxfolio.backtest import (
     pair_gap,
     predict,
     run_backtest,
-    segment_success_rates,
     single_pair_growth_rate,
     sweep,
     universality_gap,
 )
 from fxfolio.costs import CostParams
-from fxfolio.crossrate import PredictorConfig, SegmentConfig, grid_order
+from fxfolio.crossrate import PredictorConfig, SegmentConfig, grid_order, segment_success_rates
 from fxfolio.data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
@@ -35,6 +34,8 @@ from fxfolio.data_io import (
     generate_order_process,
     normalized_returns,
     symmetric_masses,
+    write_rates,
+    write_returns,
 )
 from fxfolio.errors import (
     CostRatioAtLeastOne,
@@ -47,7 +48,7 @@ from fxfolio.errors import (
     NormalizationViolated,
     TooFewDays,
 )
-from fxfolio.market import ReturnMatrix, ReturnStack, as_stack
+from fxfolio.market import ReturnMatrix, ReturnStack
 from fxfolio.portfolio import PortfolioMatrix, relative_entropy, uniform_portfolio
 from fxfolio.updates import tilt
 
@@ -63,14 +64,15 @@ def upper_only(value, day):
     return ReturnMatrix(day=day, entries=np.array([[0.0, value], [0.0, 0.0]]))
 
 
-def constant_stack(value, n, m=2):
-    grids = np.zeros((n, m, m))
-    grids[:, 0, 1] = value
-    return ReturnStack(np.arange(1, n + 1), grids)
+def stacked(days):
+    """The ReturnStack of a list of ReturnMatrix days."""
+    return ReturnStack([r.day for r in days], np.stack([r.entries for r in days]))
 
 
 def constant_market(value, n, m=2):
-    return list(constant_stack(value, n, m))
+    grids = np.zeros((n, m, m))
+    grids[:, 0, 1] = value
+    return ReturnStack(np.arange(1, n + 1), grids)
 
 
 def stub_ledger(growth, ratio, m=2, config=None, returns=None, portfolios=None, next_portfolio=None):
@@ -93,7 +95,7 @@ def stub_ledger(growth, ratio, m=2, config=None, returns=None, portfolios=None, 
         pred_crossed_segment=np.zeros(n, dtype=bool),
         portfolios=portfolios if portfolios is not None else [uniform_portfolio(m).weights] * n,
         realized=[uniform_portfolio(m).weights] * n,
-        returns=as_stack(returns) if returns is not None else constant_stack(1.0, n, m),
+        returns=returns if returns is not None else constant_market(1.0, n, m),
         predicted=[None] * n,
         next_portfolio=next_portfolio if next_portfolio is not None else uniform_portfolio(m).weights,
     )
@@ -227,11 +229,11 @@ class TestRunBacktest:
                 assert f[k] == pytest.approx(fp[k] * diamond, rel=1e-9)
 
     def test_parked_day_carries_weights(self):
-        rets = [
+        rets = stacked([
             upper_only(1.2, 1),
             ReturnMatrix(day=2, entries=np.array([[0.0, 0.0], [1.3, 0.0]])),
             upper_only(1.1, 3),
-        ]
+        ])
         ledger = run_backtest(rets, update=UpdateConfig(gamma=0.0))
         # Day 1 drift concentrates on (0, 1); day 2 fires only (1, 0).
         assert ledger.parked[1]
@@ -242,10 +244,10 @@ class TestRunBacktest:
     def test_causality(self):
         rets = normalized_market(seed=11, m=3, n_days=30)
         base = run_backtest(rets, predictor=LinearPredictor((1.0,)), update=UpdateConfig(gamma=0.2))
-        bumped = list(rets)
         cut = 20
-        scaled = bumped[cut].entries * 0.9
-        bumped[cut] = ReturnMatrix(day=bumped[cut].day, entries=scaled)
+        grids = rets.grids.copy()
+        grids[cut] *= 0.9
+        bumped = ReturnStack(rets.days, grids)
         other = run_backtest(bumped, predictor=LinearPredictor((1.0,)), update=UpdateConfig(gamma=0.2))
         np.testing.assert_array_equal(base.capital[:cut], other.capital[:cut])
         np.testing.assert_array_equal(base.cost[: cut + 1], other.cost[: cut + 1])
@@ -305,15 +307,10 @@ class TestRunBacktest:
 
 def order_market(orders):
     """2-currency days of the given orders: 1 fires (0, 1), 2 fires (1, 0), 0 fires nothing."""
-    out = []
-    for day, o in enumerate(orders, start=1):
-        grid = np.zeros((2, 2))
-        if o == 1:
-            grid[0, 1] = 1.2
-        elif o == 2:
-            grid[1, 0] = 1.2
-        out.append(ReturnMatrix(day=day, entries=grid))
-    return out
+    grids = np.zeros((len(orders), 2, 2))
+    grids[np.array(orders) == 1, 0, 1] = 1.2
+    grids[np.array(orders) == 2, 1, 0] = 1.2
+    return ReturnStack(np.arange(1, len(orders) + 1), grids)
 
 
 class TestCrossedSegment:
@@ -396,16 +393,39 @@ class TestGrowthMetrics:
 
 class TestSinglePairBenchmark:
     def test_pinned_value(self):
-        rets = [upper_only(1.21, 1), upper_only(1.0, 2)]
+        rets = stacked([upper_only(1.21, 1), upper_only(1.0, 2)])
         assert single_pair_growth_rate(rets, 0, 1) == pytest.approx(math.log(1.21) / 2.0, rel=1e-12)
 
     def test_constant_one_is_flat(self):
         assert single_pair_growth_rate(constant_market(1.0, 5), 0, 1) == 0.0
 
     def test_dead_day_rejected(self):
-        rets = [upper_only(1.2, 1), upper_only(1.1, 2)]
+        rets = stacked([upper_only(1.2, 1), upper_only(1.1, 2)])
         with pytest.raises(NonPositivePairReturn):
             single_pair_growth_rate(rets, 1, 0)
+
+
+class TestMarketIsAStack:
+    """Past the loaders and generators a market is a stack; a list of one-day objects is refused by type."""
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda days, path: run_backtest(days), "QuoteStack or ReturnStack"),
+            (lambda days, path: sweep(days, None, [(UpdateConfig(), CostParams(0.0))]), "QuoteStack or ReturnStack"),
+            (lambda days, path: single_pair_growth_rate(days, 0, 1), "ReturnStack"),
+            (write_returns, "ReturnStack"),
+            (write_rates, "QuoteStack"),
+        ],
+        ids=["run_backtest", "sweep", "single_pair_growth_rate", "write_returns", "write_rates"],
+    )
+    @pytest.mark.parametrize("kind", ["returns", "quotes"])
+    def test_refuses_a_list(self, tmp_path, call, expected, kind):
+        market = constant_market(1.1, 3) if kind == "returns" else generate_market(SyntheticMarketSpec(m=2, n_days=3, seed=1))
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidParams, match=f"^market must be a {expected}, got list$"):
+            call(list(market), path)
+        assert not path.exists()
 
 
 def pair_gap_args(ledger, pair):
@@ -498,7 +518,7 @@ class TestUniversalityGap:
             universality_gap(led, (0, 1), 0.5)
 
     def test_names_the_first_unnormalized_day(self):
-        rets = constant_market(1.0, 2) + [upper_only(0.4, 3), upper_only(1.3, 4)]
+        rets = stacked(list(constant_market(1.0, 2)) + [upper_only(0.4, 3), upper_only(1.3, 4)])
         led = stub_ledger([1.0] * 4, [0.0] * 4, config=self.trivial_config(), returns=rets)
         with pytest.raises(NormalizationViolated, match=r"^day 3: pair return sums in \[0.4, 0.4\] violate"):
             universality_gap(led, (0, 1), 0.5)
@@ -515,7 +535,7 @@ class TestUniversalityGap:
             if abs(max(sums) - 1.0) > 1e-9 or min(sums) < 0.5 - 1e-9:
                 first = r.day
                 break
-        led = stub_ledger([1.0] * 30, [0.0] * 30, m=3, config=self.trivial_config(), returns=rets)
+        led = stub_ledger([1.0] * 30, [0.0] * 30, m=3, config=self.trivial_config(), returns=stacked(rets))
         with pytest.raises(NormalizationViolated, match=rf"^day {first}: "):
             universality_gap(led, (0, 1), 0.5)
 
@@ -549,35 +569,28 @@ class TestUniversalityGap:
 
 class TestSegmentSuccessRates:
     def test_skips_unpredicted_segments(self):
-        led = stub_ledger([1.0] * 6, [0.0] * 6)
-        led.order_actual = np.array([1, 2, 1, 0, 2, 2])
-        led.order_pred = np.array([-1, -1, 1, 2, 2, 2])
-        thetas, flags = segment_success_rates(led, seg_len=2)
-        assert thetas == [0.5, 1.0]
-        assert flags == [True, True]
+        thetas, flags = segment_success_rates(np.array([1, 2, 1, 0, 2, 2]), np.array([-1, -1, 1, 2, 2, 2]), seg_len=2)
+        assert thetas.tolist() == [0.5, 1.0]
+        assert flags.tolist() == [True, True]
 
     def test_flat_actual_is_a_miss(self):
-        led = stub_ledger([1.0] * 2, [0.0] * 2)
-        led.order_actual = np.array([0, 0])
-        led.order_pred = np.array([1, 2])
-        thetas, flags = segment_success_rates(led, seg_len=2)
-        assert thetas == [0.0]
-        assert flags == [False]
+        thetas, flags = segment_success_rates(np.array([0, 0]), np.array([1, 2]), seg_len=2)
+        assert thetas.tolist() == [0.0]
+        assert flags.tolist() == [False]
 
     def test_rejects_bad_segment_length(self):
-        with pytest.raises(InvalidParams):
-            segment_success_rates(stub_ledger([1.0], [0.0]), seg_len=0)
+        with pytest.raises(InvalidParams, match="^segment length must be >= 1, got 0$"):
+            segment_success_rates(np.array([1]), np.array([-1]), seg_len=0)
 
     @given(n=st.integers(0, 30), seg_len=st.integers(1, 6), data=st.data())
     @settings(max_examples=200)
     def test_matches_segment_by_segment(self, n, seg_len, data):
         column = lambda values: np.array(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), dtype=np.int64)  # noqa: E731
-        led = stub_ledger([1.0] * n, [0.0] * n)
-        led.order_actual = column([0, 1, 2])
-        led.order_pred = column([-1, 0, 1, 2])
-        thetas, flags = segment_success_rates(led, seg_len)
-        assert (thetas, flags) == segment_success_rates_loop(led, seg_len)
-        assert all(type(t) is float for t in thetas) and all(type(f) is bool for f in flags)
+        order_actual = column([0, 1, 2])  # flat days included
+        order_pred = column([-1, 0, 1, 2])
+        thetas, flags = segment_success_rates(order_actual, order_pred, seg_len)
+        assert (thetas.tolist(), flags.tolist()) == segment_success_rates_loop(order_actual, order_pred, seg_len)
+        assert thetas.dtype == np.float64 and flags.dtype == bool
 
 
 def drawn_market(kind, seed, m, n_days, seg_len):
@@ -753,7 +766,7 @@ class TestSweep:
 
     def test_needs_a_member(self):
         with pytest.raises(InvalidParams):
-            sweep(constant_stack(1.1, 3), None, [])
+            sweep(constant_market(1.1, 3), None, [])
 
 def test_messages_print_plain_floats():
     messages = []

@@ -267,8 +267,9 @@ def test_config_line_echoes_every_parsed_flag(capsys, rates_file, argv, echoed):
     assert {key: config[key] for key in echoed} == echoed
 
 
-# Every float-valued flag of the subcommands whose config line echoes the parsed flags.
+# Every float-valued flag, whose value a config line echoes.
 FLOAT_FLAGS = {
+    "generate": ["--epsilon", "--drift", "--vol", "--r-floor", "--paa-pbb"],
     "backtest": ["--gamma", "--support-floor", "--c-a", "--c-b", "--cost", "--f0"],
     "verify": ["--r-floor", "--paa-pbb", "--pab-pba"],
 }
@@ -292,6 +293,10 @@ class TestRejectedArguments:
             (["verify", "--suite", "cost-bounds", "--max-violations", "-1"], "--max-violations must be >= 0, got -1"),
             (["verify", "--suite", "cost-bounds", "--jobs", "0"], "--jobs must be >= 1, got 0"),
             (["generate", "--market", "--days", "x"], "argument --days: invalid int value: 'x'"),
+            (["generate", "--market", "--normalize", "--r-floor", "0.9995"],
+             "r_floor + 1e-06 must not exceed 0.999 in normalize mode, got 0.9995"),
+            (["verify", "--suite", "universality", "--r-floor", "0.999"],
+             "r_floor + 1e-06 must not exceed 0.999 in normalize mode, got 0.999"),
         ],
     )
     def test_exits_2(self, capsys, tmp_path, argv, message):
@@ -331,7 +336,11 @@ class TestRejectedArguments:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
     def test_non_finite_float_flags(self, capsys, rates_file, command, flag, value):
         # Rejected while parsing: the config line, which would echo a bare nan or inf, is never printed.
-        argv = ["backtest", "--input", str(rates_file)] if command == "backtest" else ["verify", "--suite", "cost-bounds"]
+        argv = {
+            "generate": ["generate", "--market", "--out", str(rates_file.parent / "x.csv")],
+            "backtest": ["backtest", "--input", str(rates_file)],
+            "verify": ["verify", "--suite", "cost-bounds"],
+        }[command]
         code, lines, err = run_cli(capsys, *argv, f"{flag}={value}")
         assert code == EXIT_CONFIG
         assert err.splitlines()[-1] == f"config error: fxfolio {command}: argument {flag}: must be a finite number, got {value!r}"

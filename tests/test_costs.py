@@ -33,6 +33,12 @@ class TestCostParams:
         with pytest.raises(InvalidC):
             CostParams(c=-0.01)
 
+    @pytest.mark.parametrize("c", [1.0, -0.01, math.nan, math.inf])
+    def test_scalar_api_rejects_the_fee_rate_as_it_does(self, c):
+        for call in (lambda: cost_bounds(1.0, c), lambda: cost_ratio_bound("iitc", 0.1, 0.5, c)):
+            with pytest.raises(InvalidC, match=rf"^fee rate c must lie in \[0, 1\), got {c!r}$"):
+                call()
+
 
 class TestSolveCost:
     def test_pinned_two_pair_shift(self):
@@ -140,6 +146,11 @@ class TestCostRatioBound:
     def test_rejects_unknown_rule(self):
         with pytest.raises(InvalidParams):
             cost_ratio_bound("mirror", 0.1, 0.5, 0.01)
+
+    @pytest.mark.parametrize("gamma", [-0.1, math.nan, math.inf])
+    def test_rejects_a_bad_gamma_as_update_config_does(self, gamma):
+        with pytest.raises(InvalidParams, match=rf"^gamma must be finite and >= 0, got {gamma!r}$"):
+            cost_ratio_bound("iitc", gamma, 0.5, 0.01)
 
     def test_rejects_floor_outside_unit_interval(self):
         with pytest.raises(InvalidParams):

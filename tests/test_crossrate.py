@@ -176,11 +176,16 @@ class TestMpcrPredict:
             mpcr_predict(1, [], CFG)
 
     def test_bad_method(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^mpcr must be 1 or 2, got 3$"):
             mpcr_predict(3, [0.4], CFG)
 
 
 class TestMpoPredict:
+    @pytest.mark.parametrize("method", [0, 3])
+    def test_bad_method(self, method):
+        with pytest.raises(InvalidParams, match=f"^mpo must be 1 or 2, got {method}$"):
+            mpo_predict(method, False, 0.8, [1])
+
     def test_mpo1_flip(self):
         assert mpo_predict(1, False, 0.8, [1]) == 2
 
@@ -252,6 +257,10 @@ class TestSuccessStatistics:
         assert effectiveness_ratio([True]) == 1.0
         assert effectiveness_ratio([False, False]) == 0.0
 
+    def test_effectiveness_of_an_array_is_a_plain_float(self):
+        # Violation lines print it with repr, which would show np.float64(...).
+        assert type(effectiveness_ratio(np.array([True, False, False]))) is float
+
     def test_effectiveness_empty(self):
         with pytest.raises(EmptySequence):
             effectiveness_ratio([])
@@ -283,7 +292,7 @@ class TestOrderRulesOverAHistory:
     @settings(max_examples=100)
     def test_reference_days(self, method, adjusted, orders, guesses):
         w_pred = np.array(guesses[: len(orders)])
-        ref, swap = reference_days(method, adjusted, w_pred >= 0.5, np.array(orders))
+        ref, swap = reference_days(PredictorConfig(mpo=method, adjusted=adjusted), w_pred >= 0.5, np.array(orders))
         for k in range(len(orders)):
             try:
                 day, swapped = reference_day(method, adjusted, float(w_pred[k]), orders[: k + 1])

@@ -42,7 +42,7 @@ from fxfolio.errors import (
     NonMonotoneDays,
     ParseError,
 )
-from fxfolio.market import ReturnMatrix, ReturnStack, compute_return_matrix, compute_returns
+from fxfolio.market import ReturnStack, compute_returns
 
 
 GOOD_RATES = """day,i,j,open_rate,close_rate
@@ -261,6 +261,20 @@ class TestOrderProcess:
         paa, pab, pba, pbb = transition_masses(segment_rates(labels, 5))
         assert 0.76 <= paa + pbb <= 0.80
 
+    @given(
+        segments=st.integers(1, 60),
+        seg_len=st.integers(2, 8),
+        same_class_mass=st.sampled_from([0.0, 0.3, 0.78, 1.0]),
+        gap=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_labels_are_never_flat(self, segments, seg_len, same_class_mass, gap, seed):
+        # The profitability suite scores a flat day as a miss, so its stats rely on there being none.
+        spec = SyntheticOrderSpec(segments, seg_len, symmetric_masses(same_class_mass), seed, dependence_gap=gap)
+        labels = order_labels(spec, np.random.default_rng(seed))
+        assert len(labels) == segments * seg_len and set(labels) <= {1, 2}
+
     def test_asymmetric_masses_rejected(self):
         spec = SyntheticOrderSpec(segment_count=10, segment_length=5, masses=(0.4, 0.2, 0.1, 0.3), seed=0)
         with pytest.raises(InfeasibleTargets):
@@ -455,11 +469,18 @@ class TestDamagedLedgerAndSummaryFiles:
              r"line 3: key 'diamond': bad value: weighted return -3.0 must be >= 0"),
             (2, lambda line: re.sub(rb'"diamond":[^,]+', b'"diamond":NaN', line),
              r"line 3: key 'diamond': bad value: weighted return nan must be >= 0"),
+            (2, lambda line: line.replace(b'"order_pred":null', b'"order_pred":1'),
+             r"line 3: key 'order_pred': 1 but R_pred is null$"),
+            (7, lambda line: re.sub(rb'"R_pred":\[[^]]*\]', b'"R_pred":null', line.replace(b'"order_pred":1', b'"order_pred":2')),
+             r"line 8: key 'order_pred': 2 but R_pred is null$"),
+            (7, lambda line: line.replace(b'"order_pred":1', b'"order_pred":null'),
+             r"line 8: key 'order_pred': null but R_pred holds a prediction$"),
         ],
         ids=[
             "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "string m", "bool f0",
             "float day", "bool day", "float order", "order out of range", "negative order_pred", "bool order_pred",
             "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
+            "order_pred without R_pred", "order_pred 2 with R_pred nulled", "R_pred without order_pred",
         ],
     )
     def test_ledger_errors_are_typed(self, tmp_path, written, index, edit, message):
@@ -641,7 +662,7 @@ class TestColumnarFilesAgainstRowwise:
         quotes = generate_market(SyntheticMarketSpec(m=m, n_days=n_days, seed=seed, normalize=normalize))
         write_rates(quotes, tmp_path / "rates.csv")
         assert (tmp_path / "rates.csv").read_bytes() == oracles.rates_text(quotes).encode()
-        returns = normalized_returns(quotes) if normalize else [compute_return_matrix(q) for q in quotes]
+        returns = normalized_returns(quotes) if normalize else compute_returns(quotes)
         write_returns(returns, tmp_path / "returns.csv")
         assert (tmp_path / "returns.csv").read_bytes() == oracles.returns_text(returns).encode()
 
@@ -649,10 +670,11 @@ class TestColumnarFilesAgainstRowwise:
     @LENIENT
     def test_extreme_returns_are_the_same_bytes(self, tmp_path, data, m):
         nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.just(-0.0)
-        returns = [
-            ReturnMatrix(day=day, entries=np.triu(data.draw(hnp.arrays(np.float64, (m, m), elements=nonneg)), k=1))
-            for day in range(1, data.draw(st.integers(1, 3)) + 1)
-        ]
+        grids = np.stack([
+            np.triu(data.draw(hnp.arrays(np.float64, (m, m), elements=nonneg)), k=1)
+            for _ in range(data.draw(st.integers(1, 3)))
+        ])
+        returns = ReturnStack(np.arange(1, len(grids) + 1), grids)
         write_returns(returns, tmp_path / "returns.csv")
         assert (tmp_path / "returns.csv").read_bytes() == oracles.returns_text(returns).encode()
 

@@ -13,13 +13,13 @@ from oracles import random_portfolio_weights, universality_replicate_per_config
 
 from fxfolio import verify
 from fxfolio.crossrate import SegmentConfig, cross_rate, mpcr_predict, mpo_predict
+from fxfolio.data_io import SyntheticOrderSpec, order_labels, symmetric_masses
 from fxfolio.errors import InvalidParams
 from fxfolio.verify import (
     _universality_replicate,
     bisect_cost,
     bisect_costs,
     cost_bounds_suite,
-    effectiveness_estimate,
     profitability_suite,
     universality_suite,
 )
@@ -71,10 +71,13 @@ class TestEffectivenessEstimate:
 
     @pytest.mark.parametrize("mpcr", [1, 2])
     def test_matches_brute_force(self, mpcr):
-        rng = np.random.default_rng(5)
-        labels = list(rng.integers(1, 3, size=200))
-        cfg = SegmentConfig(L=5)
-        assert effectiveness_estimate(labels, 5, mpcr, cfg) == self.brute_force(labels, 5, mpcr, cfg)
+        # The suite's clause for this mpcr, against the brute force on the same order labels.
+        name, same_class_mass = ("mpcr1", 0.78) if mpcr == 1 else ("mpcr2", 1.0 - 0.6)
+        for seed, seg_len, segments in [(1, 5, 40), (2, 2, 60), (3, 7, 30), (5, 3, 2)]:
+            spec = SyntheticOrderSpec(segments, seg_len, symmetric_masses(same_class_mass), seed)
+            labels = order_labels(spec, np.random.default_rng(seed))
+            eta = profitability_suite(segments=segments, seg_len=seg_len, seed=seed).stats[f"eta_{name}"]
+            assert eta == self.brute_force(labels, seg_len, mpcr, SegmentConfig(L=seg_len))
 
 
 class TestProfitabilitySuite:

@@ -74,6 +74,10 @@ def verify_runs() -> list[tuple[str, list[str]]]:
     ]
     runs += [
         ("verify/profitability", ["--suite", "profitability", "--segments", "2000"]),
+        ("verify/profitability-L2-s2", ["--suite", "profitability", "--segments", "2000", "--L", "2", "--seed", "2"]),
+        ("verify/profitability-L7-n501", ["--suite", "profitability", "--L", "7", "--segments", "501"]),
+        # Fails: alternation against a persistence-heavy process prints violation lines.
+        ("verify/profitability-pab0.3-s3", ["--suite", "profitability", "--segments", "2000", "--pab-pba", "0.3", "--seed", "3"]),
         ("verify/cost-bounds", ["--suite", "cost-bounds", "--replicates", "500"]),
         # Group sizes by m that differ from one another.
         ("verify/cost-bounds-r7-s3", ["--suite", "cost-bounds", "--replicates", "7", "--seed", "3"]),
