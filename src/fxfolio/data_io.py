@@ -394,7 +394,8 @@ class SyntheticOrderSpec:
     """Controls for the seeded segment-class process generator.
 
     masses are the stationary joint probabilities of consecutive segment
-    classes (AA, AB, BA, BB).  Segments are grouped into blocks of
+    classes (AA, AB, BA, BB), so P_AB must equal P_BA (within 1e-9); other
+    masses raise InfeasibleTargets.  Segments are grouped into blocks of
     dependence_gap; the class chain is Markov inside a block and restarts
     independently at block boundaries, so segments a block apart are
     independent by construction.
@@ -420,6 +421,10 @@ class SyntheticOrderSpec:
             raise InvalidSpec(f"masses must be four nonnegative numbers, got {self.masses!r}")
         if abs(sum(masses) - 1.0) > 1e-12:
             raise InvalidSpec(f"masses must sum to 1 within 1e-12, got sum {sum(masses)!r}")
+        if abs(masses[1] - masses[2]) > 1e-9:
+            raise InfeasibleTargets(
+                f"stationary consecutive-pair masses need P_AB = P_BA, got {masses[1]!r} and {masses[2]!r}"
+            )
         object.__setattr__(self, "masses", masses)
 
 
@@ -433,41 +438,47 @@ def symmetric_masses(same_class_mass: float) -> tuple[float, float, float, float
 
 
 def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> list[int]:
-    """Daily order labels realizing the per-segment class process."""
-    paa, pab, pba, pbb = spec.masses
-    if abs(pab - pba) > 1e-9:
-        raise InfeasibleTargets(
-            f"stationary consecutive-pair masses need P_AB = P_BA, got {pab!r} and {pba!r}"
-        )
+    """Daily order labels realizing the per-segment class process.
+
+    Per segment the draws are, in order: one ``rng.random()`` for the class
+    (a block restart or a stay-or-switch), one ``rng.integers`` for the
+    crossing count, uniform over [0, ceil(L/2)) for class A and over
+    [ceil(L/2), L] for class B, then the crossing days: none at 0
+    crossings, one ``rng.integers`` at 1, and one ``rng.choice(...,
+    replace=False)`` at 2 or more.  These calls draw the same numbers as
+    ``rng.choice`` over the count and day arrays would, so the stream, and
+    every file generated from it, is pinned by ``oracle_order_labels`` in
+    ``tests/oracles.py``.
+    """
+    paa, pab, _, pbb = spec.masses
     pi_a = paa + pab
     stay_a = paa / pi_a if pi_a > 0.0 else 1.0
     stay_b = pbb / (1.0 - pi_a) if pi_a < 1.0 else 1.0
     L = spec.segment_length
-    low_counts = np.arange(0, math.ceil(L / 2))          # W in [0, 1/2)
-    high_counts = np.arange(math.ceil(L / 2), L + 1)     # W in [1/2, 1]
+    half = math.ceil(L / 2)  # W in [0, 1/2) for class A, [1/2, 1] for class B
 
     labels: list[int] = []
-    cls = None
+    prev = 1
+    is_a = True
     for n in range(spec.segment_count):
         if n % spec.dependence_gap == 0:
-            cls = "A" if rng.random() < pi_a else "B"
-        else:
-            stay = stay_a if cls == "A" else stay_b
-            if rng.random() >= stay:
-                cls = "B" if cls == "A" else "A"
-        counts = low_counts if cls == "A" else high_counts
-        crossings = int(rng.choice(counts))
-        if n == 0:
-            # No predecessor: the first day never counts as a crossing.
-            crossings = min(crossings, L - 1)
-            positions = rng.choice(np.arange(1, L), size=crossings, replace=False)
-        else:
-            positions = rng.choice(np.arange(0, L), size=crossings, replace=False)
-        cross_here = np.zeros(L, dtype=bool)
-        cross_here[positions] = True
-        prev = labels[-1] if labels else 1
-        for flag in cross_here:
-            prev = (3 - prev) if flag else prev
+            is_a = rng.random() < pi_a
+        elif rng.random() >= (stay_a if is_a else stay_b):
+            is_a = not is_a
+        crossings = int(rng.integers(0, half)) if is_a else half + int(rng.integers(0, L + 1 - half))
+        # No predecessor: the first day never counts as a crossing.
+        first = 1 if n == 0 else 0
+        population = L - first
+        crossings = min(crossings, population)
+        flags = [False] * L
+        if crossings == 1:
+            flags[first + int(rng.integers(0, population))] = True
+        elif crossings > 1:
+            for day in rng.choice(population, size=crossings, replace=False).tolist():
+                flags[first + day] = True
+        for flag in flags:
+            if flag:
+                prev = 3 - prev
             labels.append(prev)
     return labels
 
@@ -666,11 +677,15 @@ def read_ledger(path) -> BacktestLedger:
         predicted=matrices("R_pred", prediction),
         next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: weights(day[-1] + 1, flat)),
     )
-    # A day has a predicted order exactly when it has a predicted grid.
-    for (ln, _), order, predicted in zip(days, ledger.order_pred.tolist(), ledger.predicted):
+    # A day has a predicted order exactly when it has a predicted grid, and only a prediction can cross a segment.
+    for (ln, _), order, predicted, crossed in zip(
+        days, ledger.order_pred.tolist(), ledger.predicted, ledger.pred_crossed_segment.tolist()
+    ):
         if (order < 0) != (predicted is None):
             found = f"{order} but R_pred is null" if predicted is None else "null but R_pred holds a prediction"
             raise ParseError(f"{path}: line {ln}: key 'order_pred': {found}")
+        if crossed and order < 0:
+            raise ParseError(f"{path}: line {ln}: key 'crossed': true but order_pred is null")
     return ledger
 
 

@@ -490,3 +490,44 @@ def universality_replicate_per_config(args):
                                 f"{tag} pair=({i},{j}): gap {res.lhs_gap!r} < bound {res.rhs_bound!r}"
                             )
     return checked, violations, min_margin
+
+
+def oracle_order_labels(spec, rng: np.random.Generator) -> list[int]:
+    """Daily order labels, drawn with one ``rng.choice`` per crossing count and per set of crossing days.
+
+    The reference for the random stream that every ``generate --orders``
+    file and every profitability eta depends on.  It leaves the P_AB = P_BA
+    check to ``SyntheticOrderSpec``.
+    """
+    paa, pab, pba, pbb = spec.masses
+    pi_a = paa + pab
+    stay_a = paa / pi_a if pi_a > 0.0 else 1.0
+    stay_b = pbb / (1.0 - pi_a) if pi_a < 1.0 else 1.0
+    L = spec.segment_length
+    low_counts = np.arange(0, math.ceil(L / 2))          # W in [0, 1/2)
+    high_counts = np.arange(math.ceil(L / 2), L + 1)     # W in [1/2, 1]
+
+    labels: list[int] = []
+    cls = None
+    for n in range(spec.segment_count):
+        if n % spec.dependence_gap == 0:
+            cls = "A" if rng.random() < pi_a else "B"
+        else:
+            stay = stay_a if cls == "A" else stay_b
+            if rng.random() >= stay:
+                cls = "B" if cls == "A" else "A"
+        counts = low_counts if cls == "A" else high_counts
+        crossings = int(rng.choice(counts))
+        if n == 0:
+            # No predecessor: the first day never counts as a crossing.
+            crossings = min(crossings, L - 1)
+            positions = rng.choice(np.arange(1, L), size=crossings, replace=False)
+        else:
+            positions = rng.choice(np.arange(0, L), size=crossings, replace=False)
+        cross_here = np.zeros(L, dtype=bool)
+        cross_here[positions] = True
+        prev = labels[-1] if labels else 1
+        for flag in cross_here:
+            prev = (3 - prev) if flag else prev
+            labels.append(prev)
+    return labels

@@ -72,6 +72,13 @@ class TestGenerate:
         assert code == EXIT_CONFIG
         assert "sum" in err
 
+    def test_asymmetric_masses_rejected_before_the_config_line(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, lines, err = run_cli(capsys, "generate", "--orders", "--masses", "0.2,0.3,0.1,0.4", "--out", str(out))
+        assert (code, lines) == (EXIT_CONFIG, [])
+        assert err.startswith("config error: stationary consecutive-pair masses need P_AB = P_BA")
+        assert not out.exists()
+
 
 @pytest.fixture()
 def rates_file(capsys, tmp_path):

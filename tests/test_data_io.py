@@ -1,5 +1,7 @@
 """File formats, seeded generators, and ledger round trips."""
 
+import functools
+import itertools
 import json
 import re
 from collections import Counter
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from fxfolio import cli, market
+from fxfolio import cli, data_io, market
 from fxfolio.backtest import BacktestLedger, LinearPredictor, UpdateConfig, run_backtest
 from fxfolio.costs import CostParams
 from fxfolio.crossrate import PredictorConfig, cross_rate, order_of
@@ -227,6 +229,23 @@ def transition_masses(rates):
     return tuple(counts[pair] / (len(rates) - 1) for pair in ((False, False), (False, True), (True, False), (True, True)))
 
 
+@functools.cache
+def oracle_streams(seg_len, seed):
+    """(spec, oracle labels, generator state after them) for every class mix and block size at one length and seed.
+
+    40 segments a case keeps the stream tests fast; over the 28 lengths and
+    seeds each crossing-count and crossing-day branch is still drawn
+    thousands of times.
+    """
+    out = []
+    for same_class_mass, gap in itertools.product((0.0, 0.3, 0.78, 1.0), (1, 7, 50)):
+        spec = SyntheticOrderSpec(40, seg_len, symmetric_masses(same_class_mass), seed, dependence_gap=gap)
+        rng = np.random.default_rng(seed)
+        labels = oracles.oracle_order_labels(spec, rng)
+        out.append((spec, labels, rng.bit_generator.state))
+    return out
+
+
 class TestOrderProcess:
     def test_deterministic(self):
         spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=symmetric_masses(0.7), seed=21)
@@ -276,9 +295,36 @@ class TestOrderProcess:
         assert len(labels) == segments * seg_len and set(labels) <= {1, 2}
 
     def test_asymmetric_masses_rejected(self):
-        spec = SyntheticOrderSpec(segment_count=10, segment_length=5, masses=(0.4, 0.2, 0.1, 0.3), seed=0)
-        with pytest.raises(InfeasibleTargets):
-            order_labels(spec, np.random.default_rng(0))
+        with pytest.raises(InfeasibleTargets, match=r"need P_AB = P_BA, got 0\.2 and 0\.1"):
+            SyntheticOrderSpec(segment_count=10, segment_length=5, masses=(0.4, 0.2, 0.1, 0.3), seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 97])
+    @pytest.mark.parametrize("seg_len", range(2, 9))
+    def test_labels_keep_the_oracle_stream(self, seg_len, seed):
+        # Equal labels and an equal generator state after the call: the same numbers were drawn, and no others.
+        for spec, expected, state in oracle_streams(seg_len, seed):
+            rng = np.random.default_rng(seed)
+            assert order_labels(spec, rng) == expected, spec
+            assert rng.bit_generator.state == state, spec
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 97])
+    @pytest.mark.parametrize("seg_len", range(2, 9))
+    def test_grids_keep_the_oracle_stream(self, seg_len, seed):
+        # The day values are drawn after the labels, so they too pin the labels' stream.
+        for spec, expected_labels, state in oracle_streams(seg_len, seed):
+            matrices, labels = generate_order_process(spec)
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            values = rng.uniform(data_io._ORDER_VALUE_LOW, data_io._ORDER_VALUE_HIGH, len(expected_labels))
+            expected = np.zeros((len(expected_labels), 3, 3))
+            for day, (label, value) in enumerate(zip(expected_labels, values)):
+                expected[day, 1, 2], expected[day, 2, 0] = data_io._ORDER_SIDE_VALUES
+                if label == 1:
+                    expected[day, 0, 1] = value
+                else:
+                    expected[day, 1, 0] = value
+            assert labels == expected_labels, spec
+            assert matrices.grids.tobytes() == expected.tobytes(), spec
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
@@ -475,12 +521,15 @@ class TestDamagedLedgerAndSummaryFiles:
              r"line 8: key 'order_pred': 2 but R_pred is null$"),
             (7, lambda line: line.replace(b'"order_pred":1', b'"order_pred":null'),
              r"line 8: key 'order_pred': null but R_pred holds a prediction$"),
+            (2, lambda line: re.sub(rb'"crossed":\w+', b'"crossed":true', line),
+             r"line 3: key 'crossed': true but order_pred is null$"),
         ],
         ids=[
             "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "string m", "bool f0",
             "float day", "bool day", "float order", "order out of range", "negative order_pred", "bool order_pred",
             "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
             "order_pred without R_pred", "order_pred 2 with R_pred nulled", "R_pred without order_pred",
+            "crossed without order_pred",
         ],
     )
     def test_ledger_errors_are_typed(self, tmp_path, written, index, edit, message):

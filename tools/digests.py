@@ -38,14 +38,28 @@ BACKTEST_INPUTS = (
 )
 
 
+# (label, flags) for order processes beyond the default one: the shortest
+# segment, one-segment blocks, and masses that pin every segment to one
+# class or make every segment switch class.
+ORDER_VARIANTS = (
+    ("L2", ["--L", "2"]),
+    ("L7-K1", ["--L", "7", "--K", "1"]),
+    ("all-A", ["--masses", "1,0,0,0"]),
+    ("all-switch", ["--masses", "0,0.5,0.5,0"]),
+)
+
+
 def generate_runs() -> list[tuple[str, list[str]]]:
     runs = []
     for seed in SEEDS:
+        per_seed = []
         for m in (2, 3, 4):
-            runs.append((f"gen/market-m{m}-s{seed}.csv", ["--market", "--m", str(m), "--days", "250"]))
-            runs.append((f"gen/normalized-m{m}-s{seed}.csv", ["--market", "--normalize", "--m", str(m), "--days", "250"]))
-        runs.append((f"gen/orders-s{seed}.csv", ["--orders", "--segments", "100"]))
-        runs[-7:] = [(out, ["generate", *args, "--seed", str(seed), "--out", out]) for out, args in runs[-7:]]
+            per_seed.append((f"gen/market-m{m}-s{seed}.csv", ["--market", "--m", str(m), "--days", "250"]))
+            per_seed.append((f"gen/normalized-m{m}-s{seed}.csv", ["--market", "--normalize", "--m", str(m), "--days", "250"]))
+        per_seed.append((f"gen/orders-s{seed}.csv", ["--orders", "--segments", "100"]))
+        for label, flags in ORDER_VARIANTS:
+            per_seed.append((f"gen/orders-{label}-s{seed}.csv", ["--orders", "--segments", "100", *flags]))
+        runs += [(out, ["generate", *args, "--seed", str(seed), "--out", out]) for out, args in per_seed]
     return runs
 
 
