@@ -68,24 +68,21 @@ class PredictorConfig:
 
 
 def order_of(returns: ReturnMatrix) -> int:
-    """1 if the unique maximum return sits strictly above the diagonal, 2 if below, else 0."""
+    """The order of one day's returns: grid_order of its grid."""
     return grid_order(returns.entries)
 
 
 def grid_order(grid: np.ndarray) -> int:
-    """order_of for a bare grid, such as a blended prediction."""
-    top = float(grid.max())
-    if top == 0.0:
-        return FLAT
-    hits = np.argwhere(grid == top)
-    if len(hits) != 1:
-        return FLAT
-    i, j = int(hits[0][0]), int(hits[0][1])
-    return UPPER if i < j else LOWER
+    """The order of a bare grid, such as a blended prediction: grid_orders of a stack of one."""
+    return int(grid_orders(np.asarray(grid)[None])[0])
 
 
 def grid_orders(grids: np.ndarray) -> np.ndarray:
-    """grid_order of every grid of an (n, m, m) stack at once, as an int64 array."""
+    """The order of every grid of an (n, m, m) stack, as an int64 array.
+
+    1 if the grid's unique maximum sits strictly above the diagonal, 2 if
+    below, 0 when the maximum is 0 or is reached more than once.
+    """
     n, m = grids.shape[0], grids.shape[1]
     flat = grids.reshape(n, m * m)
     top = flat.max(axis=1)

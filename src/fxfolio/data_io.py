@@ -32,7 +32,6 @@ import numpy as np
 
 from .backtest import BacktestLedger
 from .errors import (
-    ComplementarityViolation,
     EmptyLedger,
     InfeasibleTargets,
     InvalidSpec,
@@ -43,6 +42,7 @@ from .errors import (
     NonMonotoneDays,
     NormalizationViolated,
     ParseError,
+    RunError,
 )
 from .market import QuoteStack, ReturnMatrix, ReturnStack, compute_returns, expect_stack, upper_pairs
 from .portfolio import PortfolioMatrix
@@ -249,12 +249,11 @@ def load_rates(path) -> QuoteStack:
     except FxfolioError as exc:
         raise InvariantError(f"{path}: {exc}") from exc
     del grids  # the stack holds its own copies; free these before the returns are computed
-    # A pair whose open sell beats the close buy and whose open buy beats
-    # the close sell profits both ways: computing the returns names it.
-    # The stack keeps them for the run that follows.
+    # A pair that profits both ways, or a ratio that overflows, is found
+    # by computing the returns.  The stack keeps them for the run that follows.
     try:
         quotes.returns
-    except ComplementarityViolation as exc:
+    except FxfolioError as exc:
         raise InvariantError(f"{path}: {exc}") from exc
     return quotes
 
@@ -313,7 +312,7 @@ class SyntheticMarketSpec:
 
 
 def generate_market(spec: SyntheticMarketSpec) -> QuoteStack:
-    """Seeded quote history; every day passes the rate-matrix validators.
+    """Seeded quote history, every day checked by check_rates.
 
     Plain mode: per-pair mid rates follow an exponentiated random walk
     sampled at opens and closes, quoted symmetrically at mid +- epsilon.
@@ -325,10 +324,20 @@ def generate_market(spec: SyntheticMarketSpec) -> QuoteStack:
     buy-low/sell-high ratio hits a drawn target; after dividing a day by
     its best pair the pair values lie in [r_floor, 1] with the maximum
     exactly 1 (see normalized_returns).
+
+    A draw that breaks a rate rule (an overflowing walk, or a mid so large
+    that mid +- epsilon rounds to one value) raises InvalidSpec.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.normalize:
-        return _generate_normalized(spec, rng)
+    with np.errstate(over="ignore"):  # a walk that overflows quotes inf, which the rate check names
+        mid_open, mid_close = _normalized_mids(spec, rng) if spec.normalize else _walk_mids(spec, rng)
+    try:
+        return _quotes_from_mids(spec.m, mid_open, mid_close, spec.spread_epsilon)
+    except RunError as exc:
+        raise InvalidSpec(f"vol={spec.vol!r} and spread_epsilon={spec.spread_epsilon!r} give no valid market: {exc}") from exc
+
+
+def _walk_mids(spec: SyntheticMarketSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     eps = spec.spread_epsilon
     n_pairs = spec.m * (spec.m - 1) // 2
     log_mid = np.zeros(n_pairs)
@@ -341,10 +350,10 @@ def generate_market(spec: SyntheticMarketSpec) -> QuoteStack:
         # A drop beyond the spread would make both trade directions win.
         mid_close[k] = np.maximum(np.exp(log_close), np.maximum(mid_open[k] - 1.98 * eps, 2.0 * eps))
         log_mid = np.log(mid_close[k])
-    return _quotes_from_mids(spec.m, mid_open, mid_close, eps)
+    return mid_open, mid_close
 
 
-def _generate_normalized(spec: SyntheticMarketSpec, rng: np.random.Generator) -> QuoteStack:
+def _normalized_mids(spec: SyntheticMarketSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     eps = spec.spread_epsilon
     n_pairs = spec.m * (spec.m - 1) // 2
     gross = 1.25 / spec.r_floor
@@ -355,11 +364,9 @@ def _generate_normalized(spec: SyntheticMarketSpec, rng: np.random.Generator) ->
     ratios = gross * targets
     # Close buy small enough that the reverse direction stays unprofitable.
     close_buy = 0.99 * 4.0 * eps / (ratios - 1.0)
-    mid_close = close_buy + eps
     # Open sell lands exactly on ratio * close_buy, so the traded
     # buy-low/sell-high ratio equals the drawn target.
-    mid_open = ratios * close_buy - eps
-    return _quotes_from_mids(spec.m, mid_open, mid_close, eps)
+    return ratios * close_buy - eps, close_buy + eps
 
 
 def _quotes_from_mids(m, mid_open, mid_close, eps) -> QuoteStack:
@@ -651,8 +658,9 @@ def read_ledger(path) -> BacktestLedger:
         try:
             return ReturnStack(day, np.array(grids))
         except (FxfolioError, OverflowError) as exc:
-            # Name the line of the first bad matrix; else the day column is at fault.
-            matrices("R", lambda k, flat: ReturnMatrix(day=k, entries=grid(flat)))
+            # Name the line of the first bad matrix; else the day column is at fault,
+            # as it is for a day beyond int64, which no one-day matrix can hold.
+            matrices("R", lambda k, flat: -(2**63) <= k < 2**63 and ReturnMatrix(day=k, entries=grid(flat)))
             raise ParseError(f"{path}: key 'day': {exc}") from exc
 
     day = column("day", lambda v: _typed("integer", v))

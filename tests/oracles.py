@@ -158,11 +158,93 @@ def random_return_entries(rng: np.random.Generator, m: int, fire_prob: float = 0
 
 
 # ---------------------------------------------------------------------------
+# The market rules one grid at a time, in loops: what the package's stack
+# checks, its one-day types, compute_returns and grid_orders must raise or
+# give.  They share with the package only the error classes, whose messages
+# they repeat.
+
+
+def oracle_check_rates(day, grid):
+    """Raise the first broken rate rule of one grid: every entry, then the diagonal, then each spread, row-major."""
+    from fxfolio.errors import NonPositiveEntry, NonUnitDiagonal, SpreadViolation
+
+    m = len(grid)
+    for i in range(m):
+        for j in range(m):
+            value = float(grid[i][j])
+            if not (math.isfinite(value) and value > 0.0):
+                raise NonPositiveEntry(f"day {day}: rate at ({i}, {j}) is {value!r}, must be finite and > 0")
+    for i in range(m):
+        if float(grid[i][i]) != 1.0:
+            raise NonUnitDiagonal(f"day {day}: diagonal entry ({i}, {i}) is {float(grid[i][i])!r}, must be 1")
+    for i in range(m):
+        for j in range(i + 1, m):
+            sell, buy = float(grid[i][j]), float(grid[j][i])
+            if not sell > buy:
+                raise SpreadViolation(
+                    f"day {day}: sell quote at ({i}, {j}) = {sell!r} does not exceed buy quote at ({j}, {i}) = {buy!r}"
+                )
+
+
+def oracle_check_returns(day, grid):
+    """Raise the first broken return rule of one grid: every entry, then the diagonal, then each mirrored pair."""
+    from fxfolio.errors import ComplementarityViolation, NonPositiveEntry, NonUnitDiagonal
+
+    m = len(grid)
+    for i in range(m):
+        for j in range(m):
+            value = float(grid[i][j])
+            if not (math.isfinite(value) and value >= 0.0):
+                raise NonPositiveEntry(f"day {day}: return at ({i}, {j}) is {value!r}, must be finite and >= 0")
+    for i in range(m):
+        if float(grid[i][i]) != 0.0:
+            raise NonUnitDiagonal(f"day {day}: return diagonal at ({i}, {i}) must be 0")
+    for i in range(m):
+        for j in range(i + 1, m):
+            if float(grid[i][j]) > 0.0 and float(grid[j][i]) > 0.0:
+                raise ComplementarityViolation(f"day {day}: both mirrored returns ({i}, {j}) and ({j}, {i}) are positive")
+
+
+def oracle_day_returns(day, open_grid, close_grid):
+    """One day's price relatives from valid quotes; a pair firing both ways comes before any overflow."""
+    from fxfolio.errors import ComplementarityViolation
+
+    m = len(open_grid)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            open_sell, open_buy = float(open_grid[i][j]), float(open_grid[j][i])
+            close_sell, close_buy = float(close_grid[i][j]), float(close_grid[j][i])
+            if open_sell > close_buy and open_buy > close_sell:
+                raise ComplementarityViolation(
+                    f"day {day}: pair ({i}, {j}) fires in both directions (open sell {open_sell!r} > close buy "
+                    f"{close_buy!r} and open buy {open_buy!r} > close sell {close_sell!r})"
+                )
+            if open_sell > close_buy:
+                out[i, j] = open_sell / close_buy  # a float quotient overflows to inf, as numpy's does
+            if open_buy > close_sell:
+                out[j, i] = open_buy / close_sell
+    oracle_check_returns(day, out)
+    return out
+
+
+def oracle_grid_order(grid):
+    """1 if the grid's unique maximum sits above the diagonal, 2 if on or below it, 0 if it is 0 or tied."""
+    cells = [(float(value), i, j) for i, row in enumerate(grid) for j, value in enumerate(row)]
+    top = max(value for value, _, _ in cells)
+    hits = [(i, j) for value, i, j in cells if value == top]
+    if top == 0.0 or len(hits) != 1:
+        return 0
+    i, j = hits[0]
+    return 1 if i < j else 2
+
+
+# ---------------------------------------------------------------------------
 # File formats, row by row.  These readers parse each csv row with int and
-# float and fill per-day dicts; they share with the package only the error
-# classes, the one-day matrix validators and compute_return_matrix, whose
-# messages they must repeat.  The
-# writers return the text a json_value-style recursive formatter produces.
+# float, fill per-day dicts and check each day with the oracles above; they
+# share with the package only the error classes, whose messages they must
+# repeat.  A reader returns (day, grids) per day.  The writers return the
+# text a json_value-style recursive formatter produces.
 
 
 def _oracle_field_error(path, ln, header, row, exc):
@@ -179,8 +261,7 @@ def _oracle_field_error(path, ln, header, row, exc):
 def load_rates_rowwise(path):
     import csv
 
-    from fxfolio.errors import ComplementarityViolation, FxfolioError, InvariantError, NonMonotoneDays, ParseError
-    from fxfolio.market import DailyQuotes, compute_return_matrix
+    from fxfolio.errors import FxfolioError, InvariantError, NonMonotoneDays, ParseError
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -224,14 +305,16 @@ def load_rates_rowwise(path):
             open_grid[i - 1, j - 1] = o
             close_grid[i - 1, j - 1] = c
         try:
-            quotes.append(DailyQuotes.from_grids(day, open_grid, close_grid))
+            oracle_check_rates(day, open_grid)
+            oracle_check_rates(day, close_grid)
         except FxfolioError as exc:
             raise InvariantError(f"{path}: {exc}") from exc
-    # No pair may profit both ways on one day.
-    for q in quotes:
+        quotes.append((day, (open_grid, close_grid)))
+    # No pair may profit both ways on one day, and no ratio may overflow.
+    for day, grids in quotes:
         try:
-            compute_return_matrix(q)
-        except ComplementarityViolation as exc:
+            oracle_day_returns(day, *grids)
+        except FxfolioError as exc:
             raise InvariantError(f"{path}: {exc}") from exc
     return quotes
 
@@ -240,7 +323,6 @@ def read_returns_rowwise(path):
     import csv
 
     from fxfolio.errors import FxfolioError, InvariantError, NonMonotoneDays, ParseError
-    from fxfolio.market import ReturnMatrix
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -279,9 +361,10 @@ def read_returns_rowwise(path):
         for (i, j), v in pairs.items():
             grid[i - 1, j - 1] = v
         try:
-            out.append(ReturnMatrix(day=day, entries=grid))
+            oracle_check_returns(day, grid)
         except FxfolioError as exc:
             raise InvariantError(f"{path}: {exc}") from exc
+        out.append((day, (grid,)))
     return out
 
 
@@ -355,7 +438,8 @@ def ledger_text(ledger) -> str:
 
 # ---------------------------------------------------------------------------
 # Stacked histories, one day at a time: what a stack constructor must
-# raise or hold, built from the one-day classes in day order.
+# raise or hold, as (day, grids) per day, checked by the oracles above in
+# day order.
 
 
 def _check_days_increase(days):
@@ -366,35 +450,40 @@ def _check_days_increase(days):
 
 
 def quotes_day_by_day(days, opens, closes):
-    from fxfolio.market import DailyQuotes
-
-    out = [DailyQuotes.from_grids(int(d), o, c) for d, o, c in zip(days, opens, closes)]
+    for d, o, c in zip(days, opens, closes):
+        oracle_check_rates(int(d), o)
+        oracle_check_rates(int(d), c)
     _check_days_increase(list(days))
-    return out
+    return [(int(d), (np.asarray(o, dtype=float), np.asarray(c, dtype=float))) for d, o, c in zip(days, opens, closes)]
 
 
 def returns_day_by_day(days, grids):
-    from fxfolio.market import ReturnMatrix
-
-    out = [ReturnMatrix(day=int(d), entries=g) for d, g in zip(days, grids)]
+    for d, g in zip(days, grids):
+        oracle_check_returns(int(d), g)
     _check_days_increase(list(days))
-    return out
+    return [(int(d), (np.asarray(g, dtype=float),)) for d, g in zip(days, grids)]
+
+
+def compute_returns_day_by_day(days, opens, closes):
+    """The returns of a quote history: its rate checks, then each day's returns in day order."""
+    quotes = quotes_day_by_day(days, opens, closes)
+    return [(day, (oracle_day_returns(day, *grids),)) for day, grids in quotes]
 
 
 # ---------------------------------------------------------------------------
 # The engine one day and one configuration at a time: what the prediction
 # phase, the batched sweep and the vectorized summaries must reproduce bit
-# for bit.  These call the package's scalar API (the typed one-day rules)
-# in the order the day loop used to.
+# for bit.  These call the package's scalar cross-rate API in the order
+# the day loop used to, with the order labels from oracle_grid_order.
 
 
 def predictions_day_by_day(grids, predictor):
     """(grid or None, order or -1, crossed) predicted after each of days 0..n, from the scalar rules."""
     from fxfolio.backtest import LinearPredictor
-    from fxfolio.crossrate import SWAP, adjusted_cross_rate, cross_rate, grid_order, mpcr_predict, reference_day
+    from fxfolio.crossrate import SWAP, adjusted_cross_rate, cross_rate, mpcr_predict, reference_day
     from fxfolio.errors import InsufficientHistory
 
-    orders = [grid_order(g) for g in grids]
+    orders = [oracle_grid_order(g) for g in grids]
     out = [(None, -1, False)]
     w_hist = []
     for k in range(1, len(grids) + 1):
@@ -403,7 +492,7 @@ def predictions_day_by_day(grids, predictor):
             continue
         if isinstance(predictor, LinearPredictor):
             pred = predictor.predict(grids[:k])
-            out.append((None, -1, False) if pred is None else (pred, grid_order(pred), False))
+            out.append((None, -1, False) if pred is None else (pred, oracle_grid_order(pred), False))
             continue
         seg_len = predictor.segment.L
         if k % seg_len == 0:

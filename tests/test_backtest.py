@@ -26,7 +26,7 @@ from fxfolio.backtest import (
     universality_gap,
 )
 from fxfolio.costs import CostParams
-from fxfolio.crossrate import PredictorConfig, SegmentConfig, grid_order, segment_success_rates
+from fxfolio.crossrate import PredictorConfig, SegmentConfig, segment_success_rates
 from fxfolio.data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
@@ -54,6 +54,7 @@ from fxfolio.updates import tilt
 
 from oracles import (
     greedy_partition,
+    oracle_grid_order,
     predictions_day_by_day,
     random_return_entries,
     segment_success_rates_loop,
@@ -647,7 +648,7 @@ class TestEngineInvariants:
                 continue
             assert np.all(np.isfinite(grid)) and np.all(grid >= 0.0)
             assert np.all(np.diag(grid) == 0.0)
-            assert ledger.order_pred[k] == grid_order(grid)
+            assert ledger.order_pred[k] == oracle_grid_order(grid)
         PortfolioMatrix(day=ledger.n_days + 1, weights=ledger.next_portfolio)
 
 
@@ -696,7 +697,7 @@ class TestPredictionPhase:
         predictor = drawn_predictor(kind, lags, mpcr, mpo, adjusted, seg_len)
         prediction = predict(rets, predictor)
         expected = predictions_day_by_day(rets.grids, predictor)
-        assert prediction.order_actual.tolist() == [grid_order(g) for g in rets.grids]
+        assert prediction.order_actual.tolist() == [oracle_grid_order(g) for g in rets.grids]
         assert len(prediction.grids) == len(expected)
         for k, (got, (grid, order, crossed)) in enumerate(zip(prediction.grids, expected)):
             assert (prediction.order_pred[k], bool(prediction.crossed[k])) == (order, crossed)

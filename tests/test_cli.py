@@ -504,6 +504,43 @@ class TestEntrypoint:
         assert (EXIT_OK, EXIT_IO, EXIT_CONFIG, EXIT_VERIFY) == (0, 1, 2, 3)
 
 
+def run_warnings_as_errors(workdir, *args):
+    """Exit code, stdout and stderr of the CLI in a child Python that turns every warning into an error."""
+    env = dict(os.environ)
+    package_root = str(Path(fxfolio.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "fxfolio.cli", *args], capture_output=True, text=True, env=env, cwd=workdir
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestMarketsBreakingARule:
+    def test_overflowing_rates_file_exits_1_naming_the_file(self, tmp_path):
+        # Valid quotes whose day-1 ratio 1e300 / 1e-11 overflows to an inf return.
+        path = tmp_path / "rates.csv"
+        path.write_text("day,i,j,open_rate,close_rate\n1,1,2,1e300,1e-10\n1,2,1,1e-12,1e-11\n2,1,2,1.2,1.3\n2,2,1,0.8,0.9\n")
+        code, _, err = run_warnings_as_errors(tmp_path, "backtest", "--input", str(path), "--predictor", "none")
+        assert (code, err) == (EXIT_IO, f"io error: {path}: day 1: return at (0, 1) is inf, must be finite and >= 0\n")
+
+    @pytest.mark.parametrize(
+        "flags, found",
+        [
+            (["--vol", "0.1", "--days", "2000"], "vol=0.1 and spread_epsilon=0.005 give no valid market: day 757: sell quote at (0, 1)"),
+            (["--vol", "0.5", "--days", "250"], "vol=0.5 and spread_epsilon=0.005 give no valid market: day 166: sell quote at (0, 1)"),
+            (["--vol", "50", "--days", "5"], "vol=50.0 and spread_epsilon=0.005 give no valid market: day 1: sell quote at (0, 2)"),
+        ],
+        ids=["long walk", "wide walk", "overflowing walk"],
+    )
+    def test_generated_market_breaking_a_rate_rule_is_a_config_error(self, tmp_path, flags, found):
+        # The walk's close clip ratchets mids up until mid +- epsilon rounds to one value, or overflows.
+        out = tmp_path / "rates.csv"
+        code, _, err = run_warnings_as_errors(tmp_path, "generate", "--market", "--m", "3", "--seed", "1", *flags, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {found}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 EXIT_CODE_OF = {
     **dict.fromkeys(("IoError", "ParseError", "InvariantError", "NonMonotoneDays"), EXIT_IO),
     **dict.fromkeys(

@@ -38,7 +38,7 @@ from fxfolio.errors import (
 )
 from fxfolio.market import ReturnMatrix
 
-from oracles import count_crossings, predictions_day_by_day, random_return_entries
+from oracles import count_crossings, oracle_grid_order, predictions_day_by_day, random_return_entries
 
 
 def returns(grid, day=1):
@@ -80,13 +80,15 @@ class TestOrderOf:
 class TestGridOrders:
     @given(m=st.integers(2, 4), n=st.integers(0, 8), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_grid_order_day_by_day(self, m, n, data):
+    def test_matches_the_order_oracle_day_by_day(self, m, n, data):
         # Few distinct values, so flat days and ties, on and off the diagonal, are common.
         values = st.sampled_from([0.0, -0.0, 0.0, 0.9, 1.1, 1.2])
         stack = data.draw(hnp.arrays(np.float64, (n, m, m), elements=values))
         got = grid_orders(stack)
         assert got.dtype == np.int64
-        assert got.tolist() == [grid_order(g) for g in stack]
+        expected = [oracle_grid_order(g) for g in stack]
+        assert got.tolist() == expected
+        assert [grid_order(g) for g in stack] == expected
 
     def test_flat_and_tied_days(self):
         stack = np.zeros((4, 2, 2))

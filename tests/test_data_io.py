@@ -44,7 +44,7 @@ from fxfolio.errors import (
     NonMonotoneDays,
     ParseError,
 )
-from fxfolio.market import ReturnStack, compute_returns
+from fxfolio.market import QuoteStack, ReturnStack, compute_returns
 
 
 GOOD_RATES = """day,i,j,open_rate,close_rate
@@ -492,6 +492,7 @@ class TestDamagedLedgerAndSummaryFiles:
             (0, lambda line: line.replace(b'"m":3', b'"m":1e400'), r"line 1: key 'm': bad value"),
             (2, lambda line: line.replace(b'"day":2', b'"day":1e400'), r"line 3: key 'day': bad value"),
             (2, lambda line: line.replace(b'"day":2', b'"day":1'), r"key 'day': market days must be strictly increasing"),
+            (2, lambda line: line.replace(b'"day":2', b'"day":%d' % 2**70), r"key 'day': Python int too large"),
             (0, lambda line: line.replace(b'"m":3', b'"m":"3"'), r"line 1: key 'm': bad value: '3' is not a JSON integer"),
             (0, lambda line: line.replace(b'"f0":1,"config"', b'"f0":true,"config"'),
              r"line 1: key 'f0': bad value: True is not a JSON number"),
@@ -525,7 +526,7 @@ class TestDamagedLedgerAndSummaryFiles:
              r"line 3: key 'crossed': true but order_pred is null$"),
         ],
         ids=[
-            "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "string m", "bool f0",
+            "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "day beyond int64", "string m", "bool f0",
             "float day", "bool day", "float order", "order out of range", "negative order_pred", "bool order_pred",
             "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
             "order_pred without R_pred", "order_pred 2 with R_pred nulled", "R_pred without order_pred",
@@ -665,8 +666,11 @@ def outcome(reader, path):
         items = reader(path)
     except FxfolioError as exc:
         return type(exc), str(exc)
-    grids = lambda x: (x.open_rates.entries, x.close_rates.entries) if hasattr(x, "open_rates") else (x.entries,)  # noqa: E731
-    return [(x.day, x.m, tuple(g.tobytes() for g in grids(x))) for x in items]
+    if isinstance(items, QuoteStack):
+        items = [(int(d), (o, c)) for d, o, c in zip(items.days, items.open, items.close)]
+    elif isinstance(items, ReturnStack):
+        items = [(int(d), (g,)) for d, g in zip(items.days, items.grids)]
+    return [(day, len(grids[0]), tuple(g.tobytes() for g in grids)) for day, grids in items]
 
 
 @st.composite
@@ -811,7 +815,7 @@ class TestColumnarFilesAgainstRowwise:
     def test_mixed_currency_counts_are_rejected(self, tmp_path, reader, text):
         path = write_text(tmp_path / "in.csv", text)
         oracle = oracles.load_rates_rowwise if reader is load_rates else oracles.read_returns_rowwise
-        assert [x.m for x in oracle(path)][-1] == 3
+        assert [len(grids[0]) for _, grids in oracle(path)][-1] == 3
         with pytest.raises(ParseError, match=r"in.csv: day \d: quotes m=3 currencies, but day 1 quotes m=2"):
             reader(path)
 

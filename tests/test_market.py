@@ -9,6 +9,7 @@ import oracles
 from fxfolio.data_io import SyntheticMarketSpec, generate_market
 from fxfolio.errors import (
     ComplementarityViolation,
+    DayMismatch,
     FxfolioError,
     NonPositiveEntry,
     NonUnitDiagonal,
@@ -120,13 +121,16 @@ class TestReturnMatrixType:
 
 
 def day_bits(days):
-    """Each day of a stack, or of a list of one-day objects, as (day, bit patterns of its grids)."""
+    """Each day of a stack, a one-day object or an oracle's (day, grids) list, as (day, bit patterns of its grids)."""
     if isinstance(days, QuoteStack):
         return [(int(d), (o.tobytes(), c.tobytes())) for d, o, c in zip(days.days, days.open, days.close)]
     if isinstance(days, ReturnStack):
         return [(int(d), (g.tobytes(),)) for d, g in zip(days.days, days.grids)]
-    grids = lambda x: (x.open_rates.entries, x.close_rates.entries) if hasattr(x, "open_rates") else (x.entries,)  # noqa: E731
-    return [(x.day, tuple(g.tobytes() for g in grids(x))) for x in days]
+    if isinstance(days, DailyQuotes):
+        return [(days.day, (days.open_rates.entries.tobytes(), days.close_rates.entries.tobytes()))]
+    if isinstance(days, (RateMatrix, ReturnMatrix)):
+        return [(days.day, (days.entries.tobytes(),))]
+    return [(day, tuple(np.asarray(g, dtype=float).tobytes() for g in grids)) for day, grids in days]
 
 
 def outcome(fn, *args):
@@ -163,7 +167,7 @@ def faulty_quotes(draw):
         closes[k, j, i] = opens[k, i, j]
         closes[k, i, j] = 2.0 * opens[k, i, j]
     elif fault == "overflow":
-        opens[k, i, j], closes[k, i, j], closes[k, j, i] = 1e300, 1e-10, 1e-11
+        opens[k, i, j], opens[k, j, i], closes[k, i, j], closes[k, j, i] = 1e300, 1e-12, 1e-10, 1e-11
     elif fault == "days":
         days[k] = days[k - 1] if k else days[1]
     return days, opens, closes
@@ -175,17 +179,27 @@ STACKS = settings(max_examples=150, deadline=None)
 class TestStacksAgainstDayByDay:
     @given(faulty_quotes())
     @STACKS
-    def test_quote_stack_matches_the_one_day_checks(self, market):
+    def test_quote_stack_matches_the_rate_oracle(self, market):
         assert outcome(QuoteStack, *market) == outcome(oracles.quotes_day_by_day, *market)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")  # the "overflow" fault
     @given(faulty_quotes())
     @STACKS
-    def test_compute_returns_matches_compute_return_matrix(self, market):
-        def day_by_day(*market):
-            return [compute_return_matrix(q) for q in oracles.quotes_day_by_day(*market)]
+    def test_compute_returns_matches_the_return_oracle(self, market):
+        got = outcome(lambda *a: compute_returns(QuoteStack(*a)), *market)
+        assert got == outcome(oracles.compute_returns_day_by_day, *market)
 
-        assert outcome(lambda *a: compute_returns(QuoteStack(*a)), *market) == outcome(day_by_day, *market)
+    @given(faulty_quotes())
+    @STACKS
+    def test_one_day_objects_are_stacks_of_one(self, market):
+        def checked_rates(day, grid):
+            oracles.oracle_check_rates(day, grid)
+            return [(day, (grid,))]
+
+        for day, o, c in zip(*market):
+            day = int(day)
+            assert outcome(RateMatrix, day, o) == outcome(checked_rates, day, o)
+            got = outcome(lambda: compute_return_matrix(DailyQuotes.from_grids(day, o, c)))
+            assert got == outcome(oracles.compute_returns_day_by_day, [day], [o], [c])
 
     @given(
         m=st.integers(2, 4),
@@ -210,6 +224,8 @@ class TestStacksAgainstDayByDay:
         elif fault == "days" and n > 1:
             days[k] = days[k - 1] if k else days[1]
         assert outcome(ReturnStack, days, grids) == outcome(oracles.returns_day_by_day, days, grids)
+        for day, grid in zip(days, grids):
+            assert outcome(ReturnMatrix, int(day), grid) == outcome(oracles.returns_day_by_day, [day], [grid])
 
     def test_indexing_gives_the_one_day_objects(self):
         market = generate_market(SyntheticMarketSpec(m=3, n_days=5, seed=4))
@@ -222,3 +238,98 @@ class TestStacksAgainstDayByDay:
         assert [r.day for r in returns] == [1, 2, 3, 4, 5]
         with pytest.raises(ValueError):
             returns.grids[0, 0, 1] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# The exact class and message of each rule, on hand-made grids of day 7.
+
+OPEN = [[1.0, 1.2, 1.5], [0.8, 1.0, 1.1], [0.6, 0.9, 1.0]]
+CLOSE = [[1.0, 1.25, 1.4], [0.85, 1.0, 1.2], [0.7, 0.95, 1.0]]
+RETURNS = [[0.0, 1.1, 0.0], [0.0, 0.0, 0.0], [1.3, 0.0, 0.0]]
+
+
+def edited(grid, *cells):
+    """A copy of grid with each (i, j, value) of cells set."""
+    out = np.array(grid, dtype=float)
+    for i, j, value in cells:
+        out[i, j] = value
+    return out
+
+
+def rate_calls(o, c):
+    """The stack, the one-day object and the oracle, each checking day 7's open and close quotes."""
+    return [
+        ("stack", lambda: QuoteStack([7], [o], [c])),
+        ("day", lambda: DailyQuotes.from_grids(7, o, c)),
+        ("oracle", lambda: oracles.quotes_day_by_day([7], [o], [c])),
+    ]
+
+
+def return_calls(r):
+    return [
+        ("stack", lambda: ReturnStack([7], [r])),
+        ("day", lambda: ReturnMatrix(day=7, entries=r)),
+        ("oracle", lambda: oracles.returns_day_by_day([7], [r])),
+    ]
+
+
+def computed_calls(o, c):
+    return [
+        ("stack", lambda: compute_returns(QuoteStack([7], [o], [c]))),
+        ("day", lambda: compute_return_matrix(DailyQuotes.from_grids(7, o, c))),
+        ("oracle", lambda: oracles.compute_returns_day_by_day([7], [o], [c])),
+    ]
+
+
+BOTH_WAYS = (edited(OPEN, (0, 1, 1.10), (1, 0, 1.00)), edited(CLOSE, (0, 1, 0.99), (1, 0, 0.98)))
+OVERFLOW = (edited(OPEN, (0, 1, 1e300), (1, 0, 1e-12)), edited(CLOSE, (0, 1, 1e-10), (1, 0, 1e-11)))
+RULES = [
+    ("rate-entry", rate_calls(edited(OPEN, (1, 0, np.nan)), CLOSE), NonPositiveEntry,
+     "day 7: rate at (1, 0) is nan, must be finite and > 0"),
+    ("rate-entry-close", rate_calls(OPEN, edited(CLOSE, (2, 1, 0.0))), NonPositiveEntry,
+     "day 7: rate at (2, 1) is 0.0, must be finite and > 0"),
+    ("rate-diagonal", rate_calls(edited(OPEN, (2, 2, 1.5)), CLOSE), NonUnitDiagonal,
+     "day 7: diagonal entry (2, 2) is 1.5, must be 1"),
+    ("spread", rate_calls(edited(OPEN, (0, 2, 0.6), (2, 0, 0.6)), CLOSE), SpreadViolation,
+     "day 7: sell quote at (0, 2) = 0.6 does not exceed buy quote at (2, 0) = 0.6"),
+    ("open-before-close", rate_calls(edited(OPEN, (1, 2, 0.5)), edited(CLOSE, (0, 1, -1.0))), SpreadViolation,
+     "day 7: sell quote at (1, 2) = 0.5 does not exceed buy quote at (2, 1) = 0.9"),
+    ("return-entry", return_calls(edited(RETURNS, (0, 1, -1.0))), NonPositiveEntry,
+     "day 7: return at (0, 1) is -1.0, must be finite and >= 0"),
+    ("return-diagonal", return_calls(edited(RETURNS, (1, 1, 0.5))), NonUnitDiagonal,
+     "day 7: return diagonal at (1, 1) must be 0"),
+    ("mirrored-returns", return_calls(edited(RETURNS, (0, 2, 1.2))), ComplementarityViolation,
+     "day 7: both mirrored returns (0, 2) and (2, 0) are positive"),
+    ("both-ways", computed_calls(*BOTH_WAYS), ComplementarityViolation,
+     "day 7: pair (0, 1) fires in both directions (open sell 1.1 > close buy 0.98 and open buy 1.0 > close sell 0.99)"),
+    ("overflow", computed_calls(*OVERFLOW), NonPositiveEntry,
+     "day 7: return at (0, 1) is inf, must be finite and >= 0"),
+]
+TABLE = [
+    pytest.param(call, cls, message, id=f"{rule}-{kind}")
+    for rule, calls, cls, message in RULES
+    for kind, call in calls
+]
+# A one-day grid that is not square fails the stack's shape check.
+SHAPE = "expected 1 square grids of size >= 2 for days of shape (1,), got shape (1, 2, 3)"
+TABLE += [
+    pytest.param(lambda: RateMatrix(day=7, entries=np.ones((2, 3))), DayMismatch, SHAPE, id="rate-shape-day"),
+    pytest.param(lambda: ReturnMatrix(day=7, entries=np.zeros((2, 3))), DayMismatch, SHAPE, id="return-shape-day"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, cls, message", TABLE)
+def test_each_rule_raises_its_class_and_message(call, cls, message):
+    with pytest.raises(FxfolioError) as raised:
+        call()
+    assert (type(raised.value), str(raised.value)) == (cls, message)
+
+
+def test_first_day_then_first_rule():
+    """Day 8's spread fault is reported before day 9's entry fault, and an earlier overflow before a later both-ways pair."""
+    bad_spread, bad_entry = edited(OPEN, (0, 1, 0.5)), edited(OPEN, (0, 1, np.nan))
+    with pytest.raises(SpreadViolation, match=r"^day 8: sell quote at \(0, 1\)"):
+        QuoteStack([7, 8, 9], [OPEN, bad_spread, bad_entry], [CLOSE, CLOSE, CLOSE])
+    with pytest.raises(NonPositiveEntry, match=r"^day 8: return at \(0, 1\) is inf"):
+        compute_returns(QuoteStack([7, 8, 9], [OPEN, OVERFLOW[0], BOTH_WAYS[0]], [CLOSE, OVERFLOW[1], BOTH_WAYS[1]]))

@@ -9,7 +9,10 @@ lines do not depend on where OUTDIR is.  Every output gets one
 backtest and verify run its stdout (prefixed with the exit code), ledger
 and summary.  Each ledger gets a second line, ``sha256  LEDGER days``,
 over its day lines alone, so a deliberate change to the meta line (the
-config echo) shows apart from any change to a day record.  The fxfolio
+config echo) shows apart from any change to a day record.  Runs that must
+fail, backtests on damaged inputs and generate specs that give no valid
+market, hash their exit code, stdout and stderr, so their error messages
+are compared too.  The fxfolio
 package used is the first one on the import path, and its location is
 printed to stderr.
 
@@ -46,6 +49,24 @@ ORDER_VARIANTS = (
     ("L7-K1", ["--L", "7", "--K", "1"]),
     ("all-A", ["--masses", "1,0,0,0"]),
     ("all-switch", ["--masses", "0,0.5,0.5,0"]),
+)
+
+
+# (label, source file, --input-kind, {(day, i, j): new values, None to keep one}) for
+# backtests on a generated input that is damaged so it breaks one rule.
+DAMAGED_INPUTS = (
+    ("rates-nan", "gen/market-m3-s1.csv", "rates", {(5, 2, 3): ("nan", None)}),
+    ("rates-zero", "gen/market-m3-s1.csv", "rates", {(8, 3, 1): (None, "0")}),
+    ("rates-spread", "gen/market-m3-s1.csv", "rates", {(9, 1, 2): ("0.5", None)}),
+    ("rates-both-ways", "gen/market-m3-s1.csv", "rates", {(12, 1, 2): ("1.10", "0.99"), (12, 2, 1): ("1.00", "0.98")}),
+    ("rates-overflow", "gen/market-m3-s1.csv", "rates", {(20, 1, 2): ("1e300", "1e-10"), (20, 2, 1): ("1e-12", "1e-11")}),
+    ("returns-negative", "gen/orders-s1.csv", "returns", {(7, 2, 1): ("-1",)}),
+    ("returns-mirrored", "gen/orders-s1.csv", "returns", {(7, 1, 2): ("1.1",), (7, 2, 1): ("1.2",)}),
+)
+# (out, flags) for generate specs whose walk breaks a rate rule.
+FAILING_GENERATE = (
+    ("gen/walk-vol0.1-d2000.csv", ["--vol", "0.1", "--days", "2000"]),
+    ("gen/walk-vol0.5-d250.csv", ["--vol", "0.5", "--days", "250"]),
 )
 
 
@@ -107,12 +128,25 @@ def sha256_file(path: str, skip_first_line: bool = False) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_cli(main, argv: list[str]) -> str:
-    """The exit code and stdout of one CLI run, as one text."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run_cli(main, argv: list[str], with_stderr: bool = False) -> str:
+    """The exit code and stdout of one CLI run, and its stderr if asked, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"exit {code}\n{out.getvalue()}"
+    return f"exit {code}\n{out.getvalue()}" + (f"stderr\n{err.getvalue()}" if with_stderr else "")
+
+
+def write_damaged(source: str, target: str, edits: dict) -> None:
+    """Copy a csv input, replacing the values of the (day, i, j) rows that edits names."""
+    with open(source) as fh:
+        header, *rows = fh.read().splitlines()
+    out = [header]
+    for row in rows:
+        day, i, j, *values = row.split(",")
+        new = edits.get((int(day), int(i), int(j)), values)
+        out.append(",".join([day, i, j, *(old if text is None else text for old, text in zip(values, new))]))
+    with open(target, "w") as fh:
+        fh.write("\n".join(out) + "\n")
 
 
 def main(argv=None) -> int:
@@ -126,7 +160,7 @@ def main(argv=None) -> int:
     print(f"fxfolio from {os.path.dirname(fxfolio.__file__)}", file=sys.stderr)
     os.makedirs(argv[0], exist_ok=True)
     os.chdir(argv[0])
-    for sub in ("gen", "bt", "verify"):
+    for sub in ("gen", "bt", "bad", "verify"):
         os.makedirs(sub, exist_ok=True)
 
     def emit(digest: str, label: str) -> None:
@@ -148,6 +182,15 @@ def main(argv=None) -> int:
         emit(sha256_file(ledger, skip_first_line=True) if os.path.exists(ledger) else "missing", f"{ledger} days")
     for label, args in verify_runs():
         emit_text(run_cli(cli_main, args), f"{label} stdout")
+    for label, source, kind, edits in DAMAGED_INPUTS:
+        path = f"bad/{label}.csv"
+        write_damaged(source, path, edits)
+        args = ["backtest", "--input", path, "--input-kind", kind, "--predictor", "none"]
+        emit_text(run_cli(cli_main, args, with_stderr=True), f"{path} backtest exit, stdout, stderr")
+    for out, flags in FAILING_GENERATE:
+        args = ["generate", "--market", "--m", "3", "--seed", "1", *flags, "--out", out]
+        emit_text(run_cli(cli_main, args, with_stderr=True), f"{out} exit, stdout, stderr")
+        emit(sha256_file(out) if os.path.exists(out) else "missing", out)
     return 0
 
 
