@@ -22,6 +22,7 @@ their spec, so identical seeds give byte-identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -34,6 +35,7 @@ from .backtest import BacktestLedger
 from .errors import (
     EmptyLedger,
     InfeasibleTargets,
+    InvalidParams,
     InvalidSpec,
     InvariantError,
     IoError,
@@ -53,6 +55,11 @@ _ORDER_SIDE_VALUES = (0.9, 0.85)
 # Normalize mode draws each non-best pair's daily target from uniform(r_floor + _TARGET_MARGIN, _TARGET_HIGH).
 _TARGET_MARGIN = 1e-6
 _TARGET_HIGH = 0.999
+# Raw PCG64 words fetched per refill by order_labels.  A memoryview turns
+# them into Python ints one at a time, so a refill holds only its 32 KB
+# buffer: a list of 4,096 ints would hold about 200 KB, and read that much
+# higher in the profitability suite's peak RSS.
+_RAW_CHUNK = 4096
 
 
 def _fmt(x: float) -> str:
@@ -447,16 +454,40 @@ def symmetric_masses(same_class_mass: float) -> tuple[float, float, float, float
 def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> list[int]:
     """Daily order labels realizing the per-segment class process.
 
-    Per segment the draws are, in order: one ``rng.random()`` for the class
-    (a block restart or a stay-or-switch), one ``rng.integers`` for the
-    crossing count, uniform over [0, ceil(L/2)) for class A and over
-    [ceil(L/2), L] for class B, then the crossing days: none at 0
-    crossings, one ``rng.integers`` at 1, and one ``rng.choice(...,
-    replace=False)`` at 2 or more.  These calls draw the same numbers as
-    ``rng.choice`` over the count and day arrays would, so the stream, and
+    Per segment the draws are, in order: ``rng.random()`` for the class (a
+    block restart or a stay-or-switch); ``rng.integers`` for the crossing
+    count k, uniform over [0, ceil(L/2)) for class A and over [ceil(L/2), L]
+    for class B; then ``rng.choice(population, size=k, replace=False)``
+    for the crossing days, with no call at k = 0.  The first segment's
+    first day is not in the population, as it has no predecessor.
+
+    Those calls are not made.  Their numbers are decoded from the PCG64
+    generator's raw 64-bit words, fetched ``_RAW_CHUNK`` at a time, by the
+    integer recipes NumPy runs on the same words, so every label and the
+    generator's final state are bit-identical to the calls':
+      - ``random()`` takes a whole word w and is ``(w >> 11) * 2**-53``;
+      - a 32-bit draw takes the low half of a new word and keeps its high
+        half for the next 32-bit draw, a buffer that ``random()`` leaves
+        alone and that the generator's state carries in and out;
+      - ``integers(0, h)`` is Lemire's multiply-shift on one 32-bit draw u,
+        ``(u * h) >> 32``, redrawn while ``(u * h) mod 2**32`` is below
+        ``(2**32 - h) mod h``; at h = 1 it draws nothing;
+      - ``choice`` is Floyd's sampling, ``integers(0, j + 1)`` for j from
+        population - k to population - 1, taking j when the draw is
+        already chosen, then the k - 1 Fisher-Yates draws
+        ``integers(0, i + 1)`` for i from k - 1 down to 1, which order the
+        days but leave the set alone.  A population above 10,000 with
+        k above population // 50 is a partial Fisher-Yates shuffle of all
+        days instead, as in NumPy.
+    The labels flip on each crossing day, so they are a running parity of
+    the crossing flags.  Only PCG64, the generator of ``default_rng``, is
+    decoded; another bit generator raises InvalidParams.  The stream, and
     every file generated from it, is pinned by ``oracle_order_labels`` in
-    ``tests/oracles.py``.
+    ``tests/oracles.py``, which makes the NumPy calls.
     """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise InvalidParams(f"order labels decode a PCG64 stream, got a {type(bitgen).__name__} bit generator")
     paa, pab, _, pbb = spec.masses
     pi_a = paa + pab
     stay_a = paa / pi_a if pi_a > 0.0 else 1.0
@@ -464,30 +495,70 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> list[int
     L = spec.segment_length
     half = math.ceil(L / 2)  # W in [0, 1/2) for class A, [1/2, 1] for class B
 
-    labels: list[int] = []
-    prev = 1
+    start = bitgen.state
+    words = itertools.chain.from_iterable(iter(lambda: memoryview(bitgen.random_raw(_RAW_CHUNK)), None))
+    used = 0  # words taken from the stream
+    pending = bool(start["has_uint32"])  # NumPy's buffered high half and its flag
+    upper = start["uinteger"]
+
+    def below(h: int) -> int:
+        """``rng.integers(0, h)``, for 1 <= h < 2**32."""
+        nonlocal used, pending, upper
+        if h == 1:
+            return 0
+        while True:
+            if pending:
+                pending = False
+                u = upper
+            else:
+                word = next(words)
+                used += 1
+                u = word & 0xFFFFFFFF
+                upper = word >> 32
+                pending = True
+            m = u * h
+            low = m & 0xFFFFFFFF
+            if low >= h or low >= (0x100000000 - h) % h:
+                return m >> 32
+
+    flags = bytearray(spec.segment_count * L)
     is_a = True
     for n in range(spec.segment_count):
+        used += 1
+        u = (next(words) >> 11) * 2.0**-53
         if n % spec.dependence_gap == 0:
-            is_a = rng.random() < pi_a
-        elif rng.random() >= (stay_a if is_a else stay_b):
+            is_a = u < pi_a
+        elif u >= (stay_a if is_a else stay_b):
             is_a = not is_a
-        crossings = int(rng.integers(0, half)) if is_a else half + int(rng.integers(0, L + 1 - half))
-        # No predecessor: the first day never counts as a crossing.
+        crossings = below(half) if is_a else half + below(L + 1 - half)
         first = 1 if n == 0 else 0
         population = L - first
         crossings = min(crossings, population)
-        flags = [False] * L
-        if crossings == 1:
-            flags[first + int(rng.integers(0, population))] = True
-        elif crossings > 1:
-            for day in rng.choice(population, size=crossings, replace=False).tolist():
-                flags[first + day] = True
-        for flag in flags:
-            if flag:
-                prev = 3 - prev
-            labels.append(prev)
-    return labels
+        day0 = n * L + first
+        if population > 10_000 and crossings > population // 50:
+            days = list(range(population))
+            for i in range(population - 1, max(population - crossings, 1) - 1, -1):
+                j = below(i + 1)
+                days[i], days[j] = days[j], days[i]
+            for day in days[population - crossings :]:
+                flags[day0 + day] = 1
+        else:
+            # Floyd's sampling, with the segment's flags as the set of days chosen so far.
+            for j in range(population - crossings, population):
+                day = below(j + 1)
+                flags[day0 + (j if flags[day0 + day] else day)] = 1
+            for i in range(crossings - 1, 0, -1):
+                below(i + 1)
+
+    bitgen.state = start
+    bitgen.advance(used)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = int(pending), upper
+    bitgen.state = state
+    labels = np.frombuffer(flags, dtype=np.uint8)
+    np.bitwise_xor.accumulate(labels, out=labels)
+    labels += 1
+    return labels.tolist()
 
 
 def generate_order_process(spec: SyntheticOrderSpec) -> tuple[ReturnStack, list[int]]:

@@ -38,6 +38,7 @@ from fxfolio.errors import (
     EmptyLedger,
     FxfolioError,
     InfeasibleTargets,
+    InvalidParams,
     InvalidSpec,
     InvariantError,
     IoError,
@@ -246,6 +247,17 @@ def oracle_streams(seg_len, seed):
     return out
 
 
+# The LCG multiplier of NumPy's PCG64: a state S steps to S * multiplier + inc mod 2**128.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def assert_oracle_stream(spec, make_rng):
+    """order_labels and the oracle give equal labels and leave equal generator states, from two rngs make_rng builds."""
+    rng, expected_rng = make_rng(), make_rng()
+    assert order_labels(spec, rng) == oracles.oracle_order_labels(spec, expected_rng), spec
+    assert rng.bit_generator.state == expected_rng.bit_generator.state, spec
+
+
 class TestOrderProcess:
     def test_deterministic(self):
         spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=symmetric_masses(0.7), seed=21)
@@ -325,6 +337,51 @@ class TestOrderProcess:
                     expected[day, 1, 0] = value
             assert labels == expected_labels, spec
             assert matrices.grids.tobytes() == expected.tobytes(), spec
+
+    def test_forced_rejection_keeps_the_oracle_stream(self):
+        # Two LCG steps back from the all-zero PCG64 state: random() takes the first word, and the
+        # first count draw, integers(0, 3), gets the word 0, whose halves Lemire's rule rejects twice.
+        inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
+        state = 0
+        for _ in range(2):
+            state = (state - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+
+        def crafted():
+            bitgen = np.random.PCG64(0)
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            return np.random.Generator(bitgen)
+
+        assert crafted().bit_generator.random_raw(2)[1] == 0
+        spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=(1.0, 0.0, 0.0, 0.0), seed=0)
+        assert_oracle_stream(spec, crafted)
+
+    @pytest.mark.parametrize("seed", [1, 97])
+    @pytest.mark.parametrize("seg_len", [2, 5, 8])
+    def test_carried_in_half_word_keeps_the_oracle_stream(self, seg_len, seed):
+        def drawn_once():
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 3)  # leaves the high half of a word buffered
+            return rng
+
+        assert drawn_once().bit_generator.state["has_uint32"] == 1
+        spec = SyntheticOrderSpec(40, seg_len, symmetric_masses(0.3), seed, dependence_gap=7)
+        assert_oracle_stream(spec, drawn_once)
+
+    @pytest.mark.parametrize(
+        "segments, seg_len, same_class_mass",
+        [
+            (3000, 8, 0.3),  # about 15,000 words: several refills of _RAW_CHUNK
+            (3, 10_001, 0.0),  # a population above 10,000: NumPy's partial shuffle of all days
+        ],
+    )
+    def test_long_runs_keep_the_oracle_stream(self, segments, seg_len, same_class_mass):
+        spec = SyntheticOrderSpec(segments, seg_len, symmetric_masses(same_class_mass), 5, dependence_gap=1)
+        assert_oracle_stream(spec, lambda: np.random.default_rng(5))
+
+    def test_other_bit_generators_are_refused(self):
+        spec = SyntheticOrderSpec(segment_count=4, segment_length=5, masses=symmetric_masses(0.5), seed=1)
+        with pytest.raises(InvalidParams, match="decode a PCG64 stream, got a MT19937 bit generator"):
+            order_labels(spec, np.random.Generator(np.random.MT19937(1)))
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):

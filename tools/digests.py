@@ -81,6 +81,8 @@ def generate_runs() -> list[tuple[str, list[str]]]:
         for label, flags in ORDER_VARIANTS:
             per_seed.append((f"gen/orders-{label}-s{seed}.csv", ["--orders", "--segments", "100", *flags]))
         runs += [(out, ["generate", *args, "--seed", str(seed), "--out", out]) for out, args in per_seed]
+    # Long enough that the order-label draws cross several refills of raw words.
+    runs.append(("gen/orders-n5000-s1.csv", ["generate", "--orders", "--segments", "5000", "--seed", "1", "--out", "gen/orders-n5000-s1.csv"]))
     return runs
 
 
@@ -109,6 +111,9 @@ def verify_runs() -> list[tuple[str, list[str]]]:
     ]
     runs += [
         ("verify/profitability", ["--suite", "profitability", "--segments", "2000"]),
+        # The benchmark's size, at its tuning seed and its held-out seed.
+        ("verify/profitability-n20000-s1", ["--suite", "profitability", "--segments", "20000", "--seed", "1"]),
+        ("verify/profitability-n20000-s97", ["--suite", "profitability", "--segments", "20000", "--seed", "97"]),
         ("verify/profitability-L2-s2", ["--suite", "profitability", "--segments", "2000", "--L", "2", "--seed", "2"]),
         ("verify/profitability-L7-n501", ["--suite", "profitability", "--L", "7", "--segments", "501"]),
         # Fails: alternation against a persistence-heavy process prints violation lines.

@@ -41,6 +41,7 @@ class Mutant:
 
 
 TABLE = "tests/test_market.py::test_each_rule_raises_its_class_and_message"
+ORDERS = "tests/test_data_io.py::TestOrderProcess"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -111,6 +112,48 @@ MUTANTS = (
         'with np.errstate(over="ignore"):',
         'with np.errstate(over="warn"):',
         ("tests/test_cli.py::TestMarketsBreakingARule::test_overflowing_rates_file_exits_1_naming_the_file",),
+    ),
+    Mutant(
+        "order labels drop Lemire's rejection loop",
+        "src/fxfolio/data_io.py",
+        "if low >= h or low >= (0x100000000 - h) % h:",
+        "if True:",
+        (f"{ORDERS}::test_forced_rejection_keeps_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels skip choice's Fisher-Yates draws",
+        "src/fxfolio/data_io.py",
+        "            for i in range(crossings - 1, 0, -1):\n                below(i + 1)",
+        "            for i in range(crossings - 1, 0, -1):\n                pass",
+        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels ignore the carried-in half word",
+        "src/fxfolio/data_io.py",
+        'pending = bool(start["has_uint32"])',
+        "pending = False",
+        (f"{ORDERS}::test_carried_in_half_word_keeps_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels decode random() from 52 bits",
+        "src/fxfolio/data_io.py",
+        "(next(words) >> 11) * 2.0**-53",
+        "(next(words) >> 12) * 2.0**-53",
+        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels leave the generator one word short",
+        "src/fxfolio/data_io.py",
+        "bitgen.advance(used)",
+        "bitgen.advance(used - 1)",
+        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels shuffle a population of exactly 10,000",
+        "src/fxfolio/data_io.py",
+        "if population > 10_000 and",
+        "if population >= 10_000 and",
+        (f"{ORDERS}::test_long_runs_keep_the_oracle_stream",),
     ),
 )
 
