@@ -263,10 +263,11 @@ def run_backtest(
         fp = f_prev - t_charge
         if fp <= 0.0:
             raise NonPositiveCapital(f"day {k}: costs of {t_charge!r} exhaust capital {f_prev!r}")
-        diamond = float((psi * r_k).sum())
+        held = psi * r_k
+        diamond = float(held.sum())
         if diamond > 0.0:
             f_k = fp * diamond
-            drift = psi * r_k / diamond
+            drift = held / diamond
             growth = diamond
         else:
             f_k = fp

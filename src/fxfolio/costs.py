@@ -54,11 +54,10 @@ def solve_cost_from_drift(
     if params.c == 0.0:
         return 0.0
     w_next = next_weights / next_weights.sum()
-    held = f_k * realized_weights
-    target = f_k * w_next
+    gap = f_k * w_next - f_k * realized_weights
     t = 0.0
     for _ in range(FP_MAX_ITER):
-        t_new = params.c * float(np.abs(target - held - t * w_next).sum())
+        t_new = params.c * float(np.abs(gap - t * w_next).sum())
         if abs(t_new - t) <= FP_TOL * max(1.0, t_new):
             return t_new
         t = t_new

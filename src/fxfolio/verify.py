@@ -182,7 +182,7 @@ def profitability_suite(
     stats: dict = {"segments": segments, "seg_len": seg_len}
     for name, mpcr, masses, threshold in clauses:
         spec = SyntheticOrderSpec(segment_count=segments, segment_length=seg_len, masses=masses, seed=seed)
-        orders = np.asarray(order_labels(spec, np.random.default_rng(spec.seed)), dtype=np.int8)
+        orders = order_labels(spec, np.random.default_rng(spec.seed))
         # Aligned as backtest.predict aligns it: day d's call is made after days 0..d-1.
         order_pred = np.full(len(orders), -1, dtype=np.int8)
         ref, swap = predicted_references(PredictorConfig(mpcr=mpcr, mpo=1, segment=cfg), orders[:-1])

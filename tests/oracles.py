@@ -413,7 +413,8 @@ def returns_text(returns) -> str:
     return "".join(out)
 
 
-def ledger_text(ledger) -> str:
+def oracle_ledger_text(ledger) -> str:
+    """A ledger file's text: the meta line, then one JSON object per day, every float as format(x, '.17g') on its own."""
     meta = {"kind": "fxfolio-ledger", "m": ledger.m, "f0": ledger.f0, "config": ledger.config, "next_psi": ledger.next_portfolio}
     lines = [json_text(meta)]
     for k in range(ledger.n_days):

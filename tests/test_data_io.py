@@ -254,7 +254,7 @@ PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 def assert_oracle_stream(spec, make_rng):
     """order_labels and the oracle give equal labels and leave equal generator states, from two rngs make_rng builds."""
     rng, expected_rng = make_rng(), make_rng()
-    assert order_labels(spec, rng) == oracles.oracle_order_labels(spec, expected_rng), spec
+    assert order_labels(spec, rng).tolist() == oracles.oracle_order_labels(spec, expected_rng), spec
     assert rng.bit_generator.state == expected_rng.bit_generator.state, spec
 
 
@@ -263,7 +263,7 @@ class TestOrderProcess:
         spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=symmetric_masses(0.7), seed=21)
         a = generate_order_process(spec)
         b = generate_order_process(spec)
-        assert a[1] == b[1]
+        assert a[1].tolist() == b[1].tolist()
         for ra, rb in zip(a[0], b[0]):
             np.testing.assert_array_equal(ra.entries, rb.entries)
 
@@ -276,7 +276,7 @@ class TestOrderProcess:
 
     def test_degenerate_target_pins_the_class(self):
         spec = SyntheticOrderSpec(segment_count=200, segment_length=5, masses=(1.0, 0.0, 0.0, 0.0), seed=5)
-        labels = order_labels(spec, np.random.default_rng(spec.seed))
+        labels = order_labels(spec, np.random.default_rng(spec.seed)).tolist()
         rates = segment_rates(labels, 5)
         assert all(w < 0.5 for w in rates)
         probs = transition_masses(rates)
@@ -288,7 +288,7 @@ class TestOrderProcess:
         spec = SyntheticOrderSpec(
             segment_count=20_000, segment_length=5, masses=(0.39, 0.11, 0.11, 0.39), seed=1
         )
-        labels = order_labels(spec, np.random.default_rng(spec.seed))
+        labels = order_labels(spec, np.random.default_rng(spec.seed)).tolist()
         paa, pab, pba, pbb = transition_masses(segment_rates(labels, 5))
         assert 0.76 <= paa + pbb <= 0.80
 
@@ -304,7 +304,8 @@ class TestOrderProcess:
         # The profitability suite scores a flat day as a miss, so its stats rely on there being none.
         spec = SyntheticOrderSpec(segments, seg_len, symmetric_masses(same_class_mass), seed, dependence_gap=gap)
         labels = order_labels(spec, np.random.default_rng(seed))
-        assert len(labels) == segments * seg_len and set(labels) <= {1, 2}
+        assert labels.dtype == np.int8
+        assert len(labels) == segments * seg_len and set(labels.tolist()) <= {1, 2}
 
     def test_asymmetric_masses_rejected(self):
         with pytest.raises(InfeasibleTargets, match=r"need P_AB = P_BA, got 0\.2 and 0\.1"):
@@ -316,7 +317,7 @@ class TestOrderProcess:
         # Equal labels and an equal generator state after the call: the same numbers were drawn, and no others.
         for spec, expected, state in oracle_streams(seg_len, seed):
             rng = np.random.default_rng(seed)
-            assert order_labels(spec, rng) == expected, spec
+            assert order_labels(spec, rng).tolist() == expected, spec
             assert rng.bit_generator.state == state, spec
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 97])
@@ -335,7 +336,7 @@ class TestOrderProcess:
                     expected[day, 0, 1] = value
                 else:
                     expected[day, 1, 0] = value
-            assert labels == expected_labels, spec
+            assert labels.tolist() == expected_labels, spec
             assert matrices.grids.tobytes() == expected.tobytes(), spec
 
     def test_forced_rejection_keeps_the_oracle_stream(self):
@@ -530,6 +531,102 @@ class TestLedgerFiles:
             read_ledger(write_text(path, "\n".join(lines) + "\n"))
 
 
+BLOCK = data_io._LEDGER_BLOCK
+
+
+def mixed_ledger(n_days, m, seed, predicted_days=None):
+    """A ledger whose grids mix +0.0, -0.0, values repeated across grids and days, and values drawn once.
+
+    The days in predicted_days (0-based; by default every third) hold an R_pred grid, the rest none.
+    """
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 0.0, -0.0, 0.25, 1.0 / 3.0, *rng.random(3)])
+
+    def grid():
+        return np.where(rng.random((m, m)) < 0.2, rng.random((m, m)), pool[rng.integers(0, len(pool), (m, m))])
+
+    predicted_days = range(0, n_days, 3) if predicted_days is None else predicted_days
+    predicted = [grid() if k in predicted_days else None for k in range(n_days)]
+    cost = rng.random(n_days)
+    cost[0] = -0.0
+    return BacktestLedger(
+        m=m,
+        f0=1.0,
+        config={"rule": "iitc", "gamma": 0.1},
+        day=np.arange(1, n_days + 1),
+        capital=rng.random(n_days),
+        capital_net=rng.random(n_days),
+        cost=cost,
+        ratio=rng.random(n_days),
+        growth=rng.random(n_days),
+        parked=rng.random(n_days) < 0.3,
+        order_actual=rng.integers(0, 3, n_days),
+        order_pred=np.array([-1 if p is None else 1 + k % 2 for k, p in enumerate(predicted)]),
+        pred_crossed_segment=np.array([p is not None and k % 4 == 0 for k, p in enumerate(predicted)]),
+        portfolios=[grid() for _ in range(n_days)],
+        realized=[grid() for _ in range(n_days)],
+        returns=ReturnStack(np.arange(1, n_days + 1), [np.triu(grid(), k=1) for _ in range(n_days)]),
+        predicted=predicted,
+        next_portfolio=grid(),
+    )
+
+
+def assert_oracle_bytes(path, ledger):
+    write_ledger(ledger, path)
+    assert path.read_text() == oracles.oracle_ledger_text(ledger)
+    return path
+
+
+class TestLedgerBytes:
+    """write_ledger formats each distinct float of a block of days once; its bytes are the per-value oracle's."""
+
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_negative_zero_cells_keep_their_sign(self, tmp_path, m):
+        ledger = mixed_ledger(2 * BLOCK + 3, m, seed=1)
+        text = assert_oracle_bytes(tmp_path / "run.jsonl", ledger).read_text()
+        for grids in (ledger.portfolios, ledger.realized, ledger.returns.grids, [g for g in ledger.predicted if g is not None]):
+            assert any(np.signbit(g).any() for g in grids)
+        assert ",-0," in text and '"T":-0,' in text
+
+    @pytest.mark.parametrize(
+        "predicted_days",
+        [(), (0,), (1, 2, 5), tuple(range(BLOCK - 1, 2 * BLOCK + 1)), tuple(range(0, 3 * BLOCK, 2)), tuple(range(3 * BLOCK))],
+        ids=["none", "first", "scattered", "across a block edge", "every other", "all"],
+    )
+    def test_days_with_and_without_predictions(self, tmp_path, predicted_days):
+        ledger = mixed_ledger(3 * BLOCK, 3, seed=2, predicted_days=predicted_days)
+        lines = assert_oracle_bytes(tmp_path / "run.jsonl", ledger).read_text().splitlines()[1:]
+        assert [not line.endswith('"R_pred":null}') for line in lines] == [k in predicted_days for k in range(3 * BLOCK)]
+
+    @pytest.mark.parametrize("m", [2, 12])
+    @pytest.mark.parametrize("n_days", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_runs_of_any_length(self, tmp_path, n_days, m):
+        assert_oracle_bytes(tmp_path / "run.jsonl", mixed_ledger(n_days, m, seed=n_days))
+
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_backtest_ledgers_read_back(self, tmp_path, m):
+        quotes = generate_market(SyntheticMarketSpec(m=m, n_days=2 * BLOCK + 3, seed=4))
+        ledger = run_backtest(quotes, predictor=PredictorConfig(), update=UpdateConfig(rule="eiitc"), costs=CostParams(c=0.005))
+        back = read_ledger(assert_oracle_bytes(tmp_path / "run.jsonl", ledger))
+        assert_oracle_bytes(tmp_path / "again.jsonl", back)
+
+    def test_negative_zero_return_round_trips(self, tmp_path):
+        # A returns file with -0 at day 1, pair (1, 3): the -0.0 reaches R, psi_prime and psi.
+        matrices, _ = generate_order_process(SyntheticOrderSpec(2, 3, symmetric_masses(0.5), seed=1))
+        write_returns(matrices, tmp_path / "returns.csv")
+        text = (tmp_path / "returns.csv").read_text()
+        assert "\n1,1,3,0\n" in text
+        write_text(tmp_path / "returns.csv", text.replace("\n1,1,3,0\n", "\n1,1,3,-0\n"))
+        ledger_path = tmp_path / "run.jsonl"
+        argv = ["backtest", "--input", str(tmp_path / "returns.csv"), "--input-kind", "returns", "--ledger", str(ledger_path)]
+        assert cli.main(argv) == 0
+        written = ledger_path.read_text()
+        assert written.count("-0,") + written.count("-0]") >= 3
+        back = read_ledger(ledger_path)
+        assert np.signbit(back.returns.grids[0, 0, 2]) and np.signbit(back.realized[0][0, 2]) and np.signbit(back.portfolios[1][0, 2])
+        assert assert_oracle_bytes(tmp_path / "again.jsonl", back).read_text() == written
+
+
 class TestDamagedLedgerAndSummaryFiles:
     """Readers of damaged files raise only ParseError, naming the file and, where known, the line."""
 
@@ -581,13 +678,17 @@ class TestDamagedLedgerAndSummaryFiles:
              r"line 8: key 'order_pred': null but R_pred holds a prediction$"),
             (2, lambda line: re.sub(rb'"crossed":\w+', b'"crossed":true', line),
              r"line 3: key 'crossed': true but order_pred is null$"),
+            # JSON -0 reads as -0.0, so integer fields refuse it.
+            (1, lambda line: line.replace(b'"day":1,', b'"day":-0,'), r"line 2: key 'day': bad value: -0.0 is not a JSON integer"),
+            (2, lambda line: re.sub(rb'"order_actual":\d', b'"order_actual":-0', line),
+             r"line 3: key 'order_actual': bad value: -0.0 is not a JSON integer"),
         ],
         ids=[
             "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "day beyond int64", "string m", "bool f0",
             "float day", "bool day", "float order", "order out of range", "negative order_pred", "bool order_pred",
             "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
             "order_pred without R_pred", "order_pred 2 with R_pred nulled", "R_pred without order_pred",
-            "crossed without order_pred",
+            "crossed without order_pred", "negative zero day", "negative zero order",
         ],
     )
     def test_ledger_errors_are_typed(self, tmp_path, written, index, edit, message):
@@ -802,13 +903,13 @@ class TestColumnarFilesAgainstRowwise:
         quotes = generate_market(SyntheticMarketSpec(m=m, n_days=8, seed=seed))
         ledger = run_backtest(quotes, predictor=predictor, update=UpdateConfig(rule=rule), costs=CostParams(c=cost))
         write_ledger(ledger, tmp_path / "run.jsonl")
-        assert (tmp_path / "run.jsonl").read_bytes() == oracles.ledger_text(ledger).encode()
+        assert (tmp_path / "run.jsonl").read_bytes() == oracles.oracle_ledger_text(ledger).encode()
 
     @given(ledger=raw_ledgers())
     @LENIENT
     def test_arbitrary_ledgers_are_the_same_bytes(self, tmp_path, ledger):
         write_ledger(ledger, tmp_path / "run.jsonl")
-        assert (tmp_path / "run.jsonl").read_bytes() == oracles.ledger_text(ledger).encode()
+        assert (tmp_path / "run.jsonl").read_bytes() == oracles.oracle_ledger_text(ledger).encode()
 
     @given(data=st.data(), kind=st.sampled_from(["rates", "returns"]), m=st.sampled_from([2, 3]), seed=st.integers(0, 1000))
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -75,7 +75,7 @@ class TestEffectivenessEstimate:
         name, same_class_mass = ("mpcr1", 0.78) if mpcr == 1 else ("mpcr2", 1.0 - 0.6)
         for seed, seg_len, segments in [(1, 5, 40), (2, 2, 60), (3, 7, 30), (5, 3, 2)]:
             spec = SyntheticOrderSpec(segments, seg_len, symmetric_masses(same_class_mass), seed)
-            labels = order_labels(spec, np.random.default_rng(seed))
+            labels = order_labels(spec, np.random.default_rng(seed)).tolist()
             eta = profitability_suite(segments=segments, seg_len=seg_len, seed=seed).stats[f"eta_{name}"]
             assert eta == self.brute_force(labels, seg_len, mpcr, SegmentConfig(L=seg_len))
 

@@ -63,6 +63,13 @@ DAMAGED_INPUTS = (
     ("returns-negative", "gen/orders-s1.csv", "returns", {(7, 2, 1): ("-1",)}),
     ("returns-mirrored", "gen/orders-s1.csv", "returns", {(7, 1, 2): ("1.1",), (7, 2, 1): ("1.2",)}),
 )
+# (label, input file, --input-kind, {(day, i, j): new values} or None, flags) for single
+# backtests beyond the matrix, each with its ledger and summary: the benchmark's files-m12
+# op, and a returns file with -0 in a zero cell, whose -0.0 reaches R, psi_prime and psi.
+SINGLE_BACKTESTS = (
+    ("files-m12", "gen/market-m12-d2000-s1.csv", "rates", None, ["--predictor", "crossrate", "--rule", "eiitc", "--cost", COST]),
+    ("returns-negative-zero", "gen/orders-s1.csv", "returns", {(1, 1, 3): ("-0",)}, ["--cost", COST]),
+)
 # (out, flags) for generate specs whose walk breaks a rate rule.
 FAILING_GENERATE = (
     ("gen/walk-vol0.1-d2000.csv", ["--vol", "0.1", "--days", "2000"]),
@@ -83,6 +90,9 @@ def generate_runs() -> list[tuple[str, list[str]]]:
         runs += [(out, ["generate", *args, "--seed", str(seed), "--out", out]) for out, args in per_seed]
     # Long enough that the order-label draws cross several refills of raw words.
     runs.append(("gen/orders-n5000-s1.csv", ["generate", "--orders", "--segments", "5000", "--seed", "1", "--out", "gen/orders-n5000-s1.csv"]))
+    # The benchmark's files-m12 input at seed 1.
+    out = "gen/market-m12-d2000-s1.csv"
+    runs.append((out, ["generate", "--market", "--m", "12", "--days", "2000", "--seed", "1", "--out", out]))
     return runs
 
 
@@ -177,14 +187,24 @@ def main(argv=None) -> int:
     for out, args in generate_runs():
         emit_text(run_cli(cli_main, args), f"{out} stdout")
         emit(sha256_file(out), out)
-    for (input_name, path, kind), (name, args) in itertools.product(BACKTEST_INPUTS, backtest_configs()):
-        stem = f"bt/{input_name}-{name}"
+
+    def backtest(stem: str, path: str, kind: str, args: list[str]) -> None:
         ledger, summary = f"{stem}.jsonl", f"{stem}.csv"
         cli_args = ["backtest", "--input", path, "--input-kind", kind, *args, "--ledger", ledger, "--summary", summary]
         emit_text(run_cli(cli_main, cli_args), f"{stem} stdout")
         for written in (ledger, summary):
             emit(sha256_file(written) if os.path.exists(written) else "missing", written)
         emit(sha256_file(ledger, skip_first_line=True) if os.path.exists(ledger) else "missing", f"{ledger} days")
+
+    for (input_name, path, kind), (name, args) in itertools.product(BACKTEST_INPUTS, backtest_configs()):
+        backtest(f"bt/{input_name}-{name}", path, kind, args)
+    for label, source, kind, edits, args in SINGLE_BACKTESTS:
+        path = source
+        if edits is not None:
+            path = f"gen/{label}.csv"
+            write_damaged(source, path, edits)
+            emit(sha256_file(path), path)
+        backtest(f"bt/{label}", path, kind, args)
     for label, args in verify_runs():
         emit_text(run_cli(cli_main, args), f"{label} stdout")
     for label, source, kind, edits in DAMAGED_INPUTS:

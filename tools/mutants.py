@@ -42,6 +42,7 @@ class Mutant:
 
 TABLE = "tests/test_market.py::test_each_rule_raises_its_class_and_message"
 ORDERS = "tests/test_data_io.py::TestOrderProcess"
+LEDGER = "tests/test_data_io.py::TestLedgerBytes"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -154,6 +155,41 @@ MUTANTS = (
         "if population > 10_000 and",
         "if population >= 10_000 and",
         (f"{ORDERS}::test_long_runs_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "ledger cells tested for zero by value, so -0.0 prints as 0",
+        "src/fxfolio/data_io.py",
+        "    nonzero = bits != 0\n",
+        "    nonzero = cells.reshape(-1) != 0.0\n",
+        (f"{LEDGER}::test_negative_zero_cells_keep_their_sign",),
+    ),
+    Mutant(
+        "ledger blocks one day too long",
+        "src/fxfolio/data_io.py",
+        "stop = min(start + _LEDGER_BLOCK, n)",
+        "stop = min(start + _LEDGER_BLOCK + 1, n)",
+        (f"{LEDGER}::test_runs_of_any_length",),
+    ),
+    Mutant(
+        "ledger R_pred null taken from the day before",
+        "src/fxfolio/data_io.py",
+        '"null" if grid is None else f"[{r_pred}]"',
+        '"null" if ledger.predicted[start + d - 1] is None else f"[{r_pred}]"',
+        (f"{LEDGER}::test_days_with_and_without_predictions",),
+    ),
+    Mutant(
+        "ledger cell texts mapped one distinct value off",
+        "src/fxfolio/data_io.py",
+        "dtype=object)[inverse]",
+        "dtype=object)[inverse - 1]",
+        (f"{LEDGER}::test_runs_of_any_length",),
+    ),
+    Mutant(
+        "read_ledger reads -0 as the int 0",
+        "src/fxfolio/data_io.py",
+        'return -0.0 if text == "-0" else int(text)',
+        "return int(text)",
+        (f"{LEDGER}::test_negative_zero_return_round_trips",),
     ),
 )
 
