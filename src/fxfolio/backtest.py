@@ -254,17 +254,19 @@ def run_backtest(
     grids = rets.grids
     prediction = predict(rets, predictor)
     preds = prediction.grids
+    gamma_at = gammas.tolist()
+    rule, support_floor = update.rule, update.support_floor
     psi = uniform_portfolio(m, day=1).weights
     f_prev = f0
     t_charge = 0.0
 
-    for k in range(1, n + 1):
-        r_k = grids[k - 1]
+    for day_idx, r_k in enumerate(grids):
+        k = day_idx + 1
         fp = f_prev - t_charge
         if fp <= 0.0:
             raise NonPositiveCapital(f"day {k}: costs of {t_charge!r} exhaust capital {f_prev!r}")
         held = psi * r_k
-        diamond = float(held.sum())
+        diamond = float(np.add.reduce(held, None))
         if diamond > 0.0:
             f_k = fp * diamond
             drift = held / diamond
@@ -273,11 +275,10 @@ def run_backtest(
             f_k = fp
             drift = psi
             growth = 1.0
-            parked_col[k - 1] = True
+            parked_col[day_idx] = True
 
         psi_list.append(psi)
         drift_list.append(drift)
-        day_idx = k - 1
         f_col[day_idx] = f_k
         fp_col[day_idx] = fp
         t_col[day_idx] = t_charge
@@ -285,13 +286,16 @@ def run_backtest(
         g_col[day_idx] = growth
 
         pred_next = preds[k]
-        gamma_next = gammas[k + 1]
+        gamma_next = gamma_at[k + 1]
         if pred_next is not None and gamma_next > 0.0:
-            psi = tilt(update.rule, drift, pred_next, gamma_next, update.support_floor)
+            psi = tilt(rule, drift, pred_next, gamma_next, support_floor)
         else:
             psi = drift
 
-        t_charge = solve_cost_from_drift(f_k, drift, psi, costs)
+        try:
+            t_charge = solve_cost_from_drift(f_k, drift, psi, costs)
+        except NonPositiveCapital as exc:
+            raise NonPositiveCapital(f"day {k}: {exc}") from None
         f_prev = f_k
 
     config = {
@@ -401,7 +405,10 @@ def sweep(
 
         pred_next = preds[k]
         psi = drift if pred_next is None else tilts(eiitc, drift, pred_next, gamma, floor)
-        t_charge = solve_costs_from_drift(f_k, drift, psi, fee)
+        try:
+            t_charge = solve_costs_from_drift(f_k, drift, psi, fee)
+        except NonPositiveCapital as exc:
+            raise NonPositiveCapital(f"day {k}: {exc}") from None
         f_prev = f_k
 
     return Sweep(

@@ -51,13 +51,19 @@ def solve_cost_from_drift(
     """
     if f_k <= 0.0 or not math.isfinite(f_k):
         raise NonPositiveCapital(f"capital must be finite and > 0, got {f_k!r}")
-    if params.c == 0.0:
+    c = params.c
+    if c == 0.0:
         return 0.0
-    w_next = next_weights / next_weights.sum()
+    w_next = next_weights / np.add.reduce(next_weights, None)
     gap = f_k * w_next - f_k * realized_weights
-    t = 0.0
-    for _ in range(FP_MAX_ITER):
-        t_new = params.c * float(np.abs(gap - t * w_next).sum())
+    # The first iterate, from T = 0: the 0 * w_next term could only flip the
+    # sign of a zero, which abs drops.  Its step from 0 is within FP_TOL
+    # exactly when it is at most FP_TOL, or inf (inf <= FP_TOL * inf).
+    t = c * float(np.add.reduce(np.abs(gap), None))
+    if t <= FP_TOL or t == math.inf:
+        return t
+    for _ in range(FP_MAX_ITER - 1):
+        t_new = c * float(np.add.reduce(np.abs(gap - t * w_next), None))
         if abs(t_new - t) <= FP_TOL * max(1.0, t_new):
             return t_new
         t = t_new
@@ -80,14 +86,18 @@ def solve_costs_from_drift(
     if bad.any():
         raise NonPositiveCapital(f"capital must be finite and > 0, got {float(f_k[np.argmax(bad)])!r}")
     rows = len(f_k)
-    t = np.zeros(rows)
     todo = c != 0.0
     if not todo.any():
-        return t
-    w_next = next_weights / next_weights.reshape(rows, -1).sum(axis=1)[:, None, None]
+        return np.zeros(rows)
+    w_next = next_weights / np.add.reduce(next_weights.reshape(rows, -1), 1)[:, None, None]
     gap = f_k[:, None, None] * w_next - f_k[:, None, None] * realized_weights
-    for _ in range(FP_MAX_ITER):
-        t_new = c * np.abs(gap - t[:, None, None] * w_next).reshape(rows, -1).sum(axis=1)
+    # The first iterate, as in the scalar solve; a row with c = 0 keeps T = 0.
+    t = np.where(todo, c * np.add.reduce(np.abs(gap).reshape(rows, -1), 1), 0.0)
+    todo &= ~((t <= FP_TOL) | (t == np.inf))
+    if not todo.any():
+        return t
+    for _ in range(FP_MAX_ITER - 1):
+        t_new = c * np.add.reduce(np.abs(gap - t[:, None, None] * w_next).reshape(rows, -1), 1)
         stop = np.abs(t_new - t) <= FP_TOL * np.maximum(1.0, t_new)
         t = np.where(todo, t_new, t)
         todo &= ~stop

@@ -47,15 +47,19 @@ def _tilt(w: np.ndarray, r_pred: np.ndarray, gamma: float, growth: float, suppor
     """w * exp((gamma / growth) * r_pred) on w's support, renormalized, then mixed with uniform."""
     rate = float(gamma) / growth
     active = w > 0.0
+    # Off the support the exponent is -inf, so its factor is exactly 0, and it
+    # never overflows there: the rate multiplies the support alone.
+    out = np.where(active, r_pred, -np.inf)
     # Shift before exponentiating; with a zero shift the factors are exactly 1.
     # Rounding is monotone, so this is exactly the largest active exponent.
-    shift = rate * float(r_pred[active].max())
+    shift = rate * float(np.maximum.reduce(out, None))
     if not math.isfinite(shift):
         raise InvalidParams(f"gamma {float(gamma)!r} overflows the tilt exponent: {shift!r} at the best return")
-    factors = np.zeros_like(w)
-    factors[active] = np.exp(rate * r_pred[active] - shift)
-    out = w * factors
-    out = out / out.sum()
+    np.multiply(rate, out, out=out, where=active)
+    out -= shift
+    np.exp(out, out=out)
+    out *= w
+    out /= np.add.reduce(out, None)
     if support_floor > 0.0:
         out = (1.0 - support_floor) * out + support_floor * uniform_weights(w.shape[0])
     return out
@@ -69,7 +73,7 @@ def tilt(rule: str, drift: np.ndarray, pred: np.ndarray, gamma: float, support_f
     """
     if rule == "iitc":
         return _tilt(drift, pred, gamma, 1.0, support_floor)
-    growth = float((drift * pred).sum())
+    growth = float(np.add.reduce(drift * pred, None))
     if growth <= 0.0:
         return drift
     return _tilt(drift, pred, gamma, growth, support_floor)
@@ -85,26 +89,31 @@ def tilts(
     growth is <= 0, keeps its drift.
     """
     rows = len(drift)
-    growth = np.where(eiitc, (drift * pred).reshape(rows, -1).sum(axis=1), 1.0)
+    growth = np.where(eiitc, np.add.reduce((drift * pred).reshape(rows, -1), 1), 1.0)
     tilted = (gamma > 0.0) & ~(growth <= 0.0)
     if not tilted.any():
         return drift
-    rate = np.where(tilted, gamma / np.where(tilted, growth, 1.0), 0.0)
     active = drift > 0.0
+    out = np.where(active, pred, -np.inf)
     with np.errstate(over="ignore"):  # an overflowing row is refused just below, as tilt refuses it
-        shift = rate * np.where(active, pred, -np.inf).reshape(rows, -1).max(axis=1)
+        rate = np.where(tilted, gamma / np.where(tilted, growth, 1.0), 0.0)
+        shift = rate * np.maximum.reduce(out.reshape(rows, -1), 1)
     overflow = tilted & ~np.isfinite(shift)
     if overflow.any():
         b = int(np.argmax(overflow))
         raise InvalidParams(
             f"gamma {float(gamma[b])!r} overflows the tilt exponent: {float(shift[b])!r} at the best return"
         )
-    out = drift * np.exp(np.where(active, rate[:, None, None] * pred - shift[:, None, None], -np.inf))
-    out = out / out.reshape(rows, -1).sum(axis=1)[:, None, None]
+    np.multiply(rate[:, None, None], out, out=out, where=active)
+    out -= shift[:, None, None]
+    np.exp(out, out=out)
+    out *= drift
+    out /= np.add.reduce(out.reshape(rows, -1), 1)[:, None, None]
     if np.any(support_floor > 0.0):
         floor = support_floor[:, None, None]
         out = np.where(floor > 0.0, (1.0 - floor) * out + floor * uniform_weights(drift.shape[1]), out)
     return np.where(tilted[:, None, None], out, drift)
+
 
 def iitc_update(
     realized: PortfolioMatrix,

@@ -86,6 +86,60 @@ def naive_tilt(weights: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return out
 
 
+def oracle_masked_tilt(rule: str, drift: np.ndarray, pred: np.ndarray, gamma: float, support_floor: float) -> np.ndarray:
+    """The engine's tilt as the boolean-mask formula writes it: exponentiate the support's entries alone.
+
+    The eiitc rate is gamma over the drift's predicted growth, and a growth
+    <= 0 keeps the drift.  A shift that is not finite raises InvalidParams
+    with the engine's message.
+    """
+    from fxfolio.errors import InvalidParams
+
+    growth = 1.0
+    if rule == "eiitc":
+        growth = float((drift * pred).sum())
+        if growth <= 0.0:
+            return drift
+    rate = float(gamma) / growth
+    active = drift > 0.0
+    shift = rate * float(pred[active].max())
+    if not math.isfinite(shift):
+        raise InvalidParams(f"gamma {float(gamma)!r} overflows the tilt exponent: {shift!r} at the best return")
+    factors = np.zeros_like(drift)
+    factors[active] = np.exp(rate * pred[active] - shift)
+    out = drift * factors
+    out = out / out.sum()
+    if support_floor > 0.0:
+        m = drift.shape[0]
+        uniform = np.full((m, m), 1.0 / (m * (m - 1)))
+        np.fill_diagonal(uniform, 0.0)
+        out = (1.0 - support_floor) * out + support_floor * uniform
+    return out
+
+
+def oracle_fixed_point_cost(
+    f_k: float, realized: np.ndarray, nxt: np.ndarray, c: float, max_evaluations: int = 10_000
+) -> float:
+    """The cost fixed point iterated from T = 0, stopping at the first step within 1e-10 (relative above 1).
+
+    Raises NoConvergence when max_evaluations evaluations of the map pass
+    without such a step.
+    """
+    from fxfolio.errors import NoConvergence
+
+    if c == 0.0:
+        return 0.0
+    w = nxt / nxt.sum()
+    gap = f_k * w - f_k * realized
+    t = 0.0
+    for _ in range(max_evaluations):
+        t_new = c * float(np.abs(gap - t * w).sum())
+        if abs(t_new - t) <= 1e-10 * max(1.0, t_new):
+            return t_new
+        t = t_new
+    raise NoConvergence(f"no step within 1e-10 in {max_evaluations} evaluations")
+
+
 def naive_entropy(nxt: np.ndarray, base: np.ndarray) -> float:
     total = 0.0
     for a, b in zip(nxt.ravel(), base.ravel()):

@@ -43,6 +43,7 @@ from fxfolio.errors import (
     FxfolioError,
     InvalidBlockUnit,
     InvalidParams,
+    NonPositiveCapital,
     NonPositiveDiamond,
     NonPositivePairReturn,
     NormalizationViolated,
@@ -768,6 +769,15 @@ class TestSweep:
     def test_needs_a_member(self):
         with pytest.raises(InvalidParams):
             sweep(constant_market(1.1, 3), None, [])
+
+    def test_capital_underflow_names_the_day(self):
+        # 1e-322 earns a quarter on day 1, then halves each day, and rounds to 0.0 on day 4.
+        rets = constant_market(0.5, 8)
+        message = r"^day 4: capital must be finite and > 0, got 0\.0$"
+        with pytest.raises(NonPositiveCapital, match=message):
+            run_backtest(rets, f0=1e-322)
+        with pytest.raises(NonPositiveCapital, match=message):
+            sweep(rets, None, [(UpdateConfig(), CostParams(0.0)), (UpdateConfig(), CostParams(0.01))], f0=1e-322)
 
 def test_messages_print_plain_floats():
     messages = []

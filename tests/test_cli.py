@@ -163,6 +163,22 @@ class TestBacktest:
         assert code == EXIT_CONFIG
         assert "gamma 1e+308 overflows" in err
 
+    @pytest.mark.parametrize(
+        "flags, day",
+        [
+            # The benchmark's crossrate-orders input at seed 1: F underflows to 0.0 on day 2,921.
+            (("--predictor", "crossrate", "--rule", "eiitc", "--support-floor", "0.5"), 2921),
+            (("--f0", "5e-324"), 1),
+        ],
+    )
+    def test_capital_underflow_names_the_day(self, capsys, tmp_path, flags, day):
+        orders = tmp_path / "orders.csv"
+        assert main(["generate", "--orders", "--segments", "1000", "--seed", "1", "--out", str(orders)]) == EXIT_OK
+        capsys.readouterr()
+        code, _, err = run_cli(capsys, "backtest", "--input", str(orders), "--input-kind", "returns", *flags)
+        assert code == EXIT_VERIFY
+        assert err == f"run failed: day {day}: capital must be finite and > 0, got 0.0\n"
+
     def test_segment_longer_than_an_array_can_hold(self, capsys, rates_file):
         # Any L past the 60 days completes no segment, so 2**70 runs as 1000 does.
         code, lines, err = run_cli(capsys, "backtest", "--input", str(rates_file), "--L", str(2**70))

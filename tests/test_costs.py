@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fxfolio.costs import (
+    FP_MAX_ITER,
+    FP_TOL,
     CostParams,
     cost_bounds,
     cost_ratio_bound,
@@ -17,7 +19,7 @@ from fxfolio.costs import (
 from fxfolio.errors import InvalidC, InvalidParams, NoConvergence, NonPositiveCapital
 from fxfolio.portfolio import PortfolioMatrix, l1_distance
 
-from oracles import random_portfolio_weights, scan_cost_root
+from oracles import oracle_fixed_point_cost, random_portfolio_weights, scan_cost_root
 
 
 def two_pair(w12, w21, day=1):
@@ -196,3 +198,57 @@ class TestBatchSolve:
             solve_costs_from_drift(np.ones(2), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.999]))
         with pytest.raises(NonPositiveCapital):
             solve_costs_from_drift(np.array([1.0, 0.0]), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.5]))
+
+
+class TestFixedPointOracle:
+    """The scalar solve and every row of the batch are bit-equal to the fixed-point loop from T = 0."""
+
+    SWAP = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_solves_match_the_loop(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 6))
+        drift = np.array([random_portfolio_weights(rng, m, sparse=True) for _ in range(rows)])
+        nxt = np.array([random_portfolio_weights(rng, m) for _ in range(rows)])
+        # A row that keeps its book stops at its first iterate, as do tiny capitals.
+        kept = rng.random(rows) < 0.3
+        nxt[kept] = drift[kept]
+        f_k = rng.choice([1e-9, 1e-3, 0.7, 3.0, 1e12], size=rows)
+        c = rng.choice([0.0, 0.005, 0.05, 0.3, 0.9], size=rows)
+        batch = solve_costs_from_drift(f_k, drift, nxt, c)
+        for b in range(rows):
+            expect = np.float64(oracle_fixed_point_cost(float(f_k[b]), drift[b], nxt[b], float(c[b]))).tobytes()
+            scalar = solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b], CostParams(float(c[b])))
+            assert np.float64(scalar).tobytes() == expect
+            assert batch[b].tobytes() == expect
+
+    def test_a_first_iterate_of_exactly_the_tolerance_stops(self):
+        # A full swap of 1e-10 at c = 0.5: T_1 = 0.5 * 2e-10 = FP_TOL exactly,
+        # and one more evaluation would give 5e-11.
+        drift, nxt = self.SWAP
+        assert oracle_fixed_point_cost(1e-10, drift, nxt, 0.5) == FP_TOL
+        assert solve_cost_from_drift(1e-10, drift, nxt, CostParams(0.5)) == FP_TOL
+        batch = solve_costs_from_drift(np.array([1e-10, 1.0]), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.3]))
+        assert batch[0] == FP_TOL
+        assert batch[1] == oracle_fixed_point_cost(1.0, drift, nxt, 0.3)
+
+    # A full swap at these fee rates first steps within FP_TOL on the
+    # 10,000th and the 10,001st evaluation of the map.
+    @pytest.mark.parametrize("c, evaluations", [(0.9983729982, 10_000), (0.9983729993, 10_001)])
+    def test_the_cap_counts_every_evaluation(self, c, evaluations):
+        drift, nxt = self.SWAP
+        with pytest.raises(NoConvergence):
+            oracle_fixed_point_cost(1.0, drift, nxt, c, max_evaluations=evaluations - 1)
+        expect = oracle_fixed_point_cost(1.0, drift, nxt, c, max_evaluations=evaluations)
+        solves = (
+            lambda: solve_cost_from_drift(1.0, drift, nxt, CostParams(c)),
+            lambda: float(solve_costs_from_drift(np.ones(2), np.array([drift] * 2), np.array([nxt] * 2), np.array([c, 0.3]))[0]),
+        )
+        for solve in solves:
+            if evaluations <= FP_MAX_ITER:
+                assert solve() == expect
+            else:
+                with pytest.raises(NoConvergence, match="within 10000 iterations"):
+                    solve()

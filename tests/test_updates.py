@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fxfolio.errors import InvalidParams, ZeroDiamond
@@ -12,7 +12,7 @@ from fxfolio.market import ReturnMatrix
 from fxfolio.portfolio import PortfolioMatrix, gross_return, uniform_portfolio
 from fxfolio.updates import eiitc_update, iitc_update, objective_value, tilt, tilts
 
-from oracles import naive_tilt, random_portfolio_weights, random_return_entries
+from oracles import naive_tilt, oracle_masked_tilt, random_portfolio_weights, random_return_entries
 
 
 def two_pair(w12, w21, day=1):
@@ -166,6 +166,78 @@ class TestTilt:
             rule = "eiitc" if eiitc[b] else "iitc"
             expect = tilt(rule, drift[b], pred, gamma[b], floor[b]) if gamma[b] > 0.0 else drift[b]
             assert out[b].tobytes() == expect.tobytes()
+
+    # Edges of the masked formula: signed zeros, a rate that underflows to 0
+    # (1e-320 / growth), a prediction that is 0 on the whole support, a
+    # prediction so much larger off the support that exp would overflow
+    # there, and a gamma whose shift overflows.
+    MASKED = dict(
+        rule=st.sampled_from(["iitc", "eiitc"]),
+        gamma=st.sampled_from([1e-320, 5e-324, 0.3, 2.0, 1e308]),
+        floor=st.sampled_from([0.0, 0.05, 0.5]),
+        off_scale=st.sampled_from([1.0, 1e4]),
+        pred_scale=st.sampled_from([1.0, 1e5]),
+        signed_zeros=st.booleans(),
+        dead_support=st.booleans(),
+    )
+
+    @staticmethod
+    def masked_case(seed, rows, off_scale, pred_scale, signed_zeros, dead_support):
+        """rows drifted grids and one prediction, scaled off and zeroed on the first row's support."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 6))
+        drift = np.array([random_portfolio_weights(rng, m, sparse=True) for _ in range(rows)])
+        pred = random_return_entries(rng, m, fire_prob=0.8) * pred_scale
+        support = drift[0] > 0.0
+        pred[~support] *= off_scale
+        if dead_support:
+            pred[support] = 0.0
+        if signed_zeros:
+            drift[(drift == 0.0) & (rng.random(drift.shape) < 0.5)] = -0.0
+            pred[(pred == 0.0) & (rng.random(pred.shape) < 0.5)] = -0.0
+        return drift, pred
+
+    @staticmethod
+    def outcome(call):
+        """The bytes a tilt returns, or the message of the InvalidParams it raises."""
+        try:
+            return call().tobytes()
+        except InvalidParams as exc:
+            return str(exc)
+
+    @given(seed=st.integers(0, 10_000), **MASKED)
+    @example(seed=0, rule="iitc", gamma=2.0, floor=0.0, off_scale=1e4, pred_scale=1.0, signed_zeros=True, dead_support=False)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_masked_formula(self, seed, rule, gamma, floor, off_scale, pred_scale, signed_zeros, dead_support):
+        [drift], pred = self.masked_case(seed, 1, off_scale, pred_scale, signed_zeros, dead_support)
+        expect = self.outcome(lambda: oracle_masked_tilt(rule, drift, pred, gamma, floor))
+        assert self.outcome(lambda: tilt(rule, drift, pred, gamma, floor)) == expect
+
+    @given(
+        seed=st.integers(0, 10_000),
+        members=st.lists(st.tuples(MASKED["rule"], st.sampled_from([0.0, 1e-320, 0.3, 2.0, 1e308]), MASKED["floor"]),
+                         min_size=1, max_size=5),
+        off_scale=MASKED["off_scale"],
+        pred_scale=MASKED["pred_scale"],
+        signed_zeros=MASKED["signed_zeros"],
+        dead_support=MASKED["dead_support"],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_rows_match_the_masked_formula(self, seed, members, off_scale, pred_scale, signed_zeros, dead_support):
+        drift, pred = self.masked_case(seed, len(members), off_scale, pred_scale, signed_zeros, dead_support)
+        rules, gammas, floors = zip(*members)
+        expect = [
+            drift[b].tobytes() if gamma == 0.0 else self.outcome(lambda: oracle_masked_tilt(rule, drift[b], pred, gamma, floor))
+            for b, (rule, gamma, floor) in enumerate(members)
+        ]
+        raised = [e for e in expect if isinstance(e, str)]
+        got = self.outcome(
+            lambda: tilts(np.array(rules) == "eiitc", drift, pred, np.array(gammas), np.array(floors))
+        )
+        if raised:
+            assert got == raised[0]
+        else:
+            assert got == b"".join(expect)
 
     def test_batch_overflow_names_the_row(self):
         drift = np.array([two_pair(0.5, 0.5).weights] * 2)

@@ -14,7 +14,9 @@ fail, backtests on damaged inputs and generate specs that give no valid
 market, hash their exit code, stdout and stderr, so their error messages
 are compared too.  The fxfolio
 package used is the first one on the import path, and its location is
-printed to stderr.
+printed to stderr.  The tool exits with a message if its copy of the
+benchmark's crossrate-orders input differs from the file that
+``perfbench/workloads.py`` writes at seed 1.
 
 To check that a change keeps every byte, run this against the parent's
 ``src`` and the change's ``src`` into two directories and ``diff`` the two
@@ -63,12 +65,25 @@ DAMAGED_INPUTS = (
     ("returns-negative", "gen/orders-s1.csv", "returns", {(7, 2, 1): ("-1",)}),
     ("returns-mirrored", "gen/orders-s1.csv", "returns", {(7, 1, 2): ("1.1",), (7, 2, 1): ("1.2",)}),
 )
+# The benchmark's crossrate-orders input at seed 1, which main checks against perfbench's own.
+ORDERS_BENCH = "gen/orders-n1000-s1.csv"
+CROSSRATE_ORDERS = ["--predictor", "crossrate", "--cost", COST, "--L", "5"]
 # (label, input file, --input-kind, {(day, i, j): new values} or None, flags) for single
 # backtests beyond the matrix, each with its ledger and summary: the benchmark's files-m12
-# op, and a returns file with -0 in a zero cell, whose -0.0 reaches R, psi_prime and psi.
+# op, a returns file with -0 in a zero cell, whose -0.0 reaches R, psi_prime and psi, and
+# the benchmark's two crossrate-orders ops.
 SINGLE_BACKTESTS = (
     ("files-m12", "gen/market-m12-d2000-s1.csv", "rates", None, ["--predictor", "crossrate", "--rule", "eiitc", "--cost", COST]),
     ("returns-negative-zero", "gen/orders-s1.csv", "returns", {(1, 1, 3): ("-0",)}, ["--cost", COST]),
+    ("crossrate-orders-mpcr1-mpo1-iitc", ORDERS_BENCH, "returns", None,
+     CROSSRATE_ORDERS + ["--mpcr", "1", "--mpo", "1", "--rule", "iitc"]),
+    ("crossrate-orders-adjusted-mpcr2-mpo2-eiitc", ORDERS_BENCH, "returns", None,
+     CROSSRATE_ORDERS + ["--adjusted", "--mpcr", "2", "--mpo", "2", "--rule", "eiitc"]),
+)
+# (label, input file, --input-kind, flags) for backtests that must fail on valid inputs,
+# hashed with their exit code, stdout and stderr: capital underflows to 0.0 on day 2,921.
+FAILING_BACKTESTS = (
+    ("capital-underflow", ORDERS_BENCH, "returns", ["--predictor", "crossrate", "--rule", "eiitc", "--support-floor", "0.5"]),
 )
 # (out, flags) for generate specs whose walk breaks a rate rule.
 FAILING_GENERATE = (
@@ -90,6 +105,7 @@ def generate_runs() -> list[tuple[str, list[str]]]:
         runs += [(out, ["generate", *args, "--seed", str(seed), "--out", out]) for out, args in per_seed]
     # Long enough that the order-label draws cross several refills of raw words.
     runs.append(("gen/orders-n5000-s1.csv", ["generate", "--orders", "--segments", "5000", "--seed", "1", "--out", "gen/orders-n5000-s1.csv"]))
+    runs.append((ORDERS_BENCH, ["generate", "--orders", "--segments", "1000", "--seed", "1", "--out", ORDERS_BENCH]))
     # The benchmark's files-m12 input at seed 1.
     out = "gen/market-m12-d2000-s1.csv"
     runs.append((out, ["generate", "--market", "--m", "12", "--days", "2000", "--seed", "1", "--out", out]))
@@ -134,6 +150,17 @@ def verify_runs() -> list[tuple[str, list[str]]]:
         ("verify/cost-bounds-r2001-s2", ["--suite", "cost-bounds", "--replicates", "2001", "--seed", "2"]),
     ]
     return [(label, ["verify", *args, "--jobs", "1"]) for label, args in runs]
+
+
+def check_benchmark_orders(path: str) -> None:
+    """Exit unless path holds the bytes of perfbench's crossrate-orders input at seed 1."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    from workloads import generate_inputs
+
+    os.makedirs("perfbench-input", exist_ok=True)
+    generate_inputs("crossrate-orders", 1, "perfbench-input")
+    if sha256_file(path) != sha256_file("perfbench-input/orders.csv"):
+        sys.exit(f"{path} differs from perfbench's crossrate-orders input at seed 1")
 
 
 def sha256_file(path: str, skip_first_line: bool = False) -> str:
@@ -196,6 +223,7 @@ def main(argv=None) -> int:
             emit(sha256_file(written) if os.path.exists(written) else "missing", written)
         emit(sha256_file(ledger, skip_first_line=True) if os.path.exists(ledger) else "missing", f"{ledger} days")
 
+    check_benchmark_orders(ORDERS_BENCH)
     for (input_name, path, kind), (name, args) in itertools.product(BACKTEST_INPUTS, backtest_configs()):
         backtest(f"bt/{input_name}-{name}", path, kind, args)
     for label, source, kind, edits, args in SINGLE_BACKTESTS:
@@ -205,6 +233,9 @@ def main(argv=None) -> int:
             write_damaged(source, path, edits)
             emit(sha256_file(path), path)
         backtest(f"bt/{label}", path, kind, args)
+    for label, path, kind, args in FAILING_BACKTESTS:
+        cli_args = ["backtest", "--input", path, "--input-kind", kind, *args]
+        emit_text(run_cli(cli_main, cli_args, with_stderr=True), f"bt/{label} backtest exit, stdout, stderr")
     for label, args in verify_runs():
         emit_text(run_cli(cli_main, args), f"{label} stdout")
     for label, source, kind, edits in DAMAGED_INPUTS:

@@ -43,6 +43,7 @@ class Mutant:
 TABLE = "tests/test_market.py::test_each_rule_raises_its_class_and_message"
 ORDERS = "tests/test_data_io.py::TestOrderProcess"
 LEDGER = "tests/test_data_io.py::TestLedgerBytes"
+FIXED_POINT = "tests/test_costs.py::TestFixedPointOracle"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -190,6 +191,34 @@ MUTANTS = (
         'return -0.0 if text == "-0" else int(text)',
         "return int(text)",
         (f"{LEDGER}::test_negative_zero_return_round_trips",),
+    ),
+    Mutant(
+        "tilt exponent computed off the support too",
+        "src/fxfolio/updates.py",
+        "np.multiply(rate, out, out=out, where=active)",
+        "np.multiply(rate, r_pred, out=out)",
+        ("tests/test_updates.py::TestTilt::test_matches_the_masked_formula",),
+    ),
+    Mutant(
+        "cost solve goes on past a first iterate of exactly FP_TOL",
+        "src/fxfolio/costs.py",
+        "if t <= FP_TOL or t == math.inf:",
+        "if t < FP_TOL or t == math.inf:",
+        (f"{FIXED_POINT}::test_a_first_iterate_of_exactly_the_tolerance_stops",),
+    ),
+    Mutant(
+        "cost solve makes one evaluation past the cap",
+        "src/fxfolio/costs.py",
+        "for _ in range(FP_MAX_ITER - 1):\n        t_new = c * float(",
+        "for _ in range(FP_MAX_ITER):\n        t_new = c * float(",
+        (f"{FIXED_POINT}::test_the_cap_counts_every_evaluation",),
+    ),
+    Mutant(
+        "batch cost solve iterates rows that stopped at their first iterate",
+        "src/fxfolio/costs.py",
+        "    todo &= ~((t <= FP_TOL) | (t == np.inf))\n",
+        "",
+        (f"{FIXED_POINT}::test_a_first_iterate_of_exactly_the_tolerance_stops",),
     ),
 )
 
