@@ -21,6 +21,7 @@ their spec, so identical seeds give byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -94,6 +95,9 @@ def json_value(obj) -> str:
 _RATES_HEADER = ("day", "i", "j", "open_rate", "close_rate")
 _RETURNS_HEADER = ("day", "i", "j", "value")
 _INT64 = np.iinfo(np.int64)
+# Data rows parsed per np.loadtxt call.  The loader holds one such block
+# (40 bytes a rates row) at a time, never the whole table.
+_CHUNK_ROWS = 16384
 
 
 def _parse_field(col: int, text: str):
@@ -137,7 +141,7 @@ def _first_fault(path, kind: str, header: Sequence[str], otherwise: InputError) 
     try:
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
-            next(rows)
+            next(rows, None)  # a pipe, read once already, reopens empty
             for ln, row in enumerate(rows, start=2):
                 if not row:
                     continue
@@ -160,42 +164,101 @@ def _first_fault(path, kind: str, header: Sequence[str], otherwise: InputError) 
     return otherwise
 
 
-def _read_table(path, kind: str, header: tuple[str, ...], diagonal: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Parse a rates or returns csv into its days and one stacked (n, m, m) grid per value column.
+def _row_blocks(path, kind: str, header: tuple[str, ...]):
+    """A csv's data rows as structured arrays of at most _CHUNK_ROWS rows.
 
-    Days may interleave but must first appear in increasing order; each
-    day needs all m(m-1) off-diagonal rows, with one m for every day.
+    The open handle goes to np.loadtxt as an iterator of lines, so each
+    call consumes exactly its own rows; blank lines are not rows.
     """
     dtype = np.dtype([(name, np.int64 if col < 3 else np.float64) for col, name in enumerate(header)])
     try:
         with open(path) as fh:
             if next(csv.reader([fh.readline()]), None) != list(header):
                 raise ParseError(f"{path}: line 1: expected header {','.join(header)}")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows: reported below
-                # numpy 1.x reads "1.0" as the int 1 with a DeprecationWarning; int() refuses it.
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1)
+            while True:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # an empty block ends the file
+                    # numpy 1.x reads "1.0" as the int 1 with a DeprecationWarning; int() refuses it.
+                    warnings.simplefilter("error", DeprecationWarning)
+                    block = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None, quotechar='"', ndmin=1, max_rows=_CHUNK_ROWS)
+                if block.size == 0:
+                    return
+                yield block
     except OSError as exc:
         raise IoError(f"cannot read {kind} file {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except (ValueError, DeprecationWarning) as exc:
         raise _first_fault(path, kind, header, ParseError(f"{path}: {exc}")) from exc
-    if table.size == 0:
+
+
+def _resized(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of the given shape with a copied into its leading corner."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(slice(s) for s in a.shape)] = a
+    return out
+
+
+def _read_table(path, kind: str, header: tuple[str, ...], diagonal: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Parse a rates or returns csv into its days and one stacked (n, m, m) grid per value column.
+
+    Days may interleave but must first appear in increasing order; each
+    day needs all m(m-1) off-diagonal rows, with one m for every day.
+
+    Each block of rows is scattered into grids that grow in place and is
+    then dropped, so the whole table is never held.  A valid file has
+    n * m(m-1) rows, so grids wait until the rows read could hold n - 1
+    days and one whole day: an index too large for that keeps its blocks
+    pending, and if it is still too large at the end the day checks name
+    the fault.  The bound counts rows, not bytes, so pipes read the same.
+    """
+    days, counts, span = (np.zeros(0, dtype=np.int64) for _ in range(3))
+    filled = np.zeros((0, 0, 0), dtype=bool)
+    grids = [np.zeros((0, 0, 0)) for _ in header[3:]]
+    pending = []  # (cells, block) read but not yet scattered
+    n = m = rows = 0
+    with contextlib.closing(_row_blocks(path, kind, header)) as blocks:
+        for block in blocks:
+            day, i, j = block["day"], block["i"], block["j"]
+            bad_pair = (i < 1) | (j < 1) | (i == j)
+            if bad_pair.any():
+                k = int(np.argmax(bad_pair))
+                raise _first_fault(path, kind, header, ParseError(f"{path}: data row {rows + k + 1}: bad pair ({i[k]}, {j[k]})"))
+            seen, first, local = np.unique(day, return_index=True, return_inverse=True)
+            # Known days are found in the sorted days so far; a day not yet known must exceed them all.
+            new = seen > days[n - 1] if n else np.ones(seen.size, dtype=bool)
+            old = seen[~new]
+            if np.any(days[np.searchsorted(days[:n], old)] != old) or np.any(np.diff(first[new]) <= 0):
+                raise _first_fault(path, kind, header, NonMonotoneDays(f"{path}: days must appear in strictly increasing order"))
+            fresh = seen[new]
+            if n + fresh.size > days.size:
+                for a in (days, counts, span):
+                    a.resize(max(n + fresh.size, 2 * days.size), refcheck=False)
+            days[n : n + fresh.size] = fresh
+            n += fresh.size
+            at = np.searchsorted(days[:n], seen)
+            counts[at] += np.bincount(local)
+            top = np.zeros(seen.size, dtype=np.int64)
+            np.maximum.at(top, local, np.maximum(i, j))
+            span[at] = np.maximum(span[at], top)
+            rows += block.size
+            m = max(m, int(top.max()))
+            pending.append(((at[local], i - 1, j - 1), block))
+            if max(n - 1, 1) * m * (m - 1) > rows:
+                continue
+            if filled.shape[1] != m:
+                filled, *grids = (_resized(a, (days.size, m, m)) for a in (filled, *grids))
+            for a in (filled, *grids):
+                a.resize((days.size, m, m), refcheck=False)  # realloc: no second copy of the grids
+            for cells, values in pending:
+                filled[cells] = True
+                for grid, name in zip(grids, header[3:]):
+                    grid[cells] = values[name]
+            pending.clear()
+    if rows == 0:
         raise ParseError(f"{path}: no data rows")
 
-    day, i, j = table["day"], table["i"], table["j"]
-    bad_pair = (i < 1) | (j < 1) | (i == j)
-    if bad_pair.any():
-        k = int(np.argmax(bad_pair))
-        raise _first_fault(path, kind, header, ParseError(f"{path}: data row {k + 1}: bad pair ({i[k]}, {j[k]})"))
-    days, first, at = np.unique(day, return_index=True, return_inverse=True)
-    if np.any(np.diff(first) <= 0):
-        raise _first_fault(path, kind, header, NonMonotoneDays(f"{path}: days must appear in strictly increasing order"))
-    span = np.zeros(days.size, dtype=np.int64)
-    np.maximum.at(span, at, np.maximum(i, j))
-    counts = np.bincount(at, minlength=days.size)
+    days, counts, span = days[:n], counts[:n], span[:n]
     # span <= counts keeps span * (span - 1) inside int64 wherever it decides.
     complete = (span <= counts) & (span * (span - 1) == counts)
     m = int(span[0])
@@ -209,17 +272,12 @@ def _read_table(path, kind: str, header: tuple[str, ...], diagonal: float) -> tu
         else:
             fault = ParseError(f"{path}: day {d}: quotes m={mk} currencies, but day {int(days[0])} quotes m={m}")
         raise _first_fault(path, kind, header, fault)
-    filled = np.zeros((days.size, m, m), dtype=bool)
-    filled[at, i - 1, j - 1] = True
-    if filled.sum() != table.size:
+    # Every day passed, so rows == n * m(m-1) and the last block emptied pending.
+    if filled.sum() != rows:
         raise _first_fault(path, kind, header, ParseError(f"{path}: duplicate entries"))
-
-    grids = []
-    for name in header[3:]:
-        grid = np.zeros((days.size, m, m))
+    for grid in grids:
+        grid.resize((n, m, m), refcheck=False)
         grid[:, np.arange(m), np.arange(m)] = diagonal
-        grid[at, i - 1, j - 1] = table[name]
-        grids.append(grid)
     return days, grids
 
 

@@ -214,20 +214,25 @@ def compute_returns(quotes: QuoteStack) -> ReturnStack:
     raises; on one day the pair firing both ways comes first.
     """
     iu, ju = upper_pairs(quotes.m)
-    open_sell, open_buy = quotes.open[:, iu, ju], quotes.open[:, ju, iu]
-    close_sell, close_buy = quotes.close[:, iu, ju], quotes.close[:, ju, iu]
-    up, down = open_sell > close_buy, open_buy > close_sell
     grids = np.zeros(quotes.open.shape)
-    with np.errstate(over="ignore"):  # an overflow is an inf return, which check_returns names
-        grids[:, iu, ju] = np.where(up, open_sell / close_buy, 0.0)
-        grids[:, ju, iu] = np.where(down, open_buy / close_sell, 0.0)
-    both = up & down
+    fires = []
+    # One direction at a time: the upper entries, then the lower ones.
+    for rows, cols in ((iu, ju), (ju, iu)):
+        ratio, below = quotes.open[:, rows, cols], quotes.close[:, cols, rows]
+        fires.append(ratio > below)
+        with np.errstate(over="ignore"):  # an overflow is an inf return, which check_returns names
+            ratio /= below
+        ratio *= fires[-1]  # where it does not fire the ratio is finite and at most 1, so this is +0.0
+        grids[:, rows, cols] = ratio
+        del ratio, below  # hold one direction's gathers at a time, and none while the stack is checked
+    both = fires[0] & fires[1]
     if both.any():
         n = int(np.argmax(both.any(axis=1))) + 1  # through the first day firing both ways
+        o, c = quotes.open, quotes.close
         fires_both = (~both[:n], lambda day, k, p: ComplementarityViolation(
             f"day {day}: pair ({iu[p]}, {ju[p]}) fires in both directions "
-            f"(open sell {float(open_sell[k, p])!r} > close buy {float(close_buy[k, p])!r} and "
-            f"open buy {float(open_buy[k, p])!r} > close sell {float(close_sell[k, p])!r})"))
+            f"(open sell {float(o[k, iu[p], ju[p]])!r} > close buy {float(c[k, ju[p], iu[p]])!r} and "
+            f"open buy {float(o[k, ju[p], iu[p]])!r} > close sell {float(c[k, iu[p], ju[p]])!r})"))
         _raise_first(quotes.days[:n], [fires_both, *_return_rules(grids[:n])])
     return ReturnStack(quotes.days, grids)
 

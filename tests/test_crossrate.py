@@ -1,5 +1,8 @@
 """Order labels, cross rates over segments, and the MPCR/MPO predictors."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +326,68 @@ class TestOrderRulesOverAHistory:
                 assert ref[k] == -1
             else:
                 assert np.array_equal(grids[ref[k]].T if swap[k] else grids[ref[k]], grid)
+
+def flip_branch_hits(adjusted, seg_len):
+    """(history, segment, hits) of mpo 2 in the flip branch, for every segment after every decisive two-day history.
+
+    Enumerated as criterion 5 enumerates, with mpo_predict at a guess of
+    3/4; the hits the engine's reference_days gives are checked equal on
+    the way.
+    """
+    cfg = PredictorConfig(mpo=2, adjusted=adjusted)
+    for hist in itertools.product((UPPER, LOWER), repeat=2):
+        for seg in itertools.product((FLAT, UPPER, LOWER) if adjusted else (UPPER, LOWER), repeat=seg_len):
+            orders = [*hist, *seg]
+            hits = sum(o != FLAT and mpo_predict(2, adjusted, 0.75, orders[: 2 + t]) == o for t, o in enumerate(seg))
+            ref, swap = reference_days(cfg, np.ones(len(orders), dtype=bool), np.array(orders))
+            called = np.array(orders)[ref[1:-1]]
+            assert not swap.any() and int(((called == seg) & (np.array(seg) != FLAT)).sum()) == hits
+            yield hist, seg, hits
+
+
+class TestMpo2HitRateBound:
+    """Criterion 5's claim fails for mpo 2 (a known red); this is the bound that does hold.
+
+    In the flip branch mpo 2 predicts o_t = o_{t-2}, so day t is a hit
+    exactly when its crossing indicator [o_t != o_{t-1}] equals the day
+    before's.  Each day that does not cross breaks at most two agreements,
+    and the first one reaches back into the history, so a segment of L
+    days with c crossings has at least max(0, 2c - L - 1) hits: a hit rate
+    theta >= max(0, 2w - 1 - 1/L).  The minimum over each (L, c) cell with
+    w >= 1/2 equals the bound.  Adjusted mode steps over flat days, so
+    there the same count holds over the segment's D decisive days.
+    """
+
+    @pytest.mark.parametrize("seg_len", range(2, 9))
+    def test_the_bound_holds_and_is_attained(self, seg_len):
+        bound = lambda c: max(Fraction(0), Fraction(2 * c, seg_len) - 1 - Fraction(1, seg_len))  # noqa: E731
+        worst = {}
+        for hist, seg, hits in flip_branch_hits(False, seg_len):
+            c = round(cross_rate(seg, hist[-1]) * seg_len)
+            assert Fraction(hits, seg_len) >= bound(c), (hist, seg)
+            worst[c] = min(worst.get(c, hits), hits)
+        attained = {c: Fraction(hits, seg_len) for c, hits in worst.items() if 2 * c >= seg_len}
+        assert attained == {c: bound(c) for c in range(-(-seg_len // 2), seg_len + 1)}
+
+    @pytest.mark.parametrize("seg_len", range(2, 9))
+    def test_adjusted_mode_holds_it_over_decisive_days(self, seg_len):
+        worst = {}
+        for hist, seg, hits in flip_branch_hits(True, seg_len):
+            decisive = sum(o != FLAT for o in seg)
+            c = round(adjusted_cross_rate(seg, hist) * decisive)
+            assert hits >= max(0, 2 * c - decisive - 1), (hist, seg)
+            worst[decisive, c] = min(worst.get((decisive, c), hits), hits)
+        attained = {cell: hits for cell, hits in worst.items() if 2 * cell[1] >= cell[0]}
+        assert attained == {(d, c): max(0, 2 * c - d - 1) for d in range(seg_len + 1) for c in range(-(-d // 2), d + 1)}
+
+    def test_adjusted_mode_breaks_it_over_all_days(self):
+        # A flat day is never a hit but still counts in theta's L: after (1, 1),
+        # the segment (flat, 2) crosses on its one decisive day (w = 1) and misses it.
+        hist, seg = (UPPER, UPPER), (FLAT, LOWER)
+        hits = sum(o != FLAT and mpo_predict(2, True, 0.75, [*hist, *seg[:t]]) == o for t, o in enumerate(seg))
+        assert adjusted_cross_rate(seg, hist) == 1.0
+        assert hits / len(seg) == 0.0 < 2 * 1.0 - 1 - 1 / len(seg)
+
 
 class TestConfigValidation:
     def test_segment_bounds(self):

@@ -1,9 +1,12 @@
 """File formats, seeded generators, and ledger round trips."""
 
+import contextlib
 import functools
 import itertools
 import json
+import os
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -782,6 +785,14 @@ def swap_days(lines, ln, other):
     lines[ln], lines[other] = ",".join(a), ",".join(b)
 
 
+def edited(path, *edits):
+    """Rewrite a csv in place, each edit a function of its list of lines (index 0 is the header, line 1)."""
+    lines = path.read_text().splitlines()
+    for edit in edits:
+        edit(lines)
+    return write_text(path, "\n".join(lines) + "\n")
+
+
 def mutate(data, text, tokens=MUTATION_TOKENS):
     """One single-cell or single-line mutation of a csv text, drawn from data."""
     lines = text.splitlines()
@@ -816,6 +827,12 @@ def base_file(tmp_path, kind, m, seed):
     else:
         write_returns(normalized_returns(quotes), path)
     return path
+
+
+# Each file kind's reader and its row-wise oracle.
+READERS = {"rates": (load_rates, oracles.load_rates_rowwise), "returns": (read_returns, oracles.read_returns_rowwise)}
+# Rows per np.loadtxt block: small sizes put days and faults on block edges.
+BLOCK_ROWS = [1, 2, 5, 7, data_io._CHUNK_ROWS]
 
 
 def outcome(reader, path):
@@ -911,21 +928,22 @@ class TestColumnarFilesAgainstRowwise:
         write_ledger(ledger, tmp_path / "run.jsonl")
         assert (tmp_path / "run.jsonl").read_bytes() == oracles.oracle_ledger_text(ledger).encode()
 
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
     @given(data=st.data(), kind=st.sampled_from(["rates", "returns"]), m=st.sampled_from([2, 3]), seed=st.integers(0, 1000))
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_mutated_files_read_the_same(self, tmp_path, data, kind, m, seed):
+    def test_mutated_files_read_the_same(self, tmp_path, monkeypatch, block_rows, data, kind, m, seed):
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", block_rows)
         path = base_file(tmp_path, kind, m, seed)
         write_text(path, mutate(data, path.read_text()))
-        reader, oracle = (load_rates, oracles.load_rates_rowwise) if kind == "rates" else (read_returns, oracles.read_returns_rowwise)
+        reader, oracle = READERS[kind]
         assert outcome(reader, path) == outcome(oracle, path)
 
     # These four of the 576 day swaps of the m=3, seed-185 rates file make pair (1, 2) fire both ways on one day.
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
     @pytest.mark.parametrize("ln, other", [(4, 10), (6, 12), (10, 4), (12, 6)])
-    def test_swapped_days_firing_both_ways_read_the_same(self, tmp_path, ln, other):
-        path = base_file(tmp_path, "rates", 3, 185)
-        lines = path.read_text().splitlines()
-        swap_days(lines, ln, other)
-        write_text(path, "\n".join(lines) + "\n")
+    def test_swapped_days_firing_both_ways_read_the_same(self, tmp_path, monkeypatch, block_rows, ln, other):
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", block_rows)
+        path = edited(base_file(tmp_path, "rates", 3, 185), lambda lines: swap_days(lines, ln, other))
         got = outcome(load_rates, path)
         assert got == outcome(oracles.load_rates_rowwise, path)
         assert got[0] is InvariantError and "pair (1, 2) fires in both directions" in got[1]
@@ -976,6 +994,125 @@ class TestColumnarFilesAgainstRowwise:
         assert [len(grids[0]) for _, grids in oracle(path)][-1] == 3
         with pytest.raises(ParseError, match=r"in.csv: day \d: quotes m=3 currencies, but day 1 quotes m=2"):
             reader(path)
+
+
+def set_field(index, col, value):
+    def edit(lines):
+        fields = lines[index].split(",")
+        fields[col] = value
+        lines[index] = ",".join(fields)
+    return edit
+
+
+def copy_line(source, target):
+    def edit(lines):
+        lines[target] = lines[source]
+    return edit
+
+
+@contextlib.contextmanager
+def source(tmp_path, via, text):
+    """A path to read text from: a file, or a pipe as in `--input <(cat in.csv)`."""
+    if via == "file":
+        yield write_text(tmp_path / "in.csv", text)
+        return
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "w") as fh:
+            fh.write(text)  # under the pipe's 64 KiB buffer, so no writer thread
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+def round_robin(lines):
+    """Interleave the four 6-row days of a file row by row, so later blocks go back to days already seen."""
+    lines[1:] = itertools.chain(*zip(*(lines[k : k + 6] for k in (1, 7, 13, 19))))
+
+
+class TestRowBlocks:
+    """The csv loaders parse _CHUNK_ROWS rows at a time; small blocks put days and faults on block edges.
+
+    The m=3, 4-day files have 6 rows a day on lines 2-25.  In blocks of 7
+    rows the first block holds days 1 and 2 and the second block lines 9-15.
+    """
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("kind", ["rates", "returns"])
+    @pytest.mark.parametrize("interleave", [False, True], ids=["days-in-turn", "days-interleaved"])
+    def test_days_across_block_edges_read_the_same(self, tmp_path, monkeypatch, block_rows, kind, interleave):
+        reader, oracle = READERS[kind]
+        path = base_file(tmp_path, kind, 3, 7)
+        whole = outcome(reader, path)
+        if interleave:
+            edited(path, round_robin)
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", block_rows)
+        assert outcome(reader, path) == whole == outcome(oracle, path)
+        assert [day for day, _, _ in whole] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "edits, error, message",
+        [
+            ([set_field(9, 3, "x")], ParseError, "line 10: column 4 (open_rate): "),
+            ([set_field(9, 2, "2")], ParseError, "line 10: diagonal entries are implied, got i=j=2"),
+            ([copy_line(9, 10)], ParseError, "line 11: duplicate entry for day 2, pair (2, 1)"),
+            # Days 4 and 3 both first appear in block 2, in that order.
+            ([lambda lines: swap_days(lines, 13, 19)], NonMonotoneDays, "days must appear in strictly increasing order"),
+            # Block 1 holds days 1 and 3; day 2 first appears in block 2.
+            ([lambda lines: swap_days(lines, 7, 13)], NonMonotoneDays, "days must appear in strictly increasing order"),
+        ],
+        ids=["parse", "pair", "duplicate", "new-days-out-of-order", "new-day-below-block-1"],
+    )
+    def test_faults_in_the_second_block(self, tmp_path, monkeypatch, edits, error, message):
+        path = edited(base_file(tmp_path, "rates", 3, 7), *edits)
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", 7)
+        got = outcome(load_rates, path)
+        assert got == outcome(oracles.load_rates_rowwise, path)
+        assert got[0] is error and got[1].startswith(f"{path}: {message}")
+
+    def test_the_fallback_counts_data_rows_over_the_file(self, tmp_path, monkeypatch):
+        # Without the row-wise rescan a bad pair is named by its data row, counted from the file's first, not the block's.
+        path = edited(base_file(tmp_path, "returns", 3, 7), set_field(9, 2, "2"))
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(data_io, "_first_fault", lambda path, kind, header, otherwise: otherwise)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: data row 9: bad pair (2, 2)")):
+            read_returns(path)
+
+    @pytest.mark.parametrize("via", ["file", "pipe"])
+    @pytest.mark.parametrize("j", [10**9, 40_000])
+    @pytest.mark.parametrize("kind", ["rates", "returns"])
+    def test_an_index_the_rows_could_not_hold_sizes_no_grid(self, tmp_path, capsys, kind, j, via):
+        header, values, noun = ("day,i,j,open_rate,close_rate", "1.1,1.2", "off-diagonal rows") if kind == "rates" else ("day,i,j,value", "0", "rows")
+        text = f"{header}\n1,1,{j},{values}\n1,{j},1,{values}\n"
+        message = f"day 1: expected {j * (j - 1)} {noun} for m={j}, got 2"
+        with source(tmp_path, via, text) as path:
+            tracemalloc.start()
+            try:
+                got = outcome(READERS[kind][0], path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == (ParseError, f"{path}: {message}")
+        assert peak < 1_000_000
+        with source(tmp_path, via, text) as path:
+            assert cli.main(["backtest", "--input", str(path), "--input-kind", kind, "--predictor", "none"]) == cli.EXIT_IO
+            assert capsys.readouterr().err.startswith(f"io error: {path}: {message}")
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("kind", ["rates", "returns"])
+    def test_a_pipe_reads_as_its_file(self, tmp_path, capsys, monkeypatch, block_rows, kind):
+        text = base_file(tmp_path, kind, 3, 7).read_text()
+        args = ["backtest", "--input-kind", kind, "--predictor", "none"]
+        whole = outcome(READERS[kind][0], write_text(tmp_path / "in.csv", text))
+        assert cli.main([*args, "--input", str(tmp_path / "in.csv")]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", block_rows)
+        with source(tmp_path, "pipe", text) as path:
+            assert outcome(READERS[kind][0], path) == whole
+        with source(tmp_path, "pipe", text) as path:
+            assert cli.main([*args, "--input", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == summary
+        assert summary.startswith("summary I_N=")
 
 
 class TestMalformedInputThroughTheCli:

@@ -44,6 +44,7 @@ TABLE = "tests/test_market.py::test_each_rule_raises_its_class_and_message"
 ORDERS = "tests/test_data_io.py::TestOrderProcess"
 LEDGER = "tests/test_data_io.py::TestLedgerBytes"
 FIXED_POINT = "tests/test_costs.py::TestFixedPointOracle"
+BLOCKS = "tests/test_data_io.py::TestRowBlocks"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -114,6 +115,42 @@ MUTANTS = (
         'with np.errstate(over="ignore"):',
         'with np.errstate(over="warn"):',
         ("tests/test_cli.py::TestMarketsBreakingARule::test_overflowing_rates_file_exits_1_naming_the_file",),
+    ),
+    Mutant(
+        "compute_returns keeps the ratio of a direction that does not fire",
+        "src/fxfolio/market.py",
+        "ratio *= fires[-1]  #",
+        "pass  #",
+        ("tests/test_market.py::TestComputeReturnMatrix::test_unprofitable_pair_is_zero",),
+    ),
+    Mutant(
+        "csv loader names a bad pair by its row in the block",
+        "src/fxfolio/data_io.py",
+        "data row {rows + k + 1}: bad pair",
+        "data row {k + 1}: bad pair",
+        (f"{BLOCKS}::test_the_fallback_counts_data_rows_over_the_file",),
+    ),
+    Mutant(
+        "csv loader takes a new day below the last known day",
+        "src/fxfolio/data_io.py",
+        "if np.any(days[np.searchsorted(days[:n], old)] != old) or np.any(",
+        "if np.any(",
+        (f"{BLOCKS}::test_faults_in_the_second_block[new-day-below-block-1]",),
+    ),
+    Mutant(
+        "csv loader counts each day's rows in the last block only",
+        "src/fxfolio/data_io.py",
+        "counts[at] += np.bincount(local)",
+        "counts[at] = np.bincount(local)",
+        (f"{BLOCKS}::test_days_across_block_edges_read_the_same",),
+    ),
+    Mutant(
+        "csv loader sizes grids from any index",
+        "src/fxfolio/data_io.py",
+        "if max(n - 1, 1) * m * (m - 1) > rows:",
+        "if False:",
+        (f"{BLOCKS}::test_an_index_the_rows_could_not_hold_sizes_no_grid[rates-1000000000-pipe]",
+         f"{BLOCKS}::test_an_index_the_rows_could_not_hold_sizes_no_grid[returns-1000000000-file]"),
     ),
     Mutant(
         "order labels drop Lemire's rejection loop",
