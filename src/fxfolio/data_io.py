@@ -26,6 +26,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -48,8 +49,8 @@ from .errors import (
     ParseError,
     RunError,
 )
-from .market import QuoteStack, ReturnMatrix, ReturnStack, compute_returns, expect_stack, upper_pairs
-from .portfolio import PortfolioMatrix
+from .market import QuoteStack, ReturnStack, check_predictions, compute_returns, expect_stack, upper_pairs
+from .portfolio import PortfolioMatrix, check_weights
 
 _ORDER_VALUE_LOW = 1.05
 _ORDER_VALUE_HIGH = 1.25
@@ -110,16 +111,6 @@ def _parse_field(col: int, text: str):
     return value
 
 
-def _field_error(path, ln: int, header: Sequence[str], row: list[str], exc: ValueError) -> ParseError:
-    """Name the first field of a csv data row that does not parse."""
-    for col, (name, text) in enumerate(zip(header, row)):
-        try:
-            _parse_field(col, text)
-        except ValueError as bad:
-            return ParseError(f"{path}: line {ln}: column {col + 1} ({name}): {bad}")
-    return ParseError(f"{path}: line {ln}: {exc}")
-
-
 def _pair_fault(kind: str, i: int, j: int) -> str | None:
     if kind == "returns":
         return f"bad pair ({i}, {j})" if i < 1 or j < 1 or i == j else None
@@ -131,26 +122,31 @@ def _pair_fault(kind: str, i: int, j: int) -> str | None:
 
 
 def _first_fault(path, kind: str, header: Sequence[str], otherwise: InputError) -> InputError:
-    """Rescan a table row by row for the first bad line, else return ``otherwise``.
+    """Rescan a regular file row by row for the first bad line, else return ``otherwise``.
 
     Only the error path runs this: a row fault (field count, parse, pair,
     duplicate) comes before any fault of a whole day, and only a row-wise
-    scan knows the line it sits on.
+    scan knows the line it sits on.  A pipe, named or not, cannot be read
+    twice (reopening a named one waits for a writer), so it gets ``otherwise``.
     """
     seen: set[tuple[int, int, int]] = set()
     try:
+        if not os.path.isfile(path):
+            return otherwise
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
-            next(rows, None)  # a pipe, read once already, reopens empty
+            next(rows, None)  # the header, checked already
             for ln, row in enumerate(rows, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
                     return ParseError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
-                try:
-                    day, i, j, *_ = [_parse_field(col, text) for col, text in enumerate(row)]
-                except ValueError as exc:
-                    return _field_error(path, ln, header, row, exc)
+                for col, (name, text) in enumerate(zip(header, row)):
+                    try:
+                        row[col] = _parse_field(col, text)
+                    except ValueError as bad:
+                        return ParseError(f"{path}: line {ln}: column {col + 1} ({name}): {bad}")
+                day, i, j, *_ = row
                 fault = _pair_fault(kind, i, j)
                 if fault is not None:
                     return ParseError(f"{path}: line {ln}: {fault}")
@@ -748,8 +744,11 @@ def _typed(kind: str, value):
 
 
 def _number(value) -> float:
-    """A JSON number as a float; ints count, since %.17g writes 1.0 as 1."""
-    return float(_typed("number", value))
+    """A finite JSON number as a float; ints count, since %.17g writes 1.0 as 1."""
+    x = float(_typed("number", value))
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not finite")
+    return x
 
 
 def _order(value) -> int:
@@ -759,10 +758,10 @@ def _order(value) -> int:
 
 
 def _diamond(value) -> float:
-    x = _number(value)
+    x = float(_typed("number", value))
     if not x >= 0.0:
         raise ValueError(f"weighted return {x!r} must be >= 0")
-    return x
+    return _number(value)
 
 
 def _json_int(text: str):
@@ -815,44 +814,27 @@ def read_ledger(path) -> BacktestLedger:
     def column(key, convert):
         return [field(ln, d, key, convert) for ln, d in days]
 
-    def matrices(key, convert):
-        """The key's matrix on every day record, read as convert(day, flat)."""
-        return [field(ln, d, key, lambda flat, k=k: convert(k, flat)) for (ln, d), k in zip(days, day)]
-
-    def weights(k, flat):
-        return PortfolioMatrix(day=k, weights=grid(flat)).weights
-
-    def prediction(k, flat):
-        if flat is None:
-            return None
-        # Linear predictions may fill both mirrored cells, so no ReturnMatrix here.
-        g = grid(flat)
-        bad = ~(np.isfinite(g) & (g >= 0.0))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"day {k}: predicted return at ({i}, {j}) is {float(g[i, j])!r}, must be finite and >= 0")
-        if np.diag(g).any():
-            i = int(np.argmax(np.diag(g) != 0.0))
-            raise ValueError(f"day {k}: predicted return diagonal at ({i}, {i}) must be 0")
-        return g
-
-    def return_stack():
-        grids = matrices("R", lambda k, flat: grid(flat))
+    def checked(key, check, grids):
+        """check(day, grids), its fault named by the line of its row; a fault with no row is the day column's."""
         try:
-            return ReturnStack(day, np.array(grids))
+            return check(day, grids)
         except (FxfolioError, OverflowError) as exc:
-            # Name the line of the first bad matrix; else the day column is at fault,
-            # as it is for a day beyond int64, which no one-day matrix can hold.
-            matrices("R", lambda k, flat: -(2**63) <= k < 2**63 and ReturnMatrix(day=k, entries=grid(flat)))
-            raise ParseError(f"{path}: key 'day': {exc}") from exc
+            where = f"line {days[exc.row][0]}: key {key!r}" if hasattr(exc, "row") else "key 'day'"
+            raise ParseError(f"{path}: {where}: {exc}") from exc
 
-    day = column("day", lambda v: _typed("integer", v))
+    def grid_column(key, convert, check):
+        """key's grid on every line, read by convert and then checked as one stack, with zeros where it is None."""
+        out = column(key, convert)
+        checked(key, check, np.array([np.zeros((m, m)) if g is None else g for g in out]))
+        return out
+
+    day = np.array(column("day", lambda v: _typed("integer", v)))
     diamond = np.array(column("diamond", _diamond))
     ledger = BacktestLedger(
         m=m,
         f0=field(meta_ln, meta, "f0", _number),
         config=field(meta_ln, meta, "config", dict),
-        day=np.array(day),
+        day=day,
         capital=np.array(column("F", _number)),
         capital_net=np.array(column("Fp", _number)),
         cost=np.array(column("T", _number)),
@@ -862,11 +844,11 @@ def read_ledger(path) -> BacktestLedger:
         order_actual=np.array(column("order_actual", _order), dtype=np.int64),
         order_pred=np.array(column("order_pred", lambda v: -1 if v is None else _order(v)), dtype=np.int64),
         pred_crossed_segment=np.array(column("crossed", lambda v: _typed("bool", v))),
-        portfolios=matrices("psi", weights),
-        realized=matrices("psi_prime", weights),
-        returns=return_stack(),
-        predicted=matrices("R_pred", prediction),
-        next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: weights(day[-1] + 1, flat)),
+        portfolios=grid_column("psi", grid, check_weights),
+        realized=grid_column("psi_prime", grid, check_weights),
+        returns=checked("R", ReturnStack, np.array(column("R", grid))),
+        predicted=grid_column("R_pred", lambda flat: None if flat is None else grid(flat), check_predictions),
+        next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: PortfolioMatrix(day=int(day[-1]) + 1, weights=grid(flat)).weights),
     )
     # A day has a predicted order exactly when it has a predicted grid, and only a prediction can cross a segment.
     for (ln, _), order, predicted, crossed in zip(

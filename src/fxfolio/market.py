@@ -47,13 +47,15 @@ def upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _raise_first(days: np.ndarray, rules) -> None:
-    """Raise for the first failing day, on it the first failing rule, and in that rule the first position."""
+    """Raise for the first failing day (the error's ``row``), on it the first failing rule, and in that rule the first position."""
     if all(holds.all() for holds, _ in rules):
         return
     failing = np.stack([~holds.all(axis=tuple(range(1, holds.ndim))) for holds, _ in rules])
     k = int(np.argmax(failing.any(axis=0)))
     holds, error = rules[int(np.argmax(failing[:, k]))]
-    raise error(int(days[k]), k, *(int(x) for x in np.argwhere(~holds[k])[0]))
+    exc = error(int(days[k]), k, *(int(x) for x in np.argwhere(~holds[k])[0]))
+    exc.row = k
+    raise exc
 
 
 def _rate_rules(grids: np.ndarray) -> list:
@@ -69,13 +71,20 @@ def _rate_rules(grids: np.ndarray) -> list:
     ]
 
 
+def _entry_rules(grids: np.ndarray, noun: str) -> list:
+    """The rules a return and a predicted return share, each message naming the grid by noun."""
+    return [
+        (np.isfinite(grids) & (grids >= 0.0), lambda day, k, i, j: NonPositiveEntry(
+            f"day {day}: {noun} at ({i}, {j}) is {float(grids[k, i, j])!r}, must be finite and >= 0")),
+        (np.diagonal(grids, axis1=1, axis2=2) == 0.0, lambda day, k, i: NonUnitDiagonal(
+            f"day {day}: {noun} diagonal at ({i}, {i}) must be 0")),
+    ]
+
+
 def _return_rules(grids: np.ndarray) -> list:
     iu, ju = upper_pairs(grids.shape[1])
     return [
-        (np.isfinite(grids) & (grids >= 0.0), lambda day, k, i, j: NonPositiveEntry(
-            f"day {day}: return at ({i}, {j}) is {float(grids[k, i, j])!r}, must be finite and >= 0")),
-        (np.diagonal(grids, axis1=1, axis2=2) == 0.0, lambda day, k, i: NonUnitDiagonal(
-            f"day {day}: return diagonal at ({i}, {i}) must be 0")),
+        *_entry_rules(grids, "return"),
         (~((grids[:, iu, ju] > 0.0) & (grids[:, ju, iu] > 0.0)), lambda day, k, p: ComplementarityViolation(
             f"day {day}: both mirrored returns ({iu[p]}, {ju[p]}) and ({ju[p]}, {iu[p]}) are positive")),
     ]
@@ -97,6 +106,11 @@ def check_returns(days: np.ndarray, grids: np.ndarray) -> None:
     The first failing day raises, on it the first failing rule in that order.
     """
     _raise_first(days, _return_rules(grids))
+
+
+def check_predictions(days: np.ndarray, grids: np.ndarray) -> None:
+    """Check a stack of predicted returns: nonnegative finite entries and a zero diagonal; both mirrored cells may be set."""
+    _raise_first(days, _entry_rules(grids, "predicted return"))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidM, SupportViolation, ZeroReturn
-from .market import ReturnMatrix
+from .market import ReturnMatrix, _raise_first
 
 WEIGHT_SUM_TOL = 1e-9
 
 
+def check_weights(days: np.ndarray, grids: np.ndarray) -> None:
+    """Check a weight stack: finite entries >= 0, a zero diagonal, a sum within WEIGHT_SUM_TOL of 1, in that order."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and -inf sum to nan, huge weights to inf: a rule names each
+        _raise_first(days, [
+            (np.isfinite(grids) & (grids >= 0.0), lambda day, k, i, j: DimensionMismatch(
+                f"day {day}: weight at ({i}, {j}) is {float(grids[k, i, j])!r}, must be finite and >= 0")),
+            (np.diagonal(grids, axis1=1, axis2=2) == 0.0, lambda day, k, i: DimensionMismatch(
+                f"day {day}: diagonal weight at ({i}, {i}) must be 0")),
+            (np.abs(grids.sum(axis=(1, 2)) - 1.0) <= WEIGHT_SUM_TOL, lambda day, k: DimensionMismatch(
+                f"day {day}: weights sum to {float(grids[k].sum())!r}, must be 1 within {WEIGHT_SUM_TOL}")),
+        ])
+
+
 @dataclass(frozen=True)
 class PortfolioMatrix:
-    """Nonnegative weights over ordered currency pairs, zero diagonal, summing to one."""
+    """Nonnegative weights over ordered currency pairs, zero diagonal, summing to one: check_weights of a stack of one."""
 
     day: int
     weights: np.ndarray
@@ -23,17 +36,7 @@ class PortfolioMatrix:
         w = np.asarray(self.weights, dtype=np.float64).copy()
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
             raise DimensionMismatch(f"weights must be square with m >= 2, got shape {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            bad = np.argwhere(~(np.isfinite(w) & (w >= 0.0)))[0]
-            raise DimensionMismatch(
-                f"day {self.day}: weight at ({bad[0]}, {bad[1]}) is {float(w[bad[0], bad[1]])!r}, must be finite and >= 0"
-            )
-        if np.any(np.diag(w) != 0.0):
-            i = int(np.argmax(np.diag(w) != 0.0))
-            raise DimensionMismatch(f"day {self.day}: diagonal weight at ({i}, {i}) must be 0")
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise DimensionMismatch(f"day {self.day}: weights sum to {total!r}, must be 1 within {WEIGHT_SUM_TOL}")
+        check_weights([self.day], w[np.newaxis])
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

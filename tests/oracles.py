@@ -259,6 +259,32 @@ def oracle_check_returns(day, grid):
                 raise ComplementarityViolation(f"day {day}: both mirrored returns ({i}, {j}) and ({j}, {i}) are positive")
 
 
+def oracle_check_weights(day, grid):
+    """Raise the first broken weight rule of one grid: every entry, then the diagonal, then the sum within 1e-9.
+
+    The total is summed cell by cell in row-major order.  The package sums
+    in another order, so the printed totals agree where every partial sum
+    is exact, as on grids of multiples of a power of two.
+    """
+    from fxfolio.errors import DimensionMismatch
+
+    m = len(grid)
+    for i in range(m):
+        for j in range(m):
+            value = float(grid[i][j])
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DimensionMismatch(f"day {day}: weight at ({i}, {j}) is {value!r}, must be finite and >= 0")
+    for i in range(m):
+        if float(grid[i][i]) != 0.0:
+            raise DimensionMismatch(f"day {day}: diagonal weight at ({i}, {i}) must be 0")
+    total = 0.0
+    for i in range(m):
+        for j in range(m):
+            total += float(grid[i][j])
+    if not abs(total - 1.0) <= 1e-9:
+        raise DimensionMismatch(f"day {day}: weights sum to {total!r}, must be 1 within 1e-09")
+
+
 def oracle_day_returns(day, open_grid, close_grid):
     """One day's price relatives from valid quotes; a pair firing both ways comes before any overflow."""
     from fxfolio.errors import ComplementarityViolation

@@ -1,13 +1,18 @@
 """File formats, seeded generators, and ledger round trips."""
 
 import contextlib
+import errno
 import functools
 import itertools
 import json
 import os
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +517,45 @@ class TestLedgerFiles:
         with pytest.raises(ParseError, match=rf"line {ln}: key '{key}': .*day \d+: {problem}"):
             read_ledger(path)
 
+    @staticmethod
+    def fire_both_ways(record):
+        record["R"][1] = record["R"][3] = 1.1  # positions (0, 1) and (1, 0) of an m=3 grid
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # Two lines of one key: the earlier line is named.
+            ([(9, set_cell("psi", 0, 0.25)), (4, set_cell("psi", 1, -5.0))],
+             r"line 4: key 'psi': day 3: weight at \(0, 1\) is -5.0"),
+            ([(20, set_cell("psi_prime", 1, 3.0)), (7, set_cell("psi_prime", 4, 0.5))],
+             r"line 7: key 'psi_prime': day 6: diagonal weight at \(1, 1\) must be 0"),
+            ([(12, fire_both_ways), (6, set_cell("R", 5, -1.0))], r"line 6: key 'R': day 5: return at \(1, 2\) is -1.0"),
+            ([(25, set_cell("R_pred", 8, 0.5)), (8, set_cell("R_pred", 3, float("inf")))],
+             r"line 8: key 'R_pred': day 7: predicted return at \(1, 0\) is inf"),
+            # Two keys: the key read first is named, whatever its line.
+            ([(3, set_cell("psi_prime", 1, -5.0)), (22, set_cell("psi", 0, 0.25))],
+             r"line 22: key 'psi': day 21: diagonal weight at \(0, 0\) must be 0"),
+            ([(3, set_cell("R", 1, -1.0)), (10, set_cell("psi_prime", 1, -5.0))],
+             r"line 10: key 'psi_prime': day 9: weight at \(0, 1\) is -5.0"),
+            ([(2, set_cell("R_pred", 1, -1.0)), (24, set_cell("R", 0, 0.5))],
+             r"line 24: key 'R': day 23: return diagonal at \(0, 0\) must be 0"),
+            ([(5, set_cell("psi", 1, -5.0)), (19, lambda record: record.update(F=float("nan")))],
+             r"line 19: key 'F': bad value: nan is not finite"),
+        ],
+        ids=["psi", "psi_prime", "R", "R_pred", "psi before psi_prime", "psi_prime before R", "R before R_pred", "F before psi"],
+    )
+    def test_faults_on_two_lines_name_the_first_checked(self, tmp_path, edits, message):
+        path = tmp_path / "run.jsonl"
+        write_ledger(small_ledger(), path)
+        lines = path.read_text().splitlines()
+        for ln, edit in edits:
+            record = json.loads(lines[ln - 1])
+            edit(record)
+            lines[ln - 1] = json.dumps(record)
+        write_text(path, "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {message}"):
+            read_ledger(path)
+
     def test_predicted_mass_on_both_mirrored_cells_reads_back(self, tmp_path):
         # A linear prediction may blend days whose best trades sit on opposite sides.
         def both_sides(record):
@@ -681,6 +725,14 @@ class TestDamagedLedgerAndSummaryFiles:
              r"line 8: key 'order_pred': null but R_pred holds a prediction$"),
             (2, lambda line: re.sub(rb'"crossed":\w+', b'"crossed":true', line),
              r"line 3: key 'crossed': true but order_pred is null$"),
+            # Python's json reads NaN, Infinity and 1e400, which write_ledger could not write back as JSON.
+            (2, lambda line: re.sub(rb'"F":[^,]+', b'"F":NaN', line), r"line 3: key 'F': bad value: nan is not finite"),
+            (2, lambda line: re.sub(rb'"Fp":[^,]+', b'"Fp":Infinity', line), r"line 3: key 'Fp': bad value: inf is not finite"),
+            (2, lambda line: re.sub(rb'"T":[^,]+', b'"T":1e400', line), r"line 3: key 'T': bad value: inf is not finite"),
+            (2, lambda line: re.sub(rb'"c":[^,]+', b'"c":-Infinity', line), r"line 3: key 'c': bad value: -inf is not finite"),
+            (2, lambda line: re.sub(rb'"diamond":[^,]+', b'"diamond":Infinity', line),
+             r"line 3: key 'diamond': bad value: inf is not finite"),
+            (0, lambda line: line.replace(b'"f0":1,"config"', b'"f0":NaN,"config"'), r"line 1: key 'f0': bad value: nan is not finite"),
             # JSON -0 reads as -0.0, so integer fields refuse it.
             (1, lambda line: line.replace(b'"day":1,', b'"day":-0,'), r"line 2: key 'day': bad value: -0.0 is not a JSON integer"),
             (2, lambda line: re.sub(rb'"order_actual":\d', b'"order_actual":-0', line),
@@ -691,7 +743,8 @@ class TestDamagedLedgerAndSummaryFiles:
             "float day", "bool day", "float order", "order out of range", "negative order_pred", "bool order_pred",
             "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
             "order_pred without R_pred", "order_pred 2 with R_pred nulled", "R_pred without order_pred",
-            "crossed without order_pred", "negative zero day", "negative zero order",
+            "crossed without order_pred", "nan F", "infinite Fp", "overflowing T", "negative infinite c", "infinite diamond",
+            "nan f0", "negative zero day", "negative zero order",
         ],
     )
     def test_ledger_errors_are_typed(self, tmp_path, written, index, edit, message):
@@ -1113,6 +1166,33 @@ class TestRowBlocks:
             assert cli.main([*args, "--input", path]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == summary
         assert summary.startswith("summary I_N=")
+
+    def test_an_invalid_named_pipe_exits_with_the_loaders_message(self, tmp_path):
+        # A row-wise rescan would reopen the pipe and wait for a second writer; the run must end without one.
+        fifo = tmp_path / "in.csv"
+        os.mkfifo(fifo)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(data_io.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "fxfolio.cli", "backtest", "--input", str(fifo), "--predictor", "none"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while True:  # open without blocking, so a CLI that never reads the pipe cannot hang the test
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError as exc:
+                    if exc.errno != errno.ENXIO or proc.poll() is not None or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            with os.fdopen(fd, "w") as fh:
+                fh.write("day,i,j,open_rate,close_rate\n1,1,2,1.1,1.2\n")
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert (proc.returncode, err) == (cli.EXIT_IO, f"io error: {fifo}: day 1: expected 2 off-diagonal rows for m=2, got 1\n")
 
 
 class TestMalformedInputThroughTheCli:

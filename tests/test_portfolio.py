@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fxfolio.errors import DimensionMismatch, InvalidM, SupportViolation, ZeroReturn
+import oracles
+from fxfolio import portfolio as portfolio_module
+from fxfolio.errors import DimensionMismatch, FxfolioError, InvalidM, SupportViolation, ZeroReturn
 from fxfolio.market import ReturnMatrix
 from fxfolio.portfolio import (
     PortfolioMatrix,
+    check_weights,
     gross_return,
     l1_distance,
     realized_portfolio,
@@ -61,6 +64,121 @@ class TestPortfolioMatrix:
         psi = two_pair(0.5, 0.5)
         with pytest.raises(ValueError):
             psi.weights[0, 1] = 0.9
+
+
+# Weights in units of 2**-40: every partial sum of a grid is exact, so the
+# package and the oracle print the same total whatever order they sum in.
+UNIT = 2.0**-40
+
+
+def dyadic_weights(rng, m):
+    """Random weights on the off-diagonal cells, some of them zero, in units summing to exactly 1."""
+    w = np.zeros((m, m))
+    off = ~np.eye(m, dtype=bool)
+    w[off] = rng.multinomial(2**40, rng.dirichlet(np.ones(m * (m - 1)) * 0.5)) * UNIT
+    return w
+
+
+def plant(grid, fault, i, j):
+    """grid with one fault at (i, j), i != j: an entry rule, the diagonal at i, or the sum moved by about 1e-9."""
+    big = np.unravel_index(np.argmax(grid), grid.shape)  # at least 1/(m(m-1)), so it can give up some mass
+    if fault in ("nan", "inf", "-inf", "negative"):
+        grid[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -UNIT}[fault]
+    elif fault == "diagonal":  # mass moved onto the diagonal, so the sum still reads 1
+        grid[big] -= 2.0**-20
+        grid[i, i] += 2.0**-20
+    elif fault == "diagonal nan":
+        grid[i, i] = np.nan
+    elif fault.startswith("sum"):  # 1100 units is 1.0004e-9, just past the tolerance; 1099 units is 9.995e-10
+        units = 1099 if "inside" in fault else 1100
+        if fault.endswith("over"):
+            grid[i, j] += units * UNIT
+        else:
+            grid[big] -= units * UNIT
+    return grid
+
+
+def raised(fn, *args):
+    """The class and message fn raises, or None."""
+    try:
+        fn(*args)
+    except FxfolioError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def weights_day_by_day(days, grids):
+    for day, grid in zip(days, grids):
+        oracles.oracle_check_weights(int(day), grid)
+
+
+FAULTS = ["none", "nan", "inf", "-inf", "negative", "diagonal", "diagonal nan", "sum over", "sum under",
+          "sum inside over", "sum inside under"]
+
+
+class TestWeightRules:
+    """check_weights over stacks and PortfolioMatrix, a stack of one, raise what the row-wise oracle raises."""
+
+    @given(
+        m=st.integers(2, 5),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        faults=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stacks_and_days_raise_the_oracles_error(self, m, n, seed, faults, data):
+        rng = np.random.default_rng(seed)
+        days = np.arange(1, n + 1) * 3
+        grids = np.stack([dyadic_weights(rng, m) for _ in range(n)])
+        for fault in faults:  # a second fault may land on another day, or on the same one
+            k = data.draw(st.integers(0, n - 1))
+            i, j = data.draw(st.permutations(range(m)))[:2]
+            plant(grids[k], fault, i, j)
+        assert raised(check_weights, days, grids) == raised(weights_day_by_day, days, grids)
+        for day, grid in zip(days, grids):
+            assert raised(PortfolioMatrix, int(day), grid) == raised(oracles.oracle_check_weights, int(day), grid)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nan", "day 5: weight at (0, 1) is nan, must be finite and >= 0"),
+            ("negative", f"day 5: weight at (0, 1) is {-UNIT!r}, must be finite and >= 0"),
+            ("diagonal", "day 5: diagonal weight at (0, 0) must be 0"),
+            ("diagonal nan", "day 5: weight at (0, 0) is nan, must be finite and >= 0"),
+            ("sum over", f"day 5: weights sum to {1.0 + 1100 * UNIT!r}, must be 1 within 1e-09"),
+            ("sum under", f"day 5: weights sum to {1.0 - 1100 * UNIT!r}, must be 1 within 1e-09"),
+            ("sum inside over", None),
+            ("sum inside under", None),
+        ],
+        ids=["nan", "negative", "diagonal", "diagonal nan", "sum over", "sum under", "sum inside over", "sum inside under"],
+    )
+    def test_each_rule_on_the_second_of_three_days(self, fault, message):
+        rng = np.random.default_rng(3)
+        grids = np.stack([dyadic_weights(rng, 3) for _ in range(3)])
+        plant(grids[1], fault, 0, 1)
+        expected = None if message is None else (DimensionMismatch, message)
+        assert raised(check_weights, [4, 5, 6], grids) == expected
+        assert raised(PortfolioMatrix, 5, grids[1]) == expected
+        assert raised(weights_day_by_day, [4, 5, 6], grids) == expected
+
+    def test_the_first_failing_day_raises_as_its_row(self):
+        rng = np.random.default_rng(4)
+        grids = np.stack([dyadic_weights(rng, 4) for _ in range(4)])
+        plant(grids[3], "negative", 2, 1)
+        plant(grids[1], "sum over", 0, 3)
+        plant(grids[2], "nan", 1, 0)
+        with pytest.raises(DimensionMismatch, match=r"^day 2: weights sum to") as caught:
+            check_weights([1, 2, 3, 4], grids)
+        assert caught.value.row == 1
+        assert raised(weights_day_by_day, [1, 2, 3, 4], grids) == (DimensionMismatch, str(caught.value))
+
+    def test_a_sum_exactly_at_the_tolerance_is_inside(self, monkeypatch):
+        # No float64 total lies exactly 1e-9 from 1, so a tolerance of 2**-30 stands in for it.
+        monkeypatch.setattr(portfolio_module, "WEIGHT_SUM_TOL", 2.0**-30)
+        two_pair(0.5, 0.5 + 2.0**-30)
+        with pytest.raises(DimensionMismatch, match="weights sum to"):
+            two_pair(0.5, 0.5 + 2.0**-29)
 
 
 class TestGrossReturn:

@@ -45,6 +45,7 @@ ORDERS = "tests/test_data_io.py::TestOrderProcess"
 LEDGER = "tests/test_data_io.py::TestLedgerBytes"
 FIXED_POINT = "tests/test_costs.py::TestFixedPointOracle"
 BLOCKS = "tests/test_data_io.py::TestRowBlocks"
+WEIGHTS = "tests/test_portfolio.py::TestWeightRules"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -103,11 +104,25 @@ MUTANTS = (
         ("tests/test_cli.py::TestMarketsBreakingARule",),
     ),
     Mutant(
-        "a ledger day beyond int64 is blamed on its return matrix",
+        "weights summing to 1 plus exactly the tolerance are refused",
+        "src/fxfolio/portfolio.py",
+        "(np.abs(grids.sum(axis=(1, 2)) - 1.0) <= WEIGHT_SUM_TOL, lambda",
+        "(np.abs(grids.sum(axis=(1, 2)) - 1.0) < WEIGHT_SUM_TOL, lambda",
+        (f"{WEIGHTS}::test_a_sum_exactly_at_the_tolerance_is_inside",),
+    ),
+    Mutant(
+        "weight diagonal rule dropped",
+        "src/fxfolio/portfolio.py",
+        "(np.diagonal(grids, axis1=1, axis2=2) == 0.0, lambda day, k, i: DimensionMismatch(",
+        "(np.ones(grids.shape[:2], dtype=bool), lambda day, k, i: DimensionMismatch(",
+        (f"{WEIGHTS}::test_each_rule_on_the_second_of_three_days[diagonal]",),
+    ),
+    Mutant(
+        "a ledger grid fault is named by the line before its row's",
         "src/fxfolio/data_io.py",
-        'matrices("R", lambda k, flat: -(2**63) <= k < 2**63 and ReturnMatrix(',
-        'matrices("R", lambda k, flat: ReturnMatrix(',
-        ("tests/test_data_io.py::TestDamagedLedgerAndSummaryFiles::test_ledger_errors_are_typed",),
+        'where = f"line {days[exc.row][0]}: key {key!r}"',
+        'where = f"line {days[exc.row - 1][0]}: key {key!r}"',
+        ("tests/test_data_io.py::TestLedgerFiles::test_faults_on_two_lines_name_the_first_checked",),
     ),
     Mutant(
         "compute_returns warns on an overflow",
