@@ -759,9 +759,9 @@ def _order(value) -> int:
 
 def _diamond(value) -> float:
     x = float(_typed("number", value))
-    if not x >= 0.0:
-        raise ValueError(f"weighted return {x!r} must be >= 0")
-    return _number(value)
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{x!r} is not finite" if x == math.inf else f"weighted return {x!r} must be >= 0")
+    return x
 
 
 def _json_int(text: str):
@@ -807,6 +807,8 @@ def read_ledger(path) -> BacktestLedger:
             raise ParseError(f"{path}: line {ln}: key {key!r}: {exc}") from exc
 
     m = field(meta_ln, meta, "m", lambda v: _typed("integer", v))
+    if m < 2:
+        raise ParseError(f"{path}: line {meta_ln}: key 'm': need m >= 2, got {m}")
 
     def grid(flat):
         return np.array(flat, dtype=float).reshape(m, m)
@@ -814,27 +816,24 @@ def read_ledger(path) -> BacktestLedger:
     def column(key, convert):
         return [field(ln, d, key, convert) for ln, d in days]
 
-    def checked(key, check, grids):
-        """check(day, grids), its fault named by the line of its row; a fault with no row is the day column's."""
+    def grid_column(key, convert, check):
+        """key's grid on every line, read by convert and checked by check(day, stack), zeros for None: check's stack, else the grids."""
+        out = column(key, convert)
         try:
-            return check(day, grids)
+            stack = check(day, np.array([np.zeros((m, m)) if g is None else g for g in out]))
         except (FxfolioError, OverflowError) as exc:
+            # A fault of one row names its line; one of no row (days not increasing, beyond int64) is the day column's.
             where = f"line {days[exc.row][0]}: key {key!r}" if hasattr(exc, "row") else "key 'day'"
             raise ParseError(f"{path}: {where}: {exc}") from exc
+        return out if stack is None else stack
 
-    def grid_column(key, convert, check):
-        """key's grid on every line, read by convert and then checked as one stack, with zeros where it is None."""
-        out = column(key, convert)
-        checked(key, check, np.array([np.zeros((m, m)) if g is None else g for g in out]))
-        return out
-
-    day = np.array(column("day", lambda v: _typed("integer", v)))
+    day = column("day", lambda v: _typed("integer", v))
     diamond = np.array(column("diamond", _diamond))
     ledger = BacktestLedger(
         m=m,
         f0=field(meta_ln, meta, "f0", _number),
         config=field(meta_ln, meta, "config", dict),
-        day=day,
+        day=np.array(day),
         capital=np.array(column("F", _number)),
         capital_net=np.array(column("Fp", _number)),
         cost=np.array(column("T", _number)),
@@ -846,9 +845,9 @@ def read_ledger(path) -> BacktestLedger:
         pred_crossed_segment=np.array(column("crossed", lambda v: _typed("bool", v))),
         portfolios=grid_column("psi", grid, check_weights),
         realized=grid_column("psi_prime", grid, check_weights),
-        returns=checked("R", ReturnStack, np.array(column("R", grid))),
+        returns=grid_column("R", grid, ReturnStack),
         predicted=grid_column("R_pred", lambda flat: None if flat is None else grid(flat), check_predictions),
-        next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: PortfolioMatrix(day=int(day[-1]) + 1, weights=grid(flat)).weights),
+        next_portfolio=field(meta_ln, meta, "next_psi", lambda flat: PortfolioMatrix(day=day[-1] + 1, weights=grid(flat)).weights),
     )
     # A day has a predicted order exactly when it has a predicted grid, and only a prediction can cross a segment.
     for (ln, _), order, predicted, crossed in zip(

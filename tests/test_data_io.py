@@ -694,6 +694,9 @@ class TestDamagedLedgerAndSummaryFiles:
             (2, lambda line: line.replace(b'"day":2', b'"day":1e400'), r"line 3: key 'day': bad value"),
             (2, lambda line: line.replace(b'"day":2', b'"day":1'), r"key 'day': market days must be strictly increasing"),
             (2, lambda line: line.replace(b'"day":2', b'"day":%d' % 2**70), r"key 'day': Python int too large"),
+            (2, lambda line: line.replace(b'"day":2', b'"day":%d' % 2**63), r"key 'day': Python int too large"),
+            (0, lambda line: line.replace(b'"m":3', b'"m":1'), r"line 1: key 'm': need m >= 2, got 1$"),
+            (0, lambda line: line.replace(b'"m":3', b'"m":0'), r"line 1: key 'm': need m >= 2, got 0$"),
             (0, lambda line: line.replace(b'"m":3', b'"m":"3"'), r"line 1: key 'm': bad value: '3' is not a JSON integer"),
             (0, lambda line: line.replace(b'"f0":1,"config"', b'"f0":true,"config"'),
              r"line 1: key 'f0': bad value: True is not a JSON number"),
@@ -739,7 +742,8 @@ class TestDamagedLedgerAndSummaryFiles:
              r"line 3: key 'order_actual': bad value: -0.0 is not a JSON integer"),
         ],
         ids=[
-            "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "day beyond int64", "string m", "bool f0",
+            "non-utf8", "deep nesting", "long int", "huge m", "huge day", "repeated day", "day beyond int64", "day at 2**63",
+            "m of 1", "m of 0", "string m", "bool f0",
             "float day", "bool day", "float order", "order out of range", "negative order_pred", "bool order_pred",
             "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
             "order_pred without R_pred", "order_pred 2 with R_pred nulled", "R_pred without order_pred",
@@ -753,6 +757,16 @@ class TestDamagedLedgerAndSummaryFiles:
         path = tmp_path / "run.jsonl"
         path.write_bytes(b"".join(lines))
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {message}"):
+            read_ledger(path)
+
+    @pytest.mark.parametrize("keep", [2, None], ids=["one day", "every day"])
+    def test_days_past_int64_are_the_day_keys_fault(self, tmp_path, written, keep):
+        # Days in [2**63, 2**64) fit a uint64 but no int64; a list of them must not be cast into range.
+        lines = written[0].splitlines(keepends=True)[:keep]
+        lines[1:] = [re.sub(rb'"day":(\d+)', lambda d: b'"day":%d' % (2**63 + int(d[1])), line) for line in lines[1:]]
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: key 'day': Python int too large"):
             read_ledger(path)
 
     def test_summary_non_utf8_is_typed(self, tmp_path, written):
