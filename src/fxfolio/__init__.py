@@ -61,7 +61,6 @@ from .data_io import (
 )
 from .errors import FxfolioError
 from .market import (
-    DailyQuotes,
     QuoteStack,
     RateMatrix,
     ReturnMatrix,

@@ -733,7 +733,7 @@ def write_ledger(ledger: BacktestLedger, path) -> None:
         raise IoError(f"cannot write ledger {path}: {exc}") from exc
 
 
-_JSON_KINDS = {"integer": (int,), "number": (int, float), "bool": (bool,)}
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "bool": (bool,), "object": (dict,)}
 
 
 def _typed(kind: str, value):
@@ -749,6 +749,23 @@ def _number(value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{x!r} is not finite")
     return x
+
+
+def _config(value) -> dict:
+    """A JSON object whose numbers are finite at any depth.
+
+    Python's json reads NaN, Infinity and 1e400, which write_ledger could not write back as JSON.
+    """
+    pending = [_typed("object", value)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, float) and not math.isfinite(item):
+            raise ValueError(f"{item!r} is not finite")
+    return value
 
 
 def _order(value) -> int:
@@ -832,7 +849,7 @@ def read_ledger(path) -> BacktestLedger:
     ledger = BacktestLedger(
         m=m,
         f0=field(meta_ln, meta, "f0", _number),
-        config=field(meta_ln, meta, "config", dict),
+        config=field(meta_ln, meta, "config", _config),
         day=np.array(day),
         capital=np.array(column("F", _number)),
         capital_net=np.array(column("Fp", _number)),

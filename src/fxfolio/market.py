@@ -7,8 +7,10 @@ which it buys the pair back.  The wedge between the two is the spread,
 and it must be strictly positive entrywise.
 
 A market history is held as one stack of such grids, shape (n, m, m),
-validated in one pass; indexing a stack gives the one-day objects, and
-each one-day object is checked as a stack of one.
+validated in one pass.  Day k of a stack is read from its arrays
+(``quotes.open[k]``, ``returns.grids[k]``, ``returns.days[k]``); the
+one-day objects, RateMatrix and ReturnMatrix, are each checked as a stack
+of one.
 """
 
 from __future__ import annotations
@@ -142,17 +144,13 @@ class _DayStack:
     def __len__(self) -> int:
         return self.days.size
 
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
 
 @dataclass(frozen=True, eq=False)
 class QuoteStack(_DayStack):
     """A quote history: strictly increasing days (n,) and opening and closing rate grids (n, m, m).
 
-    Every day passes check_rates.  ``stack[k]`` is day k's DailyQuotes and
-    a slice is a stack of its days.  ``stack.returns`` is
-    compute_returns(stack), computed once, on first use.
+    Open and close share one shape, and every day passes check_rates.
+    ``stack.returns`` is compute_returns(stack), computed once, on first use.
     """
 
     days: np.ndarray
@@ -161,6 +159,8 @@ class QuoteStack(_DayStack):
 
     def __post_init__(self):
         days, (opens, closes) = _read_only_stack(self.days, self.open, self.close)
+        if opens.shape != closes.shape:
+            raise DayMismatch(f"open grids have shape {opens.shape} but close grids have shape {closes.shape}")
         check_rates(days, opens, closes)
         _check_days(days)
         object.__setattr__(self, "days", days)
@@ -175,18 +175,12 @@ class QuoteStack(_DayStack):
     def returns(self) -> ReturnStack:
         return compute_returns(self)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return QuoteStack(self.days[k], self.open[k], self.close[k])
-        return DailyQuotes.from_grids(int(self.days[k]), self.open[k], self.close[k])
-
 
 @dataclass(frozen=True, eq=False)
 class ReturnStack(_DayStack):
     """A return history: strictly increasing days (n,) and price-relative grids (n, m, m).
 
-    Every day passes check_returns.  ``stack[k]`` is day k's ReturnMatrix
-    and a slice is a stack of its days.
+    Every day passes check_returns.
     """
 
     days: np.ndarray
@@ -202,11 +196,6 @@ class ReturnStack(_DayStack):
     @property
     def m(self) -> int:
         return self.grids.shape[1]
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return ReturnStack(self.days[k], self.grids[k])
-        return ReturnMatrix(day=int(self.days[k]), entries=self.grids[k])
 
 
 def expect_stack(market, *kinds: type):
@@ -273,39 +262,6 @@ class RateMatrix:
 
 
 @dataclass(frozen=True)
-class DailyQuotes:
-    """Opening and closing rate matrices for one day."""
-
-    day: int
-    open_rates: RateMatrix
-    close_rates: RateMatrix
-
-    def __post_init__(self):
-        if self.open_rates.m != self.close_rates.m:
-            raise DayMismatch(
-                f"day {self.day}: open is {self.open_rates.m}x{self.open_rates.m} "
-                f"but close is {self.close_rates.m}x{self.close_rates.m}"
-            )
-        if self.open_rates.day != self.day or self.close_rates.day != self.day:
-            raise DayMismatch(
-                f"quotes labelled day {self.day} wrap rate matrices for days "
-                f"{self.open_rates.day} and {self.close_rates.day}"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.open_rates.m
-
-    @classmethod
-    def from_grids(cls, day: int, open_grid, close_grid) -> "DailyQuotes":
-        return cls(
-            day=day,
-            open_rates=RateMatrix(day=day, entries=open_grid),
-            close_rates=RateMatrix(day=day, entries=close_grid),
-        )
-
-
-@dataclass(frozen=True)
 class ReturnMatrix:
     """Price relatives for one day: zero diagonal, at most one of each mirrored pair set."""
 
@@ -322,6 +278,9 @@ class ReturnMatrix:
         return self.entries.shape[0]
 
 
-def compute_return_matrix(quotes: DailyQuotes) -> ReturnMatrix:
-    """Price relatives of one day: compute_returns of its one-day stack."""
-    return compute_returns(QuoteStack([quotes.day], [quotes.open_rates.entries], [quotes.close_rates.entries]))[0]
+def compute_return_matrix(open_rates: RateMatrix, close_rates: RateMatrix) -> ReturnMatrix:
+    """Price relatives of one day from its opening and closing rates: compute_returns of its one-day stack."""
+    if open_rates.day != close_rates.day:
+        raise DayMismatch(f"open rates are for day {open_rates.day} but close rates are for day {close_rates.day}")
+    returns = compute_returns(QuoteStack([open_rates.day], [open_rates.entries], [close_rates.entries]))
+    return ReturnMatrix(day=open_rates.day, entries=returns.grids[0])

@@ -210,38 +210,20 @@ _BISECT_TOL = 1e-12
 
 
 def bisect_cost(f_k: float, drift_weights: np.ndarray, next_weights: np.ndarray, c: float) -> float:
-    """Root of c * sum|f_k w - f_k w' - T w| - T by bisection.
+    """Root of c * sum|f_k w - f_k w' - T w| - T by bisection: bisect_costs of a batch of one.
 
     Kept deliberately separate from the production fixed-point iteration
     so the two can check each other.
     """
-    if c == 0.0:
-        return 0.0
-    held = f_k * drift_weights
-    target = f_k * next_weights
-
-    def residual(t: float) -> float:
-        return c * float(np.sum(np.abs(target - held - t * next_weights))) - t
-
-    lo = 0.0
-    hi = c / (1.0 - c) * f_k * float(np.sum(np.abs(next_weights - drift_weights))) + 1e-6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return float(bisect_costs(np.array([f_k]), np.array([drift_weights]), np.array([next_weights]), np.array([c]))[0])
 
 
 def bisect_costs(f_k: np.ndarray, drift_weights: np.ndarray, next_weights: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """bisect_cost for each row of a batch: row b bisects with f_k[b], its grids and c[b].
+    """The root T of c * sum|f_k w - f_k w' - T w| - T for each row of a batch: row b with f_k[b], its grids and c[b].
 
-    Every row keeps its own bracket and stopping test and stops moving once
-    that test holds, so each row is bit-equal to the scalar bisection.  Like
-    it, this shares no code with the production solves in costs.py.
+    Every row keeps its own bracket [0, c/(1-c) f_k sum|w - w'| + 1e-6] and
+    stopping test and stops moving once that test holds; a row with c = 0
+    is 0.  This shares no code with the production solves in costs.py.
     """
     flat = (len(f_k), math.prod(drift_weights.shape[1:]))
     gap = (f_k[:, None, None] * next_weights - f_k[:, None, None] * drift_weights).reshape(flat)

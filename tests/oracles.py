@@ -472,24 +472,24 @@ def json_text(obj) -> str:
 
 
 def rates_text(quotes) -> str:
-    out = ["day,i,j,open_rate,close_rate\n"]
-    for q in quotes:
-        for i in range(q.m):
-            for j in range(q.m):
+    out, m = ["day,i,j,open_rate,close_rate\n"], quotes.m
+    for day, open_grid, close_grid in zip(quotes.days.tolist(), quotes.open, quotes.close):
+        for i in range(m):
+            for j in range(m):
                 if i != j:
-                    o = format(float(q.open_rates.entries[i, j]), ".17g")
-                    c = format(float(q.close_rates.entries[i, j]), ".17g")
-                    out.append(f"{q.day},{i + 1},{j + 1},{o},{c}\n")
+                    o = format(float(open_grid[i, j]), ".17g")
+                    c = format(float(close_grid[i, j]), ".17g")
+                    out.append(f"{day},{i + 1},{j + 1},{o},{c}\n")
     return "".join(out)
 
 
 def returns_text(returns) -> str:
-    out = ["day,i,j,value\n"]
-    for r in returns:
-        for i in range(r.m):
-            for j in range(r.m):
+    out, m = ["day,i,j,value\n"], returns.m
+    for day, grid in zip(returns.days.tolist(), returns.grids):
+        for i in range(m):
+            for j in range(m):
                 if i != j:
-                    out.append(f"{r.day},{i + 1},{j + 1},{format(float(r.entries[i, j]), '.17g')}\n")
+                    out.append(f"{day},{i + 1},{j + 1},{format(float(grid[i, j]), '.17g')}\n")
     return "".join(out)
 
 
@@ -510,7 +510,7 @@ def oracle_ledger_text(ledger) -> str:
             "crossed": bool(ledger.pred_crossed_segment[k]),
             "psi": ledger.portfolios[k],
             "psi_prime": ledger.realized[k],
-            "R": ledger.returns[k].entries,
+            "R": ledger.returns.grids[k],
             "R_pred": ledger.predicted[k],
         }
         lines.append(json_text(record))

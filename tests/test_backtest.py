@@ -49,7 +49,7 @@ from fxfolio.errors import (
     NormalizationViolated,
     TooFewDays,
 )
-from fxfolio.market import ReturnMatrix, ReturnStack
+from fxfolio.market import RateMatrix, ReturnMatrix, ReturnStack
 from fxfolio.portfolio import PortfolioMatrix, relative_entropy, uniform_portfolio
 from fxfolio.updates import tilt
 
@@ -163,16 +163,16 @@ class TestLinearPredictor:
 
     def test_lag_one_echoes_last_day(self):
         history = constant_market(1.2, 3)
-        out = LinearPredictor((1.0,)).predict([r.entries for r in history])
-        np.testing.assert_array_equal(out, history[-1].entries)
+        out = LinearPredictor((1.0,)).predict(list(history.grids))
+        np.testing.assert_array_equal(out, history.grids[-1])
 
     def test_short_history_renormalizes(self):
         history = constant_market(1.2, 1)
-        out = LinearPredictor((0.5, 0.5)).predict([r.entries for r in history])
-        np.testing.assert_array_equal(out, history[0].entries)
+        out = LinearPredictor((0.5, 0.5)).predict(list(history.grids))
+        np.testing.assert_array_equal(out, history.grids[0])
 
     def test_zero_weight_prefix_makes_no_prediction(self):
-        grids = [r.entries for r in constant_market(1.2, 2)]
+        grids = list(constant_market(1.2, 2).grids)
         lagged = LinearPredictor((0.0, 1.0))
         assert lagged.predict([]) is None
         assert lagged.predict(grids[:1]) is None
@@ -227,7 +227,7 @@ class TestRunBacktest:
             prev = ledger.f0 if k == 0 else f[k - 1]
             assert fp[k] == pytest.approx(prev - ledger.cost[k], rel=1e-12)
             if not ledger.parked[k]:
-                diamond = float(np.sum(ledger.portfolios[k] * ledger.returns[k].entries))
+                diamond = float(np.sum(ledger.portfolios[k] * ledger.returns.grids[k]))
                 assert f[k] == pytest.approx(fp[k] * diamond, rel=1e-9)
 
     def test_parked_day_carries_weights(self):
@@ -423,10 +423,16 @@ class TestMarketIsAStack:
     )
     @pytest.mark.parametrize("kind", ["returns", "quotes"])
     def test_refuses_a_list(self, tmp_path, call, expected, kind):
-        market = constant_market(1.1, 3) if kind == "returns" else generate_market(SyntheticMarketSpec(m=2, n_days=3, seed=1))
+        if kind == "returns":
+            market = constant_market(1.1, 3)
+            one_day = [ReturnMatrix(day=d, entries=g) for d, g in zip(market.days.tolist(), market.grids)]
+        else:
+            market = generate_market(SyntheticMarketSpec(m=2, n_days=3, seed=1))
+            one_day = [(RateMatrix(day=d, entries=o), RateMatrix(day=d, entries=c))
+                       for d, o, c in zip(market.days.tolist(), market.open, market.close)]
         path = tmp_path / "out.csv"
         with pytest.raises(InvalidParams, match=f"^market must be a {expected}, got list$"):
-            call(list(market), path)
+            call(one_day, path)
         assert not path.exists()
 
 
@@ -520,7 +526,7 @@ class TestUniversalityGap:
             universality_gap(led, (0, 1), 0.5)
 
     def test_names_the_first_unnormalized_day(self):
-        rets = stacked(list(constant_market(1.0, 2)) + [upper_only(0.4, 3), upper_only(1.3, 4)])
+        rets = stacked([upper_only(1.0, 1), upper_only(1.0, 2), upper_only(0.4, 3), upper_only(1.3, 4)])
         led = stub_ledger([1.0] * 4, [0.0] * 4, config=self.trivial_config(), returns=rets)
         with pytest.raises(NormalizationViolated, match=r"^day 3: pair return sums in \[0.4, 0.4\] violate"):
             universality_gap(led, (0, 1), 0.5)
@@ -528,16 +534,17 @@ class TestUniversalityGap:
     @given(st.integers(0, 1000), st.lists(st.integers(0, 29), min_size=1, max_size=3), st.sampled_from([0.4, 0.9, 1.2]))
     @settings(max_examples=40, deadline=None)
     def test_first_unnormalized_day_matches_a_day_by_day_scan(self, seed, days, factor):
-        rets = list(normalized_market(seed, m=3, n_days=30))
+        market = normalized_market(seed, m=3, n_days=30)
+        grids = market.grids.copy()
         for d in days:
-            rets[d] = ReturnMatrix(day=rets[d].day, entries=rets[d].entries * factor)
+            grids[d] *= factor
         first = None
-        for r in rets:
-            sums = [r.entries[i, j] + r.entries[j, i] for i in range(3) for j in range(i + 1, 3)]
+        for day, r in zip(market.days.tolist(), grids):
+            sums = [r[i, j] + r[j, i] for i in range(3) for j in range(i + 1, 3)]
             if abs(max(sums) - 1.0) > 1e-9 or min(sums) < 0.5 - 1e-9:
-                first = r.day
+                first = day
                 break
-        led = stub_ledger([1.0] * 30, [0.0] * 30, m=3, config=self.trivial_config(), returns=stacked(rets))
+        led = stub_ledger([1.0] * 30, [0.0] * 30, m=3, config=self.trivial_config(), returns=ReturnStack(market.days, grids))
         with pytest.raises(NormalizationViolated, match=rf"^day {first}: "):
             universality_gap(led, (0, 1), 0.5)
 
@@ -551,7 +558,7 @@ class TestUniversalityGap:
         gaps = []
         for n in checkpoints:
             ledger = run_backtest(
-                rets[:n],
+                ReturnStack(rets.days[:n], rets.grids[:n]),
                 predictor=LinearPredictor((1.0,)),
                 update=UpdateConfig(rule="iitc", gamma=0.1),
                 schedule=GammaSchedule(mode="block-decaying", block_unit=5),

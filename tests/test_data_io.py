@@ -53,7 +53,7 @@ from fxfolio.errors import (
     NonMonotoneDays,
     ParseError,
 )
-from fxfolio.market import QuoteStack, ReturnStack, compute_returns
+from fxfolio.market import QuoteStack, ReturnMatrix, ReturnStack, compute_returns
 
 
 GOOD_RATES = """day,i,j,open_rate,close_rate
@@ -103,9 +103,13 @@ def test_corrupted_column_is_named(tmp_path, reader, text, col, token):
 class TestRatesFiles:
     def test_happy_path(self, tmp_path):
         quotes = load_rates(write_text(tmp_path / "r.csv", GOOD_RATES))
-        assert [q.day for q in quotes] == [1, 2]
-        assert quotes[0].open_rates.entries[0, 1] == 1.4
-        assert quotes[1].close_rates.entries[1, 0] == 0.69
+        assert len(quotes) == 2 and quotes.m == 2
+        assert quotes.days.tolist() == [1, 2]
+        assert quotes.open[0, 0, 1] == 1.4
+        assert quotes.close[1, 1, 0] == 0.69
+        for grids in (quotes.days, quotes.open, quotes.close, quotes.returns.days, quotes.returns.grids):
+            with pytest.raises(ValueError):
+                grids[0, ...] = 2
 
     def test_round_trip(self, tmp_path):
         quotes = generate_market(SyntheticMarketSpec(m=3, n_days=6, seed=2))
@@ -113,10 +117,9 @@ class TestRatesFiles:
         write_rates(quotes, path)
         back = load_rates(path)
         assert len(back) == 6
-        for q, b in zip(quotes, back):
-            assert b.day == q.day
-            np.testing.assert_array_equal(b.open_rates.entries, q.open_rates.entries)
-            np.testing.assert_array_equal(b.close_rates.entries, q.close_rates.entries)
+        np.testing.assert_array_equal(back.days, quotes.days)
+        np.testing.assert_array_equal(back.open, quotes.open)
+        np.testing.assert_array_equal(back.close, quotes.close)
 
     def test_returns_are_computed_once_per_load(self, tmp_path, monkeypatch):
         path = tmp_path / "gen.csv"
@@ -169,9 +172,8 @@ class TestReturnsFiles:
         write_returns(rets, path)
         back = read_returns(path)
         assert len(back) == len(rets)
-        for r, b in zip(rets, back):
-            assert b.day == r.day
-            np.testing.assert_array_equal(b.entries, r.entries)
+        np.testing.assert_array_equal(back.days, rets.days)
+        np.testing.assert_array_equal(back.grids, rets.grids)
 
     def test_read_validates_complementarity(self, tmp_path):
         text = "day,i,j,value\n1,1,2,1.2\n1,2,1,1.1\n"
@@ -183,9 +185,8 @@ class TestGenerateMarket:
     def test_deterministic(self, tmp_path):
         spec = SyntheticMarketSpec(m=4, n_days=20, seed=11)
         a, b = generate_market(spec), generate_market(spec)
-        for qa, qb in zip(a, b):
-            np.testing.assert_array_equal(qa.open_rates.entries, qb.open_rates.entries)
-            np.testing.assert_array_equal(qa.close_rates.entries, qb.close_rates.entries)
+        np.testing.assert_array_equal(a.open, b.open)
+        np.testing.assert_array_equal(a.close, b.close)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_rates(a, p1)
         write_rates(b, p2)
@@ -194,22 +195,21 @@ class TestGenerateMarket:
     def test_spread_is_two_epsilon(self):
         eps = 0.004
         quotes = generate_market(SyntheticMarketSpec(m=3, n_days=15, seed=8, spread_epsilon=eps))
-        for q in quotes:
-            for grid in (q.open_rates.entries, q.close_rates.entries):
-                iu, ju = np.triu_indices(3, k=1)
-                np.testing.assert_allclose(grid[iu, ju] - grid[ju, iu], 2 * eps, atol=1e-15)
+        iu, ju = np.triu_indices(3, k=1)
+        for grids in (quotes.open, quotes.close):
+            np.testing.assert_allclose(grids[:, iu, ju] - grids[:, ju, iu], 2 * eps, atol=1e-15)
 
     def test_normalize_mode_hits_the_band(self):
         spec = SyntheticMarketSpec(m=4, n_days=50, seed=13, normalize=True, r_floor=0.5)
         rets = normalized_returns(generate_market(spec))
-        for r in rets:
-            sums = r.entries + r.entries.T
-            iu, ju = np.triu_indices(r.m, k=1)
+        iu, ju = np.triu_indices(rets.m, k=1)
+        for entries in rets.grids:
+            sums = entries + entries.T
             pair_sums = sums[iu, ju]
             assert pair_sums.max() == 1.0
             assert pair_sums.min() >= 0.5
             # Quote-induced profits always sit above the diagonal.
-            assert np.all(np.tril(r.entries, k=-1) == 0.0)
+            assert np.all(np.tril(entries, k=-1) == 0.0)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
@@ -272,15 +272,14 @@ class TestOrderProcess:
         a = generate_order_process(spec)
         b = generate_order_process(spec)
         assert a[1].tolist() == b[1].tolist()
-        for ra, rb in zip(a[0], b[0]):
-            np.testing.assert_array_equal(ra.entries, rb.entries)
+        np.testing.assert_array_equal(a[0].grids, b[0].grids)
 
     def test_matrices_realize_labels(self):
         spec = SyntheticOrderSpec(segment_count=60, segment_length=5, masses=symmetric_masses(0.6), seed=3)
         matrices, labels = generate_order_process(spec)
         assert len(matrices) == 300
-        for r, lab in zip(matrices, labels):
-            assert order_of(r) == lab
+        for day, grid, lab in zip(matrices.days.tolist(), matrices.grids, labels):
+            assert order_of(ReturnMatrix(day=day, entries=grid)) == lab
 
     def test_degenerate_target_pins_the_class(self):
         spec = SyntheticOrderSpec(segment_count=200, segment_length=5, masses=(1.0, 0.0, 0.0, 0.0), seed=5)
@@ -428,7 +427,7 @@ class TestLedgerFiles:
         for k in range(ledger.n_days):
             np.testing.assert_array_equal(back.portfolios[k], ledger.portfolios[k])
             np.testing.assert_array_equal(back.realized[k], ledger.realized[k])
-            np.testing.assert_array_equal(back.returns[k].entries, ledger.returns[k].entries)
+            np.testing.assert_array_equal(back.returns.grids[k], ledger.returns.grids[k])
             if ledger.predicted[k] is None:
                 assert back.predicted[k] is None
             else:
@@ -736,6 +735,12 @@ class TestDamagedLedgerAndSummaryFiles:
             (2, lambda line: re.sub(rb'"diamond":[^,]+', b'"diamond":Infinity', line),
              r"line 3: key 'diamond': bad value: inf is not finite"),
             (0, lambda line: line.replace(b'"f0":1,"config"', b'"f0":NaN,"config"'), r"line 1: key 'f0': bad value: nan is not finite"),
+            (0, lambda line: re.sub(rb'"gamma":[^}]+', b'"gamma":NaN', line), r"line 1: key 'config': bad value: nan is not finite$"),
+            (0, lambda line: re.sub(rb'"gamma":[^}]+', b'"gamma":Infinity', line), r"line 1: key 'config': bad value: inf is not finite$"),
+            (0, lambda line: re.sub(rb'"gamma":[^}]+', b'"gamma":1e400', line), r"line 1: key 'config': bad value: inf is not finite$"),
+            (0, lambda line: re.sub(rb'"gamma":[^}]+', b'"gamma":[0.5,{"lag":[1,-Infinity]}]', line),
+             r"line 1: key 'config': bad value: -inf is not finite$"),
+            (0, lambda line: line.replace(b'"config":{', b'"config":[1],"was":{'), r"line 1: key 'config': bad value: \[1\] is not a JSON object$"),
             # JSON -0 reads as -0.0, so integer fields refuse it.
             (1, lambda line: line.replace(b'"day":1,', b'"day":-0,'), r"line 2: key 'day': bad value: -0.0 is not a JSON integer"),
             (2, lambda line: re.sub(rb'"order_actual":\d', b'"order_actual":-0', line),
@@ -748,7 +753,8 @@ class TestDamagedLedgerAndSummaryFiles:
             "string crossed", "int crossed", "string F", "bool T", "negative diamond", "nan diamond",
             "order_pred without R_pred", "order_pred 2 with R_pred nulled", "R_pred without order_pred",
             "crossed without order_pred", "nan F", "infinite Fp", "overflowing T", "negative infinite c", "infinite diamond",
-            "nan f0", "negative zero day", "negative zero order",
+            "nan f0", "nan config", "infinite config", "overflowing config", "nested infinite config", "list config",
+            "negative zero day", "negative zero order",
         ],
     )
     def test_ledger_errors_are_typed(self, tmp_path, written, index, edit, message):

@@ -16,7 +16,6 @@ from fxfolio.errors import (
     SpreadViolation,
 )
 from fxfolio.market import (
-    DailyQuotes,
     QuoteStack,
     RateMatrix,
     ReturnMatrix,
@@ -33,7 +32,8 @@ def rates(day, grid):
 
 
 def quotes(day, open_grid, close_grid):
-    return DailyQuotes.from_grids(day, np.array(open_grid, dtype=float), np.array(close_grid, dtype=float))
+    """The day's opening and closing RateMatrix, the two arguments of compute_return_matrix."""
+    return rates(day, open_grid), rates(day, close_grid)
 
 
 def random_quotes(rng, m, day=1):
@@ -46,7 +46,7 @@ def random_quotes(rng, m, day=1):
         grid[iu, ju] = mids + eps
         grid[ju, iu] = mids - eps
         out.append(grid)
-    return DailyQuotes.from_grids(day, out[0], out[1])
+    return rates(day, out[0]), rates(day, out[1])
 
 
 class TestRateMatrix:
@@ -77,19 +77,19 @@ class TestRateMatrix:
 class TestComputeReturnMatrix:
     def test_profitable_pair(self):
         q = quotes(1, [[1.0, 1.0], [0.7, 1.0]], [[1.0, 0.9], [0.8, 1.0]])
-        r = compute_return_matrix(q)
+        r = compute_return_matrix(*q)
         assert r.entries[0, 1] == pytest.approx(1.25, abs=1e-12)
         assert r.entries[1, 0] == 0.0
 
     def test_unprofitable_pair_is_zero(self):
         q = quotes(1, [[1.0, 0.8], [0.6, 1.0]], [[1.0, 1.1], [1.0, 1.0]])
-        r = compute_return_matrix(q)
+        r = compute_return_matrix(*q)
         assert r.entries[0, 1] == 0.0
 
     def test_flat_day_fires_at_spread_ratio(self):
         # Unchanged quotes still leave open-sell above close-buy by the spread.
         grid = [[1.0, 1.2], [0.9, 1.0]]
-        r = compute_return_matrix(quotes(1, grid, grid))
+        r = compute_return_matrix(*quotes(1, grid, grid))
         assert r.entries[0, 1] == pytest.approx(1.2 / 0.9, rel=1e-12)
         assert r.entries[1, 0] == 0.0
 
@@ -99,7 +99,7 @@ class TestComputeReturnMatrix:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 6))
         try:
-            r = compute_return_matrix(random_quotes(rng, m))
+            r = compute_return_matrix(*random_quotes(rng, m))
         except ComplementarityViolation:
             return  # random walks may cross the spread; flagged, not silently fixed
         assert np.all(np.diag(r.entries) == 0.0)
@@ -126,8 +126,6 @@ def day_bits(days):
         return [(int(d), (o.tobytes(), c.tobytes())) for d, o, c in zip(days.days, days.open, days.close)]
     if isinstance(days, ReturnStack):
         return [(int(d), (g.tobytes(),)) for d, g in zip(days.days, days.grids)]
-    if isinstance(days, DailyQuotes):
-        return [(days.day, (days.open_rates.entries.tobytes(), days.close_rates.entries.tobytes()))]
     if isinstance(days, (RateMatrix, ReturnMatrix)):
         return [(days.day, (days.entries.tobytes(),))]
     return [(day, tuple(np.asarray(g, dtype=float).tobytes() for g in grids)) for day, grids in days]
@@ -198,7 +196,7 @@ class TestStacksAgainstDayByDay:
         for day, o, c in zip(*market):
             day = int(day)
             assert outcome(RateMatrix, day, o) == outcome(checked_rates, day, o)
-            got = outcome(lambda: compute_return_matrix(DailyQuotes.from_grids(day, o, c)))
+            got = outcome(lambda: compute_return_matrix(RateMatrix(day, o), RateMatrix(day, c)))
             assert got == outcome(oracles.compute_returns_day_by_day, [day], [o], [c])
 
     @given(
@@ -227,18 +225,6 @@ class TestStacksAgainstDayByDay:
         for day, grid in zip(days, grids):
             assert outcome(ReturnMatrix, int(day), grid) == outcome(oracles.returns_day_by_day, [day], [grid])
 
-    def test_indexing_gives_the_one_day_objects(self):
-        market = generate_market(SyntheticMarketSpec(m=3, n_days=5, seed=4))
-        assert len(market) == 5 and market.m == 3
-        assert isinstance(market[2], DailyQuotes) and market[2].day == 3
-        np.testing.assert_array_equal(market[-1].close_rates.entries, market.close[4])
-        assert isinstance(market[1:3], QuoteStack) and market[1:3].days.tolist() == [2, 3]
-        returns = compute_returns(market)
-        assert isinstance(returns[0], ReturnMatrix)
-        assert [r.day for r in returns] == [1, 2, 3, 4, 5]
-        with pytest.raises(ValueError):
-            returns.grids[0, 0, 1] = 2.0
-
 
 # ---------------------------------------------------------------------------
 # The exact class and message of each rule, on hand-made grids of day 7.
@@ -257,10 +243,10 @@ def edited(grid, *cells):
 
 
 def rate_calls(o, c):
-    """The stack, the one-day object and the oracle, each checking day 7's open and close quotes."""
+    """The stack, the one-day objects (open, then close) and the oracle, each checking day 7's open and close quotes."""
     return [
         ("stack", lambda: QuoteStack([7], [o], [c])),
-        ("day", lambda: DailyQuotes.from_grids(7, o, c)),
+        ("day", lambda: (RateMatrix(day=7, entries=o), RateMatrix(day=7, entries=c))),
         ("oracle", lambda: oracles.quotes_day_by_day([7], [o], [c])),
     ]
 
@@ -276,7 +262,7 @@ def return_calls(r):
 def computed_calls(o, c):
     return [
         ("stack", lambda: compute_returns(QuoteStack([7], [o], [c]))),
-        ("day", lambda: compute_return_matrix(DailyQuotes.from_grids(7, o, c))),
+        ("day", lambda: compute_return_matrix(RateMatrix(day=7, entries=o), RateMatrix(day=7, entries=c))),
         ("oracle", lambda: oracles.compute_returns_day_by_day([7], [o], [c])),
     ]
 
@@ -315,6 +301,19 @@ SHAPE = "expected 1 square grids of size >= 2 for days of shape (1,), got shape 
 TABLE += [
     pytest.param(lambda: RateMatrix(day=7, entries=np.ones((2, 3))), DayMismatch, SHAPE, id="rate-shape-day"),
     pytest.param(lambda: ReturnMatrix(day=7, entries=np.zeros((2, 3))), DayMismatch, SHAPE, id="return-shape-day"),
+]
+# Open and close quotes of different sizes, in either order, and a one-day pair quoted on two days.
+OPEN_4 = np.eye(4) + np.triu(np.full((4, 4), 1.2), 1) + np.tril(np.full((4, 4), 0.8), -1)
+SIZES = "open grids have shape (1, {0}, {0}) but close grids have shape (1, {1}, {1})"
+TABLE += [
+    pytest.param(lambda: QuoteStack([7], [OPEN], [OPEN_4]), DayMismatch, SIZES.format(3, 4), id="open-3-close-4-stack"),
+    pytest.param(lambda: QuoteStack([7], [OPEN_4], [CLOSE]), DayMismatch, SIZES.format(4, 3), id="open-4-close-3-stack"),
+    pytest.param(lambda: compute_return_matrix(RateMatrix(day=7, entries=OPEN), RateMatrix(day=7, entries=OPEN_4)),
+                 DayMismatch, SIZES.format(3, 4), id="open-3-close-4-day"),
+    pytest.param(lambda: compute_return_matrix(RateMatrix(day=7, entries=OPEN_4), RateMatrix(day=7, entries=CLOSE)),
+                 DayMismatch, SIZES.format(4, 3), id="open-4-close-3-day"),
+    pytest.param(lambda: compute_return_matrix(RateMatrix(day=7, entries=OPEN), RateMatrix(day=8, entries=CLOSE)),
+                 DayMismatch, "open rates are for day 7 but close rates are for day 8", id="two-days-day"),
 ]
 
 

@@ -46,6 +46,7 @@ LEDGER = "tests/test_data_io.py::TestLedgerBytes"
 FIXED_POINT = "tests/test_costs.py::TestFixedPointOracle"
 BLOCKS = "tests/test_data_io.py::TestRowBlocks"
 WEIGHTS = "tests/test_portfolio.py::TestWeightRules"
+DAMAGED = "tests/test_data_io.py::TestDamagedLedgerAndSummaryFiles::test_ledger_errors_are_typed"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -74,6 +75,13 @@ MUTANTS = (
         "for grids in stacks for rule in _rate_rules(grids)",
         "for grids in stacks[::-1] for rule in _rate_rules(grids)",
         (f"{TABLE}[open-before-close-stack]", f"{TABLE}[open-before-close-day]"),
+    ),
+    Mutant(
+        "open and close grids of different sizes let through",
+        "src/fxfolio/market.py",
+        "if opens.shape != closes.shape:",
+        "if False:",
+        (f"{TABLE}[open-3-close-4-stack]", f"{TABLE}[open-4-close-3-day]"),
     ),
     Mutant(
         "a later pair firing both ways reported before an earlier overflow",
@@ -236,6 +244,13 @@ MUTANTS = (
         "dtype=object)[inverse]",
         "dtype=object)[inverse - 1]",
         (f"{LEDGER}::test_runs_of_any_length",),
+    ),
+    Mutant(
+        "read_ledger lets non-finite config numbers through",
+        "src/fxfolio/data_io.py",
+        'config=field(meta_ln, meta, "config", _config),',
+        'config=field(meta_ln, meta, "config", dict),',
+        (f"{DAMAGED}[nan config]", f"{DAMAGED}[nested infinite config]"),
     ),
     Mutant(
         "read_ledger reads -0 as the int 0",
