@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import CostParams, solve_cost_from_drift, solve_costs_from_drift
+from .costs import CostParams, fixed_point_costs, solve_cost_from_drift
 from .crossrate import PredictorConfig, grid_orders, predicted_references, referenced_orders
 from .errors import (
     CostRatioAtLeastOne,
@@ -342,20 +342,32 @@ class Sweep:
     next_portfolio: np.ndarray
 
 
+# Days of per-day books a sweep holds at once, so its memory does not grow with the run.
+_SWEEP_BLOCK = 256
+
+
 def sweep(
     market: QuoteStack | ReturnStack,
     predictor: PredictorConfig | LinearPredictor | None,
     members: Sequence[tuple[UpdateConfig, CostParams]],
     f0: float = 1.0,
 ) -> Sweep:
-    """run_backtest for each (update, costs) member at once, on (B, m, m) arrays.
+    """run_backtest for each (update, costs) member at once, as a weight pass and a capital pass.
 
     The members share the market, the predictor's one prediction phase
     and f0, and each runs at its own constant learning rate.  Row b of
     every column is bit-equal to run_backtest(market, predictor,
-    *members[b], f0=f0)'s; no per-day books are kept.  run_backtest stays
-    the loop for a single configuration: at B = 1 this one costs more
-    per day.
+    *members[b], f0=f0)'s, and so is every error, with its day.
+
+    The drift and the tilt never read capital or cost, so members that
+    share (rule, gamma, support floor), and all members at gamma 0, share
+    one weight trajectory.  Over each block of _SWEEP_BLOCK days the
+    weight pass runs the drift, parking and tilt once per trajectory and
+    keeps each day's drift, growth and next book.  Then the capital pass
+    runs each member over the block: at c = 0 capital is a running
+    product of the growth factors; at c > 0 it is a loop over the days
+    with one cost solve per day.  run_backtest stays the loop for a single
+    configuration: at B = 1 this one costs more per day.
     """
     rets = _returns(market, f0)
     n = len(rets)
@@ -363,54 +375,72 @@ def sweep(
     b = len(members)
     if b == 0:
         raise InvalidParams("a sweep needs at least one member")
-    eiitc = np.array([update.rule == "eiitc" for update, _ in members])
-    gamma = np.array([update.gamma for update, _ in members], dtype=float)
-    floor = np.array([update.support_floor for update, _ in members], dtype=float)
+    # One weight trajectory per distinct (rule, gamma, support floor); every member at gamma 0 only drifts.
+    keys = [
+        (update.rule, update.gamma, update.support_floor) if update.gamma > 0.0 else "drift" for update, _ in members
+    ]
+    # Rows in the order of each key's first member, so the first row to fail holds the first member to fail.
+    row_of = {key: s for s, key in enumerate(dict.fromkeys(keys))}
+    traj = np.array([row_of[key] for key in keys])
+    firsts = [members[keys.index(key)][0] for key in row_of]
+    eiitc = np.array([update.rule == "eiitc" for update in firsts])
+    gamma = np.array([update.gamma for update in firsts], dtype=float)
+    floor = np.array([update.support_floor for update in firsts], dtype=float)
     fee = np.array([costs.c for _, costs in members], dtype=float)
+    free, paid = np.flatnonzero(fee == 0.0), np.flatnonzero(fee != 0.0)
+    fee_paid = fee[paid]
 
     columns = np.empty((5, b, n))
     f_col, fp_col, t_col, c_col, g_col = columns
     grids = rets.grids
     preds = predict(rets, predictor).grids
     first = uniform_portfolio(m, day=1).weights
-    psi = np.repeat(first[None], b, axis=0)
-    f_prev = np.full(b, float(f0))
-    t_charge = np.zeros(b)
+    psi = np.repeat(first[None], len(row_of), axis=0)
+    t_charge = np.zeros(len(paid))
 
-    for k in range(1, n + 1):
-        fp = f_prev - t_charge
-        if np.any(fp <= 0.0):
-            i = int(np.argmax(fp <= 0.0))
-            raise NonPositiveCapital(
-                f"day {k}: costs of {float(t_charge[i])!r} exhaust capital {float(f_prev[i])!r}"
-            )
-        held = psi * grids[k - 1]
-        diamond = held.reshape(b, m * m).sum(axis=1)
-        live = diamond > 0.0
-        if live.all():
-            f_k = fp * diamond
-            drift = held / diamond[:, None, None]
-            growth = diamond
-        else:
-            f_k = np.where(live, fp * diamond, fp)
-            drift = np.where(live[:, None, None], held / np.where(live, diamond, 1.0)[:, None, None], psi)
-            growth = np.where(live, diamond, 1.0)
+    for start in range(0, n, _SWEEP_BLOCK):
+        carried = f_col[:, start - 1] if start else np.full(b, float(f0))
+        end = min(start + _SWEEP_BLOCK, n)
+        drifts, books, growth, overflow = _weight_pass(grids, preds, start, end, psi, eiitc, gamma, floor)
+        days = len(growth)
+        span = slice(start, start + days)
+        g_col[:, span] = growth[:, traj].T
 
-        day_idx = k - 1
-        f_col[:, day_idx] = f_k
-        fp_col[:, day_idx] = fp
-        t_col[:, day_idx] = t_charge
-        c_col[:, day_idx] = 0.0 if k == 1 else t_charge / f_prev
-        g_col[:, day_idx] = growth
+        # c = 0: no cost is ever charged, so F_k = F_{k-1} * g_k, a running product.  It may
+        # run past a day that fails; an overflow is refused below, on its day.
+        with np.errstate(over="ignore"):
+            free_f = np.multiply.accumulate(np.concatenate((carried[None, free], growth[:, traj[free]])), axis=0)[1:]
+        f_col[free, span] = free_f.T
+        free_bad = (~np.isfinite(free_f) | (free_f <= 0.0)).any(axis=1)
+        # The day a c = 0 member fails or a tilt overflows, if any: no later day is reached.
+        last = min(int(np.argmax(free_bad)) if free_bad.any() else days, days - 1 if overflow else days)
 
-        pred_next = preds[k]
-        psi = drift if pred_next is None else tilts(eiitc, drift, pred_next, gamma, floor)
-        try:
-            t_charge = solve_costs_from_drift(f_k, drift, psi, fee)
-        except NonPositiveCapital as exc:
-            raise NonPositiveCapital(f"day {k}: {exc}") from None
-        f_prev = f_k
+        # c > 0: one cost solve a day, on the targets normalized for the whole block at once.
+        w_next = books[:, traj[paid]].reshape(len(books), len(paid), m * m)
+        w_next /= np.add.reduce(w_next, 2)[:, :, None]
+        drift_paid = drifts[:, traj[paid]].reshape(days, len(paid), m * m)
+        growth_paid = growth[:, traj[paid]]
+        fp_blk, f_blk, t_blk = np.empty((3, days, len(paid)))
+        f_prev = carried[paid]
+        # With no c > 0 member, only the day that fails needs its checks.
+        for d in range(0 if len(paid) else last, min(last + 1, days)):
+            fp = np.subtract(f_prev, t_charge, out=fp_blk[d])
+            f_k = np.multiply(fp, growth_paid[d], out=f_blk[d])
+            # The growth is > 0, so an fp <= 0 shows as an f_k <= 0: a day whose capital is all
+            # finite and > 0 passes every check, and only the others need them.
+            if d == last or not (0.0 < f_k.min() and f_k.max() < np.inf):
+                day_overflow = overflow if d == days - 1 else None
+                _check_day(start + d + 1, f_prev, t_charge, day_overflow, free, free_f[d], paid, f_k)
+            t_blk[d] = t_charge
+            t_charge = fixed_point_costs(f_k, drift_paid[d], w_next[d], fee_paid)
+            f_prev = f_k
+        fp_col[paid, span], f_col[paid, span], t_col[paid, span] = fp_blk.T, f_blk.T, t_blk.T
+        psi = books[-1]
 
+    prev_f = np.concatenate((np.full((b, 1), float(f0)), f_col[:, :-1]), axis=1)
+    fp_col[free] = prev_f[free]
+    t_col[free] = 0.0
+    np.divide(t_col, prev_f, out=c_col)
     return Sweep(
         capital=f_col,
         capital_net=fp_col,
@@ -418,8 +448,58 @@ def sweep(
         ratio=c_col,
         growth=g_col,
         first_portfolio=first,
-        next_portfolio=psi,
+        next_portfolio=psi[traj],
     )
+
+
+def _check_day(k, f_prev, t_charge, overflow, free, free_f, paid, paid_f):
+    """Raise what run_backtest raises on day k, if anything: exhausted capital, then the tilt's overflow, then capital.
+
+    f_prev and t_charge are the c > 0 members' capital and charge before
+    the day; free_f and paid_f are every member's capital after it.
+    """
+    exhausted = f_prev - t_charge <= 0.0
+    if exhausted.any():
+        i = int(np.argmax(exhausted))
+        raise NonPositiveCapital(f"day {k}: costs of {float(t_charge[i])!r} exhaust capital {float(f_prev[i])!r}")
+    if overflow:
+        raise overflow
+    every = np.empty(len(free) + len(paid))
+    every[free], every[paid] = free_f, paid_f
+    bad = ~np.isfinite(every) | (every <= 0.0)
+    if bad.any():
+        value = float(every[np.argmax(bad)])
+        raise NonPositiveCapital(f"day {k}: capital must be finite and > 0, got {value!r}")
+
+
+def _weight_pass(grids, preds, start, stop, psi, eiitc, gamma, floor):
+    """Days start+1..stop of each weight trajectory from the book psi: every day's drift, growth and next book.
+
+    A tilt that overflows ends the pass on its day; it comes back, not
+    raised, with that day's drift and growth and no book for it.
+    """
+    rows, m = psi.shape[0], psi.shape[1]
+    drifts = np.empty((stop - start, rows, m, m))
+    books = np.empty_like(drifts)
+    growth = np.empty((stop - start, rows))
+    for d in range(stop - start):
+        held = psi * grids[start + d]
+        diamond = np.add.reduce(held.reshape(rows, m * m), 1)
+        if diamond.min() > 0.0:
+            drift = held / diamond[:, None, None]
+            growth[d] = diamond
+        else:
+            live = diamond > 0.0
+            drift = np.where(live[:, None, None], held / np.where(live, diamond, 1.0)[:, None, None], psi)
+            growth[d] = np.where(live, diamond, 1.0)
+        drifts[d] = drift
+        pred = preds[start + d + 1]
+        try:
+            psi = drift if pred is None else tilts(eiitc, drift, pred, gamma, floor)
+        except InvalidParams as exc:
+            return drifts[: d + 1], books[:d], growth[: d + 1], exc
+        books[d] = psi
+    return drifts, books, growth, None
 
 
 def _predictor_config(predictor) -> dict:
@@ -534,8 +614,9 @@ def universality_gap(ledger: BacktestLedger, pair: tuple[int, int], r_floor: flo
     check_normalized(ledger.returns, r_floor)
     i, j = pair
     return pair_gap(
-        ledger.growth,
-        ledger.ratio,
+        row_growth_rate_net(ledger.growth, ledger.ratio),
+        float(np.mean(np.log1p(-ledger.ratio))),
+        ledger.n_days,
         single_pair_growth_rate(ledger.returns, i, j),
         float(ledger.portfolios[0][i, j]),
         float(ledger.next_portfolio[i, j]),
@@ -562,8 +643,9 @@ def check_normalized(returns: ReturnStack, r_floor: float) -> None:
 
 
 def pair_gap(
-    growth: np.ndarray,
-    ratio: np.ndarray,
+    net_rate: float,
+    log_cost: float,
+    n_days: int,
     benchmark: float,
     psi_first: float,
     psi_after: float,
@@ -572,7 +654,11 @@ def pair_gap(
     gamma: float,
     r_floor: float,
 ) -> GapResult:
-    """The gap inequality of one run's growth and cost-ratio columns against one pair's benchmark.
+    """The gap inequality of one run against one pair's benchmark.
+
+    net_rate is the run's row_growth_rate_net and log_cost the mean of its
+    log(1 - c_k) over its n_days days, so a caller checking many pairs of
+    one run computes them once.
 
     rhs = (1/N) log(psi_1_ij / psi_{N+1}_ij) + (1/N) sum log(1 - c_k)
           + gamma * r_floor - gamma            (iitc)
@@ -583,13 +669,7 @@ def pair_gap(
             f"pair ({pair[0]}, {pair[1]}) has weight {psi_first!r} on day 1 and {psi_after!r} after the run; "
             "the guarantee needs both positive"
         )
-    n = len(growth)
     penalty = gamma if rule == "iitc" else gamma / r_floor
-    rhs = (
-        (math.log(psi_first) - math.log(psi_after)) / n
-        + float(np.mean(np.log1p(-ratio)))
-        + gamma * r_floor
-        - penalty
-    )
-    lhs = row_growth_rate_net(growth, ratio) - benchmark
+    rhs = (math.log(psi_first) - math.log(psi_after)) / n_days + log_cost + gamma * r_floor - penalty
+    lhs = net_rate - benchmark
     return GapResult(lhs_gap=lhs, rhs_bound=rhs, holds=bool(lhs >= rhs - _GAP_TOL))

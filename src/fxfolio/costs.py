@@ -78,26 +78,40 @@ def solve_costs_from_drift(
 ) -> np.ndarray:
     """solve_cost_from_drift for each row of a batch: row b solves with f_k[b], its grids and c[b].
 
-    Every row iterates from T = 0 with its own stopping test and keeps the
-    iterate at which it first stops, so each row is bit-equal to the
-    scalar solve.
+    A row with c = 0 costs 0; the others run fixed_point_costs, so each
+    row is bit-equal to the scalar solve.
     """
     bad = ~np.isfinite(f_k) | (f_k <= 0.0)
     if bad.any():
         raise NonPositiveCapital(f"capital must be finite and > 0, got {float(f_k[np.argmax(bad)])!r}")
     rows = len(f_k)
-    todo = c != 0.0
-    if not todo.any():
-        return np.zeros(rows)
-    w_next = next_weights / np.add.reduce(next_weights.reshape(rows, -1), 1)[:, None, None]
-    gap = f_k[:, None, None] * w_next - f_k[:, None, None] * realized_weights
-    # The first iterate, as in the scalar solve; a row with c = 0 keeps T = 0.
-    t = np.where(todo, c * np.add.reduce(np.abs(gap).reshape(rows, -1), 1), 0.0)
-    todo &= ~((t <= FP_TOL) | (t == np.inf))
+    t = np.zeros(rows)
+    paid = np.flatnonzero(c != 0.0)
+    if len(paid):
+        target = next_weights.reshape(rows, -1)[paid]
+        w_next = target / np.add.reduce(target, 1)[:, None]
+        t[paid] = fixed_point_costs(f_k[paid], realized_weights.reshape(rows, -1)[paid], w_next, c[paid])
+    return t
+
+
+def fixed_point_costs(f_k: np.ndarray, drift: np.ndarray, w_next: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The cost fixed point of each row of flat (rows, m*m) grids, with c > 0 and w_next already normalized.
+
+    Every row iterates from T = 0 with its own stopping test and keeps the
+    iterate at which it first stops, as solve_cost_from_drift does.  The
+    capital check is the caller's.
+    """
+    f = f_k[:, None]
+    gap = f * w_next - f * drift
+    # The first iterate, as in the scalar solve.
+    t = c * np.add.reduce(np.abs(gap), 1)
+    if t.max() <= FP_TOL:
+        return t
+    todo = ~((t <= FP_TOL) | (t == np.inf))
     if not todo.any():
         return t
     for _ in range(FP_MAX_ITER - 1):
-        t_new = c * np.add.reduce(np.abs(gap - t[:, None, None] * w_next).reshape(rows, -1), 1)
+        t_new = c * np.add.reduce(np.abs(gap - t[:, None] * w_next), 1)
         stop = np.abs(t_new - t) <= FP_TOL * np.maximum(1.0, t_new)
         t = np.where(todo, t_new, t)
         todo &= ~stop

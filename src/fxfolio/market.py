@@ -120,7 +120,13 @@ def check_predictions(days: np.ndarray, grids: np.ndarray) -> None:
 
 
 def _read_only_stack(days, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read-only copies of a day vector and its (n, m, m) float64 grid stacks, shapes checked."""
+    """Read-only copies of a day vector and its (n, m, m) float64 grid stacks, day values and shapes checked."""
+    given = np.asarray(days)
+    if given.dtype.kind == "f":
+        whole = np.isfinite(given) & (given == np.trunc(given))
+        if not whole.all():
+            raise DayMismatch(f"day {float(given[~whole][0])!r} is not an integer")
+    # Cast from what the caller gave: a Python int past int64 raises here, not wraps.
     days = np.array(days, dtype=np.int64)
     out = []
     for grid in grids:

@@ -98,18 +98,19 @@ def tilts(
     with np.errstate(over="ignore"):  # an overflowing row is refused just below, as tilt refuses it
         rate = np.where(tilted, gamma / np.where(tilted, growth, 1.0), 0.0)
         shift = rate * np.maximum.reduce(out.reshape(rows, -1), 1)
-    overflow = tilted & ~np.isfinite(shift)
-    if overflow.any():
-        b = int(np.argmax(overflow))
-        raise InvalidParams(
-            f"gamma {float(gamma[b])!r} overflows the tilt exponent: {float(shift[b])!r} at the best return"
-        )
+    if not np.isfinite(shift).all():
+        overflow = tilted & ~np.isfinite(shift)
+        if overflow.any():
+            b = int(np.argmax(overflow))
+            raise InvalidParams(
+                f"gamma {float(gamma[b])!r} overflows the tilt exponent: {float(shift[b])!r} at the best return"
+            )
     np.multiply(rate[:, None, None], out, out=out, where=active)
     out -= shift[:, None, None]
     np.exp(out, out=out)
     out *= drift
     out /= np.add.reduce(out.reshape(rows, -1), 1)[:, None, None]
-    if np.any(support_floor > 0.0):
+    if support_floor.any():
         floor = support_floor[:, None, None]
         out = np.where(floor > 0.0, (1.0 - floor) * out + floor * uniform_weights(drift.shape[1]), out)
     return np.where(tilted[:, None, None], out, drift)

@@ -18,7 +18,6 @@ from .backtest import (
     UpdateConfig,
     check_normalized,
     pair_gap,
-    row_growth_rate,
     row_growth_rate_net,
     single_pair_growth_rate,
     sweep,
@@ -97,8 +96,10 @@ def _universality_replicate(args) -> tuple[int, list[str], float]:
         scale = np.maximum(1.0, np.abs(prev_f))
         if np.any(err > 1e-9 * scale):
             violations.append(f"{tag}: capital identity off by {float((err / scale).max()):.3e}")
-        decomp = row_growth_rate(growth) + float(np.mean(np.log1p(-ratio)))
-        if abs(decomp - row_growth_rate_net(growth, ratio)) > 1e-9 * max(1.0, abs(decomp)):
+        net_rate = row_growth_rate_net(growth, ratio)
+        log_cost = float(np.mean(np.log1p(-ratio)))
+        # F_N = f0 * prod g_k (1 - c_k), so the capital column must tell the same rate as the growth and ratio columns.
+        if abs(math.log(capital[-1] / f0) / len(capital) - net_rate) > 1e-9 * max(1.0, abs(net_rate)):
             violations.append(f"{tag}: net growth-rate decomposition broken")
         bound = cost_ratio_bound(rule, gamma, r_floor, c)
         worst = float(ratio[1:].max(initial=0.0))
@@ -106,8 +107,9 @@ def _universality_replicate(args) -> tuple[int, list[str], float]:
             violations.append(f"{tag}: realized cost ratio {worst!r} exceeds bound {bound!r}")
         for (i, j), benchmark in zip(pairs, benchmarks):
             res = pair_gap(
-                growth,
-                ratio,
+                net_rate,
+                log_cost,
+                len(growth),
                 benchmark,
                 float(runs.first_portfolio[i, j]),
                 float(runs.next_portfolio[b, i, j]),

@@ -616,7 +616,7 @@ def segment_success_rates_loop(order_actual, order_pred, seg_len):
 
 def universality_replicate_per_config(args):
     """One universality replicate as 12 separate backtests, each checked pair by pair with universality_gap."""
-    from fxfolio.backtest import LinearPredictor, UpdateConfig, growth_rate, growth_rate_net, run_backtest, universality_gap
+    from fxfolio.backtest import LinearPredictor, UpdateConfig, growth_rate_net, run_backtest, universality_gap
     from fxfolio.costs import CostParams, cost_ratio_bound
     from fxfolio.data_io import SyntheticMarketSpec, generate_market, normalized_returns
 
@@ -643,8 +643,8 @@ def universality_replicate_per_config(args):
                 scale = np.maximum(1.0, np.abs(prev_f))
                 if np.any(err > 1e-9 * scale):
                     violations.append(f"{tag}: capital identity off by {float((err / scale).max()):.3e}")
-                decomp = growth_rate(ledger) + float(np.mean(np.log1p(-ledger.ratio)))
-                if abs(decomp - growth_rate_net(ledger)) > 1e-9 * max(1.0, abs(decomp)):
+                net_rate = growth_rate_net(ledger)
+                if abs(math.log(ledger.capital[-1] / ledger.f0) / ledger.n_days - net_rate) > 1e-9 * max(1.0, abs(net_rate)):
                     violations.append(f"{tag}: net growth-rate decomposition broken")
                 bound = cost_ratio_bound(rule, gamma, r_floor, c)
                 worst = float(ledger.ratio[1:].max(initial=0.0))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fxfolio import backtest
 from fxfolio.backtest import (
     BacktestLedger,
     GammaSchedule,
@@ -20,6 +21,7 @@ from fxfolio.backtest import (
     growth_rate_net,
     pair_gap,
     predict,
+    row_growth_rate_net,
     run_backtest,
     single_pair_growth_rate,
     sweep,
@@ -439,8 +441,11 @@ class TestMarketIsAStack:
 def pair_gap_args(ledger, pair):
     """pair_gap's arguments up to the rule, as universality_gap reads them from a ledger."""
     i, j = pair
+    net_rate = row_growth_rate_net(ledger.growth, ledger.ratio)
+    log_cost = float(np.mean(np.log1p(-ledger.ratio)))
     benchmark = single_pair_growth_rate(ledger.returns, i, j)
-    return ledger.growth, ledger.ratio, benchmark, float(ledger.portfolios[0][i, j]), float(ledger.next_portfolio[i, j]), pair
+    psi_first, psi_after = float(ledger.portfolios[0][i, j]), float(ledger.next_portfolio[i, j])
+    return net_rate, log_cost, ledger.n_days, benchmark, psi_first, psi_after, pair
 
 
 class TestPairGap:
@@ -785,6 +790,112 @@ class TestSweep:
             run_backtest(rets, f0=1e-322)
         with pytest.raises(NonPositiveCapital, match=message):
             sweep(rets, None, [(UpdateConfig(), CostParams(0.0)), (UpdateConfig(), CostParams(0.01))], f0=1e-322)
+
+    @staticmethod
+    def assert_matches_single_runs(runs, rets, predictor, members, f0=1.0):
+        for b, (update, costs) in enumerate(members):
+            ledger = run_backtest(rets, predictor=predictor, update=update, costs=costs, f0=f0)
+            for name in ("capital", "capital_net", "cost", "ratio", "growth"):
+                assert same_bits(getattr(runs, name)[b], getattr(ledger, name)), (b, name)
+            assert same_bits(runs.next_portfolio[b], ledger.next_portfolio), b
+
+    # gamma 0 under both rules and two floors is one drift; the rest share (rule, gamma) at two costs or two floors.
+    SHARING = [
+        (UpdateConfig("iitc", 0.0), CostParams(0.0)),
+        (UpdateConfig("eiitc", 0.0, 0.01), CostParams(0.005)),
+        (UpdateConfig("eiitc", 0.5), CostParams(0.0)),
+        (UpdateConfig("eiitc", 0.5), CostParams(0.05)),
+        (UpdateConfig("eiitc", 0.5, 0.01), CostParams(0.05)),
+        (UpdateConfig("iitc", 0.5, 0.01), CostParams(0.0)),
+        (UpdateConfig("iitc", 0.5), CostParams(0.005)),
+        (UpdateConfig("iitc", 0.0, 0.01), CostParams(0.05)),
+    ]
+
+    def test_members_sharing_a_trajectory_match_single_runs(self, monkeypatch):
+        rets = random_stack(7, 3, 40, 0.7)
+        predictor = LinearPredictor((0.6, 0.4))
+        rows = []
+        real_tilts = backtest.tilts
+
+        def counted_tilts(eiitc, drift, *rest):
+            rows.append(len(drift))
+            return real_tilts(eiitc, drift, *rest)
+
+        monkeypatch.setattr(backtest, "tilts", counted_tilts)
+        runs = sweep(rets, predictor, self.SHARING, f0=3.5)
+        # One row for the drift, then eiitc 0.5, eiitc 0.5 floored, iitc 0.5 floored and iitc 0.5.
+        assert set(rows) == {5}
+        self.assert_matches_single_runs(runs, rets, predictor, self.SHARING, f0=3.5)
+
+    def test_next_portfolio_rows_are_their_own(self):
+        runs = sweep(random_stack(3, 3, 10, 1.0), LinearPredictor((1.0,)), self.SHARING)
+        before = runs.next_portfolio.copy()
+        runs.next_portfolio[2] += 1.0
+        assert same_bits(np.delete(runs.next_portfolio, 2, axis=0), np.delete(before, 2, axis=0))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_of_any_size_give_the_same_bits(self, monkeypatch, block):
+        rets = random_stack(11, 3, 20, 0.7)
+        predictor = PredictorConfig(mpcr=1, mpo=1, segment=SegmentConfig(L=3))
+        monkeypatch.setattr(backtest, "_SWEEP_BLOCK", block)
+        runs = sweep(rets, predictor, self.SHARING, f0=3.5)
+        self.assert_matches_single_runs(runs, rets, predictor, self.SHARING, f0=3.5)
+
+    @staticmethod
+    def three_currencies(*days):
+        """A ReturnStack of m = 3 days, each given as {(i, j): return}."""
+        grids = np.zeros((len(days), 3, 3))
+        for grid, entries in zip(grids, days):
+            for (i, j), value in entries.items():
+                grid[i, j] = value
+        return ReturnStack(np.arange(1, len(days) + 1), grids)
+
+    # From 1.5e308, day 1 earns 6 on (0, 1) alone and leaves capital as it was.  A 0.99
+    # floor then spreads the book away from (0, 1), so the day's cost overflows to inf
+    # and exhausts capital on day 2.  A tilt at gamma 1e308 overflows on day 1's return
+    # of 6; at gamma 1e307 only on a return of 100.
+    EXHAUSTED = "day 2: costs of inf exhaust capital 1.5e+308"
+    OVERFLOWS = "gamma 1e+308 overflows the tilt exponent: inf at the best return"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 2, 256])
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize(
+        "gamma, returns, expected",
+        [
+            (1e308, (6.0, 1.0, 1.0), (InvalidParams, OVERFLOWS)),
+            (1e307, (6.0, 100.0, 1.0), (NonPositiveCapital, EXHAUSTED)),
+            (1e307, (6.0, 1.0, 100.0), (NonPositiveCapital, EXHAUSTED)),
+        ],
+        ids=["overflow-on-day-1", "both-on-day-2", "overflow-on-day-3"],
+    )
+    def test_exhausted_capital_against_an_overflowing_tilt(self, monkeypatch, block, order, gamma, returns, expected):
+        rets = self.three_currencies(*({(0, 1): value} for value in returns))
+        exhausts = (UpdateConfig("iitc", 0.5, 0.99), CostParams(0.9))
+        overflows = (UpdateConfig("iitc", gamma), CostParams(0.0))
+        members = [exhausts, overflows][::order]
+        monkeypatch.setattr(backtest, "_SWEEP_BLOCK", block)
+        with pytest.raises(FxfolioError) as raised:
+            sweep(rets, LinearPredictor((1.0,)), members, f0=1.5e308)
+        assert (type(raised.value), str(raised.value)) == expected
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("block", [1, 2, 256])
+    def test_free_and_paying_capital_fail_on_one_day(self, monkeypatch, block):
+        # After day 1 the drift holds only (0, 1), which earns 1e-200 a day: its capital
+        # underflows to 0 on day 3.  A 0.5 floor keeps a twelfth of the book on (0, 2),
+        # which earns 1e200 a day: that capital overflows to inf on day 3.
+        rets = self.three_currencies({(0, 1): 1.0}, *[{(0, 1): 1e-200, (0, 2): 1e200}] * 2)
+        drift = (UpdateConfig("iitc", 0.0), CostParams(0.0))
+        spread = (UpdateConfig("iitc", 0.5, 0.5), CostParams(0.005))
+        monkeypatch.setattr(backtest, "_SWEEP_BLOCK", block)
+        for members, value in (([drift, spread], "0.0"), ([spread, drift], "inf")):
+            message = rf"^day 3: capital must be finite and > 0, got {value}$"
+            with pytest.raises(NonPositiveCapital, match=message):
+                run_backtest(rets, LinearPredictor((1.0,)), update=members[0][0], costs=members[0][1])
+            with pytest.raises(NonPositiveCapital, match=message):
+                sweep(rets, LinearPredictor((1.0,)), members)
+
 
 def test_messages_print_plain_floats():
     messages = []

@@ -315,6 +315,18 @@ TABLE += [
     pytest.param(lambda: compute_return_matrix(RateMatrix(day=7, entries=OPEN), RateMatrix(day=8, entries=CLOSE)),
                  DayMismatch, "open rates are for day 7 but close rates are for day 8", id="two-days-day"),
 ]
+# A day that is not an integer is refused, not truncated, ahead of the order of the days.
+TABLE += [
+    pytest.param(lambda: ReturnStack([1.5, 2.7], np.zeros((2, 2, 2))), DayMismatch, "day 1.5 is not an integer",
+                 id="fraction-days-stack"),
+    pytest.param(lambda: ReturnStack([7, 7.5, 8.7], np.zeros((3, 2, 2))), DayMismatch, "day 7.5 is not an integer",
+                 id="first-fraction-day-stack"),
+    pytest.param(lambda: ReturnStack([1.5, 1.9], np.zeros((2, 2, 2))), DayMismatch, "day 1.5 is not an integer",
+                 id="fraction-days-truncating-to-one-day-stack"),
+    pytest.param(lambda: QuoteStack([7.0, np.nan], [OPEN, OPEN], [CLOSE, CLOSE]), DayMismatch, "day nan is not an integer",
+                 id="nan-day-stack"),
+    pytest.param(lambda: RateMatrix(day=2.5, entries=OPEN), DayMismatch, "day 2.5 is not an integer", id="fraction-day-day"),
+]
 
 
 @pytest.mark.filterwarnings("error")

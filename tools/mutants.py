@@ -47,6 +47,7 @@ FIXED_POINT = "tests/test_costs.py::TestFixedPointOracle"
 BLOCKS = "tests/test_data_io.py::TestRowBlocks"
 WEIGHTS = "tests/test_portfolio.py::TestWeightRules"
 DAMAGED = "tests/test_data_io.py::TestDamagedLedgerAndSummaryFiles::test_ledger_errors_are_typed"
+SWEEP = "tests/test_backtest.py::TestSweep"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -283,9 +284,44 @@ MUTANTS = (
     Mutant(
         "batch cost solve iterates rows that stopped at their first iterate",
         "src/fxfolio/costs.py",
-        "    todo &= ~((t <= FP_TOL) | (t == np.inf))\n",
-        "",
+        "    todo = ~((t <= FP_TOL) | (t == np.inf))\n",
+        "    todo = np.ones(len(t), dtype=bool)\n",
         (f"{FIXED_POINT}::test_a_first_iterate_of_exactly_the_tolerance_stops",),
+    ),
+    Mutant(
+        "sweep trajectories keyed without the support floor",
+        "src/fxfolio/backtest.py",
+        "(update.rule, update.gamma, update.support_floor) if update.gamma > 0.0",
+        "(update.rule, update.gamma) if update.gamma > 0.0",
+        (f"{SWEEP}::test_members_sharing_a_trajectory_match_single_runs",),
+    ),
+    Mutant(
+        "sweep keys gamma 0 members by rule",
+        "src/fxfolio/backtest.py",
+        'if update.gamma > 0.0 else "drift" for update, _ in members',
+        "if update.gamma > 0.0 else update.rule for update, _ in members",
+        (f"{SWEEP}::test_members_sharing_a_trajectory_match_single_runs",),
+    ),
+    Mutant(
+        "sweep block starts from the last day's capital_net, not its capital",
+        "src/fxfolio/backtest.py",
+        "carried = f_col[:, start - 1] if start",
+        "carried = fp_col[:, start - 1] if start",
+        (f"{SWEEP}::test_blocks_of_any_size_give_the_same_bits",),
+    ),
+    Mutant(
+        "sweep raises a tilt overflow before the capital pass checks the days up to it",
+        "src/fxfolio/backtest.py",
+        "            return drifts[: d + 1], books[:d], growth[: d + 1], exc\n",
+        "            raise\n",
+        (f"{SWEEP}::test_exhausted_capital_against_an_overflowing_tilt",),
+    ),
+    Mutant(
+        "sweep's last capital cell off by 1%",
+        "src/fxfolio/backtest.py",
+        "    np.divide(t_col, prev_f, out=c_col)\n",
+        "    np.divide(t_col, prev_f, out=c_col)\n    f_col[:, -1] *= 1.01\n",
+        ("tests/test_verify.py::TestUniversalitySuite::test_small_sweep_passes",),
     ),
 )
 
