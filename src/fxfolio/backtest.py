@@ -357,7 +357,10 @@ def sweep(
     The members share the market, the predictor's one prediction phase
     and f0, and each runs at its own constant learning rate.  Row b of
     every column is bit-equal to run_backtest(market, predictor,
-    *members[b], f0=f0)'s, and so is every error, with its day.
+    *members[b], f0=f0)'s, and so is every error, with its day.  Only
+    numpy's warnings differ: a sweep may warn where run_backtest does not,
+    also about days past the one a member fails on, since the weight pass
+    runs a block ahead.
 
     The drift and the tilt never read capital or cost, so members that
     share (rule, gamma, support floor), and all members at gamma 0, share
@@ -558,8 +561,14 @@ def growth_rate_net(ledger: BacktestLedger) -> float:
 
 def row_growth_rate_net(growth: np.ndarray, ratio: np.ndarray) -> float:
     """growth_rate_net of one run's growth and cost-ratio columns."""
+    log_cost = row_log_cost(ratio)
+    return row_growth_rate(growth) + log_cost
+
+
+def row_log_cost(ratio: np.ndarray) -> float:
+    """Mean log(1 - c_k) of one cost-ratio column: the part of the net growth rate that costs take."""
     _check_cost_ratios(ratio)
-    return row_growth_rate(growth) + float(np.mean(np.log1p(-ratio)))
+    return float(np.mean(np.log1p(-ratio)))
 
 
 def _check_cost_ratios(ratio: np.ndarray) -> None:
@@ -613,17 +622,14 @@ def universality_gap(ledger: BacktestLedger, pair: tuple[int, int], r_floor: flo
         raise NormalizationViolated("guarantee needs a constant learning rate")
     check_normalized(ledger.returns, r_floor)
     i, j = pair
+    benchmark = single_pair_growth_rate(ledger.returns, i, j)
+    psi_first, psi_after = float(ledger.portfolios[0][i, j]), float(ledger.next_portfolio[i, j])
+    # The weights are refused before the growth and cost-ratio columns, as pair_gap refuses them.
+    _check_pair_weights(psi_first, psi_after, pair)
+    log_cost = row_log_cost(ledger.ratio)
+    net_rate = row_growth_rate(ledger.growth) + log_cost
     return pair_gap(
-        row_growth_rate_net(ledger.growth, ledger.ratio),
-        float(np.mean(np.log1p(-ledger.ratio))),
-        ledger.n_days,
-        single_pair_growth_rate(ledger.returns, i, j),
-        float(ledger.portfolios[0][i, j]),
-        float(ledger.next_portfolio[i, j]),
-        pair,
-        update.rule,
-        update.gamma,
-        r_floor,
+        net_rate, log_cost, ledger.n_days, benchmark, psi_first, psi_after, pair, update.rule, update.gamma, r_floor
     )
 
 
@@ -656,20 +662,25 @@ def pair_gap(
 ) -> GapResult:
     """The gap inequality of one run against one pair's benchmark.
 
-    net_rate is the run's row_growth_rate_net and log_cost the mean of its
-    log(1 - c_k) over its n_days days, so a caller checking many pairs of
-    one run computes them once.
+    net_rate is the run's row_growth_rate_net and log_cost its row_log_cost
+    over its n_days days, so a caller checking many pairs of one run
+    computes them once.
 
     rhs = (1/N) log(psi_1_ij / psi_{N+1}_ij) + (1/N) sum log(1 - c_k)
           + gamma * r_floor - gamma            (iitc)
           + gamma * r_floor - gamma / r_floor  (eiitc)
     """
+    _check_pair_weights(psi_first, psi_after, pair)
+    penalty = gamma if rule == "iitc" else gamma / r_floor
+    rhs = (math.log(psi_first) - math.log(psi_after)) / n_days + log_cost + gamma * r_floor - penalty
+    lhs = net_rate - benchmark
+    return GapResult(lhs_gap=lhs, rhs_bound=rhs, holds=bool(lhs >= rhs - _GAP_TOL))
+
+
+def _check_pair_weights(psi_first: float, psi_after: float, pair: tuple[int, int]) -> None:
+    """Refuse a pair whose weight on day 1 or after the run is not positive: its log ratio is undefined."""
     if psi_first <= 0.0 or psi_after <= 0.0:
         raise NonPositivePairReturn(
             f"pair ({pair[0]}, {pair[1]}) has weight {psi_first!r} on day 1 and {psi_after!r} after the run; "
             "the guarantee needs both positive"
         )
-    penalty = gamma if rule == "iitc" else gamma / r_floor
-    rhs = (math.log(psi_first) - math.log(psi_after)) / n_days + log_cost + gamma * r_floor - penalty
-    lhs = net_rate - benchmark
-    return GapResult(lhs_gap=lhs, rhs_bound=rhs, holds=bool(lhs >= rhs - _GAP_TOL))

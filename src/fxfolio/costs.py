@@ -105,6 +105,8 @@ def fixed_point_costs(f_k: np.ndarray, drift: np.ndarray, w_next: np.ndarray, c:
     gap = f * w_next - f * drift
     # The first iterate, as in the scalar solve.
     t = c * np.add.reduce(np.abs(gap), 1)
+    # Most days of a sweep over a normalized market stop here: once the books settle, every
+    # member's first iterate is within FP_TOL, and one max settles the day.
     if t.max() <= FP_TOL:
         return t
     todo = ~((t <= FP_TOL) | (t == np.inf))

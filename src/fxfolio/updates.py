@@ -98,13 +98,12 @@ def tilts(
     with np.errstate(over="ignore"):  # an overflowing row is refused just below, as tilt refuses it
         rate = np.where(tilted, gamma / np.where(tilted, growth, 1.0), 0.0)
         shift = rate * np.maximum.reduce(out.reshape(rows, -1), 1)
-    if not np.isfinite(shift).all():
-        overflow = tilted & ~np.isfinite(shift)
-        if overflow.any():
-            b = int(np.argmax(overflow))
-            raise InvalidParams(
-                f"gamma {float(gamma[b])!r} overflows the tilt exponent: {float(shift[b])!r} at the best return"
-            )
+    overflow = tilted & ~np.isfinite(shift)
+    if overflow.any():
+        b = int(np.argmax(overflow))
+        raise InvalidParams(
+            f"gamma {float(gamma[b])!r} overflows the tilt exponent: {float(shift[b])!r} at the best return"
+        )
     np.multiply(rate[:, None, None], out, out=out, where=active)
     out -= shift[:, None, None]
     np.exp(out, out=out)

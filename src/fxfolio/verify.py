@@ -18,7 +18,8 @@ from .backtest import (
     UpdateConfig,
     check_normalized,
     pair_gap,
-    row_growth_rate_net,
+    row_growth_rate,
+    row_log_cost,
     single_pair_growth_rate,
     sweep,
 )
@@ -96,8 +97,8 @@ def _universality_replicate(args) -> tuple[int, list[str], float]:
         scale = np.maximum(1.0, np.abs(prev_f))
         if np.any(err > 1e-9 * scale):
             violations.append(f"{tag}: capital identity off by {float((err / scale).max()):.3e}")
-        net_rate = row_growth_rate_net(growth, ratio)
-        log_cost = float(np.mean(np.log1p(-ratio)))
+        log_cost = row_log_cost(ratio)
+        net_rate = row_growth_rate(growth) + log_cost
         # F_N = f0 * prod g_k (1 - c_k), so the capital column must tell the same rate as the growth and ratio columns.
         if abs(math.log(capital[-1] / f0) / len(capital) - net_rate) > 1e-9 * max(1.0, abs(net_rate)):
             violations.append(f"{tag}: net growth-rate decomposition broken")

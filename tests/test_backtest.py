@@ -494,6 +494,12 @@ class TestUniversalityGap:
         assert universality_gap(ledger, (0, 2), 0.5) == pair_gap(*args, "eiitc", 0.5, 0.5)
         assert universality_gap(ledger, (0, 2), 0.5) != pair_gap(*args, "iitc", 0.5, 0.5)
 
+    def test_names_a_zero_pair_weight_before_the_growth_and_cost_columns(self):
+        lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+        led = stub_ledger([0.0, 1.0], [0.0, 1.0], config=self.trivial_config(), next_portfolio=lower)
+        with pytest.raises(NonPositivePairReturn, match=r"^pair \(0, 1\) has weight 0\.5 on day 1 and 0\.0 after the run"):
+            universality_gap(led, (0, 1), 0.5)
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.1])
     def test_refuses_a_bad_echoed_gamma(self, gamma):
         led = stub_ledger([1.0, 1.0], [0.0, 0.0], config=self.trivial_config(gamma=gamma), returns=constant_market(1.0, 2))
