@@ -367,9 +367,8 @@ def sweep(
     one weight trajectory.  Over each block of _SWEEP_BLOCK days the
     weight pass runs the drift, parking and tilt once per trajectory and
     keeps each day's drift, growth and next book.  Then the capital pass
-    runs each member over the block: at c = 0 capital is a running
-    product of the growth factors; at c > 0 it is a loop over the days
-    with one cost solve per day.  run_backtest stays the loop for a single
+    runs every member through the block's days at once, with one batched
+    cost solve per day.  run_backtest stays the loop for a single
     configuration: at B = 1 this one costs more per day.
     """
     rets = _returns(market, f0)
@@ -390,8 +389,6 @@ def sweep(
     gamma = np.array([update.gamma for update in firsts], dtype=float)
     floor = np.array([update.support_floor for update in firsts], dtype=float)
     fee = np.array([costs.c for _, costs in members], dtype=float)
-    free, paid = np.flatnonzero(fee == 0.0), np.flatnonzero(fee != 0.0)
-    fee_paid = fee[paid]
 
     columns = np.empty((5, b, n))
     f_col, fp_col, t_col, c_col, g_col = columns
@@ -399,50 +396,37 @@ def sweep(
     preds = predict(rets, predictor).grids
     first = uniform_portfolio(m, day=1).weights
     psi = np.repeat(first[None], len(row_of), axis=0)
-    t_charge = np.zeros(len(paid))
+    f_prev = np.full(b, float(f0))
+    t_charge = np.zeros(b)
 
     for start in range(0, n, _SWEEP_BLOCK):
-        carried = f_col[:, start - 1] if start else np.full(b, float(f0))
         end = min(start + _SWEEP_BLOCK, n)
         drifts, books, growth, overflow = _weight_pass(grids, preds, start, end, psi, eiitc, gamma, floor)
         days = len(growth)
         span = slice(start, start + days)
         g_col[:, span] = growth[:, traj].T
-
-        # c = 0: no cost is ever charged, so F_k = F_{k-1} * g_k, a running product.  It may
-        # run past a day that fails; an overflow is refused below, on its day.
-        with np.errstate(over="ignore"):
-            free_f = np.multiply.accumulate(np.concatenate((carried[None, free], growth[:, traj[free]])), axis=0)[1:]
-        f_col[free, span] = free_f.T
-        free_bad = (~np.isfinite(free_f) | (free_f <= 0.0)).any(axis=1)
-        # The day a c = 0 member fails or a tilt overflows, if any: no later day is reached.
-        last = min(int(np.argmax(free_bad)) if free_bad.any() else days, days - 1 if overflow else days)
-
-        # c > 0: one cost solve a day, on the targets normalized for the whole block at once.
-        w_next = books[:, traj[paid]].reshape(len(books), len(paid), m * m)
+        # One cost solve a day, on the targets normalized for the whole block at once.
+        w_next = books[:, traj].reshape(len(books), b, m * m)
         w_next /= np.add.reduce(w_next, 2)[:, :, None]
-        drift_paid = drifts[:, traj[paid]].reshape(days, len(paid), m * m)
-        growth_paid = growth[:, traj[paid]]
-        fp_blk, f_blk, t_blk = np.empty((3, days, len(paid)))
-        f_prev = carried[paid]
-        # With no c > 0 member, only the day that fails needs its checks.
-        for d in range(0 if len(paid) else last, min(last + 1, days)):
+        drift_b = drifts[:, traj].reshape(days, b, m * m)
+        growth_b = growth[:, traj]
+        fp_blk, f_blk, t_blk = np.empty((3, days, b))
+        # A tilt that overflows ends the weight pass on its day, the last one the capital pass reaches.
+        last = days - 1 if overflow else days
+        for d in range(days):
             fp = np.subtract(f_prev, t_charge, out=fp_blk[d])
-            f_k = np.multiply(fp, growth_paid[d], out=f_blk[d])
+            f_k = np.multiply(fp, growth_b[d], out=f_blk[d])
             # The growth is > 0, so an fp <= 0 shows as an f_k <= 0: a day whose capital is all
             # finite and > 0 passes every check, and only the others need them.
             if d == last or not (0.0 < f_k.min() and f_k.max() < np.inf):
-                day_overflow = overflow if d == days - 1 else None
-                _check_day(start + d + 1, f_prev, t_charge, day_overflow, free, free_f[d], paid, f_k)
+                _check_day(start + d + 1, f_prev, t_charge, overflow if d == last else None, f_k)
             t_blk[d] = t_charge
-            t_charge = fixed_point_costs(f_k, drift_paid[d], w_next[d], fee_paid)
+            t_charge = fixed_point_costs(f_k, drift_b[d], w_next[d], fee)
             f_prev = f_k
-        fp_col[paid, span], f_col[paid, span], t_col[paid, span] = fp_blk.T, f_blk.T, t_blk.T
+        fp_col[:, span], f_col[:, span], t_col[:, span] = fp_blk.T, f_blk.T, t_blk.T
         psi = books[-1]
 
     prev_f = np.concatenate((np.full((b, 1), float(f0)), f_col[:, :-1]), axis=1)
-    fp_col[free] = prev_f[free]
-    t_col[free] = 0.0
     np.divide(t_col, prev_f, out=c_col)
     return Sweep(
         capital=f_col,
@@ -455,11 +439,11 @@ def sweep(
     )
 
 
-def _check_day(k, f_prev, t_charge, overflow, free, free_f, paid, paid_f):
+def _check_day(k, f_prev, t_charge, overflow, f_k):
     """Raise what run_backtest raises on day k, if anything: exhausted capital, then the tilt's overflow, then capital.
 
-    f_prev and t_charge are the c > 0 members' capital and charge before
-    the day; free_f and paid_f are every member's capital after it.
+    f_prev and t_charge are every member's capital and charge before the
+    day, f_k its capital after it.
     """
     exhausted = f_prev - t_charge <= 0.0
     if exhausted.any():
@@ -467,11 +451,9 @@ def _check_day(k, f_prev, t_charge, overflow, free, free_f, paid, paid_f):
         raise NonPositiveCapital(f"day {k}: costs of {float(t_charge[i])!r} exhaust capital {float(f_prev[i])!r}")
     if overflow:
         raise overflow
-    every = np.empty(len(free) + len(paid))
-    every[free], every[paid] = free_f, paid_f
-    bad = ~np.isfinite(every) | (every <= 0.0)
+    bad = ~np.isfinite(f_k) | (f_k <= 0.0)
     if bad.any():
-        value = float(every[np.argmax(bad)])
+        value = float(f_k[np.argmax(bad)])
         raise NonPositiveCapital(f"day {k}: capital must be finite and > 0, got {value!r}")
 
 
@@ -556,13 +538,8 @@ def cumulative_return_net(ledger: BacktestLedger) -> float:
 def growth_rate_net(ledger: BacktestLedger) -> float:
     """Average log growth per day net of costs."""
     _require_days(ledger)
-    return row_growth_rate_net(ledger.growth, ledger.ratio)
-
-
-def row_growth_rate_net(growth: np.ndarray, ratio: np.ndarray) -> float:
-    """growth_rate_net of one run's growth and cost-ratio columns."""
-    log_cost = row_log_cost(ratio)
-    return row_growth_rate(growth) + log_cost
+    log_cost = row_log_cost(ledger.ratio)
+    return row_growth_rate(ledger.growth) + log_cost
 
 
 def row_log_cost(ratio: np.ndarray) -> float:
@@ -662,7 +639,7 @@ def pair_gap(
 ) -> GapResult:
     """The gap inequality of one run against one pair's benchmark.
 
-    net_rate is the run's row_growth_rate_net and log_cost its row_log_cost
+    net_rate is the run's growth_rate_net and log_cost its row_log_cost
     over its n_days days, so a caller checking many pairs of one run
     computes them once.
 

@@ -70,44 +70,21 @@ def solve_cost_from_drift(
     raise NoConvergence(_STUCK)
 
 
-def solve_costs_from_drift(
-    f_k: np.ndarray,
-    realized_weights: np.ndarray,
-    next_weights: np.ndarray,
-    c: np.ndarray,
-) -> np.ndarray:
-    """solve_cost_from_drift for each row of a batch: row b solves with f_k[b], its grids and c[b].
-
-    A row with c = 0 costs 0; the others run fixed_point_costs, so each
-    row is bit-equal to the scalar solve.
-    """
-    bad = ~np.isfinite(f_k) | (f_k <= 0.0)
-    if bad.any():
-        raise NonPositiveCapital(f"capital must be finite and > 0, got {float(f_k[np.argmax(bad)])!r}")
-    rows = len(f_k)
-    t = np.zeros(rows)
-    paid = np.flatnonzero(c != 0.0)
-    if len(paid):
-        target = next_weights.reshape(rows, -1)[paid]
-        w_next = target / np.add.reduce(target, 1)[:, None]
-        t[paid] = fixed_point_costs(f_k[paid], realized_weights.reshape(rows, -1)[paid], w_next, c[paid])
-    return t
-
-
 def fixed_point_costs(f_k: np.ndarray, drift: np.ndarray, w_next: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The cost fixed point of each row of flat (rows, m*m) grids, with c > 0 and w_next already normalized.
+    """solve_cost_from_drift for each row of flat (rows, m*m) grids, with w_next already normalized.
 
     Every row iterates from T = 0 with its own stopping test and keeps the
     iterate at which it first stops, as solve_cost_from_drift does.  The
     capital check is the caller's.
     """
-    f = f_k[:, None]
+    # A row with c = 0 costs +0.0 whatever its capital: the scalar solve does no arithmetic for it.
+    f = np.where(c == 0.0, 0.0, f_k)[:, None]
     gap = f * w_next - f * drift
     # The first iterate, as in the scalar solve.
     t = c * np.add.reduce(np.abs(gap), 1)
     # Most days of a sweep over a normalized market stop here: once the books settle, every
-    # member's first iterate is within FP_TOL, and one max settles the day.
-    if t.max() <= FP_TOL:
+    # member's first iterate is within FP_TOL, and one max settles the day (an empty batch too).
+    if t.max(initial=0.0) <= FP_TOL:
         return t
     todo = ~((t <= FP_TOL) | (t == np.inf))
     if not todo.any():

@@ -126,6 +126,13 @@ def _read_only_stack(days, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
         whole = np.isfinite(given) & (given == np.trunc(given))
         if not whole.all():
             raise DayMismatch(f"day {float(given[~whole][0])!r} is not an integer")
+        # int64 holds the whole floats in [-2**63, 2**63).  Python ints past it promote to
+        # float too; they are left to the cast below, which raises OverflowError for them.
+        past = (given < -(2.0**63)) | (given >= 2.0**63)
+        if past.any():
+            first = np.asarray(days, dtype=object).flat[int(np.argmax(past))]
+            if not isinstance(first, (int, np.integer)):
+                raise DayMismatch(f"day {float(first)!r} lies outside the int64 range")
     # Cast from what the caller gave: a Python int past int64 raises here, not wraps.
     days = np.array(days, dtype=np.int64)
     out = []

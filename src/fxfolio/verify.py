@@ -23,7 +23,7 @@ from .backtest import (
     single_pair_growth_rate,
     sweep,
 )
-from .costs import CostParams, cost_bounds, cost_ratio_bound, solve_costs_from_drift
+from .costs import CostParams, cost_bounds, cost_ratio_bound, fixed_point_costs
 from .crossrate import (
     PredictorConfig,
     SegmentConfig,
@@ -277,7 +277,8 @@ def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
         drift, psi_next = np.zeros((2, len(f_k), m, m))
         off = ~np.eye(m, dtype=bool)
         drift[:, off], psi_next[:, off] = drift_off, next_off
-        t = solve_costs_from_drift(f_k, drift, psi_next, c)
+        target = psi_next.reshape(len(f_k), m * m)
+        t = fixed_point_costs(f_k, drift.reshape(len(f_k), m * m), target / np.add.reduce(target, 1)[:, None], c)
         delta = f_k * np.abs(psi_next - drift).reshape(len(f_k), m * m).sum(axis=1)
         solved.append(np.stack((c, t, delta, bisect_costs(f_k, drift, psi_next, c))))
     violations: list[str] = []

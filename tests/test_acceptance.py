@@ -6,6 +6,7 @@ red test always agree.  Runtimes are measured and reported, not asserted.
 """
 
 import itertools
+import math
 import os
 import time
 
@@ -16,7 +17,6 @@ from fxfolio.backtest import (
     GammaSchedule,
     LinearPredictor,
     UpdateConfig,
-    growth_rate,
     growth_rate_net,
     run_backtest,
 )
@@ -312,7 +312,8 @@ def test_criterion_09_ledger_integrity_and_causality(report, universality_result
         prev_f = np.concatenate(([base.f0], base.capital[:-1]))
         err = np.abs(base.capital_net - (prev_f - base.cost)) / np.maximum(1.0, np.abs(prev_f))
         worst_identity = max(worst_identity, float(err.max()))
-        decomp = growth_rate(base) + float(np.mean(np.log1p(-base.ratio)))
+        # F_N = f0 * prod g_k (1 - c_k): the capital column tells the net rate on its own.
+        decomp = math.log(base.capital[-1] / base.f0) / base.n_days
         worst_decomp = max(
             worst_decomp, abs(decomp - growth_rate_net(base)) / max(1.0, abs(decomp))
         )

@@ -21,7 +21,8 @@ from fxfolio.backtest import (
     growth_rate_net,
     pair_gap,
     predict,
-    row_growth_rate_net,
+    row_growth_rate,
+    row_log_cost,
     run_backtest,
     single_pair_growth_rate,
     sweep,
@@ -441,8 +442,8 @@ class TestMarketIsAStack:
 def pair_gap_args(ledger, pair):
     """pair_gap's arguments up to the rule, as universality_gap reads them from a ledger."""
     i, j = pair
-    net_rate = row_growth_rate_net(ledger.growth, ledger.ratio)
-    log_cost = float(np.mean(np.log1p(-ledger.ratio)))
+    log_cost = row_log_cost(ledger.ratio)
+    net_rate = row_growth_rate(ledger.growth) + log_cost
     benchmark = single_pair_growth_rate(ledger.returns, i, j)
     psi_first, psi_after = float(ledger.portfolios[0][i, j]), float(ledger.next_portfolio[i, j])
     return net_rate, log_cost, ledger.n_days, benchmark, psi_first, psi_after, pair
@@ -901,6 +902,30 @@ class TestSweep:
                 run_backtest(rets, LinearPredictor((1.0,)), update=members[0][0], costs=members[0][1])
             with pytest.raises(NonPositiveCapital, match=message):
                 sweep(rets, LinearPredictor((1.0,)), members)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_free_member_pays_nothing_at_the_largest_capital(self):
+        # From 1.7e308, day 1 earns 6 on (0, 1) alone and leaves capital as it was.  A 0.99
+        # floor then spreads the book away from (0, 1): at c = 0 that turnover, worth more
+        # than a float holds, costs +0.0 with no warning, as in run_backtest.
+        rets = self.three_currencies({(0, 1): 6.0}, {(0, 1): 1.0}, {(0, 1): 1.0})
+        members = [(UpdateConfig("iitc", 0.5, 0.99), CostParams(0.0)), (UpdateConfig("iitc", 0.0), CostParams(0.005))]
+        runs = sweep(rets, LinearPredictor((1.0,)), members, f0=1.7e308)
+        self.assert_matches_single_runs(runs, rets, LinearPredictor((1.0,)), members, f0=1.7e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_warning_past_the_failing_day(self):
+        # From 1e-322, capital underflows to 0 on day 2.  Day 3 earns the largest float on
+        # (0, 1) and (1, 2), which the 0.5 floor keeps in the book, so eiitc's predicted
+        # growth of day 3 overflows.  run_backtest stops on day 2; the sweep's weight pass
+        # runs a block ahead and warns on day 3, so under -W error the warning comes first.
+        big = np.finfo(float).max
+        rets = self.three_currencies({(0, 1): 0.5, (1, 2): 0.5}, {(0, 1): 1e-300, (1, 2): 0.5}, {(0, 1): big, (1, 2): big})
+        update, costs = UpdateConfig("eiitc", 0.5, 0.5), CostParams(0.0)
+        with pytest.raises(NonPositiveCapital, match=r"^day 2: capital must be finite and > 0, got 0\.0$"):
+            run_backtest(rets, LinearPredictor((1.0,)), update=update, costs=costs, f0=1e-322)
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in reduce$"):
+            sweep(rets, LinearPredictor((1.0,)), [(update, costs)], f0=1e-322)
 
 
 def test_messages_print_plain_floats():

@@ -13,8 +13,8 @@ from fxfolio.costs import (
     CostParams,
     cost_bounds,
     cost_ratio_bound,
+    fixed_point_costs,
     solve_cost_from_drift,
-    solve_costs_from_drift,
 )
 from fxfolio.errors import InvalidC, InvalidParams, NoConvergence, NonPositiveCapital
 from fxfolio.portfolio import PortfolioMatrix, l1_distance
@@ -172,6 +172,13 @@ class TestCostRatioBound:
         assert cost_ratio_bound(rule, gamma, r_floor, min(c + 0.1, 0.99)) >= bound
 
 
+def batch_solve(f_k, drift, nxt, c):
+    """fixed_point_costs of (B, m, m) grids, the targets normalized as the sweep and the cost-bounds suite do."""
+    rows = len(f_k)
+    target = nxt.reshape(rows, -1)
+    return fixed_point_costs(f_k, drift.reshape(rows, -1), target / np.add.reduce(target, 1)[:, None], c)
+
+
 class TestBatchSolve:
     @given(st.integers(0, 10_000), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
@@ -182,7 +189,7 @@ class TestBatchSolve:
         nxt = np.array([random_portfolio_weights(rng, m) for _ in range(rows)])
         f_k = rng.choice([1e-9, 0.7, 3.0, 1e12], size=rows)
         c = rng.choice([0.0, 0.005, 0.05, 0.3, 0.9], size=rows)
-        t = solve_costs_from_drift(f_k, drift, nxt, c)
+        t = batch_solve(f_k, drift, nxt, c)
         for b in range(rows):
             expect = solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b], CostParams(float(c[b])))
             assert t[b] == expect and type(expect) is float
@@ -195,9 +202,21 @@ class TestBatchSolve:
         with pytest.raises(NoConvergence, match="within 10000 iterations"):
             solve_cost_from_drift(1.0, drift, nxt, CostParams(0.999))
         with pytest.raises(NoConvergence, match="within 10000 iterations"):
-            solve_costs_from_drift(np.ones(2), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.999]))
-        with pytest.raises(NonPositiveCapital):
-            solve_costs_from_drift(np.array([1.0, 0.0]), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.5]))
+            batch_solve(np.ones(2), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.999]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_free_row_costs_plus_zero_whatever_its_capital(self):
+        # A full swap of 1.7e308 moves more cash than a float holds: c * inf is 0 * inf at c = 0.
+        drift = np.array([[0.0, 1.0], [0.0, 0.0]])
+        nxt = np.array([[0.0, 0.0], [1.0, 0.0]])
+        t = batch_solve(np.array([1.7e308, 1.0]), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.0, 0.3]))
+        assert t[0].tobytes() == np.float64(0.0).tobytes()
+        assert t[1] == solve_cost_from_drift(1.0, drift, nxt, CostParams(0.3))
+        assert solve_cost_from_drift(1.7e308, drift, nxt, CostParams(0.0)) == 0.0
+
+    def test_an_empty_batch_costs_nothing(self):
+        t = fixed_point_costs(np.empty(0), np.empty((0, 4)), np.empty((0, 4)), np.empty(0))
+        assert t.shape == (0,) and t.dtype == np.float64
 
 
 class TestFixedPointOracle:
@@ -217,7 +236,7 @@ class TestFixedPointOracle:
         nxt[kept] = drift[kept]
         f_k = rng.choice([1e-9, 1e-3, 0.7, 3.0, 1e12], size=rows)
         c = rng.choice([0.0, 0.005, 0.05, 0.3, 0.9], size=rows)
-        batch = solve_costs_from_drift(f_k, drift, nxt, c)
+        batch = batch_solve(f_k, drift, nxt, c)
         for b in range(rows):
             expect = np.float64(oracle_fixed_point_cost(float(f_k[b]), drift[b], nxt[b], float(c[b]))).tobytes()
             scalar = solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b], CostParams(float(c[b])))
@@ -230,7 +249,7 @@ class TestFixedPointOracle:
         drift, nxt = self.SWAP
         assert oracle_fixed_point_cost(1e-10, drift, nxt, 0.5) == FP_TOL
         assert solve_cost_from_drift(1e-10, drift, nxt, CostParams(0.5)) == FP_TOL
-        batch = solve_costs_from_drift(np.array([1e-10, 1.0]), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.3]))
+        batch = batch_solve(np.array([1e-10, 1.0]), np.array([drift] * 2), np.array([nxt] * 2), np.array([0.5, 0.3]))
         assert batch[0] == FP_TOL
         assert batch[1] == oracle_fixed_point_cost(1.0, drift, nxt, 0.3)
 
@@ -244,7 +263,7 @@ class TestFixedPointOracle:
         expect = oracle_fixed_point_cost(1.0, drift, nxt, c, max_evaluations=evaluations)
         solves = (
             lambda: solve_cost_from_drift(1.0, drift, nxt, CostParams(c)),
-            lambda: float(solve_costs_from_drift(np.ones(2), np.array([drift] * 2), np.array([nxt] * 2), np.array([c, 0.3]))[0]),
+            lambda: float(batch_solve(np.ones(2), np.array([drift] * 2), np.array([nxt] * 2), np.array([c, 0.3]))[0]),
         )
         for solve in solves:
             if evaluations <= FP_MAX_ITER:

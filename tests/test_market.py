@@ -326,6 +326,15 @@ TABLE += [
     pytest.param(lambda: QuoteStack([7.0, np.nan], [OPEN, OPEN], [CLOSE, CLOSE]), DayMismatch, "day nan is not an integer",
                  id="nan-day-stack"),
     pytest.param(lambda: RateMatrix(day=2.5, entries=OPEN), DayMismatch, "day 2.5 is not an integer", id="fraction-day-day"),
+    # Whole float days past int64 are refused, not cast to -2**63 (array) or left to raise OverflowError (list).
+    pytest.param(lambda: ReturnStack(np.array([1e19, 2e19]), np.zeros((2, 2, 2))), DayMismatch,
+                 "day 1e+19 lies outside the int64 range", id="past-int64-float-array-stack"),
+    pytest.param(lambda: ReturnStack([1e19, 2e19], np.zeros((2, 2, 2))), DayMismatch,
+                 "day 1e+19 lies outside the int64 range", id="past-int64-float-list-stack"),
+    pytest.param(lambda: ReturnStack([7.0, 9.3e18, 1e19], np.zeros((3, 2, 2))), DayMismatch,
+                 "day 9.3e+18 lies outside the int64 range", id="first-day-past-int64-stack"),
+    pytest.param(lambda: ReturnStack(np.array([1.0, 2.0**63]), np.zeros((2, 2, 2))), DayMismatch,
+                 "day 9.223372036854776e+18 lies outside the int64 range", id="day-at-2**63-stack"),
 ]
 
 

@@ -152,7 +152,7 @@ class TestBatchBisection:
             if isinstance(node, ast.ImportFrom) and node.module in ("costs", "fxfolio.costs")
             for alias in node.names
         }
-        assert "solve_costs_from_drift" in from_costs
+        assert "fixed_point_costs" in from_costs
         [func] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
         used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
         assert not used & (from_costs | {"costs"})
@@ -176,17 +176,17 @@ class TestCostBoundsViolationOrder:
     def run_with(self, monkeypatch, replicates, seed, moves):
         """The suite's violations, with the cost of replicate idx replaced by moves[idx](T)."""
         by_draw = {draw: idx for idx, draw in enumerate(replicate_draws(replicates, seed))}
-        solve = verify.solve_costs_from_drift
+        solve = verify.fixed_point_costs
 
-        def perturbed(f_k, drift, nxt, c):
-            t = solve(f_k, drift, nxt, c)
+        def perturbed(f_k, drift, w_next, c):
+            t = solve(f_k, drift, w_next, c)
             for row, draw in enumerate(zip(f_k.tolist(), c.tolist())):
                 idx = by_draw[draw]
                 if idx in moves:
                     t[row] = moves[idx](t[row])
             return t
 
-        monkeypatch.setattr(verify, "solve_costs_from_drift", perturbed)
+        monkeypatch.setattr(verify, "fixed_point_costs", perturbed)
         result = cost_bounds_suite(replicates=replicates, seed=seed)
         assert result.checked == replicates
         return [

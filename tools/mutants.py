@@ -57,6 +57,13 @@ MUTANTS = (
         (f"{TABLE}[rate-entry-close-stack]", f"{TABLE}[rate-entry-close-day]"),
     ),
     Mutant(
+        "a float day of exactly 2**63 is cast, not refused",
+        "src/fxfolio/market.py",
+        "past = (given < -(2.0**63)) | (given >= 2.0**63)",
+        "past = (given < -(2.0**63)) | (given > 2.0**63)",
+        (f"{TABLE}[day-at-2**63-stack]",),
+    ),
+    Mutant(
         "rate diagonal mask dropped",
         "src/fxfolio/market.py",
         "(np.diagonal(grids, axis1=1, axis2=2) == 1.0, lambda",
@@ -305,9 +312,33 @@ MUTANTS = (
     Mutant(
         "sweep block starts from the last day's capital_net, not its capital",
         "src/fxfolio/backtest.py",
-        "carried = f_col[:, start - 1] if start",
-        "carried = fp_col[:, start - 1] if start",
+        "    for start in range(0, n, _SWEEP_BLOCK):\n",
+        "    for start in range(0, n, _SWEEP_BLOCK):\n        f_prev = fp_col[:, start - 1] if start else f_prev\n",
         (f"{SWEEP}::test_blocks_of_any_size_give_the_same_bits",),
+    ),
+    Mutant(
+        "sweep block drops the charge carried from the last block",
+        "src/fxfolio/backtest.py",
+        "    for start in range(0, n, _SWEEP_BLOCK):\n",
+        "    for start in range(0, n, _SWEEP_BLOCK):\n        t_charge = np.zeros(b)\n",
+        (f"{SWEEP}::test_blocks_of_any_size_give_the_same_bits",),
+    ),
+    Mutant(
+        "batch cost solve charges a c = 0 row its first iterate",
+        "src/fxfolio/costs.py",
+        "    f = np.where(c == 0.0, 0.0, f_k)[:, None]\n",
+        "    f = f_k[:, None]\n",
+        (
+            "tests/test_costs.py::TestBatchSolve::test_a_free_row_costs_plus_zero_whatever_its_capital",
+            f"{SWEEP}::test_a_free_member_pays_nothing_at_the_largest_capital",
+        ),
+    ),
+    Mutant(
+        "batch cost solve takes the max of an empty batch",
+        "src/fxfolio/costs.py",
+        "if t.max(initial=0.0) <= FP_TOL:",
+        "if t.max() <= FP_TOL:",
+        ("tests/test_costs.py::TestBatchSolve::test_an_empty_batch_costs_nothing",),
     ),
     Mutant(
         "sweep raises a tilt overflow before the capital pass checks the days up to it",
