@@ -342,34 +342,29 @@ class Sweep:
     next_portfolio: np.ndarray
 
 
-# Days of per-day books a sweep holds at once, so its memory does not grow with the run.
-_SWEEP_BLOCK = 256
-
-
 def sweep(
     market: QuoteStack | ReturnStack,
     predictor: PredictorConfig | LinearPredictor | None,
     members: Sequence[tuple[UpdateConfig, CostParams]],
     f0: float = 1.0,
 ) -> Sweep:
-    """run_backtest for each (update, costs) member at once, as a weight pass and a capital pass.
+    """run_backtest for each (update, costs) member at once, one day at a time.
 
     The members share the market, the predictor's one prediction phase
-    and f0, and each runs at its own constant learning rate.  Row b of
-    every column is bit-equal to run_backtest(market, predictor,
-    *members[b], f0=f0)'s, and so is every error, with its day.  Only
-    numpy's warnings differ: a sweep may warn where run_backtest does not,
-    also about days past the one a member fails on, since the weight pass
-    runs a block ahead.
-
-    The drift and the tilt never read capital or cost, so members that
-    share (rule, gamma, support floor), and all members at gamma 0, share
-    one weight trajectory.  Over each block of _SWEEP_BLOCK days the
-    weight pass runs the drift, parking and tilt once per trajectory and
-    keeps each day's drift, growth and next book.  Then the capital pass
-    runs every member through the block's days at once, with one batched
-    cost solve per day.  run_backtest stays the loop for a single
-    configuration: at B = 1 this one costs more per day.
+    and f0, and each runs at its own constant learning rate.  Each day
+    takes run_backtest's steps in run_backtest's order on a (B, m, m)
+    book, one row per member: pay the last charge, drift and park, tilt
+    with updates.tilts, check the capital, then solve every member's
+    charge with one fixed_point_costs call.  A step that fails raises for
+    the first member it fails, so row b of every column is bit-equal to
+    run_backtest(market, predictor, *members[b], f0=f0)'s, and so is every
+    error, with its day.  Two numpy warnings differ, both overflows that
+    run_backtest does not report: a member's capital that overflows to
+    inf warns ``overflow encountered in multiply`` ahead of that day's
+    error, and since tilts computes eiitc's predicted growth on iitc rows
+    too, an iitc member may warn ``overflow encountered in reduce``.
+    run_backtest stays the loop for a single configuration: at B = 1 this
+    one costs more per day.
     """
     rets = _returns(market, f0)
     n = len(rets)
@@ -377,17 +372,9 @@ def sweep(
     b = len(members)
     if b == 0:
         raise InvalidParams("a sweep needs at least one member")
-    # One weight trajectory per distinct (rule, gamma, support floor); every member at gamma 0 only drifts.
-    keys = [
-        (update.rule, update.gamma, update.support_floor) if update.gamma > 0.0 else "drift" for update, _ in members
-    ]
-    # Rows in the order of each key's first member, so the first row to fail holds the first member to fail.
-    row_of = {key: s for s, key in enumerate(dict.fromkeys(keys))}
-    traj = np.array([row_of[key] for key in keys])
-    firsts = [members[keys.index(key)][0] for key in row_of]
-    eiitc = np.array([update.rule == "eiitc" for update in firsts])
-    gamma = np.array([update.gamma for update in firsts], dtype=float)
-    floor = np.array([update.support_floor for update in firsts], dtype=float)
+    eiitc = np.array([update.rule == "eiitc" for update, _ in members])
+    gamma = np.array([update.gamma for update, _ in members], dtype=float)
+    floor = np.array([update.support_floor for update, _ in members], dtype=float)
     fee = np.array([costs.c for _, costs in members], dtype=float)
 
     columns = np.empty((5, b, n))
@@ -395,36 +382,36 @@ def sweep(
     grids = rets.grids
     preds = predict(rets, predictor).grids
     first = uniform_portfolio(m, day=1).weights
-    psi = np.repeat(first[None], len(row_of), axis=0)
+    psi = np.repeat(first[None], b, axis=0)
     f_prev = np.full(b, float(f0))
     t_charge = np.zeros(b)
 
-    for start in range(0, n, _SWEEP_BLOCK):
-        end = min(start + _SWEEP_BLOCK, n)
-        drifts, books, growth, overflow = _weight_pass(grids, preds, start, end, psi, eiitc, gamma, floor)
-        days = len(growth)
-        span = slice(start, start + days)
-        g_col[:, span] = growth[:, traj].T
-        # One cost solve a day, on the targets normalized for the whole block at once.
-        w_next = books[:, traj].reshape(len(books), b, m * m)
-        w_next /= np.add.reduce(w_next, 2)[:, :, None]
-        drift_b = drifts[:, traj].reshape(days, b, m * m)
-        growth_b = growth[:, traj]
-        fp_blk, f_blk, t_blk = np.empty((3, days, b))
-        # A tilt that overflows ends the weight pass on its day, the last one the capital pass reaches.
-        last = days - 1 if overflow else days
-        for d in range(days):
-            fp = np.subtract(f_prev, t_charge, out=fp_blk[d])
-            f_k = np.multiply(fp, growth_b[d], out=f_blk[d])
-            # The growth is > 0, so an fp <= 0 shows as an f_k <= 0: a day whose capital is all
-            # finite and > 0 passes every check, and only the others need them.
-            if d == last or not (0.0 < f_k.min() and f_k.max() < np.inf):
-                _check_day(start + d + 1, f_prev, t_charge, overflow if d == last else None, f_k)
-            t_blk[d] = t_charge
-            t_charge = fixed_point_costs(f_k, drift_b[d], w_next[d], fee)
-            f_prev = f_k
-        fp_col[:, span], f_col[:, span], t_col[:, span] = fp_blk.T, f_blk.T, t_blk.T
-        psi = books[-1]
+    for d, r_k in enumerate(grids):
+        k = d + 1
+        fp = np.subtract(f_prev, t_charge, out=fp_col[:, d])
+        # One reduction settles a day whose members all keep capital; only the others need the mask.
+        if not fp.min() > 0.0 and (fp <= 0.0).any():
+            i = int(np.argmax(fp <= 0.0))
+            raise NonPositiveCapital(f"day {k}: costs of {float(t_charge[i])!r} exhaust capital {float(f_prev[i])!r}")
+        held = psi * r_k
+        growth = np.add.reduce(held.reshape(b, m * m), 1, out=g_col[:, d])
+        if not growth.min() > 0.0:
+            # A day whose weighted return is not > 0 parks the member: growth 1, book carried.
+            parked = ~(growth > 0.0)
+            growth[parked] = 1.0
+            held[parked] = psi[parked]
+        drift = held / growth[:, None, None]
+        f_k = np.multiply(fp, growth, out=f_col[:, d])
+        t_col[:, d] = t_charge
+
+        pred = preds[k]
+        psi = drift if pred is None else tilts(eiitc, drift, pred, gamma, floor)
+        # Two reductions settle a day whose capital is all finite and > 0; only the others need the mask.
+        if not (0.0 < f_k.min() and f_k.max() < np.inf):
+            bad = ~np.isfinite(f_k) | (f_k <= 0.0)
+            raise NonPositiveCapital(f"day {k}: capital must be finite and > 0, got {float(f_k[np.argmax(bad)])!r}")
+        t_charge = fixed_point_costs(f_k, drift.reshape(b, m * m), psi.reshape(b, m * m), fee)
+        f_prev = f_k
 
     prev_f = np.concatenate((np.full((b, 1), float(f0)), f_col[:, :-1]), axis=1)
     np.divide(t_col, prev_f, out=c_col)
@@ -435,56 +422,8 @@ def sweep(
         ratio=c_col,
         growth=g_col,
         first_portfolio=first,
-        next_portfolio=psi[traj],
+        next_portfolio=psi,
     )
-
-
-def _check_day(k, f_prev, t_charge, overflow, f_k):
-    """Raise what run_backtest raises on day k, if anything: exhausted capital, then the tilt's overflow, then capital.
-
-    f_prev and t_charge are every member's capital and charge before the
-    day, f_k its capital after it.
-    """
-    exhausted = f_prev - t_charge <= 0.0
-    if exhausted.any():
-        i = int(np.argmax(exhausted))
-        raise NonPositiveCapital(f"day {k}: costs of {float(t_charge[i])!r} exhaust capital {float(f_prev[i])!r}")
-    if overflow:
-        raise overflow
-    bad = ~np.isfinite(f_k) | (f_k <= 0.0)
-    if bad.any():
-        value = float(f_k[np.argmax(bad)])
-        raise NonPositiveCapital(f"day {k}: capital must be finite and > 0, got {value!r}")
-
-
-def _weight_pass(grids, preds, start, stop, psi, eiitc, gamma, floor):
-    """Days start+1..stop of each weight trajectory from the book psi: every day's drift, growth and next book.
-
-    A tilt that overflows ends the pass on its day; it comes back, not
-    raised, with that day's drift and growth and no book for it.
-    """
-    rows, m = psi.shape[0], psi.shape[1]
-    drifts = np.empty((stop - start, rows, m, m))
-    books = np.empty_like(drifts)
-    growth = np.empty((stop - start, rows))
-    for d in range(stop - start):
-        held = psi * grids[start + d]
-        diamond = np.add.reduce(held.reshape(rows, m * m), 1)
-        if diamond.min() > 0.0:
-            drift = held / diamond[:, None, None]
-            growth[d] = diamond
-        else:
-            live = diamond > 0.0
-            drift = np.where(live[:, None, None], held / np.where(live, diamond, 1.0)[:, None, None], psi)
-            growth[d] = np.where(live, diamond, 1.0)
-        drifts[d] = drift
-        pred = preds[start + d + 1]
-        try:
-            psi = drift if pred is None else tilts(eiitc, drift, pred, gamma, floor)
-        except InvalidParams as exc:
-            return drifts[: d + 1], books[:d], growth[: d + 1], exc
-        books[d] = psi
-    return drifts, books, growth, None
 
 
 def _predictor_config(predictor) -> dict:

@@ -70,13 +70,15 @@ def solve_cost_from_drift(
     raise NoConvergence(_STUCK)
 
 
-def fixed_point_costs(f_k: np.ndarray, drift: np.ndarray, w_next: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """solve_cost_from_drift for each row of flat (rows, m*m) grids, with w_next already normalized.
+def fixed_point_costs(f_k: np.ndarray, drift: np.ndarray, next_weights: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """solve_cost_from_drift for each row of flat (rows, m*m) grids.
 
-    Every row iterates from T = 0 with its own stopping test and keeps the
-    iterate at which it first stops, as solve_cost_from_drift does.  The
-    capital check is the caller's.
+    Each row of next_weights is normalized to sum 1, then every row
+    iterates from T = 0 with its own stopping test and keeps the iterate
+    at which it first stops, as solve_cost_from_drift does.  The capital
+    check is the caller's.
     """
+    w_next = next_weights / np.add.reduce(next_weights, 1, keepdims=True)
     # A row with c = 0 costs +0.0 whatever its capital: the scalar solve does no arithmetic for it.
     f = np.where(c == 0.0, 0.0, f_k)[:, None]
     gap = f * w_next - f * drift

@@ -147,7 +147,7 @@ def _read_only_stack(days, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _check_days(days: np.ndarray) -> None:
-    if np.any(np.diff(days) <= 0):
+    if np.any(days[1:] <= days[:-1]):
         raise NonMonotoneDays("market days must be strictly increasing")
 
 

@@ -277,8 +277,7 @@ def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
         drift, psi_next = np.zeros((2, len(f_k), m, m))
         off = ~np.eye(m, dtype=bool)
         drift[:, off], psi_next[:, off] = drift_off, next_off
-        target = psi_next.reshape(len(f_k), m * m)
-        t = fixed_point_costs(f_k, drift.reshape(len(f_k), m * m), target / np.add.reduce(target, 1)[:, None], c)
+        t = fixed_point_costs(f_k, drift.reshape(len(f_k), m * m), psi_next.reshape(len(f_k), m * m), c)
         delta = f_k * np.abs(psi_next - drift).reshape(len(f_k), m * m).sum(axis=1)
         solved.append(np.stack((c, t, delta, bisect_costs(f_k, drift, psi_next, c))))
     violations: list[str] = []

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fxfolio import backtest
 from fxfolio.backtest import (
     BacktestLedger,
     GammaSchedule,
@@ -806,7 +805,7 @@ class TestSweep:
                 assert same_bits(getattr(runs, name)[b], getattr(ledger, name)), (b, name)
             assert same_bits(runs.next_portfolio[b], ledger.next_portfolio), b
 
-    # gamma 0 under both rules and two floors is one drift; the rest share (rule, gamma) at two costs or two floors.
+    # Members at gamma 0 under both rules and two floors, and members sharing (rule, gamma) at two costs or two floors.
     SHARING = [
         (UpdateConfig("iitc", 0.0), CostParams(0.0)),
         (UpdateConfig("eiitc", 0.0, 0.01), CostParams(0.005)),
@@ -818,20 +817,10 @@ class TestSweep:
         (UpdateConfig("iitc", 0.0, 0.01), CostParams(0.05)),
     ]
 
-    def test_members_sharing_a_trajectory_match_single_runs(self, monkeypatch):
+    def test_members_sharing_rule_and_gamma_match_single_runs(self):
         rets = random_stack(7, 3, 40, 0.7)
         predictor = LinearPredictor((0.6, 0.4))
-        rows = []
-        real_tilts = backtest.tilts
-
-        def counted_tilts(eiitc, drift, *rest):
-            rows.append(len(drift))
-            return real_tilts(eiitc, drift, *rest)
-
-        monkeypatch.setattr(backtest, "tilts", counted_tilts)
         runs = sweep(rets, predictor, self.SHARING, f0=3.5)
-        # One row for the drift, then eiitc 0.5, eiitc 0.5 floored, iitc 0.5 floored and iitc 0.5.
-        assert set(rows) == {5}
         self.assert_matches_single_runs(runs, rets, predictor, self.SHARING, f0=3.5)
 
     def test_next_portfolio_rows_are_their_own(self):
@@ -839,14 +828,6 @@ class TestSweep:
         before = runs.next_portfolio.copy()
         runs.next_portfolio[2] += 1.0
         assert same_bits(np.delete(runs.next_portfolio, 2, axis=0), np.delete(before, 2, axis=0))
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_blocks_of_any_size_give_the_same_bits(self, monkeypatch, block):
-        rets = random_stack(11, 3, 20, 0.7)
-        predictor = PredictorConfig(mpcr=1, mpo=1, segment=SegmentConfig(L=3))
-        monkeypatch.setattr(backtest, "_SWEEP_BLOCK", block)
-        runs = sweep(rets, predictor, self.SHARING, f0=3.5)
-        self.assert_matches_single_runs(runs, rets, predictor, self.SHARING, f0=3.5)
 
     @staticmethod
     def three_currencies(*days):
@@ -860,42 +841,40 @@ class TestSweep:
     # From 1.5e308, day 1 earns 6 on (0, 1) alone and leaves capital as it was.  A 0.99
     # floor then spreads the book away from (0, 1), so the day's cost overflows to inf
     # and exhausts capital on day 2.  A tilt at gamma 1e308 overflows on day 1's return
-    # of 6; at gamma 1e307 only on a return of 100.
+    # of 6; at gamma 1e307 only on a return of 100, which on day 1 also overflows capital
+    # to inf: the tilt comes first.
     EXHAUSTED = "day 2: costs of inf exhaust capital 1.5e+308"
-    OVERFLOWS = "gamma 1e+308 overflows the tilt exponent: inf at the best return"
+    OVERFLOWS = "gamma {} overflows the tilt exponent: inf at the best return"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("block", [1, 2, 256])
     @pytest.mark.parametrize("order", [1, -1])
     @pytest.mark.parametrize(
         "gamma, returns, expected",
         [
-            (1e308, (6.0, 1.0, 1.0), (InvalidParams, OVERFLOWS)),
+            (1e308, (6.0, 1.0, 1.0), (InvalidParams, OVERFLOWS.format("1e+308"))),
             (1e307, (6.0, 100.0, 1.0), (NonPositiveCapital, EXHAUSTED)),
             (1e307, (6.0, 1.0, 100.0), (NonPositiveCapital, EXHAUSTED)),
+            (1e307, (100.0, 1.0, 1.0), (InvalidParams, OVERFLOWS.format("1e+307"))),
         ],
-        ids=["overflow-on-day-1", "both-on-day-2", "overflow-on-day-3"],
+        ids=["overflow-on-day-1", "both-on-day-2", "overflow-on-day-3", "overflow-and-inf-capital-on-day-1"],
     )
-    def test_exhausted_capital_against_an_overflowing_tilt(self, monkeypatch, block, order, gamma, returns, expected):
+    def test_exhausted_capital_against_an_overflowing_tilt(self, order, gamma, returns, expected):
         rets = self.three_currencies(*({(0, 1): value} for value in returns))
         exhausts = (UpdateConfig("iitc", 0.5, 0.99), CostParams(0.9))
         overflows = (UpdateConfig("iitc", gamma), CostParams(0.0))
         members = [exhausts, overflows][::order]
-        monkeypatch.setattr(backtest, "_SWEEP_BLOCK", block)
         with pytest.raises(FxfolioError) as raised:
             sweep(rets, LinearPredictor((1.0,)), members, f0=1.5e308)
         assert (type(raised.value), str(raised.value)) == expected
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("block", [1, 2, 256])
-    def test_free_and_paying_capital_fail_on_one_day(self, monkeypatch, block):
+    def test_free_and_paying_capital_fail_on_one_day(self):
         # After day 1 the drift holds only (0, 1), which earns 1e-200 a day: its capital
         # underflows to 0 on day 3.  A 0.5 floor keeps a twelfth of the book on (0, 2),
         # which earns 1e200 a day: that capital overflows to inf on day 3.
         rets = self.three_currencies({(0, 1): 1.0}, *[{(0, 1): 1e-200, (0, 2): 1e200}] * 2)
         drift = (UpdateConfig("iitc", 0.0), CostParams(0.0))
         spread = (UpdateConfig("iitc", 0.5, 0.5), CostParams(0.005))
-        monkeypatch.setattr(backtest, "_SWEEP_BLOCK", block)
         for members, value in (([drift, spread], "0.0"), ([spread, drift], "inf")):
             message = rf"^day 3: capital must be finite and > 0, got {value}$"
             with pytest.raises(NonPositiveCapital, match=message):
@@ -913,19 +892,44 @@ class TestSweep:
         runs = sweep(rets, LinearPredictor((1.0,)), members, f0=1.7e308)
         self.assert_matches_single_runs(runs, rets, LinearPredictor((1.0,)), members, f0=1.7e308)
 
+    # From f0, day 2 earns 1e-300 on (0, 1), and day 3 the largest float on (0, 1) and
+    # (1, 2), which a 0.5 floor keeps in the book.
+    BIG = np.finfo(float).max
+    FLOORED_DAYS = ({(0, 1): 1e-300, (1, 2): 0.5}, {(0, 1): BIG, (1, 2): BIG})
+
     @pytest.mark.filterwarnings("error")
-    def test_a_warning_past_the_failing_day(self):
-        # From 1e-322, capital underflows to 0 on day 2.  Day 3 earns the largest float on
-        # (0, 1) and (1, 2), which the 0.5 floor keeps in the book, so eiitc's predicted
-        # growth of day 3 overflows.  run_backtest stops on day 2; the sweep's weight pass
-        # runs a block ahead and warns on day 3, so under -W error the warning comes first.
-        big = np.finfo(float).max
-        rets = self.three_currencies({(0, 1): 0.5, (1, 2): 0.5}, {(0, 1): 1e-300, (1, 2): 0.5}, {(0, 1): big, (1, 2): big})
+    def test_capital_fails_before_a_later_days_overflow(self):
+        # From 1e-322, capital underflows to 0 on day 2, so neither loop reaches day 3,
+        # whose eiitc predicted growth overflows.
+        rets = self.three_currencies({(0, 1): 0.5, (1, 2): 0.5}, *self.FLOORED_DAYS)
         update, costs = UpdateConfig("eiitc", 0.5, 0.5), CostParams(0.0)
-        with pytest.raises(NonPositiveCapital, match=r"^day 2: capital must be finite and > 0, got 0\.0$"):
+        message = r"^day 2: capital must be finite and > 0, got 0\.0$"
+        with pytest.raises(NonPositiveCapital, match=message):
             run_backtest(rets, LinearPredictor((1.0,)), update=update, costs=costs, f0=1e-322)
-        with pytest.raises(RuntimeWarning, match="^overflow encountered in reduce$"):
+        with pytest.raises(NonPositiveCapital, match=message):
             sweep(rets, LinearPredictor((1.0,)), [(update, costs)], f0=1e-322)
+
+    # The two warnings a sweep adds, both overflows that run_backtest does not report.
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_capital_warns_ahead_of_its_error(self):
+        # From 1.5e308, day 1 earns 100 / 6: run_backtest's float product is inf, which its
+        # capital check refuses; the sweep's numpy product warns first.
+        rets = self.three_currencies({(0, 1): 100.0}, {(0, 1): 1.0})
+        update, costs = UpdateConfig("iitc", 0.0), CostParams(0.0)
+        with pytest.raises(NonPositiveCapital, match=r"^day 1: capital must be finite and > 0, got inf$"):
+            run_backtest(rets, LinearPredictor((1.0,)), update=update, costs=costs, f0=1.5e308)
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in multiply$"):
+            sweep(rets, LinearPredictor((1.0,)), [(update, costs)], f0=1.5e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_iitc_member_warns_on_eiitc_growth(self):
+        # tilts computes eiitc's predicted growth on every row, and day 3's growth of an iitc
+        # book overflows, which the scalar iitc tilt never computes.
+        rets = self.three_currencies({(0, 1): 1.0, (1, 2): 1.0}, *self.FLOORED_DAYS)
+        update, costs = UpdateConfig("iitc", 0.5, 0.5), CostParams(0.0)
+        run_backtest(rets, LinearPredictor((1.0,)), update=update, costs=costs)
+        with pytest.raises(RuntimeWarning, match="^overflow encountered in reduce$"):
+            sweep(rets, LinearPredictor((1.0,)), [(update, costs)])
 
 
 def test_messages_print_plain_floats():

@@ -173,10 +173,9 @@ class TestCostRatioBound:
 
 
 def batch_solve(f_k, drift, nxt, c):
-    """fixed_point_costs of (B, m, m) grids, the targets normalized as the sweep and the cost-bounds suite do."""
+    """fixed_point_costs of (B, m, m) grids."""
     rows = len(f_k)
-    target = nxt.reshape(rows, -1)
-    return fixed_point_costs(f_k, drift.reshape(rows, -1), target / np.add.reduce(target, 1)[:, None], c)
+    return fixed_point_costs(f_k, drift.reshape(rows, -1), nxt.reshape(rows, -1), c)
 
 
 class TestBatchSolve:

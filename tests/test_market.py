@@ -11,6 +11,7 @@ from fxfolio.errors import (
     ComplementarityViolation,
     DayMismatch,
     FxfolioError,
+    NonMonotoneDays,
     NonPositiveEntry,
     NonUnitDiagonal,
     SpreadViolation,
@@ -344,6 +345,16 @@ def test_each_rule_raises_its_class_and_message(call, cls, message):
     with pytest.raises(FxfolioError) as raised:
         call()
     assert (type(raised.value), str(raised.value)) == (cls, message)
+
+
+def test_days_any_distance_apart_are_ordered_without_wrapping():
+    """Days more than 2**63 apart increase: the order test compares them, it does not subtract them."""
+    assert ReturnStack([-(2**63), 0], np.zeros((2, 2, 2))).days.tolist() == [-(2**63), 0]
+    stack = QuoteStack([-(2**63), 2**63 - 1], [OPEN, OPEN], [CLOSE, CLOSE])
+    assert stack.days.tolist() == [-(2**63), 2**63 - 1]
+    for days in ([0, -(2**63)], [2**63 - 1, 2**63 - 1], [-(2**63), 2**63 - 1, 0]):
+        with pytest.raises(NonMonotoneDays, match="^market days must be strictly increasing$"):
+            ReturnStack(days, np.zeros((len(days), 2, 2)))
 
 
 def test_first_day_then_first_rule():

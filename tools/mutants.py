@@ -296,34 +296,6 @@ MUTANTS = (
         (f"{FIXED_POINT}::test_a_first_iterate_of_exactly_the_tolerance_stops",),
     ),
     Mutant(
-        "sweep trajectories keyed without the support floor",
-        "src/fxfolio/backtest.py",
-        "(update.rule, update.gamma, update.support_floor) if update.gamma > 0.0",
-        "(update.rule, update.gamma) if update.gamma > 0.0",
-        (f"{SWEEP}::test_members_sharing_a_trajectory_match_single_runs",),
-    ),
-    Mutant(
-        "sweep keys gamma 0 members by rule",
-        "src/fxfolio/backtest.py",
-        'if update.gamma > 0.0 else "drift" for update, _ in members',
-        "if update.gamma > 0.0 else update.rule for update, _ in members",
-        (f"{SWEEP}::test_members_sharing_a_trajectory_match_single_runs",),
-    ),
-    Mutant(
-        "sweep block starts from the last day's capital_net, not its capital",
-        "src/fxfolio/backtest.py",
-        "    for start in range(0, n, _SWEEP_BLOCK):\n",
-        "    for start in range(0, n, _SWEEP_BLOCK):\n        f_prev = fp_col[:, start - 1] if start else f_prev\n",
-        (f"{SWEEP}::test_blocks_of_any_size_give_the_same_bits",),
-    ),
-    Mutant(
-        "sweep block drops the charge carried from the last block",
-        "src/fxfolio/backtest.py",
-        "    for start in range(0, n, _SWEEP_BLOCK):\n",
-        "    for start in range(0, n, _SWEEP_BLOCK):\n        t_charge = np.zeros(b)\n",
-        (f"{SWEEP}::test_blocks_of_any_size_give_the_same_bits",),
-    ),
-    Mutant(
         "batch cost solve charges a c = 0 row its first iterate",
         "src/fxfolio/costs.py",
         "    f = np.where(c == 0.0, 0.0, f_k)[:, None]\n",
@@ -341,18 +313,34 @@ MUTANTS = (
         ("tests/test_costs.py::TestBatchSolve::test_an_empty_batch_costs_nothing",),
     ),
     Mutant(
-        "sweep raises a tilt overflow before the capital pass checks the days up to it",
-        "src/fxfolio/backtest.py",
-        "            return drifts[: d + 1], books[:d], growth[: d + 1], exc\n",
-        "            raise\n",
-        (f"{SWEEP}::test_exhausted_capital_against_an_overflowing_tilt",),
-    ),
-    Mutant(
         "sweep's last capital cell off by 1%",
         "src/fxfolio/backtest.py",
         "    np.divide(t_col, prev_f, out=c_col)\n",
         "    np.divide(t_col, prev_f, out=c_col)\n    f_col[:, -1] *= 1.01\n",
         ("tests/test_verify.py::TestUniversalitySuite::test_small_sweep_passes",),
+    ),
+    Mutant(
+        "sweep checks the day's capital before the tilt",
+        "src/fxfolio/backtest.py",
+        "        pred = preds[k]\n",
+        "        if not (0.0 < f_k.min() and f_k.max() < np.inf):\n"
+        '            raise NonPositiveCapital(f"day {k}: capital must be finite and > 0")\n'
+        "        pred = preds[k]\n",
+        (f"{SWEEP}::test_exhausted_capital_against_an_overflowing_tilt",),
+    ),
+    Mutant(
+        "sweep drops the exhausted-capital check",
+        "src/fxfolio/backtest.py",
+        "        if not fp.min() > 0.0 and (fp <= 0.0).any():\n",
+        "        if False:\n",
+        (f"{SWEEP}::test_exhausted_capital_against_an_overflowing_tilt",),
+    ),
+    Mutant(
+        "sweep's parked day grows by 2, not 1",
+        "src/fxfolio/backtest.py",
+        "            growth[parked] = 1.0\n",
+        "            growth[parked] = 2.0\n",
+        (f"{SWEEP}::test_parked_days_and_eiitc_fallbacks",),
     ),
 )
 
