@@ -823,6 +823,53 @@ class TestSweep:
         runs = sweep(rets, predictor, self.SHARING, f0=3.5)
         self.assert_matches_single_runs(runs, rets, predictor, self.SHARING, f0=3.5)
 
+    # The universality suite's twelve members, on its normalized markets at m = 2, 3, 4.
+    UNIVERSALITY = [
+        (UpdateConfig(rule, gamma), CostParams(c))
+        for rule in ("iitc", "eiitc")
+        for gamma in (0.0, 0.1, 0.5)
+        for c in (0.0, 0.005)
+    ]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "predictor",
+        [
+            None,
+            LinearPredictor((1.0,)),
+            PredictorConfig(mpcr=1, mpo=1, segment=SegmentConfig(L=3)),
+            PredictorConfig(mpcr=2, mpo=2, adjusted=True, segment=SegmentConfig(L=4)),
+        ],
+        ids=["none", "linear", "mpcr1-mpo1", "mpcr2-mpo2-adjusted"],
+    )
+    def test_universality_members_on_normalized_markets_match_single_runs(self, m, predictor):
+        quotes = generate_market(SyntheticMarketSpec(m=m, n_days=60, seed=40 + m, normalize=True, r_floor=0.5))
+        rets = normalized_returns(quotes)
+        runs = sweep(rets, predictor, self.UNIVERSALITY)
+        self.assert_matches_single_runs(runs, rets, predictor, self.UNIVERSALITY)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("position", [0, 1, 2, 3])
+    def test_a_failing_member_raises_its_own_error_wherever_it_sits(self, position):
+        # The EXHAUSTED member among three that keep their capital: the sweep raises that
+        # member's run_backtest error, with its day, whatever its row.
+        rets = self.three_currencies({(0, 1): 6.0}, {(0, 1): 1.0}, {(0, 1): 1.0})
+        keep = [
+            (UpdateConfig("iitc", 0.0), CostParams(0.0)),
+            (UpdateConfig("eiitc", 0.5), CostParams(0.0)),
+            (UpdateConfig("iitc", 0.5, 0.5), CostParams(0.0)),
+        ]
+        exhausts = (UpdateConfig("iitc", 0.5, 0.99), CostParams(0.9))
+        runs = sweep(rets, LinearPredictor((1.0,)), keep, f0=1.5e308)
+        self.assert_matches_single_runs(runs, rets, LinearPredictor((1.0,)), keep, f0=1.5e308)
+        with pytest.raises(NonPositiveCapital) as single:
+            run_backtest(rets, LinearPredictor((1.0,)), update=exhausts[0], costs=exhausts[1], f0=1.5e308)
+        assert str(single.value) == self.EXHAUSTED
+        members = keep[:position] + [exhausts] + keep[position:]
+        with pytest.raises(NonPositiveCapital) as swept:
+            sweep(rets, LinearPredictor((1.0,)), members, f0=1.5e308)
+        assert str(swept.value) == self.EXHAUSTED
+
     def test_next_portfolio_rows_are_their_own(self):
         runs = sweep(random_stack(3, 3, 10, 1.0), LinearPredictor((1.0,)), self.SHARING)
         before = runs.next_portfolio.copy()

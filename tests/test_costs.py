@@ -213,6 +213,19 @@ class TestBatchSolve:
         assert t[1] == solve_cost_from_drift(1.0, drift, nxt, CostParams(0.3))
         assert solve_cost_from_drift(1.7e308, drift, nxt, CostParams(0.0)) == 0.0
 
+    @pytest.mark.parametrize("scale", [2.0**-20, 0.5, 2.0, 2.0**20])
+    def test_targets_are_normalized_to_the_same_bits(self, scale):
+        # Scaling a row by a power of two rounds nothing, so its normalized targets and its costs keep their bits.
+        rng = np.random.default_rng(17)
+        drift = np.array([random_portfolio_weights(rng, 3, sparse=True) for _ in range(4)])
+        nxt = np.array([random_portfolio_weights(rng, 3) for _ in range(4)])
+        f_k = np.array([1e-9, 0.7, 3.0, 1e12])
+        c = np.array([0.0, 0.005, 0.05, 0.3])
+        t = batch_solve(f_k, drift, nxt, c)
+        assert batch_solve(f_k, drift, nxt * scale, c).tobytes() == t.tobytes()
+        for b in range(4):
+            assert t[b] == solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b] * scale, CostParams(float(c[b])))
+
     def test_an_empty_batch_costs_nothing(self):
         t = fixed_point_costs(np.empty(0), np.empty((0, 4)), np.empty((0, 4)), np.empty(0))
         assert t.shape == (0,) and t.dtype == np.float64
