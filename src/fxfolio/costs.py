@@ -88,16 +88,22 @@ def fixed_point_costs(f_k: np.ndarray, drift: np.ndarray, next_weights: np.ndarr
     # member's first iterate is within FP_TOL, and one max settles the day (an empty batch too).
     if t.max(initial=0.0) <= FP_TOL:
         return t
-    todo = ~((t <= FP_TOL) | (t == np.inf))
+    inf = t == np.inf
+    todo = ~((t <= FP_TOL) | inf)
     if not todo.any():
         return t
+    # An inf first iterate times a zero target weight would be nan, so a row done at inf waits
+    # out the loop on a zero gap at T = 0 and gets inf back at the end.
+    held = inf.any()
+    if held:
+        gap[inf], t = 0.0, np.where(inf, 0.0, t)
     for _ in range(FP_MAX_ITER - 1):
         t_new = c * np.add.reduce(np.abs(gap - t[:, None] * w_next), 1)
         stop = np.abs(t_new - t) <= FP_TOL * np.maximum(1.0, t_new)
         t = np.where(todo, t_new, t)
         todo &= ~stop
         if not todo.any():
-            return t
+            return np.where(inf, np.inf, t) if held else t
     raise NoConvergence(_STUCK)
 
 

@@ -23,7 +23,7 @@ from .backtest import (
     single_pair_growth_rate,
     sweep,
 )
-from .costs import CostParams, cost_bounds, cost_ratio_bound, fixed_point_costs
+from .costs import CostParams, cost_ratio_bound, fixed_point_costs
 from .crossrate import (
     PredictorConfig,
     SegmentConfig,
@@ -248,54 +248,75 @@ def bisect_costs(f_k: np.ndarray, drift_weights: np.ndarray, next_weights: np.nd
 _SIZES = (2, 3, 4, 6)
 
 
+def _cost_bounds_draws(rng: np.random.Generator, replicates: int) -> list[tuple[np.ndarray, ...]]:
+    """Per m in _SIZES: the off-diagonal weights of each row's drift and target, its f_k and its c.
+
+    Replicate idx is row idx // 4 of group idx % 4.  In replicate order, one
+    standard_exponential call fills its (2, k) exponentials and one random
+    call its two uniforms; then every group is normalized and scaled at once.
+    """
+    exps, unis = [], []
+    for g, m in enumerate(_SIZES):
+        rows = len(range(g, replicates, len(_SIZES)))
+        exps.append(np.empty((rows, 2, m * m - m)))
+        unis.append(np.empty((rows, 2)))
+    for idx in range(replicates):
+        g, row = idx % len(_SIZES), idx // len(_SIZES)
+        rng.standard_exponential(out=exps[g][row])
+        rng.random(out=unis[g][row])
+    draws = []
+    for e, u in zip(exps, unis):
+        # cumsum adds left to right, as dirichlet does; np.add.reduce regroups the terms from k = 8 on.
+        w = e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
+        draws.append((w[:, 0], w[:, 1], 0.5 + (2.0 - 0.5) * u[:, 0], 0.0 + (0.05 - 0.0) * u[:, 1]))
+    return draws
+
+
 def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
     """Check the cost solve against its sandwich and the bisection oracle on random days.
 
     Replicate idx draws an m = _SIZES[idx % 4] day into row idx // 4 of that
-    m's group.  Every draw is made first, in replicate order, so the random
-    stream is the same as one replicate at a time; then each group is solved
-    and bisected at once, and the checks run in replicate order.
+    m's group: two dirichlet(ones(k)) rows, f_k ~ uniform(0.5, 2.0) and
+    c ~ uniform(0.0, 0.05), in replicate order.  They are drawn in bulk
+    (_cost_bounds_draws): NumPy's Dirichlet(1, ..., 1) is k standard
+    exponentials times the reciprocal of their left-to-right sum, and
+    uniform(a, b) is a + (b - a) * random(), so the bits and the generator's
+    final state are those of the per-value calls, which
+    tests/oracles.py::oracle_cost_bounds_draws makes.  Each group is solved
+    and bisected at once; then the sandwich c/(1+c) delta <= T <= c/(1-c)
+    delta and the oracle gap are checked as arrays, and only violating
+    replicates are formatted, in replicate order.
     """
     _check_run(replicates, seed)
-    rng = np.random.default_rng(seed)
-    # Per group: the off-diagonal weights of the drift and the target, f_k and c.
-    draws = []
-    for g, m in enumerate(_SIZES):
-        rows = len(range(g, replicates, len(_SIZES)))
-        draws.append((np.empty((rows, m * m - m)), np.empty((rows, m * m - m)), np.empty(rows), np.empty(rows)))
-    alphas = [np.ones(m * m - m) for m in _SIZES]
-    for idx in range(replicates):
-        g, row = idx % len(_SIZES), idx // len(_SIZES)
-        drift_off, next_off, f_k, c = draws[g]
-        drift_off[row] = rng.dirichlet(alphas[g])
-        next_off[row] = rng.dirichlet(alphas[g])
-        f_k[row] = rng.uniform(0.5, 2.0)
-        c[row] = rng.uniform(0.0, 0.05)
-    # Per group: one column (c, T, turnover, bisection root) per row.
-    solved = []
-    for m, (drift_off, next_off, f_k, c) in zip(_SIZES, draws):
+    # Rows c, T, turnover and bisection root, one column per replicate.
+    solved = np.empty((4, replicates))
+    draws = _cost_bounds_draws(np.random.default_rng(seed), replicates)
+    for g, (m, (drift_off, next_off, f_k, c)) in enumerate(zip(_SIZES, draws)):
         drift, psi_next = np.zeros((2, len(f_k), m, m))
         off = ~np.eye(m, dtype=bool)
         drift[:, off], psi_next[:, off] = drift_off, next_off
         t = fixed_point_costs(f_k, drift.reshape(len(f_k), m * m), psi_next.reshape(len(f_k), m * m), c)
         delta = f_k * np.abs(psi_next - drift).reshape(len(f_k), m * m).sum(axis=1)
-        solved.append(np.stack((c, t, delta, bisect_costs(f_k, drift, psi_next, c))))
+        solved[:, g :: len(_SIZES)] = (c, t, delta, bisect_costs(f_k, drift, psi_next, c))
+    c, t, delta, oracle = solved
+    # costs.cost_bounds' sandwich, elementwise.
+    lo, hi = (c / (1.0 + c)) * delta, (c / (1.0 - c)) * delta
+    outside = ~((lo - 1e-9 <= t) & (t <= hi + 1e-9))
+    gap = np.abs(t - oracle)
+    apart = gap > 1e-8
     violations: list[str] = []
-    worst_oracle_gap = 0.0
-    for idx in range(replicates):
-        m = _SIZES[idx % len(_SIZES)]
-        c, t, delta, oracle = solved[idx % len(_SIZES)][:, idx // len(_SIZES)].tolist()
-        lo, hi = cost_bounds(delta, c)
-        tag = f"seed={seed} replicate={idx} m={m} c={c}"
-        if not (lo - 1e-9 <= t <= hi + 1e-9):
-            violations.append(f"{tag}: T={t!r} outside sandwich [{lo!r}, {hi!r}]")
-        worst_oracle_gap = max(worst_oracle_gap, abs(t - oracle))
-        if abs(t - oracle) > 1e-8:
-            violations.append(f"{tag}: fixed point {t!r} vs bisection {oracle!r}")
+    for idx in np.flatnonzero(outside | apart).tolist():
+        ci, ti, loi, hii, oi = (float(a[idx]) for a in (c, t, lo, hi, oracle))
+        tag = f"seed={seed} replicate={idx} m={_SIZES[idx % len(_SIZES)]} c={ci}"
+        if outside[idx]:
+            violations.append(f"{tag}: T={ti!r} outside sandwich [{loi!r}, {hii!r}]")
+        if apart[idx]:
+            violations.append(f"{tag}: fixed point {ti!r} vs bisection {oi!r}")
     return SuiteResult(
         suite="cost-bounds",
         passed=not violations,
         checked=replicates,
         violations=violations,
-        stats={"replicates": replicates, "worst_oracle_gap": worst_oracle_gap},
+        # fmax skips a nan gap, as the oracle's running max over Python floats does.
+        stats={"replicates": replicates, "worst_oracle_gap": float(np.fmax.reduce(gap, initial=0.0))},
     )

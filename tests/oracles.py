@@ -701,3 +701,66 @@ def oracle_order_labels(spec, rng: np.random.Generator) -> list[int]:
             prev = (3 - prev) if flag else prev
             labels.append(prev)
     return labels
+
+
+def oracle_cost_bounds_draws(rng: np.random.Generator, replicates: int) -> list[tuple[np.ndarray, ...]]:
+    """The cost-bounds suite's draws, made with one dirichlet or uniform call per value.
+
+    The reference for ``verify._cost_bounds_draws``: per m in (2, 3, 4, 6),
+    the off-diagonal weights of each row's drift and target, its f_k and
+    its c, with replicate idx at row idx // 4 of group idx % 4.
+    """
+    sizes = (2, 3, 4, 6)
+    draws = []
+    for g, m in enumerate(sizes):
+        rows = len(range(g, replicates, len(sizes)))
+        draws.append((np.empty((rows, m * m - m)), np.empty((rows, m * m - m)), np.empty(rows), np.empty(rows)))
+    alphas = [np.ones(m * m - m) for m in sizes]
+    for idx in range(replicates):
+        g, row = idx % len(sizes), idx // len(sizes)
+        drift_off, next_off, f_k, c = draws[g]
+        drift_off[row] = rng.dirichlet(alphas[g])
+        next_off[row] = rng.dirichlet(alphas[g])
+        f_k[row] = rng.uniform(0.5, 2.0)
+        c[row] = rng.uniform(0.0, 0.05)
+    return draws
+
+
+def oracle_cost_bounds_suite(replicates: int, seed: int):
+    """``verify.cost_bounds_suite`` with the oracle's draws and one ``cost_bounds`` check per replicate.
+
+    It solves and bisects each m group with ``verify.fixed_point_costs`` and
+    ``verify.bisect_costs``, looked up at call time, so a test that patches
+    the solve patches it here too.
+    """
+    from fxfolio import verify
+    from fxfolio.costs import cost_bounds
+
+    sizes = (2, 3, 4, 6)
+    solved = []
+    for m, (drift_off, next_off, f_k, c) in zip(sizes, oracle_cost_bounds_draws(np.random.default_rng(seed), replicates)):
+        drift, psi_next = np.zeros((2, len(f_k), m, m))
+        off = ~np.eye(m, dtype=bool)
+        drift[:, off], psi_next[:, off] = drift_off, next_off
+        t = verify.fixed_point_costs(f_k, drift.reshape(len(f_k), m * m), psi_next.reshape(len(f_k), m * m), c)
+        delta = f_k * np.abs(psi_next - drift).reshape(len(f_k), m * m).sum(axis=1)
+        solved.append(np.stack((c, t, delta, verify.bisect_costs(f_k, drift, psi_next, c))))
+    violations: list[str] = []
+    worst_oracle_gap = 0.0
+    for idx in range(replicates):
+        m = sizes[idx % len(sizes)]
+        c, t, delta, oracle = solved[idx % len(sizes)][:, idx // len(sizes)].tolist()
+        lo, hi = cost_bounds(delta, c)
+        tag = f"seed={seed} replicate={idx} m={m} c={c}"
+        if not (lo - 1e-9 <= t <= hi + 1e-9):
+            violations.append(f"{tag}: T={t!r} outside sandwich [{lo!r}, {hi!r}]")
+        worst_oracle_gap = max(worst_oracle_gap, abs(t - oracle))
+        if abs(t - oracle) > 1e-8:
+            violations.append(f"{tag}: fixed point {t!r} vs bisection {oracle!r}")
+    return verify.SuiteResult(
+        suite="cost-bounds",
+        passed=not violations,
+        checked=replicates,
+        violations=violations,
+        stats={"replicates": replicates, "worst_oracle_gap": worst_oracle_gap},
+    )

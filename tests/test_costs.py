@@ -1,6 +1,7 @@
 """Transaction cost fixed point, its sandwich bounds, and the cost-ratio bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ class TestBatchSolve:
         assert batch_solve(f_k, drift, nxt * scale, c).tobytes() == t.tobytes()
         for b in range(4):
             assert t[b] == solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b] * scale, CostParams(float(c[b])))
+
+    def test_a_row_done_at_an_inf_first_iterate_warns_as_its_scalar_solve(self):
+        # Row 0 moves more cash than a float holds, so its first iterate is inf; row 1 iterates on.
+        f_k = np.array([1.7e308, 1.0])
+        drift = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+        nxt = np.array([[0.0, 0.0, 0.0, 1.0], [0.25] * 4])
+        c = np.array([0.9, 0.3])
+
+        def recorded(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = call()
+            return out, [(w.category, str(w.message)) for w in caught]
+
+        t, batch_warnings = recorded(lambda: batch_solve(f_k, drift, nxt, c))
+        scalar_warnings = []
+        for b in range(2):
+            expect, caught = recorded(lambda: solve_cost_from_drift(float(f_k[b]), drift[b], nxt[b], CostParams(float(c[b]))))
+            assert t[b].tobytes() == np.float64(expect).tobytes()
+            scalar_warnings += caught
+        assert t[0] == np.inf
+        assert batch_warnings == scalar_warnings == [(RuntimeWarning, "overflow encountered in reduce")]
 
     def test_an_empty_batch_costs_nothing(self):
         t = fixed_point_costs(np.empty(0), np.empty((0, 4)), np.empty((0, 4)), np.empty(0))

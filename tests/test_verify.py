@@ -9,13 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_portfolio_weights, universality_replicate_per_config
+from oracles import (
+    oracle_cost_bounds_draws,
+    oracle_cost_bounds_suite,
+    random_portfolio_weights,
+    universality_replicate_per_config,
+)
 
 from fxfolio import verify
 from fxfolio.crossrate import SegmentConfig, cross_rate, mpcr_predict, mpo_predict
 from fxfolio.data_io import SyntheticOrderSpec, order_labels, symmetric_masses
 from fxfolio.errors import InvalidParams
 from fxfolio.verify import (
+    _cost_bounds_draws,
     _universality_replicate,
     bisect_cost,
     bisect_costs,
@@ -103,6 +109,10 @@ class TestCostBoundsSuite:
         assert result.checked == 400
         assert result.stats["worst_oracle_gap"] <= 1e-8
 
+    def test_matches_the_per_replicate_oracle(self):
+        # 2001 replicates: uneven groups, and m = 4 and 6 rows long enough that a pairwise normalizer moves bits.
+        assert cost_bounds_suite(replicates=2001, seed=2) == oracle_cost_bounds_suite(2001, 2)
+
     def test_bisection_solves_the_residual(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -158,23 +168,35 @@ class TestBatchBisection:
         assert not used & (from_costs | {"costs"})
 
 
+class TestCostBoundsDraws:
+    """The suite's bulk draws are the oracle's dirichlet and uniform calls: same bits, same final generator state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 97])
+    @pytest.mark.parametrize("replicates", [1, 2, 3, 4, 7, 2000, 2001])
+    def test_match_one_call_per_value(self, replicates, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws, expect = _cost_bounds_draws(rng, replicates), oracle_cost_bounds_draws(ref_rng, replicates)
+        assert len(draws) == len(expect) == 4
+        for group, ref in zip(draws, expect):
+            assert [a.shape for a in group] == [a.shape for a in ref]
+            assert [a.tobytes() for a in group] == [a.tobytes() for a in ref]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def replicate_draws(replicates, seed):
-    """(f_k, c) of every cost-bounds replicate, replayed one replicate at a time from the suite's stream."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for idx in range(replicates):
-        m = (2, 3, 4, 6)[idx % 4]
-        rng.dirichlet(np.ones(m * m - m))
-        rng.dirichlet(np.ones(m * m - m))
-        draws.append((rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.05)))
-    return draws
+    """(f_k, c) of every cost-bounds replicate, from the oracle's one-call-per-value draws."""
+    draws = oracle_cost_bounds_draws(np.random.default_rng(seed), replicates)
+    return [(float(draws[idx % 4][2][idx // 4]), float(draws[idx % 4][3][idx // 4])) for idx in range(replicates)]
 
 
 class TestCostBoundsViolationOrder:
     """Violation lines come in replicate order, the sandwich line first, however the suite batches its rows."""
 
     def run_with(self, monkeypatch, replicates, seed, moves):
-        """The suite's violations, with the cost of replicate idx replaced by moves[idx](T)."""
+        """The suite's violations, with the cost of replicate idx replaced by moves[idx](T).
+
+        The whole result, text and stats, must also equal the per-replicate oracle's under the same moves.
+        """
         by_draw = {draw: idx for idx, draw in enumerate(replicate_draws(replicates, seed))}
         solve = verify.fixed_point_costs
 
@@ -189,6 +211,7 @@ class TestCostBoundsViolationOrder:
         monkeypatch.setattr(verify, "fixed_point_costs", perturbed)
         result = cost_bounds_suite(replicates=replicates, seed=seed)
         assert result.checked == replicates
+        assert result == oracle_cost_bounds_suite(replicates, seed)
         return [
             (int(re.search(r" replicate=(\d+) ", line).group(1)), "sandwich" if "outside sandwich" in line else "oracle")
             for line in result.violations

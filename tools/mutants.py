@@ -48,6 +48,7 @@ BLOCKS = "tests/test_data_io.py::TestRowBlocks"
 WEIGHTS = "tests/test_portfolio.py::TestWeightRules"
 DAMAGED = "tests/test_data_io.py::TestDamagedLedgerAndSummaryFiles::test_ledger_errors_are_typed"
 SWEEP = "tests/test_backtest.py::TestSweep"
+DRAWS = "tests/test_verify.py::TestCostBoundsDraws::test_match_one_call_per_value"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -291,7 +292,7 @@ MUTANTS = (
     Mutant(
         "batch cost solve iterates rows that stopped at their first iterate",
         "src/fxfolio/costs.py",
-        "    todo = ~((t <= FP_TOL) | (t == np.inf))\n",
+        "    todo = ~((t <= FP_TOL) | inf)\n",
         "    todo = np.ones(len(t), dtype=bool)\n",
         (f"{FIXED_POINT}::test_a_first_iterate_of_exactly_the_tolerance_stops",),
     ),
@@ -311,6 +312,41 @@ MUTANTS = (
         "if t.max(initial=0.0) <= FP_TOL:",
         "if t.max() <= FP_TOL:",
         ("tests/test_costs.py::TestBatchSolve::test_an_empty_batch_costs_nothing",),
+    ),
+    Mutant(
+        "batch cost solve multiplies a done row's inf first iterate in the loop",
+        "src/fxfolio/costs.py",
+        "    held = inf.any()\n",
+        "    held = False\n",
+        ("tests/test_costs.py::TestBatchSolve::test_a_row_done_at_an_inf_first_iterate_warns_as_its_scalar_solve",),
+    ),
+    Mutant(
+        "cost-bounds draws sum the Dirichlet normalizer pairwise",
+        "src/fxfolio/verify.py",
+        "(1.0 / np.cumsum(e, axis=-1)[..., -1:])",
+        "(1.0 / np.add.reduce(e, axis=-1, keepdims=True))",
+        (f"{DRAWS}[2000-1]",),
+    ),
+    Mutant(
+        "cost-bounds draws divide by the normalizer",
+        "src/fxfolio/verify.py",
+        "e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])",
+        "e / np.cumsum(e, axis=-1)[..., -1:]",
+        (f"{DRAWS}[2000-1]",),
+    ),
+    Mutant(
+        "cost-bounds draws swap the f_k and c uniforms",
+        "src/fxfolio/verify.py",
+        "0.5 + (2.0 - 0.5) * u[:, 0], 0.0 + (0.05 - 0.0) * u[:, 1]",
+        "0.5 + (2.0 - 0.5) * u[:, 1], 0.0 + (0.05 - 0.0) * u[:, 0]",
+        (f"{DRAWS}[1-0]",),
+    ),
+    Mutant(
+        "cost-bounds sandwich top uses 1 + c",
+        "src/fxfolio/verify.py",
+        "(c / (1.0 - c)) * delta",
+        "(c / (1.0 + c)) * delta",
+        ("tests/test_verify.py::TestCostBoundsSuite::test_small_sweep_passes",),
     ),
     Mutant(
         "sweep's last capital cell off by 1%",
