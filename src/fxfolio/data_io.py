@@ -21,9 +21,9 @@ their spec, so identical seeds give byte-identical files.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
-import itertools
 import json
 import math
 import os
@@ -58,11 +58,10 @@ _ORDER_SIDE_VALUES = (0.9, 0.85)
 # Normalize mode draws each non-best pair's daily target from uniform(r_floor + _TARGET_MARGIN, _TARGET_HIGH).
 _TARGET_MARGIN = 1e-6
 _TARGET_HIGH = 0.999
-# Raw PCG64 words fetched per refill by order_labels.  A memoryview turns
-# them into Python ints one at a time, so a refill holds only its 32 KB
-# buffer: a list of 4,096 ints would hold about 200 KB, and read that much
-# higher in the profitability suite's peak RSS.
-_RAW_CHUNK = 4096
+# Raw PCG64 words per order_labels block (L + 1 per segment of length L,
+# so 1,024 segments at L = 5).  One block for the profitability suite's
+# 20,000 segments raised a verify-mc worker's peak RSS from 41.2 to 67.3 MB.
+_BLOCK_WORDS = 6 * 1024
 
 
 def _fmt(x: float) -> str:
@@ -506,6 +505,84 @@ def symmetric_masses(same_class_mass: float) -> tuple[float, float, float, float
     return (same, flip, flip, same)
 
 
+def _walk_block(rows, gap_left, gap, is_a, p, pend, has, restart, stay, to_a, counts_a, counts_b, draws, ks, ps, pends):
+    """Walk ``rows`` segments through ``_block_tables``' tables as if no draw were rejected.
+
+    p is the next unread word and pend the last high half fetched, unread
+    while has is 1.  Row i records its k, the word after its class word,
+    and pend, negated once read.  Returns the class and stream state after.
+    """
+    for i in range(rows):
+        if gap_left:
+            is_a = stay[p] if is_a else to_a[p]
+            gap_left -= 1
+        else:
+            is_a = restart[p]
+            gap_left = gap - 1
+        p += 1
+        k = (counts_a if is_a else counts_b)[pend if has else 2 * p]
+        ks[i] = k
+        ps[i] = p
+        pends[i] = pend if has else -pend
+        fresh = draws[k] - has  # halves taken from new words
+        if fresh > 0:
+            p += (fresh + 1) >> 1
+            pend = 2 * p - 1
+            has = fresh & 1
+        elif draws[k]:
+            has = 0
+    return is_a, p, pend, has
+
+
+def _block_tables(words, halves, pi_a, stay_a, stay_b, L) -> list:
+    """Per word, whether ``random()`` gives class A after a restart, A and B; per half, class A's and B's count."""
+    u = (words >> np.uint64(11)) * 2.0**-53
+    tables = [(u < pi_a).tobytes(), (u < stay_a).tobytes(), (u >= stay_b).tobytes()]
+    half = math.ceil(L / 2)
+    count_type = np.min_scalar_type(L)
+    for h, base in ((half, 0), (L + 1 - half, half)):
+        count = np.multiply(halves, h, dtype=np.uint64)
+        count >>= np.uint64(32)
+        tables.append(memoryview(count.astype(count_type) + count_type.type(base)))
+    return tables
+
+
+def _choose_days(flags, halves, k, after_class, held, draws) -> int:
+    """Floyd's sampling on a walked block's flags, up to the first row with a draw Lemire's rule rejects.
+
+    Returns that row, or the row count; it and the rows after are untouched.
+    """
+    L = flags.shape[1]
+    half = math.ceil(L / 2)
+    made = np.array(draws, dtype=np.intc)[k]
+    first = np.cumsum(made, dtype=np.intc) - made
+    row = np.repeat(np.arange(len(k), dtype=np.intc), made)
+    d = np.arange(len(row), dtype=np.intc) - first[row]
+    at = (2 * after_class - (held > 0))[row] + d  # fresh halves follow the class word
+    lead = (made > 0) & (held > 0)
+    at[first[lead]] = held[lead]  # a held half is the row's first draw
+    kr = k[row]
+    d += (kr == L) - kr  # from here, d counts the draws past Floyd's last
+    bound = np.where(d <= 0, L + d, kr + 1 - d).astype(np.int64)
+    bound[first[made > 0]] = np.where(k < half, half, L + 1 - half)[made > 0]  # the count draw
+    x = halves[at] * bound
+    rejected = (x & 0xFFFFFFFF) < (2**32 - bound) % bound
+    good = int(row[rejected.argmax()]) if rejected.any() else len(k)
+    value, k = x >> 32, k[:good]
+    flags[:good][k == L] = 1  # every day crosses
+    t, sel = 0, np.flatnonzero((k > 0) & (k < L))
+    while len(sel) >= 32:  # below this, a row's Python steps cost less than an array step's overhead
+        day = value[first[sel] + 1 + t]
+        flags[sel, np.where(flags[sel, day], L - k[sel] + t, day)] = 1
+        t += 1
+        sel = sel[k[sel] > t]
+    for r in sel.tolist():
+        marks, row_k = memoryview(flags[r]), int(k[r])
+        for step, day in enumerate(value[first[r] + 1 + t : first[r] + 1 + row_k].tolist(), t):
+            marks[L - row_k + step if marks[day] else day] = 1
+    return good
+
+
 def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarray:
     """Daily order labels (an int8 array of 1s and 2s) realizing the per-segment class process.
 
@@ -517,9 +594,9 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
     first day is not in the population, as it has no predecessor.
 
     Those calls are not made.  Their numbers are decoded from the PCG64
-    generator's raw 64-bit words, fetched ``_RAW_CHUNK`` at a time, by the
-    integer recipes NumPy runs on the same words, so every label and the
-    generator's final state are bit-identical to the calls':
+    generator's raw 64-bit words by the integer recipes NumPy runs on the
+    same words, so every label and the generator's final state are
+    bit-identical to the calls':
       - ``random()`` takes a whole word w and is ``(w >> 11) * 2**-53``;
       - a 32-bit draw takes the low half of a new word and keeps its high
         half for the next 32-bit draw, a buffer that ``random()`` leaves
@@ -534,11 +611,18 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
         days but leave the set alone.  A population above 10,000 with
         k above population // 50 is a partial Fisher-Yates shuffle of all
         days instead, as in NumPy.
-    The labels flip on each crossing day, so they are a running parity of
-    the crossing flags.  Only PCG64, the generator of ``default_rng``, is
-    decoded; another bit generator raises InvalidParams.  The stream, and
-    every file generated from it, is pinned by ``oracle_order_labels`` in
-    ``tests/oracles.py``, which makes the NumPy calls.
+
+    Segments are decoded in blocks: ``_walk_block``, then ``_choose_days``
+    on the block's words, whose word 0 holds the buffered half.  The first
+    segment, one with a rejected draw, and all when L > 10,000 are decoded
+    one draw at a time from the same words.  Labels are the running parity
+    of the crossing flags.
+
+    Only PCG64, the generator of ``default_rng``, is decoded; another bit
+    generator raises InvalidParams, and a run whose labels cannot be held
+    raises InvalidSpec.  The stream, and every file generated from it, is
+    pinned by ``oracle_order_labels`` in ``tests/oracles.py``, which makes
+    the NumPy calls.
     """
     bitgen = rng.bit_generator
     if not isinstance(bitgen, np.random.PCG64):
@@ -547,41 +631,65 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
     pi_a = paa + pab
     stay_a = paa / pi_a if pi_a > 0.0 else 1.0
     stay_b = pbb / (1.0 - pi_a) if pi_a < 1.0 else 1.0
-    L = spec.segment_length
+    L, gap = spec.segment_length, spec.dependence_gap
     half = math.ceil(L / 2)  # W in [0, 1/2) for class A, [1/2, 1] for class B
+    try:
+        flags = np.zeros((spec.segment_count, L), dtype=np.int8)
+    except (MemoryError, ValueError):
+        raise InvalidSpec(
+            f"{spec.segment_count * L} order labels (segment_count * segment_length) do not fit in memory"
+        ) from None
+    # 32-bit draws of a segment with k crossings: its count, k for Floyd's sampling and k - 1 for
+    # Fisher-Yates'; none for the count of class A at L = 2, nor for Floyd's j = 0 at k = L.
+    draws = list(range(0, 2 * L + 1, 2))
+    draws[0] = 0 if half == 1 else 1
+    draws[L] -= 1
 
     start = bitgen.state
-    words = itertools.chain.from_iterable(iter(lambda: memoryview(bitgen.random_raw(_RAW_CHUNK)), None))
-    used = 0  # words taken from the stream
-    pending = bool(start["has_uint32"])  # NumPy's buffered high half and its flag
-    upper = start["uinteger"]
+    words = np.array([start["uinteger"] << 32], dtype=np.uint64)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    word_at, half_at = memoryview(words), memoryview(halves)  # Python ints for the per-draw step
+    p, pend, has, used = 1, 1, start["has_uint32"], 0
+    is_a = True
+
+    def refill(need: int) -> None:
+        """Keep the unread words, fetch new ones up to ``need``, and put the last high half fetched in word 0."""
+        nonlocal words, halves, word_at, half_at, p, pend, used
+        used += p - 1
+        kept = words[p:]
+        fresh = bitgen.random_raw(max(need - len(kept), 0))
+        words = np.concatenate((np.array([half_at[pend] << 32], dtype=np.uint64), kept, fresh))
+        halves = words.astype("<u8", copy=False).view("<u4")
+        word_at, half_at = memoryview(words), memoryview(halves)
+        p, pend = 1, 1
 
     def below(h: int) -> int:
         """``rng.integers(0, h)``, for 1 <= h < 2**32."""
-        nonlocal used, pending, upper
+        nonlocal p, pend, has
         if h == 1:
             return 0
         while True:
-            if pending:
-                pending = False
-                u = upper
+            if has:
+                has, u = 0, half_at[pend]
             else:
-                word = next(words)
-                used += 1
-                u = word & 0xFFFFFFFF
-                upper = word >> 32
-                pending = True
+                try:
+                    u = half_at[2 * p]
+                except IndexError:
+                    refill(L + 1)
+                    u = half_at[2 * p]
+                pend, has, p = 2 * p + 1, 1, p + 1
             m = u * h
-            low = m & 0xFFFFFFFF
-            if low >= h or low >= (0x100000000 - h) % h:
+            if m & 0xFFFFFFFF >= (0x100000000 - h) % h:
                 return m >> 32
 
-    flags = bytearray(spec.segment_count * L)
-    is_a = True
-    for n in range(spec.segment_count):
-        used += 1
-        u = (next(words) >> 11) * 2.0**-53
-        if n % spec.dependence_gap == 0:
+    def exact(n: int) -> None:
+        """Decode segment n one draw at a time."""
+        nonlocal p, is_a
+        if p == len(words):
+            refill(L + 1)
+        u = (word_at[p] >> 11) * 2.0**-53
+        p += 1
+        if n % gap == 0:
             is_a = u < pi_a
         elif u >= (stay_a if is_a else stay_b):
             is_a = not is_a
@@ -589,28 +697,50 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
         first = 1 if n == 0 else 0
         population = L - first
         crossings = min(crossings, population)
-        day0 = n * L + first
+        row = memoryview(flags[n, first:])
         if population > 10_000 and crossings > population // 50:
             days = list(range(population))
             for i in range(population - 1, max(population - crossings, 1) - 1, -1):
                 j = below(i + 1)
                 days[i], days[j] = days[j], days[i]
             for day in days[population - crossings :]:
-                flags[day0 + day] = 1
+                row[day] = 1
         else:
-            # Floyd's sampling, with the segment's flags as the set of days chosen so far.
             for j in range(population - crossings, population):
                 day = below(j + 1)
-                flags[day0 + (j if flags[day0 + day] else day)] = 1
+                row[j if row[day] else day] = 1
             for i in range(crossings - 1, 0, -1):
                 below(i + 1)
 
+    per_block = max(1, _BLOCK_WORDS // (L + 1))
+    ks, ps, pends = (array.array("i", [0]) * per_block for _ in range(3))
+    n = 0
+    while n < spec.segment_count:
+        if n == 0 or L > 10_000:
+            exact(n)
+            n += 1
+            continue
+        rows = min(per_block, spec.segment_count - n)
+        refill(rows * (L + 1) + 1)  # + 1: a segment drawing nothing still reads the half after its class word
+        tables = _block_tables(words, halves, pi_a, stay_a, stay_b, L)
+        was_a = is_a
+        is_a, p, pend, has = _walk_block(rows, -n % gap, gap, is_a, p, pend, has, *tables, draws, ks, ps, pends)
+        k, after_class, held = (np.frombuffer(a, dtype=np.intc, count=rows) for a in (ks, ps, pends))
+        good = _choose_days(flags[n : n + rows], halves, k, after_class, held, draws)
+        n += good
+        if good < rows:
+            p, pend, has = int(after_class[good]) - 1, abs(pends[good]), int(pends[good] > 0)
+            is_a = bool(k[good - 1] < half) if good else was_a
+            exact(n)
+            n += 1
+
+    used += p - 1
     bitgen.state = start
     bitgen.advance(used)
     state = bitgen.state
-    state["has_uint32"], state["uinteger"] = int(pending), upper
+    state["has_uint32"], state["uinteger"] = has, half_at[pend]
     bitgen.state = state
-    labels = np.frombuffer(flags, dtype=np.int8)
+    labels = flags.reshape(-1)
     np.bitwise_xor.accumulate(labels, out=labels)
     labels += 1
     return labels

@@ -155,6 +155,16 @@ def universality_suite(replicates: int = 100, seed: int = 1, n_days: int = 250, 
 _SLACK = 0.05
 
 
+def _clause_eta(spec: SyntheticOrderSpec, mpcr: int, cfg: SegmentConfig) -> float:
+    """One clause's eta, in a function so its arrays are freed before the next clause's."""
+    orders = order_labels(spec, np.random.default_rng(spec.seed))
+    # Aligned as backtest.predict aligns it: day d's call is made after days 0..d-1.
+    order_pred = np.full(len(orders), -1, dtype=np.int8)
+    ref, swap = predicted_references(PredictorConfig(mpcr=mpcr, mpo=1, segment=cfg), orders[:-1])
+    order_pred[1:] = referenced_orders(orders[:-1], ref, swap)
+    return effectiveness_ratio(segment_success_rates(orders, order_pred, cfg.L)[1])
+
+
 def profitability_suite(
     segments: int = 20_000,
     seg_len: int = 5,
@@ -176,6 +186,8 @@ def profitability_suite(
     """
     if segments < 2:
         raise InvalidParams(f"segments must be >= 2, got {segments}: the first segment only seeds the prediction")
+    if not 0.0 <= flip_mass <= 1.0:
+        raise InvalidParams(f"flip mass must lie in [0, 1], got {flip_mass!r}")
     cfg = SegmentConfig(L=seg_len)
     clauses = [
         ("mpcr1", 1, symmetric_masses(same_class_mass), same_class_mass - _SLACK),
@@ -185,12 +197,7 @@ def profitability_suite(
     stats: dict = {"segments": segments, "seg_len": seg_len}
     for name, mpcr, masses, threshold in clauses:
         spec = SyntheticOrderSpec(segment_count=segments, segment_length=seg_len, masses=masses, seed=seed)
-        orders = order_labels(spec, np.random.default_rng(spec.seed))
-        # Aligned as backtest.predict aligns it: day d's call is made after days 0..d-1.
-        order_pred = np.full(len(orders), -1, dtype=np.int8)
-        ref, swap = predicted_references(PredictorConfig(mpcr=mpcr, mpo=1, segment=cfg), orders[:-1])
-        order_pred[1:] = referenced_orders(orders[:-1], ref, swap)
-        eta = effectiveness_ratio(segment_success_rates(orders, order_pred, seg_len)[1])
+        eta = _clause_eta(spec, mpcr, cfg)
         stats[f"eta_{name}"] = eta
         stats[f"threshold_{name}"] = threshold
         if eta < threshold:

@@ -313,6 +313,14 @@ class TestRejectedArguments:
             (["verify", "--suite", "cost-bounds", "--replicates", "0"], "replicates must be >= 1, got 0"),
             (["verify", "--suite", "cost-bounds", "--replicates", "-5"], "replicates must be >= 1, got -5"),
             (["verify", "--suite", "profitability", "--segments", "1"], "segments must be >= 2, got 1"),
+            (["verify", "--suite", "profitability", "--pab-pba", "1.5"], "flip mass must lie in [0, 1], got 1.5"),
+            (["verify", "--suite", "profitability", "--pab-pba", "-0.25"], "flip mass must lie in [0, 1], got -0.25"),
+            (["verify", "--suite", "profitability", "--segments", "100000000000000"],
+             "500000000000000 order labels (segment_count * segment_length) do not fit in memory"),
+            (["generate", "--orders", "--segments", "100000000000000"],
+             "500000000000000 order labels (segment_count * segment_length) do not fit in memory"),
+            (["generate", "--orders", "--segments", "10000000000000000000"],
+             "50000000000000000000 order labels (segment_count * segment_length) do not fit in memory"),
             (["verify", "--suite", "cost-bounds", "--max-violations", "-1"], "--max-violations must be >= 0, got -1"),
             (["verify", "--suite", "cost-bounds", "--jobs", "0"], "--jobs must be >= 1, got 0"),
             (["generate", "--market", "--days", "x"], "argument --days: invalid int value: 'x'"),

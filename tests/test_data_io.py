@@ -266,6 +266,26 @@ def assert_oracle_stream(spec, make_rng):
     assert rng.bit_generator.state == expected_rng.bit_generator.state, spec
 
 
+def zero_word_rng(position, carried=None):
+    """A generator whose raw PCG64 word at ``position`` (from 0) is 0, buffering the half ``carried`` if one is given.
+
+    PCG64 outputs 0 from the all-zero LCG state, so the generator starts
+    that state stepped back position + 1 times.
+    """
+    inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
+    state = 0
+    for _ in range(position + 1):
+        state = (state - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": int(carried is not None),
+        "uinteger": carried or 0,
+    }
+    return np.random.Generator(bitgen)
+
+
 class TestOrderProcess:
     def test_deterministic(self):
         spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=symmetric_masses(0.7), seed=21)
@@ -363,6 +383,24 @@ class TestOrderProcess:
         spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=(1.0, 0.0, 0.0, 0.0), seed=0)
         assert_oracle_stream(spec, crafted)
 
+    @pytest.mark.parametrize("carried", [None, 7])
+    @pytest.mark.parametrize("seg_len", [2, 5])
+    @pytest.mark.parametrize("position", range(16))
+    def test_a_zero_word_anywhere_keeps_the_oracle_stream(self, position, seg_len, carried):
+        # Lemire's rule rejects both halves of a zero word at h in {3, 5, 6, 7}.  Over these positions at
+        # L = 5 a rejected draw is a fresh and a carried count draw, a Floyd draw and a Fisher-Yates draw.
+        # At L = 2 nothing is rejected, but class A segments draw nothing, so a buffered half outlives
+        # several class words.
+        assert zero_word_rng(position, carried).bit_generator.random_raw(position + 1)[-1] == 0
+        spec = SyntheticOrderSpec(40, seg_len, symmetric_masses(0.5), 0, dependence_gap=7)
+        assert_oracle_stream(spec, lambda: zero_word_rng(position, carried))
+
+    @pytest.mark.parametrize("same_class_mass", [0.78, 0.4])
+    def test_the_profitability_suites_streams_keep_the_oracle_stream(self, same_class_mass):
+        # The suite's two specs at its defaults: 20,000 segments span about 20 decoder blocks.
+        spec = SyntheticOrderSpec(20_000, 5, symmetric_masses(same_class_mass), 1)
+        assert_oracle_stream(spec, lambda: np.random.default_rng(1))
+
     @pytest.mark.parametrize("seed", [1, 97])
     @pytest.mark.parametrize("seg_len", [2, 5, 8])
     def test_carried_in_half_word_keeps_the_oracle_stream(self, seg_len, seed):
@@ -378,7 +416,7 @@ class TestOrderProcess:
     @pytest.mark.parametrize(
         "segments, seg_len, same_class_mass",
         [
-            (3000, 8, 0.3),  # about 15,000 words: several refills of _RAW_CHUNK
+            (3000, 8, 0.3),  # about 15,000 words: several decoder blocks
             (3, 10_001, 0.0),  # a population above 10,000: NumPy's partial shuffle of all days
         ],
     )

@@ -187,29 +187,29 @@ MUTANTS = (
     Mutant(
         "order labels drop Lemire's rejection loop",
         "src/fxfolio/data_io.py",
-        "if low >= h or low >= (0x100000000 - h) % h:",
+        "if m & 0xFFFFFFFF >= (0x100000000 - h) % h:",
         "if True:",
         (f"{ORDERS}::test_forced_rejection_keeps_the_oracle_stream",),
     ),
     Mutant(
         "order labels skip choice's Fisher-Yates draws",
         "src/fxfolio/data_io.py",
-        "            for i in range(crossings - 1, 0, -1):\n                below(i + 1)",
-        "            for i in range(crossings - 1, 0, -1):\n                pass",
+        "draws = list(range(0, 2 * L + 1, 2))",
+        "draws = list(range(1, L + 2))",
         (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
     ),
     Mutant(
         "order labels ignore the carried-in half word",
         "src/fxfolio/data_io.py",
-        'pending = bool(start["has_uint32"])',
-        "pending = False",
+        'p, pend, has, used = 1, 1, start["has_uint32"], 0',
+        "p, pend, has, used = 1, 1, 0, 0",
         (f"{ORDERS}::test_carried_in_half_word_keeps_the_oracle_stream",),
     ),
     Mutant(
         "order labels decode random() from 52 bits",
         "src/fxfolio/data_io.py",
-        "(next(words) >> 11) * 2.0**-53",
-        "(next(words) >> 12) * 2.0**-53",
+        "(words >> np.uint64(11)) * 2.0**-53",
+        "(words >> np.uint64(12)) * 2.0**-53",
         (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
     ),
     Mutant(
@@ -225,6 +225,41 @@ MUTANTS = (
         "if population > 10_000 and",
         "if population >= 10_000 and",
         (f"{ORDERS}::test_long_runs_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels carry the other class into the next block",
+        "src/fxfolio/data_io.py",
+        "_walk_block(rows, -n % gap, gap, is_a, p,",
+        "_walk_block(rows, -n % gap, gap, not is_a, p,",
+        (f"{ORDERS}::test_the_profitability_suites_streams_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels drop the buffered half at a block boundary",
+        "src/fxfolio/data_io.py",
+        "np.array([half_at[pend] << 32], dtype=np.uint64)",
+        "np.array([0], dtype=np.uint64)",
+        (f"{ORDERS}::test_the_profitability_suites_streams_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels skip the block's rejection check",
+        "src/fxfolio/data_io.py",
+        "good = int(row[rejected.argmax()]) if rejected.any() else len(k)",
+        "good = len(k)",
+        (f"{ORDERS}::test_a_zero_word_anywhere_keeps_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels count the restart gap from one segment off",
+        "src/fxfolio/data_io.py",
+        "_walk_block(rows, -n % gap,",
+        "_walk_block(rows, (1 - n) % gap,",
+        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels take Floyd's j one step late in a block's last few rows",
+        "src/fxfolio/data_io.py",
+        "first[r] + 1 + row_k].tolist(), t):",
+        "first[r] + 1 + row_k].tolist(), t + 1):",
+        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
     ),
     Mutant(
         "ledger cells tested for zero by value, so -0.0 prints as 0",
