@@ -387,13 +387,18 @@ def generate_market(spec: SyntheticMarketSpec) -> QuoteStack:
     exactly 1 (see normalized_returns).
 
     A draw that breaks a rate rule (an overflowing walk, or a mid so large
-    that mid +- epsilon rounds to one value) raises InvalidSpec.
+    that mid +- epsilon rounds to one value) raises InvalidSpec, and so do
+    quote grids that cannot be allocated.
     """
+    try:
+        grids = np.tile(np.eye(spec.m), (2, spec.n_days, 1, 1))  # opens and closes, filled after the walk
+    except (MemoryError, ValueError):
+        raise InvalidSpec(f"{2 * spec.n_days * spec.m**2} quotes (2 * n_days * m * m) do not fit in memory") from None
     rng = np.random.default_rng(spec.seed)
     with np.errstate(over="ignore"):  # a walk that overflows quotes inf, which the rate check names
         mid_open, mid_close = _normalized_mids(spec, rng) if spec.normalize else _walk_mids(spec, rng)
     try:
-        return _quotes_from_mids(spec.m, mid_open, mid_close, spec.spread_epsilon)
+        return _quotes_from_mids(grids, mid_open, mid_close, spec.spread_epsilon)
     except RunError as exc:
         raise InvalidSpec(f"vol={spec.vol!r} and spread_epsilon={spec.spread_epsilon!r} give no valid market: {exc}") from exc
 
@@ -430,17 +435,15 @@ def _normalized_mids(spec: SyntheticMarketSpec, rng: np.random.Generator) -> tup
     return ratios * close_buy - eps, close_buy + eps
 
 
-def _quotes_from_mids(m, mid_open, mid_close, eps) -> QuoteStack:
-    """Days 1..n quoted at mid +- eps from (n, pairs) opening and closing mids."""
-    iu, ju = upper_pairs(m)
-    n = mid_open.shape[0]
-    open_grid = np.tile(np.eye(m), (n, 1, 1))
-    close_grid = np.tile(np.eye(m), (n, 1, 1))
+def _quotes_from_mids(grids, mid_open, mid_close, eps) -> QuoteStack:
+    """Days 1..n quoted at mid +- eps from (n, pairs) opening and closing mids, into unit-diagonal (2, n, m, m) grids."""
+    open_grid, close_grid = grids
+    iu, ju = upper_pairs(grids.shape[-1])
     open_grid[:, iu, ju] = mid_open + eps
     open_grid[:, ju, iu] = mid_open - eps
     close_grid[:, iu, ju] = mid_close + eps
     close_grid[:, ju, iu] = mid_close - eps
-    return QuoteStack(np.arange(1, n + 1), open_grid, close_grid)
+    return QuoteStack(np.arange(1, len(mid_open) + 1), open_grid, close_grid)
 
 
 def normalized_returns(quotes: QuoteStack) -> ReturnStack:
@@ -590,13 +593,13 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
     block restart or a stay-or-switch); ``rng.integers`` for the crossing
     count k, uniform over [0, ceil(L/2)) for class A and over [ceil(L/2), L]
     for class B; then ``rng.choice(population, size=k, replace=False)``
-    for the crossing days, with no call at k = 0.  The first segment's
-    first day is not in the population, as it has no predecessor.
+    for the crossing days.  The first segment's first day is not in the
+    population, as it has no predecessor.
 
-    Those calls are not made.  Their numbers are decoded from the PCG64
-    generator's raw 64-bit words by the integer recipes NumPy runs on the
-    same words, so every label and the generator's final state are
-    bit-identical to the calls':
+    The first segment, and every segment when L > 10,000, makes those
+    calls.  The others are decoded a block at a time from the PCG64
+    generator's raw 64-bit words, by the integer recipes NumPy runs on the
+    same words:
       - ``random()`` takes a whole word w and is ``(w >> 11) * 2**-53``;
       - a 32-bit draw takes the low half of a new word and keeps its high
         half for the next 32-bit draw, a buffer that ``random()`` leaves
@@ -608,15 +611,15 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
         population - k to population - 1, taking j when the draw is
         already chosen, then the k - 1 Fisher-Yates draws
         ``integers(0, i + 1)`` for i from k - 1 down to 1, which order the
-        days but leave the set alone.  A population above 10,000 with
-        k above population // 50 is a partial Fisher-Yates shuffle of all
-        days instead, as in NumPy.
+        days but leave the set alone.
 
-    Segments are decoded in blocks: ``_walk_block``, then ``_choose_days``
-    on the block's words, whose word 0 holds the buffered half.  The first
-    segment, one with a rejected draw, and all when L > 10,000 are decoded
-    one draw at a time from the same words.  Labels are the running parity
-    of the crossing flags.
+    A block reads the generator's state, fetches its words behind a word 0
+    that holds the buffered half, runs ``_walk_block`` and ``_choose_days``
+    on them, and sets the generator to where the decode stopped.  It stops
+    before the first segment with a draw that Lemire's rule rejects, and
+    that segment makes the calls.  So the generator is the only cursor,
+    and every label and its final state are bit-identical to the calls'.
+    Labels are the running parity of the crossing flags.
 
     Only PCG64, the generator of ``default_rng``, is decoded; another bit
     generator raises InvalidParams, and a run whose labels cannot be held
@@ -645,101 +648,44 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
     draws[0] = 0 if half == 1 else 1
     draws[L] -= 1
 
-    start = bitgen.state
-    words = np.array([start["uinteger"] << 32], dtype=np.uint64)
-    halves = words.astype("<u8", copy=False).view("<u4")
-    word_at, half_at = memoryview(words), memoryview(halves)  # Python ints for the per-draw step
-    p, pend, has, used = 1, 1, start["has_uint32"], 0
-    is_a = True
-
-    def refill(need: int) -> None:
-        """Keep the unread words, fetch new ones up to ``need``, and put the last high half fetched in word 0."""
-        nonlocal words, halves, word_at, half_at, p, pend, used
-        used += p - 1
-        kept = words[p:]
-        fresh = bitgen.random_raw(max(need - len(kept), 0))
-        words = np.concatenate((np.array([half_at[pend] << 32], dtype=np.uint64), kept, fresh))
-        halves = words.astype("<u8", copy=False).view("<u4")
-        word_at, half_at = memoryview(words), memoryview(halves)
-        p, pend = 1, 1
-
-    def below(h: int) -> int:
-        """``rng.integers(0, h)``, for 1 <= h < 2**32."""
-        nonlocal p, pend, has
-        if h == 1:
-            return 0
-        while True:
-            if has:
-                has, u = 0, half_at[pend]
-            else:
-                try:
-                    u = half_at[2 * p]
-                except IndexError:
-                    refill(L + 1)
-                    u = half_at[2 * p]
-                pend, has, p = 2 * p + 1, 1, p + 1
-            m = u * h
-            if m & 0xFFFFFFFF >= (0x100000000 - h) % h:
-                return m >> 32
-
-    def exact(n: int) -> None:
-        """Decode segment n one draw at a time."""
-        nonlocal p, is_a
-        if p == len(words):
-            refill(L + 1)
-        u = (word_at[p] >> 11) * 2.0**-53
-        p += 1
-        if n % gap == 0:
-            is_a = u < pi_a
-        elif u >= (stay_a if is_a else stay_b):
-            is_a = not is_a
-        crossings = below(half) if is_a else half + below(L + 1 - half)
-        first = 1 if n == 0 else 0
-        population = L - first
-        crossings = min(crossings, population)
-        row = memoryview(flags[n, first:])
-        if population > 10_000 and crossings > population // 50:
-            days = list(range(population))
-            for i in range(population - 1, max(population - crossings, 1) - 1, -1):
-                j = below(i + 1)
-                days[i], days[j] = days[j], days[i]
-            for day in days[population - crossings :]:
-                row[day] = 1
-        else:
-            for j in range(population - crossings, population):
-                day = below(j + 1)
-                row[j if row[day] else day] = 1
-            for i in range(crossings - 1, 0, -1):
-                below(i + 1)
-
     per_block = max(1, _BLOCK_WORDS // (L + 1))
     ks, ps, pends = (array.array("i", [0]) * per_block for _ in range(3))
     n = 0
     while n < spec.segment_count:
-        if n == 0 or L > 10_000:
-            exact(n)
-            n += 1
-            continue
-        rows = min(per_block, spec.segment_count - n)
-        refill(rows * (L + 1) + 1)  # + 1: a segment drawing nothing still reads the half after its class word
-        tables = _block_tables(words, halves, pi_a, stay_a, stay_b, L)
-        was_a = is_a
-        is_a, p, pend, has = _walk_block(rows, -n % gap, gap, is_a, p, pend, has, *tables, draws, ks, ps, pends)
-        k, after_class, held = (np.frombuffer(a, dtype=np.intc, count=rows) for a in (ks, ps, pends))
-        good = _choose_days(flags[n : n + rows], halves, k, after_class, held, draws)
-        n += good
-        if good < rows:
-            p, pend, has = int(after_class[good]) - 1, abs(pends[good]), int(pends[good] > 0)
-            is_a = bool(k[good - 1] < half) if good else was_a
-            exact(n)
-            n += 1
+        if n and L <= 10_000:
+            rows = min(per_block, spec.segment_count - n)
+            start = bitgen.state
+            # + 1: a segment drawing nothing still reads the half after its class word
+            fresh = bitgen.random_raw(rows * (L + 1) + 1)
+            words = np.concatenate((np.array([start["uinteger"] << 32], dtype=np.uint64), fresh))
+            halves = words.astype("<u8", copy=False).view("<u4")
+            tables = _block_tables(words, halves, pi_a, stay_a, stay_b, L)
+            was_a = is_a
+            is_a, p, pend, has = _walk_block(rows, -n % gap, gap, is_a, 1, 1, start["has_uint32"], *tables, draws, ks, ps, pends)
+            k, after_class, held = (np.frombuffer(a, dtype=np.intc, count=rows) for a in (ks, ps, pends))
+            good = _choose_days(flags[n : n + rows], halves, k, after_class, held, draws)
+            if good < rows:  # stop before the row with the rejected draw
+                p, pend, has = int(after_class[good]) - 1, abs(pends[good]), int(pends[good] > 0)
+                is_a = bool(k[good - 1] < half) if good else was_a
+            bitgen.state = start
+            bitgen.advance(p - 1)
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = has, int(halves[pend])
+            bitgen.state = state
+            n += good
+            if good == rows:
+                continue
+        # The first segment, one with a rejected draw, or any when L > 10,000: NumPy's own calls
+        u = rng.random()
+        if n % gap == 0:
+            is_a = u < pi_a
+        elif u >= (stay_a if is_a else stay_b):
+            is_a = not is_a
+        first = 1 if n == 0 else 0
+        crossings = int(rng.integers(0, half)) if is_a else half + int(rng.integers(0, L + 1 - half))
+        flags[n, first + rng.choice(L - first, size=min(crossings, L - first), replace=False)] = 1
+        n += 1
 
-    used += p - 1
-    bitgen.state = start
-    bitgen.advance(used)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = has, half_at[pend]
-    bitgen.state = state
     labels = flags.reshape(-1)
     np.bitwise_xor.accumulate(labels, out=labels)
     labels += 1

@@ -295,9 +295,12 @@ def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
     replicates are formatted, in replicate order.
     """
     _check_run(replicates, seed)
-    # Rows c, T, turnover and bisection root, one column per replicate.
-    solved = np.empty((4, replicates))
-    draws = _cost_bounds_draws(np.random.default_rng(seed), replicates)
+    try:
+        # Rows c, T, turnover and bisection root, one column per replicate.
+        solved = np.empty((4, replicates))
+        draws = _cost_bounds_draws(np.random.default_rng(seed), replicates)
+    except (MemoryError, ValueError):
+        raise InvalidParams(f"{replicates} cost-bounds replicates do not fit in memory") from None
     for g, (m, (drift_off, next_off, f_k, c)) in enumerate(zip(_SIZES, draws)):
         drift, psi_next = np.zeros((2, len(f_k), m, m))
         off = ~np.eye(m, dtype=bool)

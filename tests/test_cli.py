@@ -321,6 +321,14 @@ class TestRejectedArguments:
              "500000000000000 order labels (segment_count * segment_length) do not fit in memory"),
             (["generate", "--orders", "--segments", "10000000000000000000"],
              "50000000000000000000 order labels (segment_count * segment_length) do not fit in memory"),
+            (["generate", "--market", "--days", "99999999999999999"],
+             "1799999999999999982 quotes (2 * n_days * m * m) do not fit in memory"),
+            (["generate", "--market", "--m", "99999999999", "--days", "2"],
+             "39999999999200000000004 quotes (2 * n_days * m * m) do not fit in memory"),
+            (["verify", "--suite", "universality", "--replicates", "1", "--days", "99999999999999999"],
+             "799999999999999992 quotes (2 * n_days * m * m) do not fit in memory"),
+            (["verify", "--suite", "cost-bounds", "--replicates", "99999999999999999"],
+             "99999999999999999 cost-bounds replicates do not fit in memory"),
             (["verify", "--suite", "cost-bounds", "--max-violations", "-1"], "--max-violations must be >= 0, got -1"),
             (["verify", "--suite", "cost-bounds", "--jobs", "0"], "--jobs must be >= 1, got 0"),
             (["generate", "--market", "--days", "x"], "argument --days: invalid int value: 'x'"),

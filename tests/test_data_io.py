@@ -273,9 +273,10 @@ def zero_word_rng(position, carried=None):
     that state stepped back position + 1 times.
     """
     inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
     state = 0
     for _ in range(position + 1):
-        state = (state - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+        state = (state - inc) * inverse % 2**128
     bitgen = np.random.PCG64(0)
     bitgen.state = {
         "bit_generator": "PCG64",
@@ -394,6 +395,16 @@ class TestOrderProcess:
         assert zero_word_rng(position, carried).bit_generator.random_raw(position + 1)[-1] == 0
         spec = SyntheticOrderSpec(40, seg_len, symmetric_masses(0.5), 0, dependence_gap=7)
         assert_oracle_stream(spec, lambda: zero_word_rng(position, carried))
+
+    @pytest.mark.parametrize("carried", [None, 7])
+    @pytest.mark.parametrize("same_class_mass, gap", [(0.3, 1), (0.0, 50), (1.0, 50)])
+    def test_a_zero_word_past_the_first_block_keeps_the_oracle_stream(self, same_class_mass, gap, carried):
+        # Word 7,000 lies past one block's 6,144 words, so the decoder has rebased the generator at least once
+        # before the rejected draw and hands that segment to NumPy's own calls.  That far in, which draw
+        # meets the zero word depends on the spec, not on where the stream started: here a buffered count
+        # draw in the second block, a fresh Floyd draw in the second, and a fresh Floyd draw in the third.
+        spec = SyntheticOrderSpec(2_200, 5, symmetric_masses(same_class_mass), 0, dependence_gap=gap)
+        assert_oracle_stream(spec, lambda: zero_word_rng(7_000, carried))
 
     @pytest.mark.parametrize("same_class_mass", [0.78, 0.4])
     def test_the_profitability_suites_streams_keep_the_oracle_stream(self, same_class_mass):

@@ -49,6 +49,7 @@ WEIGHTS = "tests/test_portfolio.py::TestWeightRules"
 DAMAGED = "tests/test_data_io.py::TestDamagedLedgerAndSummaryFiles::test_ledger_errors_are_typed"
 SWEEP = "tests/test_backtest.py::TestSweep"
 DRAWS = "tests/test_verify.py::TestCostBoundsDraws::test_match_one_call_per_value"
+REJECTED = "tests/test_cli.py::TestRejectedArguments::test_exits_2"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -121,6 +122,20 @@ MUTANTS = (
         ("tests/test_cli.py::TestMarketsBreakingARule",),
     ),
     Mutant(
+        "a market whose grids are too big for an array shape is a traceback",
+        "src/fxfolio/data_io.py",
+        "    except (MemoryError, ValueError):\n        raise InvalidSpec(f\"{2 * spec.n_days",
+        "    except MemoryError:\n        raise InvalidSpec(f\"{2 * spec.n_days",
+        (REJECTED,),
+    ),
+    Mutant(
+        "cost-bounds replicates that cannot be allocated are a traceback",
+        "src/fxfolio/verify.py",
+        "    except (MemoryError, ValueError):\n        raise InvalidParams(f\"{replicates}",
+        "    except ValueError:\n        raise InvalidParams(f\"{replicates}",
+        (REJECTED,),
+    ),
+    Mutant(
         "weights summing to 1 plus exactly the tolerance are refused",
         "src/fxfolio/portfolio.py",
         "(np.abs(grids.sum(axis=(1, 2)) - 1.0) <= WEIGHT_SUM_TOL, lambda",
@@ -185,13 +200,6 @@ MUTANTS = (
          f"{BLOCKS}::test_an_index_the_rows_could_not_hold_sizes_no_grid[returns-1000000000-file]"),
     ),
     Mutant(
-        "order labels drop Lemire's rejection loop",
-        "src/fxfolio/data_io.py",
-        "if m & 0xFFFFFFFF >= (0x100000000 - h) % h:",
-        "if True:",
-        (f"{ORDERS}::test_forced_rejection_keeps_the_oracle_stream",),
-    ),
-    Mutant(
         "order labels skip choice's Fisher-Yates draws",
         "src/fxfolio/data_io.py",
         "draws = list(range(0, 2 * L + 1, 2))",
@@ -201,8 +209,8 @@ MUTANTS = (
     Mutant(
         "order labels ignore the carried-in half word",
         "src/fxfolio/data_io.py",
-        'p, pend, has, used = 1, 1, start["has_uint32"], 0',
-        "p, pend, has, used = 1, 1, 0, 0",
+        'is_a, 1, 1, start["has_uint32"], *tables',
+        "is_a, 1, 1, 0, *tables",
         (f"{ORDERS}::test_carried_in_half_word_keeps_the_oracle_stream",),
     ),
     Mutant(
@@ -215,28 +223,42 @@ MUTANTS = (
     Mutant(
         "order labels leave the generator one word short",
         "src/fxfolio/data_io.py",
-        "bitgen.advance(used)",
-        "bitgen.advance(used - 1)",
+        "bitgen.advance(p - 1)",
+        "bitgen.advance(p - 2)",
         (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
     ),
     Mutant(
-        "order labels shuffle a population of exactly 10,000",
+        "order labels leave the generator one word long",
         "src/fxfolio/data_io.py",
-        "if population > 10_000 and",
-        "if population >= 10_000 and",
+        "bitgen.advance(p - 1)",
+        "bitgen.advance(p)",
+        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels decode segments of 10,001 days in blocks",
+        "src/fxfolio/data_io.py",
+        "if n and L <= 10_000:",
+        "if n and L <= 10_001:",
         (f"{ORDERS}::test_long_runs_keep_the_oracle_stream",),
+    ),
+    Mutant(
+        "order labels drop the first segment's offset in NumPy's calls",
+        "src/fxfolio/data_io.py",
+        "flags[n, first + rng.choice(",
+        "flags[n, rng.choice(",
+        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
     ),
     Mutant(
         "order labels carry the other class into the next block",
         "src/fxfolio/data_io.py",
-        "_walk_block(rows, -n % gap, gap, is_a, p,",
-        "_walk_block(rows, -n % gap, gap, not is_a, p,",
+        "_walk_block(rows, -n % gap, gap, is_a, 1,",
+        "_walk_block(rows, -n % gap, gap, not is_a, 1,",
         (f"{ORDERS}::test_the_profitability_suites_streams_keep_the_oracle_stream",),
     ),
     Mutant(
         "order labels drop the buffered half at a block boundary",
         "src/fxfolio/data_io.py",
-        "np.array([half_at[pend] << 32], dtype=np.uint64)",
+        'np.array([start["uinteger"] << 32], dtype=np.uint64)',
         "np.array([0], dtype=np.uint64)",
         (f"{ORDERS}::test_the_profitability_suites_streams_keep_the_oracle_stream",),
     ),
