@@ -358,11 +358,10 @@ def sweep(
     charge with one fixed_point_costs call.  A step that fails raises for
     the first member it fails, so row b of every column is bit-equal to
     run_backtest(market, predictor, *members[b], f0=f0)'s, and so is every
-    error, with its day.  Two numpy warnings differ, both overflows that
+    error, with its day.  One numpy warning differs, an overflow that
     run_backtest does not report: a member's capital that overflows to
     inf warns ``overflow encountered in multiply`` ahead of that day's
-    error, and since tilts computes eiitc's predicted growth on iitc rows
-    too, an iitc member may warn ``overflow encountered in reduce``.
+    error.
     run_backtest stays the loop for a single configuration: at B = 1 this
     one costs more per day.
     """

@@ -21,7 +21,6 @@ their spec, so identical seeds give byte-identical files.
 
 from __future__ import annotations
 
-import array
 import contextlib
 import csv
 import json
@@ -38,7 +37,6 @@ from .backtest import BacktestLedger
 from .errors import (
     EmptyLedger,
     InfeasibleTargets,
-    InvalidParams,
     InvalidSpec,
     InvariantError,
     IoError,
@@ -58,10 +56,6 @@ _ORDER_SIDE_VALUES = (0.9, 0.85)
 # Normalize mode draws each non-best pair's daily target from uniform(r_floor + _TARGET_MARGIN, _TARGET_HIGH).
 _TARGET_MARGIN = 1e-6
 _TARGET_HIGH = 0.999
-# Raw PCG64 words per order_labels block (L + 1 per segment of length L,
-# so 1,024 segments at L = 5).  One block for the profitability suite's
-# 20,000 segments raised a verify-mc worker's peak RSS from 41.2 to 67.3 MB.
-_BLOCK_WORDS = 6 * 1024
 
 
 def _fmt(x: float) -> str:
@@ -498,6 +492,24 @@ class SyntheticOrderSpec:
             )
         object.__setattr__(self, "masses", masses)
 
+    def class_chain(self) -> tuple[float, float, float]:
+        """P(class A) at a restart, and the chance that class A, and class B, stays put."""
+        paa, pab, _, pbb = self.masses
+        pi_a = paa + pab
+        stay_a = paa / pi_a if pi_a > 0.0 else 1.0
+        stay_b = pbb / (1.0 - pi_a) if pi_a < 1.0 else 1.0
+        return pi_a, stay_a, stay_b
+
+    def crossing_flags(self) -> np.ndarray:
+        """An all-zero (segment_count, segment_length) int8 grid; InvalidSpec if it cannot be held."""
+        try:
+            return np.zeros((self.segment_count, self.segment_length), dtype=np.int8)
+        except (MemoryError, ValueError):
+            raise InvalidSpec(
+                f"{self.segment_count * self.segment_length} order labels (segment_count * segment_length)"
+                " do not fit in memory"
+            ) from None
+
 
 def symmetric_masses(same_class_mass: float) -> tuple[float, float, float, float]:
     """Joint masses with P(AA)+P(BB) = same_class_mass, split evenly."""
@@ -508,84 +520,6 @@ def symmetric_masses(same_class_mass: float) -> tuple[float, float, float, float
     return (same, flip, flip, same)
 
 
-def _walk_block(rows, gap_left, gap, is_a, p, pend, has, restart, stay, to_a, counts_a, counts_b, draws, ks, ps, pends):
-    """Walk ``rows`` segments through ``_block_tables``' tables as if no draw were rejected.
-
-    p is the next unread word and pend the last high half fetched, unread
-    while has is 1.  Row i records its k, the word after its class word,
-    and pend, negated once read.  Returns the class and stream state after.
-    """
-    for i in range(rows):
-        if gap_left:
-            is_a = stay[p] if is_a else to_a[p]
-            gap_left -= 1
-        else:
-            is_a = restart[p]
-            gap_left = gap - 1
-        p += 1
-        k = (counts_a if is_a else counts_b)[pend if has else 2 * p]
-        ks[i] = k
-        ps[i] = p
-        pends[i] = pend if has else -pend
-        fresh = draws[k] - has  # halves taken from new words
-        if fresh > 0:
-            p += (fresh + 1) >> 1
-            pend = 2 * p - 1
-            has = fresh & 1
-        elif draws[k]:
-            has = 0
-    return is_a, p, pend, has
-
-
-def _block_tables(words, halves, pi_a, stay_a, stay_b, L) -> list:
-    """Per word, whether ``random()`` gives class A after a restart, A and B; per half, class A's and B's count."""
-    u = (words >> np.uint64(11)) * 2.0**-53
-    tables = [(u < pi_a).tobytes(), (u < stay_a).tobytes(), (u >= stay_b).tobytes()]
-    half = math.ceil(L / 2)
-    count_type = np.min_scalar_type(L)
-    for h, base in ((half, 0), (L + 1 - half, half)):
-        count = np.multiply(halves, h, dtype=np.uint64)
-        count >>= np.uint64(32)
-        tables.append(memoryview(count.astype(count_type) + count_type.type(base)))
-    return tables
-
-
-def _choose_days(flags, halves, k, after_class, held, draws) -> int:
-    """Floyd's sampling on a walked block's flags, up to the first row with a draw Lemire's rule rejects.
-
-    Returns that row, or the row count; it and the rows after are untouched.
-    """
-    L = flags.shape[1]
-    half = math.ceil(L / 2)
-    made = np.array(draws, dtype=np.intc)[k]
-    first = np.cumsum(made, dtype=np.intc) - made
-    row = np.repeat(np.arange(len(k), dtype=np.intc), made)
-    d = np.arange(len(row), dtype=np.intc) - first[row]
-    at = (2 * after_class - (held > 0))[row] + d  # fresh halves follow the class word
-    lead = (made > 0) & (held > 0)
-    at[first[lead]] = held[lead]  # a held half is the row's first draw
-    kr = k[row]
-    d += (kr == L) - kr  # from here, d counts the draws past Floyd's last
-    bound = np.where(d <= 0, L + d, kr + 1 - d).astype(np.int64)
-    bound[first[made > 0]] = np.where(k < half, half, L + 1 - half)[made > 0]  # the count draw
-    x = halves[at] * bound
-    rejected = (x & 0xFFFFFFFF) < (2**32 - bound) % bound
-    good = int(row[rejected.argmax()]) if rejected.any() else len(k)
-    value, k = x >> 32, k[:good]
-    flags[:good][k == L] = 1  # every day crosses
-    t, sel = 0, np.flatnonzero((k > 0) & (k < L))
-    while len(sel) >= 32:  # below this, a row's Python steps cost less than an array step's overhead
-        day = value[first[sel] + 1 + t]
-        flags[sel, np.where(flags[sel, day], L - k[sel] + t, day)] = 1
-        t += 1
-        sel = sel[k[sel] > t]
-    for r in sel.tolist():
-        marks, row_k = memoryview(flags[r]), int(k[r])
-        for step, day in enumerate(value[first[r] + 1 + t : first[r] + 1 + row_k].tolist(), t):
-            marks[L - row_k + step if marks[day] else day] = 1
-    return good
-
-
 def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarray:
     """Daily order labels (an int8 array of 1s and 2s) realizing the per-segment class process.
 
@@ -594,88 +528,17 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
     count k, uniform over [0, ceil(L/2)) for class A and over [ceil(L/2), L]
     for class B; then ``rng.choice(population, size=k, replace=False)``
     for the crossing days.  The first segment's first day is not in the
-    population, as it has no predecessor.
-
-    The first segment, and every segment when L > 10,000, makes those
-    calls.  The others are decoded a block at a time from the PCG64
-    generator's raw 64-bit words, by the integer recipes NumPy runs on the
-    same words:
-      - ``random()`` takes a whole word w and is ``(w >> 11) * 2**-53``;
-      - a 32-bit draw takes the low half of a new word and keeps its high
-        half for the next 32-bit draw, a buffer that ``random()`` leaves
-        alone and that the generator's state carries in and out;
-      - ``integers(0, h)`` is Lemire's multiply-shift on one 32-bit draw u,
-        ``(u * h) >> 32``, redrawn while ``(u * h) mod 2**32`` is below
-        ``(2**32 - h) mod h``; at h = 1 it draws nothing;
-      - ``choice`` is Floyd's sampling, ``integers(0, j + 1)`` for j from
-        population - k to population - 1, taking j when the draw is
-        already chosen, then the k - 1 Fisher-Yates draws
-        ``integers(0, i + 1)`` for i from k - 1 down to 1, which order the
-        days but leave the set alone.
-
-    A block reads the generator's state, fetches its words behind a word 0
-    that holds the buffered half, runs ``_walk_block`` and ``_choose_days``
-    on them, and sets the generator to where the decode stopped.  It stops
-    before the first segment with a draw that Lemire's rule rejects, and
-    that segment makes the calls.  So the generator is the only cursor,
-    and every label and its final state are bit-identical to the calls'.
+    population, as it has no predecessor, so its k is at most L - 1.
     Labels are the running parity of the crossing flags.
 
-    Only PCG64, the generator of ``default_rng``, is decoded; another bit
-    generator raises InvalidParams, and a run whose labels cannot be held
-    raises InvalidSpec.  The stream, and every file generated from it, is
-    pinned by ``oracle_order_labels`` in ``tests/oracles.py``, which makes
-    the NumPy calls.
+    Every generated order file is this stream, pinned with the generator's
+    final state by ``oracle_order_labels`` in ``tests/oracles.py``.
     """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise InvalidParams(f"order labels decode a PCG64 stream, got a {type(bitgen).__name__} bit generator")
-    paa, pab, _, pbb = spec.masses
-    pi_a = paa + pab
-    stay_a = paa / pi_a if pi_a > 0.0 else 1.0
-    stay_b = pbb / (1.0 - pi_a) if pi_a < 1.0 else 1.0
+    pi_a, stay_a, stay_b = spec.class_chain()
     L, gap = spec.segment_length, spec.dependence_gap
     half = math.ceil(L / 2)  # W in [0, 1/2) for class A, [1/2, 1] for class B
-    try:
-        flags = np.zeros((spec.segment_count, L), dtype=np.int8)
-    except (MemoryError, ValueError):
-        raise InvalidSpec(
-            f"{spec.segment_count * L} order labels (segment_count * segment_length) do not fit in memory"
-        ) from None
-    # 32-bit draws of a segment with k crossings: its count, k for Floyd's sampling and k - 1 for
-    # Fisher-Yates'; none for the count of class A at L = 2, nor for Floyd's j = 0 at k = L.
-    draws = list(range(0, 2 * L + 1, 2))
-    draws[0] = 0 if half == 1 else 1
-    draws[L] -= 1
-
-    per_block = max(1, _BLOCK_WORDS // (L + 1))
-    ks, ps, pends = (array.array("i", [0]) * per_block for _ in range(3))
-    n = 0
-    while n < spec.segment_count:
-        if n and L <= 10_000:
-            rows = min(per_block, spec.segment_count - n)
-            start = bitgen.state
-            # + 1: a segment drawing nothing still reads the half after its class word
-            fresh = bitgen.random_raw(rows * (L + 1) + 1)
-            words = np.concatenate((np.array([start["uinteger"] << 32], dtype=np.uint64), fresh))
-            halves = words.astype("<u8", copy=False).view("<u4")
-            tables = _block_tables(words, halves, pi_a, stay_a, stay_b, L)
-            was_a = is_a
-            is_a, p, pend, has = _walk_block(rows, -n % gap, gap, is_a, 1, 1, start["has_uint32"], *tables, draws, ks, ps, pends)
-            k, after_class, held = (np.frombuffer(a, dtype=np.intc, count=rows) for a in (ks, ps, pends))
-            good = _choose_days(flags[n : n + rows], halves, k, after_class, held, draws)
-            if good < rows:  # stop before the row with the rejected draw
-                p, pend, has = int(after_class[good]) - 1, abs(pends[good]), int(pends[good] > 0)
-                is_a = bool(k[good - 1] < half) if good else was_a
-            bitgen.state = start
-            bitgen.advance(p - 1)
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = has, int(halves[pend])
-            bitgen.state = state
-            n += good
-            if good == rows:
-                continue
-        # The first segment, one with a rejected draw, or any when L > 10,000: NumPy's own calls
+    flags = spec.crossing_flags()
+    for n in range(spec.segment_count):
         u = rng.random()
         if n % gap == 0:
             is_a = u < pi_a
@@ -684,8 +547,11 @@ def order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarr
         first = 1 if n == 0 else 0
         crossings = int(rng.integers(0, half)) if is_a else half + int(rng.integers(0, L + 1 - half))
         flags[n, first + rng.choice(L - first, size=min(crossings, L - first), replace=False)] = 1
-        n += 1
+    return crossing_labels(flags)
 
+
+def crossing_labels(flags: np.ndarray) -> np.ndarray:
+    """Labels 1 and 2 from a (segments, L) int8 grid of crossing flags: their running parity, plus 1, in place."""
     labels = flags.reshape(-1)
     np.bitwise_xor.accumulate(labels, out=labels)
     labels += 1

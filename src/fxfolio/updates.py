@@ -89,7 +89,8 @@ def tilts(
     growth is <= 0, keeps its drift.
     """
     rows = len(drift)
-    growth = np.where(eiitc, np.add.reduce((drift * pred).reshape(rows, -1), 1), 1.0)
+    # Only eiitc rows are summed, as only eiitc's tilt computes the growth that may overflow.
+    growth = np.where(eiitc, np.add.reduce((drift * pred).reshape(rows, -1), 1, where=eiitc[:, None], initial=0.0), 1.0)
     tilted = (gamma > 0.0) & ~(growth <= 0.0)
     if not tilted.any():
         return drift

@@ -35,9 +35,9 @@ from .crossrate import (
 from .data_io import (
     SyntheticMarketSpec,
     SyntheticOrderSpec,
+    crossing_labels,
     generate_market,
     normalized_returns,
-    order_labels,
     symmetric_masses,
 )
 from .errors import InvalidParams
@@ -153,11 +153,87 @@ def universality_suite(replicates: int = 100, seed: int = 1, n_days: int = 250, 
 
 # How far below its nominal level each effectiveness clause may fall.
 _SLACK = 0.05
+# How many standard deviations eta may sit from its expectation: a correct
+# run lands further out with probability about 2e-9 per clause.
+_Z = 6.0
+# Crossing-day keys the suite's sampler draws at once: with their ranks they
+# take 16 bytes a day, so all of them would outweigh the labels' one.
+_KEY_DAYS = 8192
+
+
+def _law_classes(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarray:
+    """Each segment's class, True for A, by the chain's law.
+
+    A segment's uniform sets its class (a restart, or a draw that sends both
+    classes to one), copies it or flips it: each class is the last set value
+    XOR the parity of the flips since.
+    """
+    pi_a, stay_a, stay_b = spec.class_chain()
+    u = rng.random(spec.segment_count)
+    at = np.arange(spec.segment_count)
+    restart = at % spec.dependence_gap == 0
+    a_after_a, a_after_b = u < stay_a, u >= stay_b
+    sets = restart | (a_after_a == a_after_b)
+    flips = np.cumsum(~sets & ~a_after_a)
+    last = np.where(sets, at, 0)
+    np.maximum.accumulate(last, out=last)
+    flips -= flips[last]
+    return np.where(restart, u < pi_a, a_after_a)[last] ^ (flips & 1).astype(bool)
+
+
+def _law_order_labels(spec: SyntheticOrderSpec, rng: np.random.Generator) -> np.ndarray:
+    """Daily order labels with order_labels' law, drawn as arrays.
+
+    A segment crosses on the k days whose uniform keys rank lowest, a
+    uniform k-subset.  The first segment's first day has no predecessor,
+    so its key is +inf and its k at most L - 1.
+    """
+    S, L = spec.segment_count, spec.segment_length
+    half = math.ceil(L / 2)
+    flags = spec.crossing_flags()
+    is_a = _law_classes(spec, rng)
+    k = rng.integers(np.where(is_a, 0, half), np.where(is_a, half, L + 1))
+    k[0] = min(k[0], L - 1)
+    step = max(1, _KEY_DAYS // L)
+    for start in range(0, S, step):
+        rows = flags[start : start + step]
+        keys = rng.random(rows.shape)
+        if start == 0:
+            keys[0, 0] = np.inf
+        np.put_along_axis(rows, keys.argsort(axis=1), np.arange(L) < k[start : start + step, None], axis=1)
+    return crossing_labels(flags)
+
+
+def _eta_law(spec: SyntheticOrderSpec, mpcr: int) -> tuple[float, float]:
+    """E[eta] and sd(eta) of one clause, exactly, on symmetric masses.
+
+    Segment n >= 1 is effective iff it keeps its class (mpcr 1) or changes
+    it (mpcr 2), an independent coin: the same-class mass s in a block, 1/2
+    at a restart.  Even L adds a tie at k = L/2, chance t = 1/(L/2 + 1) in
+    class B: a change from A (mpcr 1) or a kept B (mpcr 2) is effective too,
+    which couples segments n < m by -/+ (t^2/4) w_n w_m prod (2 s_i - 1)
+    over n < i < m, w the chance of the other outcome.
+    """
+    scored = spec.segment_count - 1
+    keep = np.where(np.arange(1, scored + 1) % spec.dependence_gap == 0, 0.5, spec.masses[0] + spec.masses[3])
+    L = spec.segment_length
+    tie = 1.0 / (L // 2 + 1) if L % 2 == 0 else 0.0
+    hit = keep if mpcr == 1 else 1.0 - keep
+    w = 1.0 - hit
+    p = hit + w * tie / 2.0
+    var = float(np.sum(p * (1.0 - p)))
+    if tie:
+        run = pairs = 0.0  # run: sum over n < m of w_n times the product of (2 s_i - 1) over n < i < m
+        for w_m, rho in zip(w.tolist(), (2.0 * keep - 1.0).tolist()):
+            pairs += w_m * run
+            run = rho * run + w_m
+        var += (-1.0 if mpcr == 1 else 1.0) * tie * tie / 2.0 * pairs
+    return float(p.mean()), math.sqrt(var) / scored
 
 
 def _clause_eta(spec: SyntheticOrderSpec, mpcr: int, cfg: SegmentConfig) -> float:
     """One clause's eta, in a function so its arrays are freed before the next clause's."""
-    orders = order_labels(spec, np.random.default_rng(spec.seed))
+    orders = _law_order_labels(spec, np.random.default_rng(spec.seed))
     # Aligned as backtest.predict aligns it: day d's call is made after days 0..d-1.
     order_pred = np.full(len(orders), -1, dtype=np.int8)
     ref, swap = predicted_references(PredictorConfig(mpcr=mpcr, mpo=1, segment=cfg), orders[:-1])
@@ -182,7 +258,8 @@ def profitability_suite(
     under the persistence cross-rate method; expected effectiveness is
     the same-class mass.  Clause 2: flip-heavy targets (P_AB + P_BA =
     flip_mass) under the alternation method; effectiveness at least 1/2.
-    Both clauses allow _SLACK below their nominal level.
+    Both clauses allow _SLACK below their nominal level, and each eta must
+    also lie within _Z sds of its exact expectation (_eta_law).
     """
     if segments < 2:
         raise InvalidParams(f"segments must be >= 2, got {segments}: the first segment only seeds the prediction")
@@ -194,14 +271,16 @@ def profitability_suite(
         ("mpcr2", 2, symmetric_masses(1.0 - flip_mass), 0.5 - _SLACK),
     ]
     violations: list[str] = []
-    stats: dict = {"segments": segments, "seg_len": seg_len}
+    stats: dict = {"segments": segments, "seg_len": seg_len, "z": _Z}
     for name, mpcr, masses, threshold in clauses:
         spec = SyntheticOrderSpec(segment_count=segments, segment_length=seg_len, masses=masses, seed=seed)
         eta = _clause_eta(spec, mpcr, cfg)
-        stats[f"eta_{name}"] = eta
-        stats[f"threshold_{name}"] = threshold
+        expected, sd = _eta_law(spec, mpcr)
+        stats.update({f"eta_{name}": eta, f"threshold_{name}": threshold, f"expected_{name}": expected, f"sd_{name}": sd})
         if eta < threshold:
             violations.append(f"seed={seed} {name}: effectiveness {eta!r} below {threshold!r}")
+        if abs(eta - expected) > _Z * sd:
+            violations.append(f"seed={seed} {name}: effectiveness {eta!r} more than {_Z!r} sd ({sd!r}) from {expected!r}")
     return SuiteResult(
         suite="profitability",
         passed=not violations,

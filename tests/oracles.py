@@ -666,8 +666,8 @@ def oracle_order_labels(spec, rng: np.random.Generator) -> list[int]:
     """Daily order labels, drawn with one ``rng.choice`` per crossing count and per set of crossing days.
 
     The reference for the random stream that every ``generate --orders``
-    file and every profitability eta depends on.  It leaves the P_AB = P_BA
-    check to ``SyntheticOrderSpec``.
+    file depends on.  It leaves the P_AB = P_BA check to
+    ``SyntheticOrderSpec``.
     """
     paa, pab, pba, pbb = spec.masses
     pi_a = paa + pab
@@ -701,6 +701,62 @@ def oracle_order_labels(spec, rng: np.random.Generator) -> list[int]:
             prev = (3 - prev) if flag else prev
             labels.append(prev)
     return labels
+
+
+def oracle_eta_law(spec, mpcr: int) -> tuple[float, float]:
+    """E[eta] and sd(eta) of the profitability suite's clause for ``mpcr``, by enumerating one segment's cases.
+
+    The state is the previous segment's crossing count.  Each step
+    enumerates every (previous count, class pair, count) case with its
+    probability, scores the segment as the suite does (a flip is predicted
+    when the cross-rate guess is >= 1/2; the hits are k on a flip and
+    L - k otherwise, effective when at least L/2) and carries the first
+    and second moments of the number of effective segments.  The first
+    segment's count is capped at L - 1.  Any masses with P_AB = P_BA.
+    """
+    paa, pab, pba, pbb = spec.masses
+    pi_a = paa + pab
+    stay = {"A": paa / pi_a if pi_a > 0.0 else 1.0, "B": pbb / (1.0 - pi_a) if pi_a < 1.0 else 1.0}
+    L, gap, S = spec.segment_length, spec.dependence_gap, spec.segment_count
+    half = math.ceil(L / 2)
+    counts = {"A": range(0, half), "B": range(half, L + 1)}
+
+    def cls(k):
+        return "A" if k < half else "B"
+
+    def effective(prev_k, k):
+        rate = prev_k / L
+        guess = rate if mpcr == 1 else (0.25 if rate >= 0.5 else 0.75)
+        hits = k if guess >= 0.5 else L - k
+        return 2 * hits >= L
+
+    # Per previous count k: P(k), E[N; k] and E[N^2; k], N the effective segments so far.
+    moments = {k: [0.0, 0.0, 0.0] for k in range(L + 1)}
+    for c, p_c in (("A", pi_a), ("B", 1.0 - pi_a)):
+        for k in counts[c]:
+            moments[min(k, L - 1)][0] += p_c / len(counts[c])
+    for n in range(1, S):
+        step = {k: [0.0, 0.0, 0.0] for k in range(L + 1)}
+        for prev_k, (p, m1, m2) in moments.items():
+            if p == 0.0:
+                continue
+            if n % gap == 0:
+                classes = (("A", pi_a), ("B", 1.0 - pi_a))
+            else:
+                here = cls(prev_k)
+                other = "B" if here == "A" else "A"
+                classes = ((here, stay[here]), (other, 1.0 - stay[here]))
+            for c, p_c in classes:
+                for k in counts[c]:
+                    q = p_c / len(counts[c])
+                    e = 1.0 if effective(prev_k, k) else 0.0
+                    step[k][0] += q * p
+                    step[k][1] += q * (m1 + e * p)
+                    step[k][2] += q * (m2 + 2.0 * e * m1 + e * p)
+        moments = step
+    mean = sum(m[1] for m in moments.values())
+    square = sum(m[2] for m in moments.values())
+    return mean / (S - 1), math.sqrt(max(square - mean * mean, 0.0)) / (S - 1)
 
 
 def oracle_cost_bounds_draws(rng: np.random.Generator, replicates: int) -> list[tuple[np.ndarray, ...]]:

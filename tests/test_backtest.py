@@ -956,7 +956,7 @@ class TestSweep:
         with pytest.raises(NonPositiveCapital, match=message):
             sweep(rets, LinearPredictor((1.0,)), [(update, costs)], f0=1e-322)
 
-    # The two warnings a sweep adds, both overflows that run_backtest does not report.
+    # The warning a sweep adds, an overflow that run_backtest does not report.
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_capital_warns_ahead_of_its_error(self):
         # From 1.5e308, day 1 earns 100 / 6: run_backtest's float product is inf, which its
@@ -969,14 +969,14 @@ class TestSweep:
             sweep(rets, LinearPredictor((1.0,)), [(update, costs)], f0=1.5e308)
 
     @pytest.mark.filterwarnings("error")
-    def test_an_iitc_member_warns_on_eiitc_growth(self):
-        # tilts computes eiitc's predicted growth on every row, and day 3's growth of an iitc
-        # book overflows, which the scalar iitc tilt never computes.
+    def test_an_iitc_member_computes_no_eiitc_growth(self):
+        # Day 3's predicted growth of the floored iitc book would overflow; tilts reduces it on
+        # eiitc rows only, so the iitc member runs without a warning, as in run_backtest, beside
+        # an eiitc member whose own growth stays finite.
         rets = self.three_currencies({(0, 1): 1.0, (1, 2): 1.0}, *self.FLOORED_DAYS)
-        update, costs = UpdateConfig("iitc", 0.5, 0.5), CostParams(0.0)
-        run_backtest(rets, LinearPredictor((1.0,)), update=update, costs=costs)
-        with pytest.raises(RuntimeWarning, match="^overflow encountered in reduce$"):
-            sweep(rets, LinearPredictor((1.0,)), [(update, costs)])
+        members = [(UpdateConfig("iitc", 0.5, 0.5), CostParams(0.0)), (UpdateConfig("eiitc", 0.0), CostParams(0.0))]
+        runs = sweep(rets, LinearPredictor((1.0,)), members)
+        self.assert_matches_single_runs(runs, rets, LinearPredictor((1.0,)), members)
 
 
 def test_messages_print_plain_floats():

@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 from oracles import (
     oracle_cost_bounds_draws,
     oracle_cost_bounds_suite,
+    oracle_eta_law,
     random_portfolio_weights,
     universality_replicate_per_config,
 )
 
 from fxfolio import verify
 from fxfolio.crossrate import SegmentConfig, cross_rate, mpcr_predict, mpo_predict
-from fxfolio.data_io import SyntheticOrderSpec, order_labels, symmetric_masses
-from fxfolio.errors import InvalidParams
+from fxfolio.data_io import SyntheticOrderSpec, symmetric_masses
+from fxfolio.errors import InvalidParams, InvalidSpec
 from fxfolio.verify import (
     _cost_bounds_draws,
+    _eta_law,
+    _law_order_labels,
     _universality_replicate,
     bisect_cost,
     bisect_costs,
@@ -81,7 +84,7 @@ class TestEffectivenessEstimate:
         name, same_class_mass = ("mpcr1", 0.78) if mpcr == 1 else ("mpcr2", 1.0 - 0.6)
         for seed, seg_len, segments in [(1, 5, 40), (2, 2, 60), (3, 7, 30), (5, 3, 2)]:
             spec = SyntheticOrderSpec(segments, seg_len, symmetric_masses(same_class_mass), seed)
-            labels = order_labels(spec, np.random.default_rng(seed)).tolist()
+            labels = _law_order_labels(spec, np.random.default_rng(seed)).tolist()
             eta = profitability_suite(segments=segments, seg_len=seg_len, seed=seed).stats[f"eta_{name}"]
             assert eta == self.brute_force(labels, seg_len, mpcr, SegmentConfig(L=seg_len))
 
@@ -100,6 +103,125 @@ class TestProfitabilitySuite:
         result = profitability_suite(segments=3_000, seed=3, flip_mass=0.3)
         assert not result.passed
         assert any("mpcr2" in v for v in result.violations)
+
+
+def crossings(labels, seg_len):
+    """(segments, L) bool grid of the days whose label differs from the day before; the first day never does."""
+    return (np.diff(labels, prepend=1) != 0).reshape(-1, seg_len)
+
+
+def within(count, trials, p, z=5.0):
+    """count of trials with chance p lies within z binomial sds of its mean; z = 5 misses with chance 5.7e-7."""
+    return abs(count - trials * p) <= z * np.sqrt(trials * p * (1.0 - p))
+
+
+class TestLawOrderLabels:
+    """The suite's labels follow the order process's law.
+
+    Each check is a count against a binomial mean at z = 5, which a correct
+    sampler misses with probability about 5.7e-7 (two-sided normal tail);
+    a test's false-alarm rate is at most that times its number of checks.
+    """
+
+    # Asymmetric masses, so a class swap, a count range or a missed restart shows in the pair frequencies.
+    SPEC = SyntheticOrderSpec(200_000, 5, (0.5, 0.15, 0.15, 0.2), 3, dependence_gap=7)
+    PI_A = 0.65
+
+    @classmethod
+    def classes_and_counts(cls):
+        flags = crossings(_law_order_labels(cls.SPEC, np.random.default_rng(cls.SPEC.seed)), cls.SPEC.segment_length)
+        k = flags.sum(axis=1)
+        return k < 3, k, flags  # class A is a cross rate below 1/2: k < ceil(L/2)
+
+    def test_class_pairs_inside_a_block_and_across_a_restart(self):
+        # 6 in-block offsets and 1 straddling pair, 4 cells each: 28 checks, false alarm < 1.6e-5.  At one
+        # offset the pairs of different blocks are independent, and each follows the masses (the chain is
+        # stationary at pi_A); across a restart the classes are independent.
+        is_a, _, _ = self.classes_and_counts()
+        gap = self.SPEC.dependence_gap
+        blocks = is_a[: len(is_a) // gap * gap].reshape(-1, gap)
+        across = (self.PI_A**2, self.PI_A * (1 - self.PI_A), (1 - self.PI_A) * self.PI_A, (1 - self.PI_A) ** 2)
+        pairs = [(blocks[:, j], blocks[:, j + 1], self.SPEC.masses) for j in range(gap - 1)]
+        pairs.append((blocks[:-1, -1], blocks[1:, 0], across))
+        for first, second, masses in pairs:
+            cells = (first & second, first & ~second, ~first & second, ~first & ~second)
+            for cell, mass in zip(cells, masses):
+                assert within(int(cell.sum()), len(first), mass), (masses, int(cell.sum()), len(first))
+
+    def test_each_blocks_first_class(self):
+        # 1 check, false alarm 5.7e-7.
+        is_a, _, _ = self.classes_and_counts()
+        first = is_a[:: self.SPEC.dependence_gap]
+        assert within(int(first.sum()), len(first), self.PI_A)
+
+    def test_each_classs_crossing_counts_are_uniform_over_its_range(self):
+        # Given the classes, the counts are independent: 6 checks, false alarm < 3.5e-6.  Segment 0 is capped.
+        is_a, k, _ = self.classes_and_counts()
+        for members, counts in ((is_a[1:], range(0, 3)), (~is_a[1:], range(3, 6))):
+            drawn = k[1:][members]
+            for count in counts:
+                assert within(int((drawn == count).sum()), len(drawn), 1 / len(counts)), (count, len(drawn))
+
+    def test_each_day_crosses_with_chance_k_over_L_given_k(self):
+        # 4 counts k in 1..4, 5 days each: 20 checks, false alarm < 1.2e-5.
+        _, k, flags = self.classes_and_counts()
+        L = self.SPEC.segment_length
+        for count in range(1, L):
+            rows = flags[1:][k[1:] == count]
+            for day in range(L):
+                assert within(int(rows[:, day].sum()), len(rows), count / L), (count, day)
+
+    @pytest.mark.parametrize("seg_len", [2, 5])
+    def test_the_first_day_never_crosses(self, seg_len):
+        # It has no predecessor: its key is +inf and the first segment's count at most L - 1.
+        spec = SyntheticOrderSpec(3, seg_len, symmetric_masses(0.0), 0)
+        firsts = [crossings(_law_order_labels(spec, np.random.default_rng(seed)), seg_len)[0] for seed in range(200)]
+        assert not any(first[0] for first in firsts)
+        assert sum(first.sum() for first in firsts) > 0
+
+    def test_a_segment_count_that_cannot_be_held_is_refused(self):
+        spec = SyntheticOrderSpec(10**14, 5, symmetric_masses(0.5), 0)
+        with pytest.raises(InvalidSpec, match=r"^500000000000000 order labels .* do not fit in memory$"):
+            _law_order_labels(spec, np.random.default_rng(0))
+
+
+class TestEtaLaw:
+    @pytest.mark.parametrize("mpcr", [1, 2])
+    @pytest.mark.parametrize(
+        "segments, seg_len, same_class_mass, gap",
+        [(2_000, 5, 0.78, 50), (501, 7, 0.4, 50), (2_000, 2, 0.78, 50), (300, 4, 0.3, 7), (300, 6, 0.9, 1), (40, 2, 0.0, 5),
+         (2, 3, 0.5, 1)],
+    )
+    def test_matches_the_enumeration(self, segments, seg_len, same_class_mass, gap, mpcr):
+        # Odd and even L (the tie at k = L/2), restarts every segment to never, and masses at 0 and 1.
+        spec = SyntheticOrderSpec(segments, seg_len, symmetric_masses(same_class_mass), 1, dependence_gap=gap)
+        expected, sd = _eta_law(spec, mpcr)
+        oracle_expected, oracle_sd = oracle_eta_law(spec, mpcr)
+        assert expected == pytest.approx(oracle_expected, rel=1e-12, abs=1e-15)
+        assert sd == pytest.approx(oracle_sd, rel=1e-9)
+
+    def test_the_suite_defaults(self):
+        # 0.78 * 19,600/19,999 + 0.5 * 399/19,999 and 0.6 * 19,600/19,999 + 0.5 * 399/19,999.
+        stats = profitability_suite(segments=20_000, seed=1).stats
+        for name, mpcr, mass, closed_form in (("mpcr1", 1, 0.78, 0.77441), ("mpcr2", 2, 0.4, 0.59800)):
+            spec = SyntheticOrderSpec(20_000, 5, symmetric_masses(mass), 1)
+            oracle_expected, oracle_sd = oracle_eta_law(spec, mpcr)
+            assert stats[f"expected_{name}"] == pytest.approx(oracle_expected, rel=1e-12)
+            assert stats[f"sd_{name}"] == pytest.approx(oracle_sd, rel=1e-6)
+            assert round(stats[f"expected_{name}"], 5) == closed_form
+        assert stats["z"] == 6.0
+
+    @pytest.mark.parametrize("seg_len", [2, 5])
+    def test_etas_over_seeds_center_on_the_expectation(self, seg_len):
+        # Every run passes the suite, whose two-sided clause misses a correct run with chance about 2e-9 per
+        # clause, and the mean over 12 independent seeds lies within 5 of its sds (false alarm 5.7e-7 per clause).
+        seeds = range(1, 13)
+        runs = [profitability_suite(segments=20_000, seg_len=seg_len, seed=seed) for seed in seeds]
+        assert all(run.passed for run in runs), [run.violations for run in runs if not run.passed]
+        for name in ("mpcr1", "mpcr2"):
+            mean = np.mean([run.stats[f"eta_{name}"] for run in runs])
+            expected, sd = runs[0].stats[f"expected_{name}"], runs[0].stats[f"sd_{name}"]
+            assert abs(mean - expected) <= 5.0 * sd / np.sqrt(len(seeds)), (name, mean, expected)
 
 
 class TestCostBoundsSuite:

@@ -103,7 +103,7 @@ def generate_runs() -> list[tuple[str, list[str]]]:
         for label, flags in ORDER_VARIANTS:
             per_seed.append((f"gen/orders-{label}-s{seed}.csv", ["--orders", "--segments", "100", *flags]))
         runs += [(out, ["generate", *args, "--seed", str(seed), "--out", out]) for out, args in per_seed]
-    # Long enough that the order-label draws span several decoder blocks.
+    # A longer order file: 5,000 segments of order_labels' per-segment stream.
     runs.append(("gen/orders-n5000-s1.csv", ["generate", "--orders", "--segments", "5000", "--seed", "1", "--out", "gen/orders-n5000-s1.csv"]))
     runs.append((ORDERS_BENCH, ["generate", "--orders", "--segments", "1000", "--seed", "1", "--out", ORDERS_BENCH]))
     # The benchmark's files-m12 input at seed 1.

@@ -50,6 +50,8 @@ DAMAGED = "tests/test_data_io.py::TestDamagedLedgerAndSummaryFiles::test_ledger_
 SWEEP = "tests/test_backtest.py::TestSweep"
 DRAWS = "tests/test_verify.py::TestCostBoundsDraws::test_match_one_call_per_value"
 REJECTED = "tests/test_cli.py::TestRejectedArguments::test_exits_2"
+LAW = "tests/test_verify.py::TestLawOrderLabels"
+ETA = "tests/test_verify.py::TestEtaLaw"
 MUTANTS = (
     Mutant(
         "rate entry mask admits 0",
@@ -200,88 +202,60 @@ MUTANTS = (
          f"{BLOCKS}::test_an_index_the_rows_could_not_hold_sizes_no_grid[returns-1000000000-file]"),
     ),
     Mutant(
-        "order labels skip choice's Fisher-Yates draws",
+        "order labels count the restart gap from one segment off",
         "src/fxfolio/data_io.py",
-        "draws = list(range(0, 2 * L + 1, 2))",
-        "draws = list(range(1, L + 2))",
+        "        if n % gap == 0:\n            is_a = u < pi_a",
+        "        if (n - 1) % gap == 0 or n == 0:\n            is_a = u < pi_a",
         (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
     ),
     Mutant(
-        "order labels ignore the carried-in half word",
-        "src/fxfolio/data_io.py",
-        'is_a, 1, 1, start["has_uint32"], *tables',
-        "is_a, 1, 1, 0, *tables",
-        (f"{ORDERS}::test_carried_in_half_word_keeps_the_oracle_stream",),
-    ),
-    Mutant(
-        "order labels decode random() from 52 bits",
-        "src/fxfolio/data_io.py",
-        "(words >> np.uint64(11)) * 2.0**-53",
-        "(words >> np.uint64(12)) * 2.0**-53",
-        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
-    ),
-    Mutant(
-        "order labels leave the generator one word short",
-        "src/fxfolio/data_io.py",
-        "bitgen.advance(p - 1)",
-        "bitgen.advance(p - 2)",
-        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
-    ),
-    Mutant(
-        "order labels leave the generator one word long",
-        "src/fxfolio/data_io.py",
-        "bitgen.advance(p - 1)",
-        "bitgen.advance(p)",
-        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
-    ),
-    Mutant(
-        "order labels decode segments of 10,001 days in blocks",
-        "src/fxfolio/data_io.py",
-        "if n and L <= 10_000:",
-        "if n and L <= 10_001:",
-        (f"{ORDERS}::test_long_runs_keep_the_oracle_stream",),
-    ),
-    Mutant(
-        "order labels drop the first segment's offset in NumPy's calls",
+        "order labels drop the first segment's offset",
         "src/fxfolio/data_io.py",
         "flags[n, first + rng.choice(",
         "flags[n, rng.choice(",
         (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
     ),
     Mutant(
-        "order labels carry the other class into the next block",
-        "src/fxfolio/data_io.py",
-        "_walk_block(rows, -n % gap, gap, is_a, 1,",
-        "_walk_block(rows, -n % gap, gap, not is_a, 1,",
-        (f"{ORDERS}::test_the_profitability_suites_streams_keep_the_oracle_stream",),
+        "the suite's labels restart one segment off",
+        "src/fxfolio/verify.py",
+        "restart = at % spec.dependence_gap == 0",
+        "restart = (at + 1) % spec.dependence_gap == 0",
+        (f"{LAW}::test_class_pairs_inside_a_block_and_across_a_restart",),
     ),
     Mutant(
-        "order labels drop the buffered half at a block boundary",
-        "src/fxfolio/data_io.py",
-        'np.array([start["uinteger"] << 32], dtype=np.uint64)',
-        "np.array([0], dtype=np.uint64)",
-        (f"{ORDERS}::test_the_profitability_suites_streams_keep_the_oracle_stream",),
+        "the suite's class B draws one count from class A's range",
+        "src/fxfolio/verify.py",
+        "rng.integers(np.where(is_a, 0, half),",
+        "rng.integers(np.where(is_a, 0, half - 1),",
+        (f"{LAW}::test_each_classs_crossing_counts_are_uniform_over_its_range",),
     ),
     Mutant(
-        "order labels skip the block's rejection check",
-        "src/fxfolio/data_io.py",
-        "good = int(row[rejected.argmax()]) if rejected.any() else len(k)",
-        "good = len(k)",
-        (f"{ORDERS}::test_a_zero_word_anywhere_keeps_the_oracle_stream",),
+        "the suite's crossing days favour early days",
+        "src/fxfolio/verify.py",
+        "keys.argsort(axis=1)",
+        "(keys * np.arange(1, L + 1)).argsort(axis=1)",
+        (f"{LAW}::test_each_day_crosses_with_chance_k_over_L_given_k",),
     ),
     Mutant(
-        "order labels count the restart gap from one segment off",
-        "src/fxfolio/data_io.py",
-        "_walk_block(rows, -n % gap,",
-        "_walk_block(rows, (1 - n) % gap,",
-        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
+        "the suite's first segment may cross on its first day",
+        "src/fxfolio/verify.py",
+        "keys[0, 0] = np.inf",
+        "keys[0, -1] = np.inf",
+        (f"{LAW}::test_the_first_day_never_crosses",),
     ),
     Mutant(
-        "order labels take Floyd's j one step late in a block's last few rows",
-        "src/fxfolio/data_io.py",
-        "first[r] + 1 + row_k].tolist(), t):",
-        "first[r] + 1 + row_k].tolist(), t + 1):",
-        (f"{ORDERS}::test_labels_keep_the_oracle_stream",),
+        "the suite runs its order rule as mpo 2",
+        "src/fxfolio/verify.py",
+        "PredictorConfig(mpcr=mpcr, mpo=1, segment=cfg)",
+        "PredictorConfig(mpcr=mpcr, mpo=2, segment=cfg)",
+        (f"{ETA}::test_etas_over_seeds_center_on_the_expectation",),
+    ),
+    Mutant(
+        "the suite predicts one day late",
+        "src/fxfolio/verify.py",
+        "order_pred[1:] = referenced_orders(orders[:-1], ref, swap)",
+        "order_pred[2:] = referenced_orders(orders[:-1], ref, swap)[:-1]",
+        (f"{ETA}::test_etas_over_seeds_center_on_the_expectation",),
     ),
     Mutant(
         "ledger cells tested for zero by value, so -0.0 prints as 0",
@@ -331,6 +305,13 @@ MUTANTS = (
         "np.multiply(rate, out, out=out, where=active)",
         "np.multiply(rate, r_pred, out=out)",
         ("tests/test_updates.py::TestTilt::test_matches_the_masked_formula",),
+    ),
+    Mutant(
+        "tilts reduces eiitc growth on iitc rows too",
+        "src/fxfolio/updates.py",
+        "reshape(rows, -1), 1, where=eiitc[:, None], initial=0.0)",
+        "reshape(rows, -1), 1)",
+        (f"{SWEEP}::test_an_iitc_member_computes_no_eiitc_growth",),
     ),
     Mutant(
         "cost solve goes on past a first iterate of exactly FP_TOL",
