@@ -254,11 +254,36 @@ def oracle_streams(seg_len, seed):
     return out
 
 
+# The LCG multiplier of NumPy's PCG64: a state S steps to S * multiplier + inc mod 2**128.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 def assert_oracle_stream(spec, make_rng):
     """order_labels and the oracle give equal labels and leave equal generator states, from two rngs make_rng builds."""
     rng, expected_rng = make_rng(), make_rng()
     assert order_labels(spec, rng).tolist() == oracles.oracle_order_labels(spec, expected_rng), spec
     assert rng.bit_generator.state == expected_rng.bit_generator.state, spec
+
+
+def zero_word_rng(position, carried=None):
+    """A generator whose raw PCG64 word at ``position`` (from 0) is 0, buffering the half ``carried`` if one is given.
+
+    PCG64 outputs 0 from the all-zero LCG state, so the generator starts
+    that state stepped back position + 1 times.
+    """
+    inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    state = 0
+    for _ in range(position + 1):
+        state = (state - inc) * inverse % 2**128
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": int(carried is not None),
+        "uinteger": carried or 0,
+    }
+    return np.random.Generator(bitgen)
 
 
 class TestOrderProcess:
@@ -340,6 +365,44 @@ class TestOrderProcess:
                     expected[day, 1, 0] = value
             assert labels.tolist() == expected_labels, spec
             assert matrices.grids.tobytes() == expected.tobytes(), spec
+
+    def test_forced_rejection_keeps_the_oracle_stream(self):
+        # Two LCG steps back from the all-zero PCG64 state: random() takes the first word, and the
+        # first count draw, integers(0, 3), gets the word 0, whose halves Lemire's rule rejects twice.
+        inc = np.random.default_rng(1).bit_generator.state["state"]["inc"]
+        state = 0
+        for _ in range(2):
+            state = (state - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+
+        def crafted():
+            bitgen = np.random.PCG64(0)
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            return np.random.Generator(bitgen)
+
+        assert crafted().bit_generator.random_raw(2)[1] == 0
+        spec = SyntheticOrderSpec(segment_count=40, segment_length=5, masses=(1.0, 0.0, 0.0, 0.0), seed=0)
+        assert_oracle_stream(spec, crafted)
+
+    @pytest.mark.parametrize("carried", [None, 7])
+    @pytest.mark.parametrize("seg_len", [2, 5])
+    @pytest.mark.parametrize("position", range(16))
+    def test_a_zero_word_anywhere_keeps_the_oracle_stream(self, position, seg_len, carried):
+        # Lemire's rule rejects both halves of a zero word at h in {3, 5, 6, 7}.  Over these positions at
+        # L = 5 a rejected draw is a fresh and a carried count draw, a Floyd draw and a Fisher-Yates draw.
+        # At L = 2 nothing is rejected, but class A segments draw nothing, so a buffered half outlives
+        # several class words.
+        assert zero_word_rng(position, carried).bit_generator.random_raw(position + 1)[-1] == 0
+        spec = SyntheticOrderSpec(40, seg_len, symmetric_masses(0.5), 0, dependence_gap=7)
+        assert_oracle_stream(spec, lambda: zero_word_rng(position, carried))
+
+    @pytest.mark.parametrize("carried", [None, 7])
+    @pytest.mark.parametrize("same_class_mass, gap", [(0.3, 1), (0.0, 50), (1.0, 50)])
+    def test_a_zero_word_past_the_first_block_keeps_the_oracle_stream(self, same_class_mass, gap, carried):
+        # Word 7,000 lies past the first dependence block even at gap 50, which draws a few hundred words.
+        # That far in, which draw meets the zero word depends on the spec, not on where the stream started:
+        # here a buffered count draw, a fresh Floyd draw and another fresh Floyd draw.
+        spec = SyntheticOrderSpec(2_200, 5, symmetric_masses(same_class_mass), 0, dependence_gap=gap)
+        assert_oracle_stream(spec, lambda: zero_word_rng(7_000, carried))
 
     @pytest.mark.parametrize("seed", [1, 97])
     @pytest.mark.parametrize("seg_len", [2, 5, 8])
