@@ -2,7 +2,9 @@
 
 Each suite replays a guarantee on freshly generated synthetic data and
 reports every violation with the seed that produced it, so a failure is
-reproducible from the command line.  Replicate r always uses seed + r.
+reproducible from the command line.  Universality replicate r uses seed + r;
+a cost-bounds violation reproduces from the printed config line (the same
+--seed and --replicates).
 """
 
 from __future__ import annotations
@@ -284,7 +286,7 @@ def profitability_suite(
     return SuiteResult(
         suite="profitability",
         passed=not violations,
-        checked=2 * max(segments - 1, 0),
+        checked=2 * (segments - 1),
         violations=violations,
         stats=stats,
     )
@@ -337,41 +339,28 @@ _SIZES = (2, 3, 4, 6)
 def _cost_bounds_draws(rng: np.random.Generator, replicates: int) -> list[tuple[np.ndarray, ...]]:
     """Per m in _SIZES: the off-diagonal weights of each row's drift and target, its f_k and its c.
 
-    Replicate idx is row idx // 4 of group idx % 4.  In replicate order, one
-    standard_exponential call fills its (2, k) exponentials and one random
-    call its two uniforms; then every group is normalized and scaled at once.
+    Replicate idx is row idx // 4 of group idx % 4.  Each group is one
+    dirichlet call for its drift and target rows and one uniform call per
+    scalar.
     """
-    exps, unis = [], []
+    draws = []
     for g, m in enumerate(_SIZES):
         rows = len(range(g, replicates, len(_SIZES)))
-        exps.append(np.empty((rows, 2, m * m - m)))
-        unis.append(np.empty((rows, 2)))
-    for idx in range(replicates):
-        g, row = idx % len(_SIZES), idx // len(_SIZES)
-        rng.standard_exponential(out=exps[g][row])
-        rng.random(out=unis[g][row])
-    draws = []
-    for e, u in zip(exps, unis):
-        # cumsum adds left to right, as dirichlet does; np.add.reduce regroups the terms from k = 8 on.
-        w = e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])
-        draws.append((w[:, 0], w[:, 1], 0.5 + (2.0 - 0.5) * u[:, 0], 0.0 + (0.05 - 0.0) * u[:, 1]))
+        w = rng.dirichlet(np.ones(m * m - m), size=(rows, 2))
+        draws.append((w[:, 0], w[:, 1], rng.uniform(0.5, 2.0, rows), rng.uniform(0.0, 0.05, rows)))
     return draws
 
 
 def cost_bounds_suite(replicates: int = 10_000, seed: int = 1) -> SuiteResult:
     """Check the cost solve against its sandwich and the bisection oracle on random days.
 
-    Replicate idx draws an m = _SIZES[idx % 4] day into row idx // 4 of that
-    m's group: two dirichlet(ones(k)) rows, f_k ~ uniform(0.5, 2.0) and
-    c ~ uniform(0.0, 0.05), in replicate order.  They are drawn in bulk
-    (_cost_bounds_draws): NumPy's Dirichlet(1, ..., 1) is k standard
-    exponentials times the reciprocal of their left-to-right sum, and
-    uniform(a, b) is a + (b - a) * random(), so the bits and the generator's
-    final state are those of the per-value calls, which
-    tests/oracles.py::oracle_cost_bounds_draws makes.  Each group is solved
-    and bisected at once; then the sandwich c/(1+c) delta <= T <= c/(1-c)
-    delta and the oracle gap are checked as arrays, and only violating
-    replicates are formatted, in replicate order.
+    Replicate idx is an m = _SIZES[idx % 4] day in row idx // 4 of that m's
+    group: drift and target weights from Dirichlet(1, ..., 1) over the
+    off-diagonal cells, f_k ~ uniform(0.5, 2.0) and c ~ uniform(0.0, 0.05),
+    drawn a group at a time (_cost_bounds_draws).  Each group is solved and
+    bisected at once; then the sandwich c/(1+c) delta <= T <= c/(1-c) delta
+    and the oracle gap are checked as arrays, and only violating replicates
+    are formatted, in replicate order.
     """
     _check_run(replicates, seed)
     try:

@@ -759,42 +759,20 @@ def oracle_eta_law(spec, mpcr: int) -> tuple[float, float]:
     return mean / (S - 1), math.sqrt(max(square - mean * mean, 0.0)) / (S - 1)
 
 
-def oracle_cost_bounds_draws(rng: np.random.Generator, replicates: int) -> list[tuple[np.ndarray, ...]]:
-    """The cost-bounds suite's draws, made with one dirichlet or uniform call per value.
-
-    The reference for ``verify._cost_bounds_draws``: per m in (2, 3, 4, 6),
-    the off-diagonal weights of each row's drift and target, its f_k and
-    its c, with replicate idx at row idx // 4 of group idx % 4.
-    """
-    sizes = (2, 3, 4, 6)
-    draws = []
-    for g, m in enumerate(sizes):
-        rows = len(range(g, replicates, len(sizes)))
-        draws.append((np.empty((rows, m * m - m)), np.empty((rows, m * m - m)), np.empty(rows), np.empty(rows)))
-    alphas = [np.ones(m * m - m) for m in sizes]
-    for idx in range(replicates):
-        g, row = idx % len(sizes), idx // len(sizes)
-        drift_off, next_off, f_k, c = draws[g]
-        drift_off[row] = rng.dirichlet(alphas[g])
-        next_off[row] = rng.dirichlet(alphas[g])
-        f_k[row] = rng.uniform(0.5, 2.0)
-        c[row] = rng.uniform(0.0, 0.05)
-    return draws
-
-
 def oracle_cost_bounds_suite(replicates: int, seed: int):
-    """``verify.cost_bounds_suite`` with the oracle's draws and one ``cost_bounds`` check per replicate.
+    """``verify.cost_bounds_suite`` with the suite's own draws and one ``cost_bounds`` check per replicate.
 
-    It solves and bisects each m group with ``verify.fixed_point_costs`` and
-    ``verify.bisect_costs``, looked up at call time, so a test that patches
-    the solve patches it here too.
+    It draws with ``verify._cost_bounds_draws``, and solves and bisects each
+    m group with ``verify.fixed_point_costs`` and ``verify.bisect_costs``,
+    looked up at call time, so a test that patches the solve patches it here
+    too.
     """
     from fxfolio import verify
     from fxfolio.costs import cost_bounds
 
     sizes = (2, 3, 4, 6)
     solved = []
-    for m, (drift_off, next_off, f_k, c) in zip(sizes, oracle_cost_bounds_draws(np.random.default_rng(seed), replicates)):
+    for m, (drift_off, next_off, f_k, c) in zip(sizes, verify._cost_bounds_draws(np.random.default_rng(seed), replicates)):
         drift, psi_next = np.zeros((2, len(f_k), m, m))
         off = ~np.eye(m, dtype=bool)
         drift[:, off], psi_next[:, off] = drift_off, next_off

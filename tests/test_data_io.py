@@ -419,7 +419,7 @@ class TestOrderProcess:
     @pytest.mark.parametrize(
         "segments, seg_len, same_class_mass",
         [
-            (3000, 8, 0.3),  # about 15,000 words: several decoder blocks
+            (3000, 8, 0.3),  # 3,000 segments, each restarting its class (gap 1): about 15,000 words in one run
             (3, 10_001, 0.0),  # a population above 10,000: NumPy's partial shuffle of all days
         ],
     )

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    oracle_cost_bounds_draws,
     oracle_cost_bounds_suite,
     oracle_eta_law,
     random_portfolio_weights,
@@ -232,7 +231,7 @@ class TestCostBoundsSuite:
         assert result.stats["worst_oracle_gap"] <= 1e-8
 
     def test_matches_the_per_replicate_oracle(self):
-        # 2001 replicates: uneven groups, and m = 4 and 6 rows long enough that a pairwise normalizer moves bits.
+        # 2001 replicates: uneven groups.
         assert cost_bounds_suite(replicates=2001, seed=2) == oracle_cost_bounds_suite(2001, 2)
 
     def test_bisection_solves_the_residual(self):
@@ -290,24 +289,73 @@ class TestBatchBisection:
         assert not used & (from_costs | {"costs"})
 
 
-class TestCostBoundsDraws:
-    """The suite's bulk draws are the oracle's dirichlet and uniform calls: same bits, same final generator state."""
+class TestCostBoundsLaw:
+    """The suite's draws have the days' law: independent Dirichlet(1, ..., 1) drift and target rows over the k
+    off-diagonal cells, f_k uniform on [0.5, 2.0) and c uniform on [0.0, 0.05).
+
+    Each moment check allows Z = 6 sds of its sample mean over ROWS rows, a two-sided normal tail of 2.0e-9. There
+    are 258 of them: five per cell over the 50 cells of m = 2, 3, 4, 6, and two per group for f_k and c. Together
+    they miss a correct draw with chance below 5.1e-7.
+    """
+
+    ROWS = 20_000
+    Z = 6.0
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return _cost_bounds_draws(np.random.default_rng(11), 4 * self.ROWS)
+
+    def assert_mean(self, samples, mean, var):
+        z = (samples.mean(axis=0) - mean) / np.sqrt(var / len(samples))
+        assert np.abs(z).max() <= self.Z, z
+
+    @pytest.mark.parametrize("replicates", [1, 2, 3, 4, 7, 2000, 2001])
+    def test_group_sizes(self, replicates):
+        draws = _cost_bounds_draws(np.random.default_rng(0), replicates)
+        assert len(draws) == 4
+        for g, (m, group) in enumerate(zip((2, 3, 4, 6), draws)):
+            rows, k = len(range(g, replicates, 4)), m * m - m
+            assert [a.shape for a in group] == [(rows, k), (rows, k), (rows,), (rows,)]
 
     @pytest.mark.parametrize("seed", [0, 1, 97])
     @pytest.mark.parametrize("replicates", [1, 2, 3, 4, 7, 2000, 2001])
-    def test_match_one_call_per_value(self, replicates, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws, expect = _cost_bounds_draws(rng, replicates), oracle_cost_bounds_draws(ref_rng, replicates)
-        assert len(draws) == len(expect) == 4
-        for group, ref in zip(draws, expect):
-            assert [a.shape for a in group] == [a.shape for a in ref]
-            assert [a.tobytes() for a in group] == [a.tobytes() for a in ref]
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    def test_same_seed_and_replicates_same_draws(self, replicates, seed):
+        # A violation reproduces from its config line: the same --seed and --replicates redraw every day bit for bit.
+        rng, again = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws, redrawn = _cost_bounds_draws(rng, replicates), _cost_bounds_draws(again, replicates)
+        for group, same in zip(draws, redrawn, strict=True):
+            assert [a.tobytes() for a in group] == [a.tobytes() for a in same]
+        assert rng.bit_generator.state == again.bit_generator.state
+        other = _cost_bounds_draws(np.random.default_rng(seed + 1), replicates)
+        assert any(a.tobytes() != b.tobytes() for group, diff in zip(draws, other) for a, b in zip(group, diff))
+
+    def test_weight_rows_lie_on_the_simplex(self, draws):
+        for drift, target, _, _ in draws:
+            for w in (drift, target):
+                assert w.min() >= 0.0
+                assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_cell_moments(self, draws):
+        # A Dirichlet(1, ..., 1) cell is Beta(1, k - 1): E[w^r] = r! / (k (k + 1) ... (k + r - 1)).
+        for drift, target, _, _ in draws:
+            k = drift.shape[1]
+            m2, m4 = 2.0 / (k * (k + 1)), 24.0 / (k * (k + 1) * (k + 2) * (k + 3))
+            for w in (drift, target):
+                self.assert_mean(w, 1.0 / k, m2 - 1.0 / k**2)
+                self.assert_mean(w * w, m2, m4 - m2**2)
+            # Independent rows: E[drift * target] = 1 / k^2 per cell.
+            self.assert_mean(drift * target, 1.0 / k**2, m2**2 - 1.0 / k**4)
+
+    def test_f_k_and_c_are_uniform_on_their_ranges(self, draws):
+        for _, _, f_k, c in draws:
+            for x, lo, hi in ((f_k, 0.5, 2.0), (c, 0.0, 0.05)):
+                assert lo <= x.min() and x.max() < hi
+                self.assert_mean(x, (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0)
 
 
 def replicate_draws(replicates, seed):
-    """(f_k, c) of every cost-bounds replicate, from the oracle's one-call-per-value draws."""
-    draws = oracle_cost_bounds_draws(np.random.default_rng(seed), replicates)
+    """(f_k, c) of every cost-bounds replicate, from the suite's own draws."""
+    draws = _cost_bounds_draws(np.random.default_rng(seed), replicates)
     return [(float(draws[idx % 4][2][idx // 4]), float(draws[idx % 4][3][idx // 4])) for idx in range(replicates)]
 
 

@@ -48,7 +48,7 @@ BLOCKS = "tests/test_data_io.py::TestRowBlocks"
 WEIGHTS = "tests/test_portfolio.py::TestWeightRules"
 DAMAGED = "tests/test_data_io.py::TestDamagedLedgerAndSummaryFiles::test_ledger_errors_are_typed"
 SWEEP = "tests/test_backtest.py::TestSweep"
-DRAWS = "tests/test_verify.py::TestCostBoundsDraws::test_match_one_call_per_value"
+COST_LAW = "tests/test_verify.py::TestCostBoundsLaw"
 REJECTED = "tests/test_cli.py::TestRejectedArguments::test_exits_2"
 LAW = "tests/test_verify.py::TestLawOrderLabels"
 ETA = "tests/test_verify.py::TestEtaLaw"
@@ -359,25 +359,32 @@ MUTANTS = (
         ("tests/test_costs.py::TestBatchSolve::test_a_row_done_at_an_inf_first_iterate_warns_as_its_scalar_solve",),
     ),
     Mutant(
-        "cost-bounds draws sum the Dirichlet normalizer pairwise",
-        "src/fxfolio/verify.py",
-        "(1.0 / np.cumsum(e, axis=-1)[..., -1:])",
-        "(1.0 / np.add.reduce(e, axis=-1, keepdims=True))",
-        (f"{DRAWS}[2000-1]",),
-    ),
-    Mutant(
-        "cost-bounds draws divide by the normalizer",
-        "src/fxfolio/verify.py",
-        "e * (1.0 / np.cumsum(e, axis=-1)[..., -1:])",
-        "e / np.cumsum(e, axis=-1)[..., -1:]",
-        (f"{DRAWS}[2000-1]",),
-    ),
-    Mutant(
         "cost-bounds draws swap the f_k and c uniforms",
         "src/fxfolio/verify.py",
-        "0.5 + (2.0 - 0.5) * u[:, 0], 0.0 + (0.05 - 0.0) * u[:, 1]",
-        "0.5 + (2.0 - 0.5) * u[:, 1], 0.0 + (0.05 - 0.0) * u[:, 0]",
-        (f"{DRAWS}[1-0]",),
+        "rng.uniform(0.5, 2.0, rows), rng.uniform(0.0, 0.05, rows)",
+        "rng.uniform(0.0, 0.05, rows), rng.uniform(0.5, 2.0, rows)",
+        (f"{COST_LAW}::test_f_k_and_c_are_uniform_on_their_ranges",),
+    ),
+    Mutant(
+        "cost-bounds weights drawn from Dirichlet(2, ..., 2)",
+        "src/fxfolio/verify.py",
+        "rng.dirichlet(np.ones(m * m - m), size=(rows, 2))",
+        "rng.dirichlet(np.full(m * m - m, 2.0), size=(rows, 2))",
+        (f"{COST_LAW}::test_cell_moments",),
+    ),
+    Mutant(
+        "cost-bounds target row equal to its drift row",
+        "src/fxfolio/verify.py",
+        "draws.append((w[:, 0], w[:, 1],",
+        "draws.append((w[:, 0], w[:, 0],",
+        (f"{COST_LAW}::test_cell_moments",),
+    ),
+    Mutant(
+        "cost-bounds c drawn from [0, 0.5)",
+        "src/fxfolio/verify.py",
+        "rng.uniform(0.0, 0.05, rows)",
+        "rng.uniform(0.0, 0.5, rows)",
+        (f"{COST_LAW}::test_f_k_and_c_are_uniform_on_their_ranges",),
     ),
     Mutant(
         "cost-bounds sandwich top uses 1 + c",
